@@ -25,7 +25,8 @@ buffers and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,9 +103,9 @@ def _is_symmetric_exact(m: sp.csr_matrix) -> bool:
 
 
 def _is_diagonal(m: sp.csr_matrix) -> bool:
-    d = (m - sp.diags(m.diagonal())).tocsr()
-    d.eliminate_zeros()
-    return d.nnz == 0
+    """True when every stored off-diagonal entry is zero (explicit zeros allowed)."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return not np.any(m.data[m.indices != rows])
 
 
 def _bandwidth(m: sp.csr_matrix) -> int:
@@ -130,8 +131,8 @@ def _gershgorin_bounds(m: sp.csr_matrix) -> tuple[float, float]:
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def _extreme_eigenvalue(m: sp.csr_matrix, which: str) -> float:
-    """Smallest or largest eigenvalue of a symmetric sparse matrix.
+def _extreme_eigenvalue(m, which: str) -> float:
+    """Smallest or largest eigenvalue of a symmetric matrix (ndarray or sparse).
 
     Dispatch: dense LAPACK below DENSE_EIG_CAP, the banded solver for
     narrow bandwidth, otherwise shift-invert Lanczos anchored strictly
@@ -139,8 +140,9 @@ def _extreme_eigenvalue(m: sp.csr_matrix, which: str) -> float:
     """
     n = m.shape[0]
     if n <= DENSE_EIG_CAP:
-        w = np.linalg.eigvalsh(m.toarray())
+        w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
         return float(w[0] if which == "min" else w[-1])
+    m = sp.csr_matrix(m)
     bw = _bandwidth(m)
     if bw <= MAX_BANDWIDTH:
         band = _to_banded_upper(m, bw)
@@ -208,7 +210,9 @@ class BlockOperator:
 
     Structural guarantees established at assembly and preserved by the
     read-only storage: Q equals T^t entrywise exactly, P and S are
-    exactly symmetric, and lambda_min(S) >= c1 > 0.
+    exactly symmetric, and lambda_min(S) >= c1 > 0.  S_diagonal records
+    once whether S has no nonzero off-diagonal entry; it is derived from
+    S and cannot be passed in.
     """
 
     P: sp.csr_matrix
@@ -217,6 +221,10 @@ class BlockOperator:
     S: sp.csr_matrix
     c1: float
     N: int
+    S_diagonal: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "S_diagonal", _is_diagonal(self.S))
 
 
 @dataclass(frozen=True)
@@ -255,26 +263,36 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
         If lambda_min(S) <= 0, or an asserted c1 is not a valid
         positive lower bound.
     DimensionMismatch
-        If the blocks are not square matrices of one common size.
+        If the blocks are not square matrices of one common nonzero size.
+    ValidationError
+        If a block has a non-finite entry, or P or S is not exactly
+        symmetric; its key names the block.
     """
     Pc, Tc, Sc = _as_csr(P), _as_csr(T), _as_csr(S)
     n = Pc.shape[0]
+    if n == 0:
+        raise DimensionMismatch("blocks are empty")
     for name, m in (("P", Pc), ("T", Tc), ("S", Sc)):
         if m.shape != (n, n):
             raise DimensionMismatch(f"block {name} has shape {m.shape}, expected {(n, n)}")
+        if not np.all(np.isfinite(m.data)):
+            raise ValidationError(name, "block has a non-finite entry")
     if not _is_symmetric_exact(Pc):
         raise ValidationError("P", "block must be exactly symmetric")
     if not _is_symmetric_exact(Sc):
         raise ValidationError("S", "block must be exactly symmetric")
 
-    smin = _extreme_eigenvalue(Sc, "min")
+    if _is_diagonal(Sc):
+        smin = float(np.min(Sc.diagonal()))
+    else:
+        smin = _extreme_eigenvalue(Sc, "min")
     if smin <= 0.0:
         raise NonPositiveS(f"lambda_min(S) = {smin:.6g} <= 0; S >= c1 I > 0 fails")
     if c1_policy == "compute":
         c1 = smin
     else:
         c1 = float(c1_policy)
-        if c1 <= 0.0:
+        if not c1 > 0.0:
             raise NonPositiveS(f"asserted c1 = {c1:.6g} is not positive")
         if smin < c1 - 1e-12 * (1.0 + abs(smin)):
             raise NonPositiveS(
@@ -313,42 +331,54 @@ def full_matrix(B: BlockOperator) -> sp.csr_matrix:
     return sp.bmat([[B.P, B.Q], [B.T, -B.S]], format="csr")
 
 
-def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
-    """Matrix of the reduced form: M_alpha = (P - alpha I) + T^t (S + alpha I)^{-1} T.
+def _schur_form(B: BlockOperator, alpha: float):
+    """M_alpha in the layout the eigensolver takes, symmetrized.
 
-    At alpha = 0 this is the Schur complement of -S in H.  The shifted
-    block S + alpha*I is applied by factorization and solve, never by
-    explicit inversion; a diagonal S short-circuits to exact arithmetic.
-    The result is symmetrized to remove roundoff skew.
+    A diagonal S gives the sparse product T^t diag(1/(s + alpha)) T in
+    CSR, O(nnz); otherwise S + alpha*I is Cholesky-factored and M_alpha
+    is formed, symmetrized and returned as a dense ndarray.
     """
     alpha = float(alpha)
     if alpha < 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
     n = B.N
-    eye = sp.identity(n, format="csr")
-    if _is_diagonal(B.S):
+    if B.S_diagonal:
         w = 1.0 / (B.S.diagonal() + alpha)
-        M = (B.P - alpha * eye) + B.T.T @ sp.diags(w) @ B.T
-        M = M.tocsr()
-    else:
-        A = (B.S + alpha * eye).toarray()
-        try:
-            factor = cho_factor(A, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite") from exc
-        X = cho_solve(factor, B.T.toarray())
-        M = sp.csr_matrix(B.P.toarray() - alpha * np.eye(n) + B.T.toarray().T @ X)
-    return ((M + M.T) * 0.5).tocsr()
+        M = (B.P - alpha * sp.identity(n, format="csr")) + B.T.T @ sp.diags(w) @ B.T
+        return ((M + M.T) * 0.5).tocsr()
+    A = B.S.toarray()
+    A[np.diag_indices(n)] += alpha
+    try:
+        factor = cho_factor(A, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite") from exc
+    T = B.T.toarray()
+    M = B.P.toarray() - alpha * np.eye(n) + T.T @ cho_solve(factor, T)
+    return (M + M.T) * 0.5
+
+
+def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
+    """Matrix of the reduced form: M_alpha = (P - alpha I) + T^t (S + alpha I)^{-1} T.
+
+    At alpha = 0 this is the Schur complement of -S in H.  The shifted
+    block S + alpha*I is applied by factorization and solve, never by
+    explicit inversion; a diagonal S (B.S_diagonal) short-circuits to
+    exact division.  The result is symmetrized to remove roundoff skew
+    and returned in CSR form; positivity_margin and the other internal
+    callers take the same matrix without the CSR round trip.
+    """
+    M = _schur_form(B, alpha)
+    return M if sp.issparse(M) else sp.csr_matrix(M)
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
     """lambda_min(M_alpha); nonnegative certifies the inequality at level alpha."""
-    return _extreme_eigenvalue(schur_form_matrix(B, alpha), "min")
+    return _extreme_eigenvalue(_schur_form(B, alpha), "min")
 
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
     """Margin and conditioning of the reduced form at one alpha."""
-    M = schur_form_matrix(B, alpha)
+    M = _schur_form(B, alpha)
     lo = _extreme_eigenvalue(M, "min")
     hi = _extreme_eigenvalue(M, "max")
     mags = sorted((abs(lo), abs(hi)))
@@ -361,16 +391,19 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
 
     The margin decreases in alpha with slope <= -1, so margin(alpha) <=
     margin(0) - alpha and [0, margin(0)] brackets the root; bisection
-    narrows it to width <= tol and the midpoint is returned.
+    narrows it to width <= tol, or until the bracket ends are adjacent
+    floats when tol is below their spacing, and the midpoint is returned.
 
     Raises
     ------
+    ValueError
+        If tol is not finite and positive.
     HypothesisFailed
         If the margin at alpha = 0 is negative (the base form is not
         positive semidefinite, so no c2 >= 0 exists).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     m0 = positivity_margin(B, 0.0)
     if m0 < 0.0:
         raise HypothesisFailed(
@@ -382,6 +415,8 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     lo, hi = 0.0, m0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if positivity_margin(B, mid) >= 0.0:
             lo = mid
         else:
@@ -406,7 +441,7 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
 
 def _apply_s_inverse(B: BlockOperator, X):
     """S^{-1} X by exact diagonal division or dense Cholesky solve."""
-    if _is_diagonal(B.S):
+    if B.S_diagonal:
         d = B.S.diagonal()
         if X.ndim == 1:
             return X / d
@@ -463,7 +498,7 @@ def resolvent_difference_check(
         raise DeltaOutOfRange(
             f"delta = {delta:.6g} outside (0, c1*alpha/(c1+alpha) = {bound:.6g}]"
         )
-    if _is_diagonal(B.S):
+    if B.S_diagonal:
         s = B.S.diagonal()
     elif B.N <= dense_cap:
         s = np.linalg.eigvalsh(B.S.toarray())
@@ -502,29 +537,90 @@ def matrix_from_text(text: str) -> np.ndarray:
     return arr
 
 
+_BLOCK_NAMES = ("P", "T", "S")
+
+
 def operator_to_text(B: BlockOperator) -> str:
-    """Serialize a BlockOperator (P, T, S and c1; Q is implied by Q = T^t)."""
-    out = io.StringIO()
-    out.write("blockoperator 1\n")
-    out.write(f"N {B.N}\n")
-    out.write(f"c1 {B.c1:.17g}\n")
-    for name, m in (("P", B.P), ("T", B.T), ("S", B.S)):
-        out.write(f"{name}\n")
-        out.write(matrix_to_text(m))
-    return out.getvalue()
+    """Serialize a BlockOperator in text format version 2: O(nnz), not O(N^2).
+
+    Lines, in order (tokens separated by single spaces):
+
+        blockoperator 2
+        N <n>
+        c1 <c1>
+        then for each block of P, T, S, four lines:
+        <name> <nnz>
+        <indptr: n + 1 integers>
+        <indices: nnz integers>
+        <data: nnz floats>
+
+    The last three lines of a block are its CSR arrays as stored, explicit
+    zeros included; they are empty lines when nnz = 0.  Floats are written
+    with repr, which round-trips every float64 exactly.  Q is not written:
+    it is implied by Q = T^t.
+    """
+    lines = ["blockoperator 2", f"N {B.N}", f"c1 {float(B.c1)!r}"]
+    for name in _BLOCK_NAMES:
+        m = getattr(B, name)
+        lines += [
+            f"{name} {m.nnz}",
+            " ".join(map(str, m.indptr.tolist())),
+            " ".join(map(str, m.indices.tolist())),
+            " ".join(map(repr, m.data.tolist())),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _keyed_value(line: str, key: str) -> str:
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != key:
+        raise ValueError(f"expected a '{key} <value>' line, found {line[:40]!r}")
+    return tokens[1]
+
+
+def _numbers(line: str, dtype, count: int, what: str) -> np.ndarray:
+    try:
+        arr = np.array(line.split(), dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if arr.shape[0] != count:
+        raise ValueError(f"{what}: expected {count} entries, found {arr.shape[0]}")
+    return arr
 
 
 def operator_from_text(text: str) -> BlockOperator:
+    """Parse operator_to_text output and re-assemble it (c1 is verified).
+
+    Raises ValueError naming the defect for any other header, a wrong
+    line or entry count, an indptr that is not monotone from 0 to nnz,
+    a column index outside [0, N), or column indices that are not
+    strictly increasing within a row (a repeated entry would otherwise
+    be summed); the blocks then pass through
+    assemble, so non-finite, non-symmetric or non-positive blocks raise
+    its package errors.
+    """
     lines = text.splitlines()
-    if not lines or lines[0].split() != ["blockoperator", "1"]:
-        raise ValueError("not a blockoperator serialization")
-    n = int(lines[1].split()[1])
-    c1 = float(lines[2].split()[1])
+    if not lines or lines[0].split() != ["blockoperator", "2"]:
+        raise ValueError("not a blockoperator version 2 serialization")
+    expected = 3 + 4 * len(_BLOCK_NAMES)
+    if len(lines) != expected:
+        raise ValueError(f"expected {expected} lines, found {len(lines)}")
+    n = int(_keyed_value(lines[1], "N"))
+    if n < 0:
+        raise ValueError(f"N = {n} is negative")
+    c1 = float(_keyed_value(lines[2], "c1"))
     blocks = {}
-    i = 3
-    for _ in range(3):
-        name = lines[i].strip()
-        body = "\n".join(lines[i + 1 : i + 2 + n])
-        blocks[name] = matrix_from_text(body)
-        i += 2 + n
+    for k, name in enumerate(_BLOCK_NAMES):
+        head, ptr_line, idx_line, data_line = lines[3 + 4 * k : 7 + 4 * k]
+        nnz = int(_keyed_value(head, name))
+        indptr = _numbers(ptr_line, np.int64, n + 1, f"{name} indptr")
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"{name} indptr is not monotone from 0 to nnz = {nnz}")
+        indices = _numbers(idx_line, np.int64, nnz, f"{name} indices")
+        if nnz and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"{name} has a column index outside [0, {n})")
+        data = _numbers(data_line, np.float64, nnz, f"{name} data")
+        blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        if not blocks[name].has_canonical_format:
+            raise ValueError(f"{name} column indices are not increasing within a row")
     return assemble(blocks["P"], blocks["T"], blocks["S"], c1_policy=c1)

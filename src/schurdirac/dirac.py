@@ -33,6 +33,7 @@ from .blockop import (
 )
 from .errors import (
     BadRange,
+    CheckFailed,
     HypothesisFailed,
     InvalidQuantumNumbers,
     NoConvergence,
@@ -411,7 +412,8 @@ def c2_consistency(
     constant c2* = 1 + sqrt(1 - nu^2) - gamma (the lowest gap eigenvalue
     in the shifted convention) and diff = c2_numeric - c2_analytic.  At
     sizes 2N <= 1000 the numeric value is additionally cross-checked
-    against the dense inertia oracle.
+    against the dense inertia oracle; CheckFailed is raised if they
+    disagree by more than 10*tol.
     """
     if spec.nu > 1.0:
         raise HypothesisFailed(
@@ -422,7 +424,6 @@ def c2_consistency(
     c2a = 1.0 + math.sqrt(1.0 - spec.nu**2) - spec.gamma
     if 2 * grid.N <= 1000:
         oracle = inertia_c2_oracle(B)
-        assert abs(c2n - oracle) <= 10.0 * tol, (
-            f"bisection {c2n!r} disagrees with inertia oracle {oracle!r}"
-        )
+        if not abs(c2n - oracle) <= 10.0 * tol:
+            raise CheckFailed(f"bisection {c2n!r} disagrees with inertia oracle {oracle!r}")
     return c2n, c2a, c2n - c2a

@@ -49,6 +49,15 @@ class NoConvergence(SchurDiracError):
     """An iterative eigenvalue or linear solve failed to converge."""
 
 
+class CheckFailed(SchurDiracError):
+    """An internal cross-check of a computed result disagreed.
+
+    Raised where two independent computations of one quantity must agree
+    (bisection against the inertia oracle, an identity against its
+    swapped form); the result is not returned.
+    """
+
+
 class InvalidQuantumNumbers(SchurDiracError):
     """(n, kappa, nu) outside the domain of the bound-state formula."""
 

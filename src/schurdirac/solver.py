@@ -34,7 +34,6 @@ from .blockop import (
     BlockOperator,
     StateVector,
     _extreme_eigenvalue,
-    _is_diagonal,
     apply,
     assemble,
     full_matrix,
@@ -42,6 +41,7 @@ from .blockop import (
     schur_form_matrix,
 )
 from .errors import (
+    CheckFailed,
     DimensionMismatch,
     HypothesisFailed,
     IllConditioned,
@@ -86,7 +86,7 @@ def _s_solver(B: BlockOperator):
     """Callable applying S^{-1} by factorization (exact for diagonal S)."""
 
     def build():
-        if _is_diagonal(B.S):
+        if B.S_diagonal:
             d = B.S.diagonal().copy()
 
             def fn(x):
@@ -234,7 +234,8 @@ def symmetry_identity_check(
 
     The two paths agree algebraically; their float difference measures
     roundoff only.  The rhs is additionally checked to be symmetric
-    under swapping w and wt.  Returns (lhs, rhs, absdiff).
+    under swapping w and wt; CheckFailed is raised if it is not.
+    Returns (lhs, rhs, absdiff).
     """
     if w.u.shape[0] != B.N or wt.u.shape[0] != B.N:
         raise DimensionMismatch("state vector length differs from operator N")
@@ -252,9 +253,8 @@ def symmetry_identity_check(
     rhs = expansion(w, wt)
     swapped = expansion(wt, w)
     scale = 1e-10 * (1.0 + abs(rhs))
-    assert abs(rhs - swapped) <= scale, (
-        f"expansion not symmetric under swap: {rhs!r} vs {swapped!r}"
-    )
+    if not abs(rhs - swapped) <= scale:
+        raise CheckFailed(f"expansion not symmetric under swap: {rhs!r} vs {swapped!r}")
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -1,19 +1,32 @@
+import dataclasses
 import math
+import re
+import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import schurdirac.blockop as blockop
 from schurdirac import (
     BlockOperator,
+    DiracChannelSpec,
     DimensionMismatch,
     HypothesisFailed,
     NegativeAlpha,
     NonPositiveS,
+    SchurDiracError,
     StateVector,
     TooLarge,
     ValidationError,
     apply,
     assemble,
+    build_channel,
+    build_grid,
     embedding_delta,
     find_c2,
     form_report,
@@ -36,6 +49,22 @@ C2_SCALAR = (1.0 + math.sqrt(13.0)) / 2.0  # root of 2 - a + 1/(1+a) = 0
 
 def scalar_operator():
     return assemble([[2.0]], [[1.0]], [[1.0]])
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging, when the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAssemble:
@@ -75,6 +104,45 @@ class TestAssemble:
         assert (B.Q - B.T.T).nnz == 0
         H = full_matrix(B)
         assert (H - H.T).nnz == 0
+
+    @pytest.mark.parametrize("name", ["P", "T", "S"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_block(self, name, bad):
+        blocks = {"P": np.eye(2), "T": np.ones((2, 2)), "S": np.eye(2)}
+        blocks[name] = blocks[name].copy()
+        blocks[name][1, 1] = bad
+        with pytest.raises(ValidationError) as info:
+            assemble(blocks["P"], blocks["T"], blocks["S"])
+        assert info.value.key == name
+        assert "non-finite" in str(info.value)
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(DimensionMismatch):
+            assemble(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_rejects_nan_asserted_c1(self):
+        with pytest.raises(NonPositiveS):
+            assemble([[2.0]], [[1.0]], [[1.0]], c1_policy=math.nan)
+
+    def test_diagonal_s_c1_is_smallest_diagonal_entry(self):
+        d = np.array([3.0, 0.1 + 0.2, 7.5])
+        B = assemble(np.eye(3), np.ones((3, 3)), np.diag(d))
+        assert B.S_diagonal
+        assert B.c1 == d.min()
+        with pytest.raises(NonPositiveS):
+            assemble(np.eye(3), np.ones((3, 3)), np.diag(d), c1_policy=0.31)
+
+    def test_s_diagonal_false_for_random_dense_family(self, rng):
+        for n in (2, 10, 40):
+            assert not random_block_operator(rng, n).S_diagonal
+
+    def test_s_diagonal_is_derived_not_passed(self, rng):
+        B = random_block_operator(rng, 4)
+        C = dataclasses.replace(B, S=sp.csr_matrix(np.eye(4)))
+        assert C.S_diagonal and not B.S_diagonal
+        assert not dataclasses.replace(B).S_diagonal
+        with pytest.raises(TypeError):
+            BlockOperator(B.P, B.Q, B.T, B.S, B.c1, B.N, S_diagonal=True)
 
 
 class TestApply:
@@ -137,6 +205,15 @@ class TestSchurForm:
                 quad = u @ (M @ u)
                 assert quad == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
+    def test_schur_form_matrix_is_csr_on_both_paths(self, rng):
+        dense = random_block_operator(rng, 7, margin_target=1.0)
+        diagonal = assemble(np.eye(7), rng.standard_normal((7, 7)), 2.0 * np.eye(7))
+        for B in (dense, diagonal):
+            M = schur_form_matrix(B, 0.4)
+            assert isinstance(M, sp.csr_matrix)
+            assert (M - M.T).nnz == 0
+            assert positivity_margin(B, 0.4) == np.linalg.eigvalsh(M.toarray())[0]
+
 
 class TestMargin:
     def test_scalar_alpha_zero(self):
@@ -171,6 +248,48 @@ class TestFindC2:
         B = assemble(-5.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
         with pytest.raises(HypothesisFailed):
             find_c2(B)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_c2(scalar_operator(), tol)
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324, 1e-17])
+    def test_tolerance_below_float_spacing_terminates(self, tol):
+        with time_limit(10.0):
+            c2 = find_c2(scalar_operator(), tol)
+        assert c2 == pytest.approx(C2_SCALAR, abs=1e-14)
+
+    @settings(deadline=2000, max_examples=40)
+    @given(tol=st.floats(min_value=1e-15, max_value=4.0), wide=st.booleans())
+    def test_margin_sequence_is_plain_bisection(self, tol, wide):
+        # reference: the bisection loop without the stagnation exit
+        B = (
+            assemble(np.diag([3.0, 1.0]), [[1.0, 0.5], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]])
+            if wide
+            else scalar_operator()
+        )
+        want = [0.0]
+        lo, hi = 0.0, positivity_margin(B, 0.0)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            want.append(mid)
+            if positivity_margin(B, mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+
+        seen = []
+        original = blockop.positivity_margin
+
+        def recording(B, alpha):
+            seen.append(alpha)
+            return original(B, alpha)
+
+        with mock.patch.object(blockop, "positivity_margin", recording):
+            c2 = find_c2(B, tol)
+        assert seen == want
+        assert c2 == 0.5 * (lo + hi)
 
     def test_slope_bound(self, rng):
         # margin(beta) <= margin(alpha) - (beta - alpha) for alpha < beta
@@ -276,3 +395,165 @@ class TestSerialization:
         B = random_block_operator(rng, 5)
         with pytest.raises(ValueError):
             B.P.data[0] = 99.0
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310, 1e300, -1e300, 1.0, 0.1]
+ENTRIES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 2.5e-310, 0.1, 1.0, 1e300]),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+
+
+@st.composite
+def operators(draw):
+    """Sparse or dense operators with explicit zeros, -0.0, subnormals and +-1e300."""
+    n = draw(st.integers(1, 6))
+    dense = draw(st.booleans())
+
+    def block(elements, symmetric):
+        vals = np.array(draw(st.lists(elements, min_size=n * n, max_size=n * n))).reshape(n, n)
+        mask = np.ones((n, n), bool)
+        if not dense:
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+            mask = mask.reshape(n, n)
+        if symmetric:
+            upper = np.triu(np.ones((n, n), bool))
+            vals = np.where(upper, vals, vals.T)
+            mask = mask | mask.T
+        return sp.csr_matrix((vals[mask], np.nonzero(mask)), shape=(n, n))
+
+    P = block(ENTRIES, symmetric=True)
+    T = block(ENTRIES, symmetric=False)
+    if draw(st.booleans()):
+        # diagonal S stored with explicit (signed) zeros off the diagonal
+        off = block(st.sampled_from([0.0, -0.0]), symmetric=True)
+        S = off - sp.diags(off.diagonal()) + sp.diags(draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+        S = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(n, n))
+    else:
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+        a = a.reshape(n, n)
+        s = a @ a.T + n * np.eye(n)
+        S = np.where(np.triu(np.ones((n, n), bool)), s, s.T)
+    B = assemble(P, T, S)
+    if draw(st.booleans()):
+        B = assemble(P, T, S, c1_policy=max(0.5 * B.c1, 5e-324))
+    return B
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTextFormat:
+    def test_layout(self):
+        text = operator_to_text(assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2)))
+        assert text.splitlines() == [
+            "blockoperator 2",
+            "N 2",
+            "c1 1.0",
+            "P 2",
+            "0 1 2",
+            "0 1",
+            "2.0 -1.0",
+            "T 1",
+            "0 1 1",
+            "0",
+            "0.5",
+            "S 2",
+            "0 1 2",
+            "0 1",
+            "1.0 1.0",
+        ]
+
+    def test_channel_text_is_linear_in_n(self):
+        spec = DiracChannelSpec(kappa=-1, nu=0.5, gamma=0.5)
+        B = build_channel(spec, build_grid("logarithmic", 2000, 1e-4, 100.0))
+        text = operator_to_text(B)
+        assert len(text) < 60 * 5 * 2000
+        C = operator_from_text(text)
+        assert C.S_diagonal and C.c1 == B.c1
+
+    @settings(deadline=2000, max_examples=150)
+    @given(B=operators())
+    def test_roundtrip_is_bitwise(self, B):
+        C = operator_from_text(operator_to_text(B))
+        assert C.N == B.N
+        assert _same_bits(np.float64(C.c1), np.float64(B.c1))
+        assert C.S_diagonal == B.S_diagonal
+        for name in ("P", "T", "S", "Q"):
+            a, b = getattr(B, name), getattr(C, name)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert _same_bits(a.data, b.data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ls: ["blockoperator 1"] + ls[1:], "version 2"),
+            (lambda ls: ls[:-1], "expected 15 lines"),
+            (lambda ls: ls + [""], "expected 15 lines"),
+            (lambda ls: ls[:1] + ["N -1"] + ls[2:], "negative"),
+            (lambda ls: ls[:1] + ["M 2"] + ls[2:], "'N <value>'"),
+            (lambda ls: ls[:3] + ["T 2"] + ls[4:], "'P <value>'"),
+            (lambda ls: ls[:3] + ["P 3"] + ls[4:], "nnz = 3"),
+            (lambda ls: ls[:4] + ["0 2 1"] + ls[5:], "not monotone"),
+            (lambda ls: ls[:4] + ["1 1 2"] + ls[5:], "not monotone"),
+            (lambda ls: ls[:4] + ["0 1"] + ls[5:], "P indptr: expected 3 entries"),
+            (lambda ls: ls[:5] + ["0 2"] + ls[6:], "outside [0, 2)"),
+            (lambda ls: ls[:5] + ["-1 1"] + ls[6:], "outside [0, 2)"),
+            (lambda ls: ls[:4] + ["0 2 2", "1 0"] + ls[6:], "not increasing"),
+            (lambda ls: ls[:4] + ["0 2 2", "0 0"] + ls[6:], "not increasing"),
+            (lambda ls: ls[:5] + ["0 1.5"] + ls[6:], "P indices"),
+            (lambda ls: ls[:6] + ["2.0"] + ls[7:], "P data: expected 2 entries"),
+            (lambda ls: ls[:6] + ["2.0 x"] + ls[7:], "P data"),
+            (lambda ls: ls[:5] + ["9" * 30 + " 1"] + ls[6:], "P indices"),
+        ],
+    )
+    def test_rejects_malformed_text(self, edit, message):
+        B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))
+        text = "\n".join(edit(operator_to_text(B).splitlines())) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            operator_from_text(text)
+
+    def test_non_finite_data_is_a_validation_error(self):
+        B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))
+        lines = operator_to_text(B).splitlines()
+        lines[10] = "1e999"
+        with pytest.raises(ValidationError) as info:
+            operator_from_text("\n".join(lines))
+        assert info.value.key == "T"
+
+    @settings(deadline=2000, max_examples=300)
+    @given(
+        B=operators(),
+        cut=st.integers(0, 10**6),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["insert", "replace", "delete"]),
+                st.sampled_from(list("0123456789-+.eE x\n\t") + ["nan", "inf", "1e400"]),
+            ),
+            max_size=4,
+        ),
+        truncate=st.booleans(),
+    )
+    def test_fuzzed_text_raises_only_package_errors(self, B, cut, edits, truncate):
+        text = operator_to_text(B)
+        if truncate:
+            text = text[: cut % (len(text) + 1)]
+        for pos, kind, token in edits:
+            i = pos % (len(text) + 1)
+            if kind == "insert":
+                text = text[:i] + token + text[i:]
+            elif kind == "replace":
+                text = text[:i] + token + text[i + 1 :]
+            else:
+                text = text[:i] + text[i + 1 :]
+        try:
+            C = operator_from_text(text)
+        except (ValueError, SchurDiracError):
+            return
+        assert isinstance(C, BlockOperator)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import schurdirac
 from schurdirac import (
     CSV_COLUMNS,
     BadRange,
@@ -10,6 +15,7 @@ from schurdirac import (
     HypothesisFailed,
     InvalidQuantumNumbers,
     RadialGrid,
+    assemble,
     build_channel,
     build_grid,
     c2_consistency,
@@ -18,6 +24,7 @@ from schurdirac import (
     embedding_delta,
     full_matrix,
     hardy_sweep,
+    positivity_margin,
     sommerfeld_energy,
 )
 
@@ -115,6 +122,29 @@ class TestBuildChannel:
         h = 1.0
         expect = (np.diag(-np.ones(6)) + np.diag(np.ones(5), 1)) / h
         assert D == pytest.approx(expect)
+
+    @pytest.mark.parametrize("kappa", [-2, -1, 1])
+    def test_s_is_recorded_diagonal(self, kappa):
+        g = build_grid("logarithmic", 40, 1e-2, 10.0)
+        B = build_channel(DiracChannelSpec(kappa=kappa, nu=0.5, gamma=0.5), g)
+        assert B.S_diagonal
+
+    def test_s_with_explicit_off_diagonal_zeros_is_diagonal(self):
+        g = build_grid("logarithmic", 40, 1e-2, 10.0)
+        B = build_channel(GROUND, g)
+        i = np.arange(40)
+        S = sp.csr_matrix(
+            (
+                np.concatenate([B.S.diagonal(), np.zeros(39), np.full(39, -0.0)]),
+                (np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])),
+            ),
+            shape=(40, 40),
+        )
+        C = assemble(B.P, B.T, S)
+        assert C.S.nnz == 40 + 2 * 39
+        assert C.S_diagonal
+        assert C.c1 == B.S.diagonal().min()
+        assert positivity_margin(C, 0.3) == positivity_margin(B, 0.3)
 
     def test_q_is_exact_transpose(self):
         g = build_grid("logarithmic", 40, 1e-2, 10.0)
@@ -300,6 +330,29 @@ class TestC2Consistency:
         g = build_grid("logarithmic", 100, 1e-3, 50.0)
         with pytest.raises(HypothesisFailed):
             c2_consistency(DiracChannelSpec(kappa=-1, nu=1.05, gamma=0.5), g)
+
+    def test_oracle_disagreement_is_reported_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the cross-check must survive it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=c2\nkappa=-1\nnu=0.5\ngrid.N=120\ngrid.r_min=1e-3\ngrid.r_max=50\n")
+        script = (
+            "import sys\n"
+            "import schurdirac.dirac\n"
+            "schurdirac.dirac.inertia_c2_oracle = lambda B: 99.0\n"
+            "from schurdirac.cli import main\n"
+            "sys.exit(main(['c2', '--config', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurdirac.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bisection"), proc.stderr
+        assert "disagrees with inertia oracle 99.0" in proc.stderr
 
 
 class TestStructure:

@@ -2,8 +2,11 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import schurdirac.solver as solver
 from schurdirac import (
+    CheckFailed,
     DimensionMismatch,
     HypothesisFailed,
     IllConditioned,
@@ -141,6 +144,15 @@ class TestSymmetryIdentity:
             hwt = apply(B, wt)
             lhs_swapped = float(hwt.u @ w.u + hwt.v @ w.v)
             assert lhs_swapped == pytest.approx(lhs, rel=1e-10, abs=1e-12)
+
+    def test_asymmetric_expansion_raises(self, rng, monkeypatch):
+        B = random_block_operator(rng, 4, margin_target=1.0)
+        skew = sp.csr_matrix(np.triu(np.ones((4, 4)), 1))
+        monkeypatch.setattr(solver, "_m0_matrix", lambda B: (skew, 1.0))
+        w = StateVector(np.ones(4), np.zeros(4))
+        wt = StateVector(np.arange(4.0), np.zeros(4))
+        with pytest.raises(CheckFailed, match="not symmetric under swap"):
+            symmetry_identity_check(B, w, wt)
 
     def test_equal_arguments(self, rng):
         B = random_block_operator(rng, 25)
