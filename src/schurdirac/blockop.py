@@ -27,10 +27,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigvals_banded
+from scipy.linalg.lapack import dlamch, dstebz
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import (
@@ -102,10 +104,13 @@ def _is_symmetric_exact(m: sp.csr_matrix) -> bool:
     return d.nnz == 0
 
 
-def _is_diagonal(m: sp.csr_matrix) -> bool:
-    """True when every stored off-diagonal entry is zero (explicit zeros allowed)."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return not np.any(m.data[m.indices != rows])
+def _within_band(m: sp.csr_matrix, lower: int, upper: int) -> bool:
+    """True when every nonzero entry m[i, j] has lower <= j - i <= upper.
+
+    One O(nnz) pass over the CSR arrays; explicit stored zeros are ignored.
+    """
+    offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return not np.any(m.data[(offsets < lower) | (offsets > upper)])
 
 
 def _bandwidth(m: sp.csr_matrix) -> int:
@@ -125,23 +130,68 @@ def _to_banded_upper(m: sp.csr_matrix, bw: int) -> np.ndarray:
     return band
 
 
+class _Tridiagonal(NamedTuple):
+    """Symmetric tridiagonal matrix given by its diagonal d and off-diagonal e."""
+
+    d: np.ndarray
+    e: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.d.shape[0], self.d.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsr().toarray()
+
+    def tocsr(self) -> sp.csr_matrix:
+        return sp.diags([self.e, self.d, self.e], [-1, 0, 1], format="csr")
+
+
+# Absolute tolerance of the Sturm bisection: the value eigvals_banded
+# passes to dsbevx, which hands it to the same dstebz.
+_STEBZ_ABSTOL = 2.0 * dlamch("S")
+
+
+def _tridiagonal_eigenvalue(m: _Tridiagonal, index: int) -> float:
+    """The index-th smallest eigenvalue (1-based) by one dstebz bisection."""
+    # dstebz does not check its input; an overflowed form is refused as
+    # eigvals_banded refuses it on the sparse path
+    if not (np.all(np.isfinite(m.d)) and np.all(np.isfinite(m.e))):
+        raise ValueError("array must not contain infs or NaNs")
+    # range 2 selects the eigenvalues with indices il..iu
+    _, w, _, _, info = dstebz(m.d, m.e, 2, 0.0, 0.0, index, index, _STEBZ_ABSTOL, "E")
+    if info != 0:
+        raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
+    return float(w[0])
+
+
 def _gershgorin_bounds(m: sp.csr_matrix) -> tuple[float, float]:
     d = m.diagonal()
     radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(d)
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def _extreme_eigenvalue(m, which: str) -> float:
-    """Smallest or largest eigenvalue of a symmetric matrix (ndarray or sparse).
+def _dense_eigvalsh(m) -> np.ndarray:
+    return np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
 
-    Dispatch: dense LAPACK below DENSE_EIG_CAP, the banded solver for
-    narrow bandwidth, otherwise shift-invert Lanczos anchored strictly
-    outside the Gershgorin enclosure (deterministic start vector).
+
+def _extreme_eigenvalue(m, which: str) -> float:
+    """Smallest or largest eigenvalue of a symmetric matrix.
+
+    m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
+    _schur_form returns when assembly recorded M_alpha as tridiagonal.
+    Dispatch: dense eigvalsh up to DENSE_EIG_CAP; above it, one dstebz
+    Sturm bisection on a _Tridiagonal pair, the banded solver for other
+    forms of half-bandwidth <= MAX_BANDWIDTH, otherwise shift-invert
+    Lanczos anchored strictly outside the Gershgorin enclosure
+    (deterministic start vector).
     """
     n = m.shape[0]
     if n <= DENSE_EIG_CAP:
-        w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
+        w = _dense_eigvalsh(m)
         return float(w[0] if which == "min" else w[-1])
+    if isinstance(m, _Tridiagonal):
+        return _tridiagonal_eigenvalue(m, 1 if which == "min" else n)
     m = sp.csr_matrix(m)
     bw = _bandwidth(m)
     if bw <= MAX_BANDWIDTH:
@@ -163,6 +213,14 @@ def _extreme_eigenvalue(m, which: str) -> float:
     except (ArpackNoConvergence, ArpackError) as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
     return float(w[0])
+
+
+def _extreme_eigenvalues(m) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of m; one eigvalsh gives both up to DENSE_EIG_CAP."""
+    if m.shape[0] <= DENSE_EIG_CAP:
+        w = _dense_eigvalsh(m)
+        return float(w[0]), float(w[-1])
+    return _extreme_eigenvalue(m, "min"), _extreme_eigenvalue(m, "max")
 
 
 def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
@@ -210,9 +268,20 @@ class BlockOperator:
 
     Structural guarantees established at assembly and preserved by the
     read-only storage: Q equals T^t entrywise exactly, P and S are
-    exactly symmetric, and lambda_min(S) >= c1 > 0.  S_diagonal records
-    once whether S has no nonzero off-diagonal entry; it is derived from
-    S and cannot be passed in.
+    exactly symmetric, and lambda_min(S) >= c1 > 0.
+
+    Assembly also records the structure of the blocks, in two fields
+    derived from them in one O(nnz) pass each (explicit stored zeros are
+    ignored) that cannot be passed in and that dataclasses.replace
+    recomputes:
+
+    S_diagonal
+        S has no nonzero off-diagonal entry.
+    M_tridiagonal
+        S and P are diagonal and T has nonzero entries only on its
+        diagonal and first superdiagonal, so every M_alpha is
+        tridiagonal (every Dirac channel); margins are then evaluated
+        from its two diagonals, without forming a sparse matrix.
     """
 
     P: sp.csr_matrix
@@ -222,9 +291,16 @@ class BlockOperator:
     c1: float
     N: int
     S_diagonal: bool = field(init=False)
+    M_tridiagonal: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "S_diagonal", _is_diagonal(self.S))
+        s_diagonal = _within_band(self.S, 0, 0)
+        object.__setattr__(self, "S_diagonal", s_diagonal)
+        object.__setattr__(
+            self,
+            "M_tridiagonal",
+            s_diagonal and _within_band(self.P, 0, 0) and _within_band(self.T, 0, 1),
+        )
 
 
 @dataclass(frozen=True)
@@ -282,7 +358,7 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     if not _is_symmetric_exact(Sc):
         raise ValidationError("S", "block must be exactly symmetric")
 
-    if _is_diagonal(Sc):
+    if _within_band(Sc, 0, 0):
         smin = float(np.min(Sc.diagonal()))
     else:
         smin = _extreme_eigenvalue(Sc, "min")
@@ -331,19 +407,37 @@ def full_matrix(B: BlockOperator) -> sp.csr_matrix:
     return sp.bmat([[B.P, B.Q], [B.T, -B.S]], format="csr")
 
 
+def _check_shift(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(name, "must be finite")
+    return value
+
+
 def _schur_form(B: BlockOperator, alpha: float):
     """M_alpha in the layout the eigensolver takes, symmetrized.
 
-    A diagonal S gives the sparse product T^t diag(1/(s + alpha)) T in
-    CSR, O(nnz); otherwise S + alpha*I is Cholesky-factored and M_alpha
+    With a diagonal S, B.M_tridiagonal gives the _Tridiagonal pair of
+    M_alpha's diagonal and off-diagonal, O(N) NumPy arithmetic, and any
+    other structure the sparse product T^t diag(1/(s + alpha)) T in CSR,
+    O(nnz).  A non-diagonal S + alpha*I is Cholesky-factored and M_alpha
     is formed, symmetrized and returned as a dense ndarray.
     """
-    alpha = float(alpha)
+    alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
     n = B.N
     if B.S_diagonal:
         w = 1.0 / (B.S.diagonal() + alpha)
+        if B.M_tridiagonal:
+            # T = diag(a) + superdiag(b).  The entries of the sparse product
+            # below, in its operation order, so the values are bitwise equal.
+            a, b = B.T.diagonal(), B.T.diagonal(1)
+            aw, bw = a * w, b * w[:-1]
+            d = aw * a
+            d[1:] += bw * b
+            e = (aw[:-1] * b + bw * a[:-1]) * 0.5
+            return _Tridiagonal(d=(B.P.diagonal() - alpha) + d, e=e)
         M = (B.P - alpha * sp.identity(n, format="csr")) + B.T.T @ sp.diags(w) @ B.T
         return ((M + M.T) * 0.5).tocsr()
     A = B.S.toarray()
@@ -364,10 +458,17 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     block S + alpha*I is applied by factorization and solve, never by
     explicit inversion; a diagonal S (B.S_diagonal) short-circuits to
     exact division.  The result is symmetrized to remove roundoff skew
-    and returned in CSR form; positivity_margin and the other internal
-    callers take the same matrix without the CSR round trip.
+    and returned in CSR form (built from the two diagonals when
+    B.M_tridiagonal); positivity_margin and the other internal callers
+    take the same values without forming the CSR matrix.
     """
-    M = _schur_form(B, alpha)
+    return _form_csr(_schur_form(B, alpha))
+
+
+def _form_csr(M) -> sp.csr_matrix:
+    """A form returned by _schur_form, as CSR."""
+    if isinstance(M, _Tridiagonal):
+        return M.tocsr()
     return M if sp.issparse(M) else sp.csr_matrix(M)
 
 
@@ -378,9 +479,7 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
     """Margin and conditioning of the reduced form at one alpha."""
-    M = _schur_form(B, alpha)
-    lo = _extreme_eigenvalue(M, "min")
-    hi = _extreme_eigenvalue(M, "max")
+    lo, hi = _extreme_eigenvalues(_schur_form(B, alpha))
     mags = sorted((abs(lo), abs(hi)))
     cond = float("inf") if mags[0] == 0.0 else mags[1] / mags[0]
     return FormReport(alpha=alpha, margin=lo, form_matrix_condition=cond)
@@ -489,7 +588,7 @@ def resolvent_difference_check(
 
     Returns True iff min f(s) >= -eps_psd.
     """
-    alpha = float(alpha)
+    alpha = _check_shift("alpha", alpha)
     delta = float(delta)
     if alpha <= 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} must be positive")

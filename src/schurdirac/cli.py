@@ -28,10 +28,10 @@ from .dirac import (
     CSV_COLUMNS,
     DiracChannelSpec,
     SweepCell,
+    _c2_of,
+    _spectrum_of,
     build_channel,
     build_grid,
-    c2_consistency,
-    channel_spectrum,
     check_admissibility,
     hardy_sweep,
     sommerfeld_energy,
@@ -356,15 +356,15 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         return [SweepCell(margin=margin, **base)], meta
 
     if config.command == "c2":
-        c2n, c2a, diff = c2_consistency(spec, grid, config.bisection_tol)
         B = build_channel(spec, grid)
+        c2n, c2a, diff = _c2_of(B, spec, config.bisection_tol)
         margin = positivity_margin(B, 0.0)
         cell = SweepCell(margin=margin, c2_numeric=c2n, c2_analytic=c2a, **base)
         return [cell], {"c2_diff": diff}
 
     if config.command == "spectrum":
-        energies = channel_spectrum(spec, grid, config.k, config.eigen_tol)
         B = build_channel(spec, grid)
+        energies = _spectrum_of(B, spec, config.k, config.eigen_tol)
         margin = positivity_margin(B, 0.0)
         rows = []
         for idx, energy in enumerate(energies, start=1):
@@ -381,9 +381,9 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
     if config.command == "convergence":
         rows = []
         for g in _ladder(config):
-            c2n, c2a, _ = c2_consistency(spec, g, config.bisection_tol)
-            energy = channel_spectrum(spec, g, 1, config.eigen_tol)[0]
             B = build_channel(spec, g)
+            c2n, c2a, _ = _c2_of(B, spec, config.bisection_tol)
+            energy = _spectrum_of(B, spec, 1, config.eigen_tol)[0]
             rows.append(
                 SweepCell(
                     nu=spec.nu,

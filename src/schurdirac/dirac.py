@@ -346,10 +346,16 @@ def channel_spectrum(
     0.5 are discarded as discretization artifacts, and the survivors are
     reported as physical Dirac energies E = lambda + gamma - 1.
     """
+    return _spectrum_of(build_channel(spec, grid), spec, k, tol)
+
+
+def _spectrum_of(
+    B: BlockOperator, spec: DiracChannelSpec, k: int, tol: float
+) -> list[float]:
+    """channel_spectrum on the already built channel operator B."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    B = build_channel(spec, grid)
-    cap = 2 * grid.N - 2
+    cap = 2 * B.N - 2
     request = min(k + 4, cap)
     for _ in range(2):
         pairs = gap_eigenvalues(B, 0.0, request, tol, which="above")
@@ -415,14 +421,20 @@ def c2_consistency(
     against the dense inertia oracle; CheckFailed is raised if they
     disagree by more than 10*tol.
     """
+    return _c2_of(build_channel(spec, grid), spec, tol)
+
+
+def _c2_of(
+    B: BlockOperator, spec: DiracChannelSpec, tol: float
+) -> tuple[float, float, float]:
+    """c2_consistency on the already built channel operator B."""
     if spec.nu > 1.0:
         raise HypothesisFailed(
             f"the analytic sharp constant requires nu <= 1, got {spec.nu:.6g}"
         )
-    B = build_channel(spec, grid)
     c2n = find_c2(B, tol)
     c2a = 1.0 + math.sqrt(1.0 - spec.nu**2) - spec.gamma
-    if 2 * grid.N <= 1000:
+    if 2 * B.N <= 1000:
         oracle = inertia_c2_oracle(B)
         if not abs(c2n - oracle) <= 10.0 * tol:
             raise CheckFailed(f"bisection {c2n!r} disagrees with inertia oracle {oracle!r}")

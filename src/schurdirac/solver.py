@@ -13,6 +13,7 @@ all operations are pure and safe to run concurrently on shared inputs.
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 import weakref
@@ -33,12 +34,15 @@ from .blockop import (
     DENSE_EIG_CAP,
     BlockOperator,
     StateVector,
+    _check_shift,
     _extreme_eigenvalue,
+    _extreme_eigenvalues,
+    _form_csr,
+    _schur_form,
     apply,
     assemble,
     full_matrix,
     psd_tolerance,
-    schur_form_matrix,
 )
 from .errors import (
     CheckFailed,
@@ -102,14 +106,32 @@ def _s_solver(B: BlockOperator):
     return _cache_get(B, "S", build)
 
 
-def _m0_matrix(B: BlockOperator):
-    """(M_0, lambda_min(M_0)), cached per operator."""
+def _m0(B: BlockOperator):
+    """(M_0 in CSR, lambda_min(M_0), lambda_max(M_0)), cached per operator.
+
+    M_0 is formed once, in the layout the eigensolver takes, and the
+    extreme eigenvalues come from that form: one eigvalsh gives both up
+    to DENSE_EIG_CAP.  Above it lambda_max is computed only when M_0 is
+    positive definite, the one case in which _m0_solver reads it; it is
+    NaN otherwise.
+    """
 
     def build():
-        M0 = schur_form_matrix(B, 0.0)
-        return M0, _extreme_eigenvalue(M0, "min")
+        form = _schur_form(B, 0.0)
+        if B.N <= DENSE_EIG_CAP:
+            lo, hi = _extreme_eigenvalues(form)
+        else:
+            lo = _extreme_eigenvalue(form, "min")
+            hi = _extreme_eigenvalue(form, "max") if lo > 0.0 else math.nan
+        return _form_csr(form), lo, hi
 
     return _cache_get(B, "M0", build)
+
+
+def _m0_matrix(B: BlockOperator):
+    """(M_0, lambda_min(M_0)), cached per operator."""
+    M0, lammin, _ = _m0(B)
+    return M0, lammin
 
 
 def _m0_solver(B: BlockOperator):
@@ -126,8 +148,7 @@ def _m0_solver(B: BlockOperator):
         )
 
     def build():
-        lammax = _extreme_eigenvalue(M0, "max")
-        cond = lammax / margin
+        cond = _m0(B)[2] / margin
         if B.N <= DENSE_EIG_CAP:
             factor = cho_factor(M0.toarray(), lower=True)
             fn = lambda x: cho_solve(factor, x)
@@ -264,7 +285,7 @@ def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
     Requires sigma >= 0 so that S + sigma keeps the lower bound
     c1 + sigma > 0; negative shifts are rejected.
     """
-    sigma = float(sigma)
+    sigma = _check_shift("sigma", sigma)
     if sigma < 0.0:
         raise NegativeShiftUnsupported(
             f"sigma = {sigma:.6g} < 0 may violate S >= c1 I > 0"

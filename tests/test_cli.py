@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import schurdirac.cli as cli
+import schurdirac.dirac as dirac
 from schurdirac import ParseError, ValidationError, sommerfeld_energy
 from schurdirac.cli import COMMANDS, main, parse_config, run
 
@@ -298,6 +300,26 @@ class TestRunAndMain:
             assert row["c2_numeric"] is not None
             assert row["e1_numeric"] is not None
             assert row["e1_analytic"] == float(f"{sommerfeld_energy(1, -1, 0.5):.12g}")
+
+    @pytest.mark.parametrize(
+        "command, extra, builds",
+        [("c2", "", 1), ("spectrum", "", 1), ("convergence", "sweep.grid_sizes=80,120,160\n", 3)],
+    )
+    def test_channel_built_once_per_grid(self, tmp_path, monkeypatch, command, extra, builds):
+        built = []
+        original = dirac.build_channel
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dirac, "build_channel", counting)
+        monkeypatch.setattr(cli, "build_channel", counting)
+        cfg = write_config(
+            tmp_path, f"command={command}\nkappa=-1\nnu=0.5\ngrid.N=120\n" + extra
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(built) == builds
 
     def test_hardy_sweep_report(self, tmp_path):
         cfg = write_config(

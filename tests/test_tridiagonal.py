@@ -1,0 +1,251 @@
+"""The tridiagonal margin path: structure recorded at assembly, values bitwise
+equal to the sparse product it replaces, and non-finite shifts rejected."""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvals_banded
+
+import schurdirac.blockop as blockop
+import schurdirac.solver as solver
+from schurdirac import (
+    BlockOperator,
+    DiracChannelSpec,
+    HypothesisFailed,
+    RhsPair,
+    ValidationError,
+    assemble,
+    build_channel,
+    build_grid,
+    find_c2,
+    form_report,
+    gap_eigenvalues,
+    positivity_margin,
+    resolvent_difference_check,
+    schur_form_matrix,
+    shifted_operator,
+    solve,
+)
+
+from conftest import random_block_operator
+
+
+def reference_form(B, alpha):
+    """M_alpha the sparse way: (P - alpha I) + T^t diag(w) T, symmetrized."""
+    w = 1.0 / (B.S.diagonal() + alpha)
+    M = (B.P - alpha * sp.identity(B.N, format="csr")) + B.T.T @ sp.diags(w) @ B.T
+    return ((M + M.T) * 0.5).tocsr()
+
+
+def reference_extremes(M):
+    """(lambda_min, lambda_max) by dense eigvalsh or the banded solver."""
+    n = M.shape[0]
+    if n <= blockop.DENSE_EIG_CAP:
+        w = np.linalg.eigvalsh(M.toarray())
+        return w[0], w[-1]
+    coo = M.tocoo()
+    bw = int(np.max(np.abs(coo.row - coo.col)))
+    band = np.zeros((bw + 1, n))
+    up = coo.row <= coo.col
+    band[bw + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
+    lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
+    hi = eigvals_banded(band, select="i", select_range=(n - 1, n - 1))[0]
+    return lo, hi
+
+
+def assert_bitwise_reference(B, alpha):
+    M = reference_form(B, alpha)
+    lo, hi = reference_extremes(M)
+    assert positivity_margin(B, alpha) == lo
+    assert blockop._extreme_eigenvalues(blockop._schur_form(B, alpha)) == (lo, hi)
+    assert form_report(B, alpha).margin == lo
+    assert np.array_equal(schur_form_matrix(B, alpha).toarray(), M.toarray())
+
+
+def channel(kappa=-1, nu=0.5, N=300, potential=None):
+    grid = build_grid("logarithmic", N, 1e-4, 40.0)
+    return build_channel(DiracChannelSpec(kappa, nu, 0.5), grid, potential)
+
+
+def bidiagonal_operator(rng, n, t_offsets=(0, 1), p_offsets=(0,), s_offsets=(0,)):
+    """Random operator with P, S, T supported on the given diagonal offsets."""
+
+    def banded(offsets, symmetric, scale):
+        m = sp.csr_matrix((n, n))
+        for k in offsets:
+            vals = scale * rng.standard_normal(n - abs(k))
+            m = m + sp.diags(vals, k, shape=(n, n))
+            if symmetric and k != 0:
+                m = m + sp.diags(vals, -k, shape=(n, n))
+        return m
+
+    P = banded(p_offsets, True, 1.0)
+    S = banded(s_offsets, True, 0.1) + sp.diags(1.0 + rng.uniform(0.0, 2.0, n))
+    T = banded(t_offsets, False, 3.0)
+    return assemble(P, T, S)
+
+
+class TestTridiagonalField:
+    def test_true_for_channels(self):
+        for kappa in (-2, -1, 1):
+            assert channel(kappa=kappa).M_tridiagonal
+
+    def test_true_for_sampled_potential(self):
+        r = build_grid("logarithmic", 300, 1e-4, 40.0).nodes
+        B = channel(potential=-0.4 / r - 0.1 * np.exp(-r))
+        assert B.M_tridiagonal
+
+    def test_explicit_stored_zeros_are_ignored(self):
+        B = channel(N=40)
+        coo = B.T.tocoo()
+        # explicit zeros at offsets -1 and +3 keep T upper bidiagonal
+        rows = np.concatenate([coo.row, [5, 2]])
+        cols = np.concatenate([coo.col, [4, 5]])
+        data = np.concatenate([coo.data, [0.0, -0.0]])
+        T = sp.csr_matrix((data, (rows, cols)), shape=B.T.shape)
+        assert T.nnz == B.T.nnz + 2
+        C = assemble(B.P, T, B.S)
+        assert C.M_tridiagonal
+        assert positivity_margin(C, 0.3) == positivity_margin(B, 0.3)
+
+    def test_derived_not_passed(self, rng):
+        B = channel(N=20)
+        with pytest.raises(TypeError):
+            BlockOperator(B.P, B.Q, B.T, B.S, B.c1, B.N, M_tridiagonal=True)
+        assert dataclasses.replace(B).M_tridiagonal
+        dense_t = sp.csr_matrix(rng.standard_normal((20, 20)))
+        assert not dataclasses.replace(B, T=dense_t).M_tridiagonal
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            dict(t_offsets=(-1, 0, 1)),
+            dict(t_offsets=(0, 2)),
+            dict(t_offsets=(0, 1, 5)),
+            dict(p_offsets=(0, 1)),
+            dict(s_offsets=(0, 1)),
+        ],
+        ids=["T-lower", "T-offset-2", "T-offset-5", "P-offdiag", "S-offdiag"],
+    )
+    @pytest.mark.parametrize("n", [40, 700])
+    def test_false_off_structure_and_old_path_agrees(self, structure, n):
+        B = bidiagonal_operator(np.random.default_rng(n), n, **structure)
+        assert not B.M_tridiagonal
+        form = blockop._schur_form(B, 0.25)
+        assert not isinstance(form, blockop._Tridiagonal)
+        dense = schur_form_matrix(B, 0.25).toarray()
+        w = np.linalg.eigvalsh(dense)
+        scale = 1.0 + np.abs(dense).sum(axis=1).max()
+        lo, hi = blockop._extreme_eigenvalues(form)
+        assert positivity_margin(B, 0.25) == lo
+        assert abs(lo - w[0]) <= 1e-9 * scale
+        assert abs(hi - w[-1]) <= 1e-9 * scale
+
+    def test_channels_skip_the_sparse_detour(self):
+        B = channel(N=2000)
+        boom = mock.Mock(side_effect=AssertionError("sparse path used"))
+        with mock.patch.object(blockop, "_bandwidth", boom), mock.patch.object(
+            blockop, "eigvals_banded", boom
+        ), mock.patch.object(blockop.sp, "diags", boom):
+            positivity_margin(B, 0.5)
+            form_report(B, 0.5)
+
+
+class TestBitwiseReference:
+    @pytest.mark.parametrize("N", [300, 601, 2000])
+    @pytest.mark.parametrize("nu", [0.5, 0.9, 1.05])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1])
+    def test_channel(self, kappa, nu, N):
+        B = channel(kappa, nu, N)
+        alphas = list(np.linspace(0.0, 2.0, 5))
+        try:
+            c2 = find_c2(B)
+        except HypothesisFailed:
+            assert kappa > 0  # the base form of a kappa > 0 channel is indefinite
+        else:
+            alphas += list(c2 + np.linspace(-1e-7, 1e-7, 20))
+        for alpha in alphas:
+            assert_bitwise_reference(B, float(alpha))
+
+    @settings(deadline=5000, max_examples=25)
+    @given(
+        n=st.integers(min_value=601, max_value=900),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t_scale=st.floats(min_value=1e-3, max_value=1e3),
+        alpha=st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_random_bidiagonal(self, n, seed, t_scale, alpha):
+        rng = np.random.default_rng(seed)
+        T = sp.diags(
+            [t_scale * rng.standard_normal(n), t_scale * rng.standard_normal(n - 1)],
+            [0, 1],
+        )
+        B = assemble(
+            sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n))
+        )
+        assert B.M_tridiagonal
+        assert_bitwise_reference(B, alpha)
+
+    def test_cached_m0_condition_estimate(self):
+        for N in (300, 2000):
+            B = channel(N=N)
+            lo, hi = reference_extremes(reference_form(B, 0.0))
+            M0, margin = solver._m0_matrix(B)
+            assert margin == lo
+            assert np.array_equal(M0.toarray(), reference_form(B, 0.0).toarray())
+            rep = solve(B, RhsPair(np.ones(N), np.zeros(N)))
+            assert rep.schur_condition_estimate == hi / lo
+
+
+class TestOneDenseEigvalsh:
+    def count_eigvalsh(self, fn):
+        with mock.patch.object(
+            blockop.np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh
+        ) as spy:
+            fn()
+        return spy.call_count
+
+    def test_form_report(self, rng):
+        B = random_block_operator(rng, 30)
+        assert self.count_eigvalsh(lambda: form_report(B, 0.1)) == 1
+
+    def test_cold_solve(self, rng):
+        B = random_block_operator(rng, 30, margin_target=0.5)
+        rhs = RhsPair(np.ones(30), np.zeros(30))
+        assert self.count_eigvalsh(lambda: solve(B, rhs)) == 1
+        assert self.count_eigvalsh(lambda: solve(B, rhs)) == 0
+
+
+def structured_operator(n, dense_s):
+    if not dense_s:
+        return channel(N=n)
+    off = np.full(n - 1, 0.25)
+    S = sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1])
+    return assemble(sp.identity(n), sp.diags(np.ones(n)), S)
+
+
+class TestNonFiniteShift:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dense_s", [False, True], ids=["diagonal-S", "dense-S"])
+    @pytest.mark.parametrize("n", [50, 2000])
+    def test_rejected_by_name(self, n, dense_s, value):
+        B = structured_operator(n, dense_s)
+        assert B.S_diagonal is not dense_s
+        calls = [
+            ("alpha", lambda: positivity_margin(B, value)),
+            ("alpha", lambda: form_report(B, value)),
+            ("alpha", lambda: schur_form_matrix(B, value)),
+            ("alpha", lambda: resolvent_difference_check(B, value, 0.1)),
+            ("sigma", lambda: shifted_operator(B, value)),
+            ("sigma", lambda: gap_eigenvalues(B, value, 1)),
+        ]
+        for key, call in calls:
+            with pytest.raises(ValidationError, match="must be finite") as err:
+                call()
+            assert err.value.key == key
