@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigvals_banded
 from scipy.linalg.lapack import dlamch, dstebz
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
 
 from .errors import (
     DeltaOutOfRange,
@@ -152,17 +152,24 @@ class _Tridiagonal(NamedTuple):
 _STEBZ_ABSTOL = 2.0 * dlamch("S")
 
 
-def _tridiagonal_eigenvalue(m: _Tridiagonal, index: int) -> float:
-    """The index-th smallest eigenvalue (1-based) by one dstebz bisection."""
+def _tridiagonal_eigenvalues(
+    d: np.ndarray, e: np.ndarray, il: int, iu: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues il..iu (1-based) of the tridiagonal (d, e) by one dstebz call.
+
+    Returns (w, iblock, isplit) as dstein takes them: w in block order
+    (ascending within each split-off block, not overall), iblock[:w.size]
+    the block of each, isplit the block ends.
+    """
     # dstebz does not check its input; an overflowed form is refused as
     # eigvals_banded refuses it on the sparse path
-    if not (np.all(np.isfinite(m.d)) and np.all(np.isfinite(m.e))):
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("array must not contain infs or NaNs")
     # range 2 selects the eigenvalues with indices il..iu
-    _, w, _, _, info = dstebz(m.d, m.e, 2, 0.0, 0.0, index, index, _STEBZ_ABSTOL, "E")
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, il, iu, _STEBZ_ABSTOL, "B")
     if info != 0:
         raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
-    return float(w[0])
+    return w[:m], iblock, isplit
 
 
 def _gershgorin_bounds(m: sp.csr_matrix) -> tuple[float, float]:
@@ -191,7 +198,8 @@ def _extreme_eigenvalue(m, which: str) -> float:
         w = _dense_eigvalsh(m)
         return float(w[0] if which == "min" else w[-1])
     if isinstance(m, _Tridiagonal):
-        return _tridiagonal_eigenvalue(m, 1 if which == "min" else n)
+        index = 1 if which == "min" else n
+        return float(_tridiagonal_eigenvalues(m.d, m.e, index, index)[0][0])
     m = sp.csr_matrix(m)
     bw = _bandwidth(m)
     if bw <= MAX_BANDWIDTH:
@@ -501,6 +509,11 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
         If the margin at alpha = 0 is negative (the base form is not
         positive semidefinite, so no c2 >= 0 exists).
     """
+    return _find_c2(B, tol)[0]
+
+
+def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
+    """find_c2 plus the margin at alpha = 0 its bracket starts from."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     m0 = positivity_margin(B, 0.0)
@@ -510,7 +523,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
             "positive semidefinite"
         )
     if m0 == 0.0:
-        return 0.0
+        return 0.0, m0
     lo, hi = 0.0, m0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -520,7 +533,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), m0
 
 
 def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> float:
@@ -538,15 +551,20 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
     return float(w[B.N])
 
 
-def _apply_s_inverse(B: BlockOperator, X):
-    """S^{-1} X by exact diagonal division or dense Cholesky solve."""
+def _s_inverse(B: BlockOperator):
+    """Callable applying S^{-1} to a vector or the columns of a matrix.
+
+    Exact division for a diagonal S, a dense Cholesky factorization up to
+    DENSE_EIG_CAP and a sparse LU above it.  Uncached: the solver keeps
+    one per operator.
+    """
     if B.S_diagonal:
         d = B.S.diagonal()
-        if X.ndim == 1:
-            return X / d
-        return X / d[:, None]
-    factor = cho_factor(B.S.toarray(), lower=True)
-    return cho_solve(factor, X)
+        return lambda x: x / d if x.ndim == 1 else x / d[:, None]
+    if B.N <= DENSE_EIG_CAP:
+        factor = cho_factor(B.S.toarray(), lower=True)
+        return lambda x: cho_solve(factor, x)
+    return splu(B.S.tocsc()).solve
 
 
 def embedding_delta(
@@ -561,7 +579,7 @@ def embedding_delta(
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
     M0 = schur_form_matrix(B, 0.0)
-    K = _apply_s_inverse(B, B.T.toarray())
+    K = _s_inverse(B)(B.T.toarray())
     G = M0 - delta * (sp.identity(B.N, format="csr") + sp.csr_matrix(K.T @ K))
     G = ((G + G.T) * 0.5).tocsr()
     lam = _extreme_eigenvalue(G, "min")

@@ -28,6 +28,7 @@ from .dirac import (
     CSV_COLUMNS,
     DiracChannelSpec,
     SweepCell,
+    _SCHEMES,
     _c2_of,
     _spectrum_of,
     build_channel,
@@ -43,13 +44,12 @@ from .errors import (
     SchurDiracError,
     ValidationError,
 )
-from .solver import RhsPair, solve
+from .solver import RhsPair, _m0_matrix, solve
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "COMMANDS"]
 
 COMMANDS = ("validate", "solve", "c2", "spectrum", "hardy-sweep", "convergence")
 _FORMATS = ("csv", "json")
-_SCHEMES = ("uniform", "logarithmic")
 
 _REPORT_HEADER = "# schurdirac report v1"
 
@@ -344,9 +344,10 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
 
     if config.command == "solve":
         B = build_channel(spec, grid)
-        margin = positivity_margin(B, 0.0)
         r = grid.nodes
         rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
+        # lambda_min(M_0), which the solve has just computed and cached
+        margin = _m0_matrix(B)[1]
         meta = {
             "rhs": "F1=exp(-r), F2=r*exp(-r)",
             "residual_norm": rep.residual_norm,
@@ -357,8 +358,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
 
     if config.command == "c2":
         B = build_channel(spec, grid)
-        c2n, c2a, diff = _c2_of(B, spec, config.bisection_tol)
-        margin = positivity_margin(B, 0.0)
+        c2n, c2a, diff, margin = _c2_of(B, spec, config.bisection_tol)
         cell = SweepCell(margin=margin, c2_numeric=c2n, c2_analytic=c2a, **base)
         return [cell], {"c2_diff": diff}
 
@@ -382,7 +382,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         rows = []
         for g in _ladder(config):
             B = build_channel(spec, g)
-            c2n, c2a, _ = _c2_of(B, spec, config.bisection_tol)
+            c2n, c2a, _, margin = _c2_of(B, spec, config.bisection_tol)
             energy = _spectrum_of(B, spec, 1, config.eigen_tol)[0]
             rows.append(
                 SweepCell(
@@ -390,7 +390,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
                     grid_N=g.N,
                     grid_scheme=g.scheme,
                     grid_r_min=g.r_min,
-                    margin=positivity_margin(B, 0.0),
+                    margin=margin,
                     c2_numeric=c2n,
                     c2_analytic=c2a,
                     e1_numeric=energy,

@@ -26,6 +26,7 @@ from scipy.integrate import quad
 
 from .blockop import (
     BlockOperator,
+    _find_c2,
     assemble,
     find_c2,
     inertia_c2_oracle,
@@ -341,10 +342,12 @@ def channel_spectrum(
 ) -> list[float]:
     """The k lowest physical energies of the channel above the gap floor.
 
-    Eigenvalues of H strictly above 0 are computed by shift-invert
-    elimination, eigenvectors with high-frequency energy fraction above
-    0.5 are discarded as discretization artifacts, and the survivors are
-    reported as physical Dirac energies E = lambda + gamma - 1.
+    Eigenvalues of H strictly above 0 are selected by index, N+1, N+2, ...
+    (one Sturm bisection on the interleaved tridiagonal H; dense eigh for
+    2N <= DENSE_EIG_CAP), eigenvectors with high-frequency energy
+    fraction above 0.5 are discarded as discretization artifacts and
+    replaced by the next eigenvalues, and the survivors are reported as
+    physical Dirac energies E = lambda + gamma - 1.
     """
     return _spectrum_of(build_channel(spec, grid), spec, k, tol)
 
@@ -355,19 +358,21 @@ def _spectrum_of(
     """channel_spectrum on the already built channel operator B."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cap = 2 * B.N - 2
-    request = min(k + 4, cap)
-    for _ in range(2):
+    # bounds the work when the filter keeps discarding: at most 2(k + 4)
+    # pairs are examined
+    limit = 2 * (k + 4)
+    request = k
+    while True:
         pairs = gap_eigenvalues(B, 0.0, request, tol, which="above")
         kept = [lam for lam, sv in pairs if _highfreq_fraction(sv.u, sv.v) <= 0.5]
-        if len(kept) >= k or request >= cap:
+        if len(kept) >= k or request >= limit:
             break
-        request = min(2 * request, cap)
+        request = min(request + k - len(kept), limit)
     if len(kept) < k:
         raise NoConvergence(
             f"only {len(kept)} clean eigenvalues above the gap floor (wanted {k})"
         )
-    return [lam + spec.gamma - 1.0 for lam in sorted(kept)[:k]]
+    return [lam + spec.gamma - 1.0 for lam in kept[:k]]
 
 
 def hardy_sweep(
@@ -421,18 +426,35 @@ def c2_consistency(
     against the dense inertia oracle; CheckFailed is raised if they
     disagree by more than 10*tol.
     """
-    return _c2_of(build_channel(spec, grid), spec, tol)
+    B = build_channel(spec, grid)
+    _require_sharp_coupling(spec)
+    return _c2_compared(B, spec, tol, find_c2(B, tol))
 
 
 def _c2_of(
     B: BlockOperator, spec: DiracChannelSpec, tol: float
-) -> tuple[float, float, float]:
-    """c2_consistency on the already built channel operator B."""
+) -> tuple[float, float, float, float]:
+    """c2_consistency on the built channel B, plus the margin at alpha = 0.
+
+    The margin is the one the bisection starts its bracket from, so it is
+    not evaluated twice.
+    """
+    _require_sharp_coupling(spec)
+    c2n, margin = _find_c2(B, tol)
+    return _c2_compared(B, spec, tol, c2n) + (margin,)
+
+
+def _require_sharp_coupling(spec: DiracChannelSpec) -> None:
     if spec.nu > 1.0:
         raise HypothesisFailed(
             f"the analytic sharp constant requires nu <= 1, got {spec.nu:.6g}"
         )
-    c2n = find_c2(B, tol)
+
+
+def _c2_compared(
+    B: BlockOperator, spec: DiracChannelSpec, tol: float, c2n: float
+) -> tuple[float, float, float]:
+    """(c2n, c2_analytic, diff), c2n cross-checked by the oracle at 2N <= 1000."""
     c2a = 1.0 + math.sqrt(1.0 - spec.nu**2) - spec.gamma
     if 2 * B.N <= 1000:
         oracle = inertia_c2_oracle(B)

@@ -5,10 +5,15 @@ splits into a reduced positive-definite solve and a back-substitution:
 
     R u = F1 + Q S^{-1} F2,      v = S^{-1} (T u - F2).
 
-The same elimination, applied to the shifted operator H - sigma, powers
-a deterministic shift-invert Lanczos iteration for eigenvalues of H in
-the spectral gap.  Factorizations are cached per operator behind a lock;
-all operations are pure and safe to run concurrently on shared inputs.
+Eigenvalues of H in the spectral gap come from the same identity seen
+through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
+N+2, ... of H.  For Dirac channels (B.M_tridiagonal) H is tridiagonal
+after interleaving u and v, and one Sturm bisection selects them by
+index; small operators use dense eigh, and any other structure a
+deterministic shift-invert Lanczos iteration whose inner solves are the
+elimination of H - sigma.  Factorizations are cached per operator behind
+a lock; all operations are pure and safe to run concurrently on shared
+inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dlamch, dstein
 from scipy.sparse.linalg import (
     ArpackError,
     ArpackNoConvergence,
@@ -38,7 +44,9 @@ from .blockop import (
     _extreme_eigenvalue,
     _extreme_eigenvalues,
     _form_csr,
+    _s_inverse,
     _schur_form,
+    _tridiagonal_eigenvalues,
     apply,
     assemble,
     full_matrix,
@@ -61,6 +69,10 @@ __all__ = [
     "shifted_operator",
     "gap_eigenvalues",
 ]
+
+# Relative machine precision times the base: without a tolerance, dstebz
+# bisects a tridiagonal T to _ULP times a bound on ||T||.
+_ULP = dlamch("P")
 
 _cache_lock = threading.Lock()
 _factor_cache: "weakref.WeakKeyDictionary[BlockOperator, dict]" = weakref.WeakKeyDictionary()
@@ -87,23 +99,8 @@ def _cache_get(B: BlockOperator, key: str, build):
 
 
 def _s_solver(B: BlockOperator):
-    """Callable applying S^{-1} by factorization (exact for diagonal S)."""
-
-    def build():
-        if B.S_diagonal:
-            d = B.S.diagonal().copy()
-
-            def fn(x):
-                return x / d if x.ndim == 1 else x / d[:, None]
-
-            return fn
-        if B.N <= DENSE_EIG_CAP:
-            factor = cho_factor(B.S.toarray(), lower=True)
-            return lambda x: cho_solve(factor, x)
-        lu = splu(B.S.tocsc())
-        return lu.solve
-
-    return _cache_get(B, "S", build)
+    """Callable applying S^{-1}, cached per operator."""
+    return _cache_get(B, "S", lambda: _s_inverse(B))
 
 
 def _m0(B: BlockOperator):
@@ -279,17 +276,22 @@ def symmetry_identity_check(
     return lhs, rhs, abs(lhs - rhs)
 
 
+def _nonnegative_shift(sigma: float) -> float:
+    sigma = _check_shift("sigma", sigma)
+    if sigma < 0.0:
+        raise NegativeShiftUnsupported(
+            f"sigma = {sigma:.6g} < 0 may violate S >= c1 I > 0"
+        )
+    return sigma
+
+
 def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
     """The operator of H - sigma*I: blocks (P - sigma, Q, T, -(S + sigma)).
 
     Requires sigma >= 0 so that S + sigma keeps the lower bound
     c1 + sigma > 0; negative shifts are rejected.
     """
-    sigma = _check_shift("sigma", sigma)
-    if sigma < 0.0:
-        raise NegativeShiftUnsupported(
-            f"sigma = {sigma:.6g} < 0 may violate S >= c1 I > 0"
-        )
+    sigma = _nonnegative_shift(sigma)
     if sigma == 0.0:
         return B
     eye = sp.identity(B.N, format="csr")
@@ -332,34 +334,52 @@ def gap_eigenvalues(
 
     which = "nearest" returns the k eigenvalues closest to sigma;
     which = "above" returns the k smallest eigenvalues strictly above
-    sigma (the gap floor).  The inner solves of the Lanczos iteration
-    are the elimination of the shifted operator, so sigma must lie in
-    the region where its reduced matrix is positive definite.  Results
-    are deterministic (fixed start vector) and each returned pair is
-    verified to satisfy ||H x - lambda x|| <= tol * (1 + |lambda|).
+    sigma (the gap floor).  Three paths, chosen from the operator:
+
+    * 2N <= DENSE_EIG_CAP: dense eigh of H.
+    * B.M_tridiagonal (every Dirac channel): H is tridiagonal in the
+      order (u_1, v_1, u_2, v_2, ...).  Inertia additivity,
+      In(H - sigma) = In(-(S + sigma)) + In(M_sigma), makes M_sigma >= 0
+      exactly when eigenvalue N+1 of H is >= sigma, so the wanted
+      eigenvalues are N+1, N+2, ... ("above"; N-k+1 .. N+k for
+      "nearest").  One Sturm bisection (dstebz) selects them by index
+      and inverse iteration (dstein) gives their eigenvectors.
+    * otherwise: shift-invert Lanczos (ARPACK) whose inner solves are
+      the elimination of the shifted operator; a numerically singular
+      shifted reduced matrix is retried once at
+      sigma' = sigma + 1e-6 * (1 + |sigma|).
+
+    Results are deterministic, eigenvectors are signed so that their
+    largest entry is positive, and each returned pair is verified to
+    satisfy ||H x - lambda x|| <= tol * (1 + |lambda|).
 
     Raises
     ------
+    NegativeShiftUnsupported
+        If sigma < 0.
     HypothesisFailed
-        If the margin at sigma is negative.
+        If M_sigma is not positive semidefinite (on the tridiagonal
+        path: eigenvalue N+1 of H lies below sigma by more than
+        rounding) or, on the Lanczos path, its margin is negative.
     NoConvergence
-        If the iteration fails or a residual check is violated; an
-        exact collision of sigma with an eigenvalue is retried once at
-        sigma' = sigma + 1e-6 * (1 + |sigma|).
+        If fewer than k eigenvalues lie above sigma ("above"), an
+        eigensolver fails, or a residual check is violated.
     """
     if which not in ("nearest", "above"):
         raise ValueError(f"which must be 'nearest' or 'above', got {which!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    sigma = _nonnegative_shift(sigma)
     n2 = 2 * B.N
-    H = full_matrix(B)
 
     if n2 <= DENSE_EIG_CAP:
-        shifted_operator(B, sigma)  # enforce the sigma >= 0 contract
-        raw = _eig_pairs_from_dense(H.toarray(), B.N, sigma, k, which)
+        raw = _eig_pairs_from_dense(full_matrix(B).toarray(), B.N, sigma, k, which)
+    elif B.M_tridiagonal:
+        raw = _tridiagonal_gap_pairs(B, sigma, k, which)
     else:
         if k > n2 - 2:
             raise ValueError(f"k = {k} too large for sparse iteration at 2N = {n2}")
+        H = full_matrix(B)
         raw = None
         last_exc: Exception | None = None
         for shift in (sigma, sigma + 1e-6 * (1.0 + abs(sigma))):
@@ -379,14 +399,73 @@ def gap_eigenvalues(
         j = int(np.argmax(np.abs(x)))
         if x[j] < 0.0:
             x = -x
-        resid = float(np.linalg.norm(H @ x - lam * x))
-        if resid > tol * (1.0 + abs(lam)):
+        sv = StateVector(x[: B.N], x[B.N :])
+        resid = float(np.linalg.norm(apply(B, sv).stacked() - lam * x))
+        if not resid <= tol * (1.0 + abs(lam)):
             raise NoConvergence(
                 f"eigenpair residual {resid:.3g} exceeds {tol:.3g}*(1+|lambda|) "
                 f"at lambda = {lam:.12g}"
             )
-        pairs.append((lam, StateVector(x[: B.N], x[B.N :])))
+        pairs.append((lam, sv))
     return pairs
+
+
+def _tridiagonal_gap_pairs(
+    B: BlockOperator, sigma: float, k: int, which: str
+) -> list[tuple[float, np.ndarray]]:
+    """Eigenpairs of H by index selection on its interleaved tridiagonal form.
+
+    Vectors are returned in the (u, v) layout.  An eigenvalue within
+    rounding of sigma (ulp times a bound on ||H||, the accuracy dstebz
+    defaults to) is not strictly above it, so for "above" the index
+    window moves up past it.
+    """
+    N = B.N
+    d = np.empty(2 * N)
+    d[0::2], d[1::2] = B.P.diagonal(), -B.S.diagonal()
+    e = np.empty(2 * N - 1)
+    e[0::2], e[1::2] = B.T.diagonal(), B.T.diagonal(1)
+    rounding = _ULP * float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+
+    if which == "nearest":
+        il, iu = max(1, N - k + 1), min(2 * N, N + k)
+    else:
+        il, iu = N + 1, N + k
+    skipped = 0
+    while True:
+        if iu > 2 * N:
+            # S + sigma > 0 puts N eigenvalues of H below sigma
+            raise NoConvergence(
+                f"at most {N - skipped} eigenvalues lie above sigma = {sigma:.6g}, "
+                f"fewer than k = {k}"
+            )
+        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu)
+        # w is in block order; rank[i] is the position of the i-th smallest
+        rank = np.argsort(w, kind="stable")
+        floor = w[rank[N + 1 - il]]
+        if floor < sigma - rounding:
+            raise HypothesisFailed(
+                f"eigenvalue N+1 of H is {floor:.6g} < sigma = {sigma:.6g}, so by "
+                "inertia additivity M_sigma is not positive semidefinite"
+            )
+        if which == "nearest":
+            chosen = rank[np.argsort(np.abs(w[rank] - sigma), kind="stable")[:k]]
+            break
+        skipped = int(np.count_nonzero(w <= sigma + rounding))
+        if iu - il + 1 - skipped >= k:
+            chosen = rank[skipped : skipped + k]
+            break
+        iu = N + k + skipped
+
+    keep = np.sort(chosen)  # dstein takes block order
+    blocks = np.zeros_like(iblock)
+    blocks[: keep.shape[0]] = iblock[keep]
+    z, info = dstein(d, e, w[keep], blocks, isplit)
+    if info != 0:
+        raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
+    x = np.empty_like(z)
+    x[:N], x[N:] = z[0::2], z[1::2]
+    return [(float(w[i]), x[:, j]) for j, i in enumerate(keep)]
 
 
 def _sparse_gap_pairs(

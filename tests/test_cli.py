@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+import schurdirac.blockop as blockop
 import schurdirac.cli as cli
 import schurdirac.dirac as dirac
+import schurdirac.solver as solver
 from schurdirac import ParseError, ValidationError, sommerfeld_energy
 from schurdirac.cli import COMMANDS, main, parse_config, run
 
@@ -320,6 +322,33 @@ class TestRunAndMain:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
         assert len(built) == builds
+
+    @pytest.mark.parametrize(
+        "command, extra, grids",
+        [
+            ("validate", "", 1),
+            ("solve", "", 1),
+            ("c2", "", 1),
+            ("spectrum", "", 1),
+            ("convergence", "sweep.grid_sizes=80,120,400\n", 3),
+        ],
+    )
+    def test_base_form_formed_once_per_grid(self, tmp_path, monkeypatch, command, extra, grids):
+        # M_0 is formed by every margin at alpha = 0 and by the solver's cache
+        shifts = []
+        original = blockop._schur_form
+
+        def recording(B, alpha):
+            shifts.append(alpha)
+            return original(B, alpha)
+
+        monkeypatch.setattr(blockop, "_schur_form", recording)
+        monkeypatch.setattr(solver, "_schur_form", recording)
+        cfg = write_config(
+            tmp_path, f"command={command}\nkappa=-1\nnu=0.5\ngrid.N=400\n" + extra
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert shifts.count(0.0) == grids
 
     def test_hardy_sweep_report(self, tmp_path):
         cfg = write_config(
