@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigvals_banded
 from scipy.linalg.lapack import dlamch, dstebz
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DeltaOutOfRange,
@@ -172,14 +172,17 @@ def _tridiagonal_eigenvalues(
     return w[:m], iblock, isplit
 
 
-def _gershgorin_bounds(m: sp.csr_matrix) -> tuple[float, float]:
-    d = m.diagonal()
-    radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(d)
-    return float(np.min(d - radius)), float(np.max(d + radius))
-
-
 def _dense_eigvalsh(m) -> np.ndarray:
     return np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
+
+
+def _goes_dense(m) -> bool:
+    """Whether _extreme_eigenvalue sends m to dense eigvalsh."""
+    if m.shape[0] <= DENSE_EIG_CAP:
+        return True
+    if isinstance(m, _Tridiagonal):
+        return False
+    return not sp.issparse(m) or _bandwidth(m) > MAX_BANDWIDTH
 
 
 def _extreme_eigenvalue(m, which: str) -> float:
@@ -187,45 +190,26 @@ def _extreme_eigenvalue(m, which: str) -> float:
 
     m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
     _schur_form returns when assembly recorded M_alpha as tridiagonal.
-    Dispatch: dense eigvalsh up to DENSE_EIG_CAP; above it, one dstebz
-    Sturm bisection on a _Tridiagonal pair, the banded solver for other
-    forms of half-bandwidth <= MAX_BANDWIDTH, otherwise shift-invert
-    Lanczos anchored strictly outside the Gershgorin enclosure
-    (deterministic start vector).
+    Above DENSE_EIG_CAP a _Tridiagonal pair takes one dstebz Sturm
+    bisection and a sparse matrix of half-bandwidth <= MAX_BANDWIDTH the
+    banded solver; every other form, at every size, takes dense eigvalsh,
+    O(n^3).
     """
     n = m.shape[0]
-    if n <= DENSE_EIG_CAP:
+    if _goes_dense(m):
         w = _dense_eigvalsh(m)
         return float(w[0] if which == "min" else w[-1])
     if isinstance(m, _Tridiagonal):
         index = 1 if which == "min" else n
         return float(_tridiagonal_eigenvalues(m.d, m.e, index, index)[0][0])
-    m = sp.csr_matrix(m)
-    bw = _bandwidth(m)
-    if bw <= MAX_BANDWIDTH:
-        band = _to_banded_upper(m, bw)
-        idx = 0 if which == "min" else n - 1
-        w = eigvals_banded(band, select="i", select_range=(idx, idx))
-        return float(w[0])
-    lo, hi = _gershgorin_bounds(m)
-    sigma = lo - 1.0 if which == "min" else hi + 1.0
-    try:
-        w = eigsh(
-            m,
-            k=1,
-            sigma=sigma,
-            which="LM",
-            v0=np.ones(n),
-            return_eigenvectors=False,
-        )
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return float(w[0])
+    band = _to_banded_upper(m, _bandwidth(m))
+    idx = 0 if which == "min" else n - 1
+    return float(eigvals_banded(band, select="i", select_range=(idx, idx))[0])
 
 
 def _extreme_eigenvalues(m) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of m; one eigvalsh gives both up to DENSE_EIG_CAP."""
-    if m.shape[0] <= DENSE_EIG_CAP:
+    """(lambda_min, lambda_max) of m; one eigvalsh gives both whenever m goes dense."""
+    if _goes_dense(m):
         w = _dense_eigvalsh(m)
         return float(w[0]), float(w[-1])
     return _extreme_eigenvalue(m, "min"), _extreme_eigenvalue(m, "max")

@@ -359,9 +359,9 @@ def _spectrum_of(
     if k < 1:
         raise ValueError("k must be >= 1")
     # bounds the work when the filter keeps discarding: at most 2(k + 4)
-    # pairs are examined
-    limit = 2 * (k + 4)
-    request = k
+    # pairs are examined, and never more than the 2N that H has
+    limit = min(2 * (k + 4), 2 * B.N)
+    request = min(k, limit)
     while True:
         pairs = gap_eigenvalues(B, 0.0, request, tol, which="above")
         kept = [lam for lam, sv in pairs if _highfreq_fraction(sv.u, sv.v) <= 0.5]

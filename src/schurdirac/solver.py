@@ -9,11 +9,10 @@ Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
 N+2, ... of H.  For Dirac channels (B.M_tridiagonal) H is tridiagonal
 after interleaving u and v, and one Sturm bisection selects them by
-index; small operators use dense eigh, and any other structure a
-deterministic shift-invert Lanczos iteration whose inner solves are the
-elimination of H - sigma.  Factorizations are cached per operator behind
-a lock; all operations are pure and safe to run concurrently on shared
-inputs.
+index; every other operator uses dense eigh of H, at O((2N)^3) cost,
+up to 2N = DENSE_ORACLE_CAP.  Factorizations are cached per operator
+behind a lock; all operations are pure and safe to run concurrently on
+shared inputs.
 """
 
 from __future__ import annotations
@@ -28,29 +27,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dlamch, dstein
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    eigsh,
-    splu,
-)
+from scipy.sparse.linalg import splu
 
 from .blockop import (
     DENSE_EIG_CAP,
+    DENSE_ORACLE_CAP,
     BlockOperator,
     StateVector,
     _check_shift,
     _extreme_eigenvalue,
     _extreme_eigenvalues,
     _form_csr,
+    _goes_dense,
     _s_inverse,
     _schur_form,
     _tridiagonal_eigenvalues,
     apply,
     assemble,
     full_matrix,
-    psd_tolerance,
 )
 from .errors import (
     CheckFailed,
@@ -59,6 +53,7 @@ from .errors import (
     IllConditioned,
     NegativeShiftUnsupported,
     NoConvergence,
+    TooLarge,
 )
 
 __all__ = [
@@ -107,15 +102,15 @@ def _m0(B: BlockOperator):
     """(M_0 in CSR, lambda_min(M_0), lambda_max(M_0)), cached per operator.
 
     M_0 is formed once, in the layout the eigensolver takes, and the
-    extreme eigenvalues come from that form: one eigvalsh gives both up
-    to DENSE_EIG_CAP.  Above it lambda_max is computed only when M_0 is
-    positive definite, the one case in which _m0_solver reads it; it is
-    NaN otherwise.
+    extreme eigenvalues come from that form: one eigvalsh gives both
+    whenever the form goes dense.  On the tridiagonal and banded routes
+    lambda_max is computed only when M_0 is positive definite, the one
+    case in which _m0_solver reads it; it is NaN otherwise.
     """
 
     def build():
         form = _schur_form(B, 0.0)
-        if B.N <= DENSE_EIG_CAP:
+        if _goes_dense(form):
             lo, hi = _extreme_eigenvalues(form)
         else:
             lo = _extreme_eigenvalue(form, "min")
@@ -303,12 +298,8 @@ def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
     )
 
 
-class _FactorBreakdown(Exception):
-    """Internal: the shifted reduced matrix is numerically singular."""
-
-
 def _eig_pairs_from_dense(
-    H: np.ndarray, N: int, sigma: float, k: int, which: str
+    H: np.ndarray, sigma: float, k: int, which: str
 ) -> list[tuple[float, np.ndarray]]:
     w, V = np.linalg.eigh(H)
     if which == "nearest":
@@ -334,20 +325,17 @@ def gap_eigenvalues(
 
     which = "nearest" returns the k eigenvalues closest to sigma;
     which = "above" returns the k smallest eigenvalues strictly above
-    sigma (the gap floor).  Three paths, chosen from the operator:
+    sigma (the gap floor).  Two paths, chosen from the operator:
 
-    * 2N <= DENSE_EIG_CAP: dense eigh of H.
-    * B.M_tridiagonal (every Dirac channel): H is tridiagonal in the
-      order (u_1, v_1, u_2, v_2, ...).  Inertia additivity,
-      In(H - sigma) = In(-(S + sigma)) + In(M_sigma), makes M_sigma >= 0
-      exactly when eigenvalue N+1 of H is >= sigma, so the wanted
-      eigenvalues are N+1, N+2, ... ("above"; N-k+1 .. N+k for
+    * B.M_tridiagonal (every Dirac channel) and 2N > DENSE_EIG_CAP: H
+      is tridiagonal in the order (u_1, v_1, u_2, v_2, ...).  Inertia
+      additivity, In(H - sigma) = In(-(S + sigma)) + In(M_sigma), makes
+      M_sigma >= 0 exactly when eigenvalue N+1 of H is >= sigma, so the
+      wanted eigenvalues are N+1, N+2, ... ("above"; N-k+1 .. N+k for
       "nearest").  One Sturm bisection (dstebz) selects them by index
       and inverse iteration (dstein) gives their eigenvectors.
-    * otherwise: shift-invert Lanczos (ARPACK) whose inner solves are
-      the elimination of the shifted operator; a numerically singular
-      shifted reduced matrix is retried once at
-      sigma' = sigma + 1e-6 * (1 + |sigma|).
+    * every other operator: dense eigh of H, O((2N)^3) time and
+      (2N)^2 doubles of memory, up to 2N = DENSE_ORACLE_CAP.
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
@@ -355,44 +343,36 @@ def gap_eigenvalues(
 
     Raises
     ------
+    ValueError
+        If which is not "nearest" or "above", or k is not in [1, 2N].
     NegativeShiftUnsupported
         If sigma < 0.
+    TooLarge
+        If the operator takes the dense path and 2N > DENSE_ORACLE_CAP.
     HypothesisFailed
-        If M_sigma is not positive semidefinite (on the tridiagonal
-        path: eigenvalue N+1 of H lies below sigma by more than
-        rounding) or, on the Lanczos path, its margin is negative.
+        On the tridiagonal path, if M_sigma is not positive
+        semidefinite: eigenvalue N+1 of H lies below sigma by more than
+        rounding.  The dense path does not test M_sigma.
     NoConvergence
-        If fewer than k eigenvalues lie above sigma ("above"), an
-        eigensolver fails, or a residual check is violated.
+        If fewer than k eigenvalues lie above sigma ("above"), inverse
+        iteration fails, or a residual check is violated.
     """
     if which not in ("nearest", "above"):
         raise ValueError(f"which must be 'nearest' or 'above', got {which!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sigma = _nonnegative_shift(sigma)
     n2 = 2 * B.N
+    if not 1 <= k <= n2:
+        raise ValueError(f"k must be in [1, 2N = {n2}], got {k}")
+    sigma = _nonnegative_shift(sigma)
 
-    if n2 <= DENSE_EIG_CAP:
-        raw = _eig_pairs_from_dense(full_matrix(B).toarray(), B.N, sigma, k, which)
-    elif B.M_tridiagonal:
+    if B.M_tridiagonal and n2 > DENSE_EIG_CAP:
         raw = _tridiagonal_gap_pairs(B, sigma, k, which)
+    elif n2 > DENSE_ORACLE_CAP:
+        raise TooLarge(
+            f"2N = {n2} exceeds the dense cap {DENSE_ORACLE_CAP} for an operator "
+            "that is not tridiagonal"
+        )
     else:
-        if k > n2 - 2:
-            raise ValueError(f"k = {k} too large for sparse iteration at 2N = {n2}")
-        H = full_matrix(B)
-        raw = None
-        last_exc: Exception | None = None
-        for shift in (sigma, sigma + 1e-6 * (1.0 + abs(sigma))):
-            try:
-                raw = _sparse_gap_pairs(B, H, shift, k, which)
-                break
-            except _FactorBreakdown as exc:
-                last_exc = exc
-        if raw is None:
-            raise NoConvergence(
-                f"shifted factorization failed at sigma = {sigma:.6g} "
-                "and at the jittered retry"
-            ) from last_exc
+        raw = _eig_pairs_from_dense(full_matrix(B).toarray(), sigma, k, which)
 
     pairs = []
     for lam, x in sorted(raw, key=lambda p: p[0]):
@@ -466,62 +446,3 @@ def _tridiagonal_gap_pairs(
     x = np.empty_like(z)
     x[:N], x[N:] = z[0::2], z[1::2]
     return [(float(w[i]), x[:, j]) for j, i in enumerate(keep)]
-
-
-def _sparse_gap_pairs(
-    B: BlockOperator, H: sp.csr_matrix, shift: float, k: int, which: str
-) -> list[tuple[float, np.ndarray]]:
-    Bs = shifted_operator(B, shift)
-    M0, margin = _m0_matrix(Bs)
-    if margin < 0.0:
-        raise HypothesisFailed(
-            f"margin at sigma = {shift:.6g} is {margin:.6g} < 0; shift-invert "
-            "elimination needs a positive definite reduced matrix"
-        )
-    # collision gate at the float64 factorization limit, not the PSD
-    # certification level: stiff grids make ||M||_inf ~ 1/h^2 huge while a
-    # perfectly usable margin stays O(1)
-    if margin <= psd_tolerance(M0, 1e-14):
-        raise _FactorBreakdown(f"reduced matrix singular at sigma = {shift:.6g}")
-    try:
-        s_solve = _s_solver(Bs)
-        m0_solve, _ = _m0_solver(Bs)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise _FactorBreakdown(str(exc)) from exc
-
-    N = B.N
-
-    def op(x):
-        f1, f2 = x[:N], x[N:]
-        g = f1 + Bs.Q @ s_solve(f2)
-        u = m0_solve(g)
-        u = u + m0_solve(g - M0 @ u)
-        v = s_solve(Bs.T @ u - f2)
-        return np.concatenate([u, v])
-
-    opinv = LinearOperator((2 * N, 2 * N), matvec=op, dtype=np.float64)
-    arpack_which = "LM" if which == "nearest" else "LA"
-    try:
-        vals, vecs = eigsh(
-            H,
-            k=k,
-            sigma=shift,
-            which=arpack_which,
-            OPinv=opinv,
-            v0=np.ones(2 * N),
-            tol=0,
-        )
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"shift-invert iteration did not converge: {exc}") from exc
-    except ArpackError as exc:
-        raise NoConvergence(f"shift-invert iteration failed: {exc}") from exc
-
-    pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(vals.shape[0])]
-    if which == "above":
-        pairs = [p for p in pairs if p[0] > shift]
-        if len(pairs) < k:
-            raise NoConvergence(
-                f"only {len(pairs)} converged eigenvalues above sigma = {shift:.6g}"
-            )
-        pairs = sorted(pairs, key=lambda p: p[0])[:k]
-    return pairs

@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 import schurdirac
+import schurdirac.dirac as dirac
 from schurdirac import (
     CSV_COLUMNS,
     BadRange,
     DiracChannelSpec,
     HypothesisFailed,
     InvalidQuantumNumbers,
+    NoConvergence,
     RadialGrid,
     assemble,
     build_channel,
@@ -23,6 +25,7 @@ from schurdirac import (
     check_admissibility,
     embedding_delta,
     full_matrix,
+    gap_eigenvalues,
     hardy_sweep,
     positivity_margin,
     sommerfeld_energy,
@@ -267,6 +270,28 @@ class TestChannelSpectrum:
         g = build_grid("logarithmic", 100, 1e-2, 10.0)
         with pytest.raises(ValueError):
             channel_spectrum(GROUND, g, k=0)
+        # k above 2N asks for more eigenvalues than exist: refused, not a ValueError
+        with pytest.raises(NoConvergence, match="only 2 eigenvalues above"):
+            channel_spectrum(GROUND, build_grid("logarithmic", 2, 1e-2, 10.0), k=5)
+
+    @pytest.mark.parametrize(
+        "N, nu, spurious, want",
+        [
+            (300, 0.5, -0.1396, [0.985692, 0.991919]),  # dense branch
+            (1000, 0.1, 0.2500, [0.999923, 1.001999]),  # Sturm branch
+        ],
+    )
+    def test_high_frequency_filter_skips_the_spurious_mode(self, N, nu, spurious, want):
+        # on a uniform grid the lowest eigenvalue above 0 of a kappa=+2
+        # channel is a grid-scale artifact below the ground state n = 3
+        spec = DiracChannelSpec(kappa=2, nu=nu, gamma=0.5)
+        g = build_grid("uniform", N, 1e-3, 100.0)
+        [(lam, sv)] = gap_eigenvalues(build_channel(spec, g), 0.0, 1, 1e-8, which="above")
+        assert lam + spec.gamma - 1.0 == pytest.approx(spurious, abs=1e-4)
+        assert dirac._highfreq_fraction(sv.u, sv.v) > 0.5
+        energies = channel_spectrum(spec, g, k=2)
+        assert energies == pytest.approx(want, abs=1e-6)
+        assert energies[0] == pytest.approx(sommerfeld_energy(3, 2, nu), abs=1e-3)
 
 
 class TestHardySweep:

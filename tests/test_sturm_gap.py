@@ -1,6 +1,6 @@
 """Gap eigenpairs of tridiagonal operators (every Dirac channel) by Sturm
 selection on the interleaved H: agreement with dense eigh, the inertia gate,
-the paths it replaces never taken, and the dense branch unchanged."""
+the ARPACK paths gone, and the dense branch serving every other operator."""
 
 import functools
 import os
@@ -23,6 +23,7 @@ from schurdirac import (
     HypothesisFailed,
     NegativeShiftUnsupported,
     NoConvergence,
+    TooLarge,
     assemble,
     build_channel,
     build_grid,
@@ -89,8 +90,9 @@ class TestAgainstDense:
             "just-below": lam - 1e-8 * (1.0 + lam),
             "at": lam,
         }[shift]
+        assert not hasattr(solver, "_sparse_gap_pairs")
         with mock.patch.object(
-            solver, "_sparse_gap_pairs", side_effect=AssertionError("Lanczos path")
+            solver, "_eig_pairs_from_dense", side_effect=AssertionError("dense path")
         ):
             assert_matches_dense(B, sigma, 3, which)
 
@@ -174,10 +176,13 @@ class TestOneShiftCheck:
 
 
 def test_channels_never_take_the_lanczos_path(monkeypatch):
-    for name in ("_sparse_gap_pairs", "_m0", "eigsh", "splu"):
+    for name in ("_sparse_gap_pairs", "_FactorBreakdown", "eigsh", "LinearOperator"):
+        assert not hasattr(solver, name)
+    for name in ("_gershgorin_bounds", "eigsh"):
+        assert not hasattr(blockop, name)
+    for name in ("_m0", "splu"):
         monkeypatch.setattr(solver, name, mock.Mock(side_effect=AssertionError(name)))
-    for name in ("eigsh", "splu"):
-        monkeypatch.setattr(blockop, name, mock.Mock(side_effect=AssertionError(name)))
+    monkeypatch.setattr(blockop, "splu", mock.Mock(side_effect=AssertionError("splu")))
     calls = []
     monkeypatch.setattr(
         dirac, "gap_eigenvalues", lambda *a, **kw: calls.append(a) or gap_eigenvalues(*a, **kw)
@@ -190,11 +195,7 @@ def test_channels_never_take_the_lanczos_path(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("which", ["above", "nearest"])
-@pytest.mark.parametrize("kappa, N", [(-1, 40), (-2, 300), (1, 120)])
-def test_small_channels_keep_the_dense_pairs(kappa, N, which):
-    B = channel(kappa, 0.5, N)
-    assert 2 * N <= blockop.DENSE_EIG_CAP
+def assert_dense_pairs(B, which):
     # the dense branch: eigh of H, the selection, then the sign normalization
     w, V = np.linalg.eigh(full_matrix(B).toarray())
     sigma = 0.6
@@ -203,6 +204,56 @@ def test_small_channels_keep_the_dense_pairs(kappa, N, which):
     assert [lam for lam, _ in got] == [lam for lam, _ in want]
     for (_, sv), (_, x) in zip(got, want):
         assert np.array_equal(sv.stacked(), x)
+
+
+@pytest.mark.parametrize("which", ["above", "nearest"])
+@pytest.mark.parametrize("kappa, N", [(-1, 40), (-2, 300), (1, 120)])
+def test_small_channels_keep_the_dense_pairs(kappa, N, which):
+    B = channel(kappa, 0.5, N)
+    assert 2 * N <= blockop.DENSE_EIG_CAP
+    assert_dense_pairs(B, which)
+
+
+def lower_bidiagonal(rng, n):
+    T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, -1])
+    return assemble(sp.diags(rng.uniform(1.0, 3.0, n)), T, sp.diags(rng.uniform(0.5, 2.0, n)))
+
+
+@pytest.mark.parametrize("which", ["above", "nearest"])
+@pytest.mark.parametrize("structure", ["random", "lower-bidiagonal"])
+def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, which):
+    if structure == "random":
+        B = random_block_operator(rng, 400, margin_target=1.0)
+    else:
+        B = lower_bidiagonal(rng, 350)
+    assert not B.M_tridiagonal and 2 * B.N > blockop.DENSE_EIG_CAP
+    assert_dense_pairs(B, which)
+
+
+def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
+    B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
+    assert not B.M_tridiagonal
+    with mock.patch.object(solver, "full_matrix", side_effect=AssertionError("densified")):
+        for which in ("above", "nearest"):
+            with pytest.raises(TooLarge, match="dense cap"):
+                gap_eigenvalues(B, 0.0, 1, which=which)
+
+
+class TestKAgainstDimension:
+    def test_scalar(self):
+        B = assemble([[2.0]], [[1.0]], [[1.0]])
+        for which in ("nearest", "above"):
+            with pytest.raises(ValueError, match="2N = 2"):
+                gap_eigenvalues(B, 0.0, 5, which=which)
+        assert len(gap_eigenvalues(B, 0.0, 2)) == 2
+
+    def test_channel(self):
+        B = channel(-1, 0.5, 301)
+        for which in ("nearest", "above"):
+            with pytest.raises(ValueError, match="2N = 602"):
+                gap_eigenvalues(B, 0.0, 603, which=which)
+        pairs = gap_eigenvalues(B, 0.0, 602)
+        assert [lam for lam, _ in pairs] == pytest.approx(dense_eigh(B)[0].tolist(), abs=1e-8)
 
 
 def test_embedding_delta_uses_the_dense_cholesky(rng):
@@ -220,6 +271,47 @@ def test_embedding_delta_uses_the_dense_cholesky(rng):
         G = ((G + G.T) * 0.5).tocsr()
         lam = blockop._extreme_eigenvalue(G, "min")
         assert certified == bool(lam >= -blockop.psd_tolerance(G))
+
+
+def test_embedding_delta_on_a_channel_takes_the_banded_route(monkeypatch):
+    # G = M_0 - delta (I + K^t K) is tridiagonal for a channel, so above
+    # the cap its margin is one banded LAPACK call, not dense eigvalsh
+    B = channel(-1, 0.5, 1000)
+    seen = []
+    real = blockop._extreme_eigenvalue
+    monkeypatch.setattr(
+        blockop, "_dense_eigvalsh", mock.Mock(side_effect=AssertionError("dense"))
+    )
+    monkeypatch.setattr(
+        blockop, "_extreme_eigenvalue", lambda m, which: seen.append(m) or real(m, which)
+    )
+    delta, certified = embedding_delta(B)
+    G = seen[-1]
+    assert sp.issparse(G) and blockop._bandwidth(G) == 1
+    lam = real(G, "min")
+    assert abs(lam - np.linalg.eigvalsh(G.toarray())[0]) <= 1e-12 * blockop.psd_tolerance(G, 1.0)
+    assert certified == bool(lam >= -blockop.psd_tolerance(G))
+
+
+def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
+    # positive definite, so _m0 needs lambda_max too
+    B = random_block_operator(rng, 700, margin_target=1.0)
+    form = blockop._schur_form(B, 0.0)
+    w = np.linalg.eigvalsh(form)
+    calls = mock.Mock(wraps=np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", calls)
+    assert blockop._extreme_eigenvalues(form) == (w[0], w[-1])
+    assert solver._m0(B)[1:] == (w[0], w[-1])
+    assert calls.call_count == 2
+
+
+def test_margin_of_a_non_diagonal_s_above_the_cap_is_dense(rng):
+    B = random_block_operator(rng, 700)
+    assert not B.S_diagonal
+    for alpha in (0.0, 0.3):
+        form = blockop._schur_form(B, alpha)
+        assert isinstance(form, np.ndarray)
+        assert blockop.positivity_margin(B, alpha) == np.linalg.eigvalsh(form)[0]
 
 
 def test_s_inverse_above_the_dense_cap_agrees(rng):
