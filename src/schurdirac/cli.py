@@ -30,6 +30,7 @@ from .dirac import (
     SweepCell,
     _SCHEMES,
     _c2_of,
+    _n_min,
     _spectrum_of,
     build_channel,
     build_grid,
@@ -367,12 +368,12 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         energies = _spectrum_of(B, spec, config.k, config.eigen_tol)
         margin = positivity_margin(B, 0.0)
         rows = []
-        for idx, energy in enumerate(energies, start=1):
+        for n, energy in enumerate(energies, start=_n_min(spec.kappa)):
             rows.append(
                 SweepCell(
                     margin=margin,
                     e1_numeric=energy,
-                    e1_analytic=_sommerfeld_or_none(idx, spec.kappa, spec.nu),
+                    e1_analytic=_sommerfeld_or_none(n, spec.kappa, spec.nu),
                     **base,
                 )
             )
@@ -380,6 +381,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
 
     if config.command == "convergence":
         rows = []
+        e1a = _sommerfeld_or_none(_n_min(spec.kappa), spec.kappa, spec.nu)
         for g in _ladder(config):
             B = build_channel(spec, g)
             c2n, c2a, _, margin = _c2_of(B, spec, config.bisection_tol)
@@ -394,7 +396,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
                     c2_numeric=c2n,
                     c2_analytic=c2a,
                     e1_numeric=energy,
-                    e1_analytic=_sommerfeld_or_none(1, spec.kappa, spec.nu),
+                    e1_analytic=e1a,
                 )
             )
         return rows, {}

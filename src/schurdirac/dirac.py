@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 
 from .blockop import (
     BlockOperator,
@@ -150,12 +149,12 @@ class DiracChannelSpec:
 class AdmissibilityReport:
     """Coupling bound and local-integrability study for one channel.
 
-    integral_estimates[i] approximates the square integral of
-    (gamma - V)^{-2} V'(r) over (cutoff[i], 1) with radial weight r^2;
-    stability of the sequence as the cutoff shrinks is evidence (not
-    proof) of local square integrability near r = 0.  For sampled
-    potentials only the coupling sup is reported and integral_bounded
-    is None.
+    integral_estimates[i] is the square integral of (gamma - V)^{-2} V'(r)
+    over (cutoff[i], 1) with radial weight r^2, in closed form;
+    integral_bounded records that the part below the smallest cutoff is
+    at most 1e-6 (1 + limit), limit being the exact value as the cutoff
+    goes to 0, so the sequence has settled.  For sampled potentials only
+    the coupling sup is reported and integral_bounded is None.
     """
 
     coupling_sup: float
@@ -267,10 +266,12 @@ def check_admissibility(
 
     The coupling sup is taken over grid nodes; coupling_ok records
     whether it stays within the sharp band (<= 1).  For the built-in
-    Coulomb potential the report adds quadrature estimates of the
-    square integral of (gamma - V)^{-2} V' r over shrinking inner
-    cutoffs; the sequence stabilizing marks the integrand as locally
-    square integrable at the origin (report-only, nothing is asserted).
+    Coulomb potential the report adds the square integral of
+    (gamma - V)^{-2} V' r over (a, 1) for shrinking inner cutoffs a, in
+    the exact closed form (nu/3) [(1/(gamma + nu))^3 - (a/(gamma a + nu))^3]
+    with no numerical quadrature.  integral_bounded compares the last
+    estimate with the exact limit (nu/3)/(gamma + nu)^3 (report-only,
+    nothing is asserted).
     """
     v = _sample_potential(spec, grid, potential)
     sup = float(np.max(np.abs(grid.nodes * v)))
@@ -279,17 +280,23 @@ def check_admissibility(
         return AdmissibilityReport(coupling_sup=sup, coupling_ok=ok)
 
     nu, gamma = spec.nu, spec.gamma
-
-    def integrand(r: float) -> float:
-        return (nu / (r**2 * (gamma + nu / r) ** 2)) ** 2 * r**2
-
+    # The integrand nu^2 r^2 / (gamma r + nu)^4 has the antiderivative
+    # (nu/3) (r / (gamma r + nu))^3.  With x = 1/(gamma + nu), z =
+    # 1/(gamma a + nu) and y = a z, the difference x^3 - y^3 is taken as
+    # (x - y)(x^2 + x y + y^2) with x - y = nu (1 - a) x z: every factor
+    # is positive, so nothing cancels even as nu -> 0.
     cutoffs = tuple(10.0 ** (-j) for j in range(1, 7))
+    x = 1.0 / (gamma + nu)
     estimates = []
     for a in cutoffs:
-        val, _ = quad(integrand, a, 1.0, limit=200)
-        estimates.append(float(val))
-    tail = abs(estimates[-1] - estimates[-2])
-    bounded = bool(tail <= 1e-6 * (1.0 + abs(estimates[-1])))
+        z = 1.0 / (gamma * a + nu)
+        y = a * z
+        estimates.append(nu * nu * (1.0 - a) * x * z * (x * x + x * y + y * y) / 3.0)
+    # what lies below the smallest cutoff is (nu/3) y^3, against the limit
+    # (nu/3) x^3: the integral counts as bounded once that rest is within
+    # 1e-6 (1 + limit), i.e. the cutoffs resolve the integrand's scale nu/gamma
+    rest, limit = nu * y**3 / 3.0, nu * x**3 / 3.0
+    bounded = bool(rest <= 1e-6 * (1.0 + limit))
     return AdmissibilityReport(
         coupling_sup=sup,
         coupling_ok=ok,
@@ -297,6 +304,11 @@ def check_admissibility(
         integral_estimates=tuple(estimates),
         integral_bounded=bounded,
     )
+
+
+def _n_min(kappa: int) -> int:
+    """Principal quantum number of the lowest level of channel kappa."""
+    return abs(kappa) if kappa < 0 else kappa + 1
 
 
 def sommerfeld_energy(n: int, kappa: int, nu: float) -> float:
@@ -314,7 +326,7 @@ def sommerfeld_energy(n: int, kappa: int, nu: float) -> float:
         raise InvalidQuantumNumbers(
             f"need 0 <= nu < |kappa|, got nu = {nu:.6g}, kappa = {kappa}"
         )
-    n_min = abs(kappa) if kappa < 0 else kappa + 1
+    n_min = _n_min(kappa)
     if n < n_min:
         raise InvalidQuantumNumbers(f"n = {n} below the minimum {n_min} for kappa = {kappa}")
     root = math.sqrt(kappa * kappa - nu * nu)
@@ -420,11 +432,13 @@ def c2_consistency(
     """Critical constant of the channel against its analytic value.
 
     Returns (c2_numeric, c2_analytic, diff) with the analytic sharp
-    constant c2* = 1 + sqrt(1 - nu^2) - gamma (the lowest gap eigenvalue
-    in the shifted convention) and diff = c2_numeric - c2_analytic.  At
-    sizes 2N <= 1000 the numeric value is additionally cross-checked
-    against the dense inertia oracle; CheckFailed is raised if they
-    disagree by more than 10*tol.
+    constant c2* = E_{n_min} + 1 - gamma, the lowest gap eigenvalue in the
+    shifted convention: E_{n_min} is the Sommerfeld energy of the lowest
+    level, n_min = |kappa| for kappa < 0 and kappa + 1 for kappa > 0
+    (c2* = 1 + sqrt(1 - nu^2) - gamma for kappa = -1), and diff =
+    c2_numeric - c2_analytic.  At sizes 2N <= 1000 the numeric value is
+    additionally cross-checked against the dense inertia oracle;
+    CheckFailed is raised if they disagree by more than 10*tol.
     """
     B = build_channel(spec, grid)
     _require_sharp_coupling(spec)
@@ -455,7 +469,14 @@ def _c2_compared(
     B: BlockOperator, spec: DiracChannelSpec, tol: float, c2n: float
 ) -> tuple[float, float, float]:
     """(c2n, c2_analytic, diff), c2n cross-checked by the oracle at 2N <= 1000."""
-    c2a = 1.0 + math.sqrt(1.0 - spec.nu**2) - spec.gamma
+    kappa, nu = spec.kappa, spec.nu
+    # E_{n_min} = sqrt(kappa^2 - nu^2)/|kappa| for kappa < 0: 0 at nu = |kappa|,
+    # the one coupling sommerfeld_energy refuses
+    if kappa < 0 and nu == -kappa:
+        e_min = 0.0
+    else:
+        e_min = sommerfeld_energy(_n_min(kappa), kappa, nu)
+    c2a = e_min + 1.0 - spec.gamma
     if 2 * B.N <= 1000:
         oracle = inertia_c2_oracle(B)
         if not abs(c2n - oracle) <= 10.0 * tol:

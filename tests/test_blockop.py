@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schurdirac.blockop as blockop
@@ -37,6 +37,7 @@ from schurdirac import (
     operator_from_text,
     operator_to_text,
     positivity_margin,
+    psd_tolerance,
     resolvent_difference_check,
     schur_form_matrix,
 )
@@ -407,9 +408,18 @@ POSITIVE = st.one_of(
 )
 
 
+# Well-scaled entries, for properties that hold only up to rounding in ||H||.
+MODERATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1]), st.floats(-10.0, 10.0))
+MODERATE_POSITIVE = st.floats(min_value=0.1, max_value=10.0)
+
+
 @st.composite
-def operators(draw):
-    """Sparse or dense operators with explicit zeros, -0.0, subnormals and +-1e300."""
+def operators(draw, entries=ENTRIES, positive=POSITIVE):
+    """Sparse or dense operators with explicit zeros, -0.0, subnormals and +-1e300.
+
+    entries draws the entries of P and T, positive the diagonal of a
+    diagonal S; the defaults include the extreme values above.
+    """
     n = draw(st.integers(1, 6))
     dense = draw(st.booleans())
 
@@ -425,12 +435,12 @@ def operators(draw):
             mask = mask | mask.T
         return sp.csr_matrix((vals[mask], np.nonzero(mask)), shape=(n, n))
 
-    P = block(ENTRIES, symmetric=True)
-    T = block(ENTRIES, symmetric=False)
+    P = block(entries, symmetric=True)
+    T = block(entries, symmetric=False)
     if draw(st.booleans()):
         # diagonal S stored with explicit (signed) zeros off the diagonal
         off = block(st.sampled_from([0.0, -0.0]), symmetric=True)
-        S = off - sp.diags(off.diagonal()) + sp.diags(draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+        S = off - sp.diags(off.diagonal()) + sp.diags(draw(st.lists(positive, min_size=n, max_size=n)))
         S = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(n, n))
     else:
         a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
@@ -557,3 +567,32 @@ class TestTextFormat:
         except (ValueError, SchurDiracError):
             return
         assert isinstance(C, BlockOperator)
+
+
+class TestInertiaProperties:
+    """The c2 contract on random operators, independent of how find_c2 searches."""
+
+    @settings(deadline=2000, max_examples=100)
+    @given(B=operators(MODERATE, MODERATE_POSITIVE), floor=st.floats(0.0, 5.0))
+    def test_find_c2_is_eigenvalue_n_plus_one(self, B, floor):
+        # shift P so that margin(0) is about floor >= 0; inertia additivity
+        # then makes c2 the (N+1)-th smallest eigenvalue of H
+        shift = positivity_margin(B, 0.0) - floor
+        B = assemble(B.P - shift * sp.identity(B.N), B.T, B.S)
+        assume(positivity_margin(B, 0.0) >= 0.0)
+        tol = 1e-8
+        assert abs(find_c2(B, tol) - inertia_c2_oracle(B)) <= tol
+
+    @settings(deadline=2000, max_examples=100)
+    @given(
+        B=operators(MODERATE, MODERATE_POSITIVE),
+        a=st.floats(0.0, 10.0),
+        h=st.floats(0.0, 10.0),
+    )
+    def test_margin_slope_bound(self, B, a, h):
+        # d/dalpha M_alpha = -I - T^t (S + alpha)^{-2} T <= -I; the slack is
+        # the package's rounding tolerance for each of the two forms
+        slack = psd_tolerance(schur_form_matrix(B, a)) + psd_tolerance(
+            schur_form_matrix(B, a + h)
+        )
+        assert positivity_margin(B, a + h) <= positivity_margin(B, a) - h + slack

@@ -266,6 +266,32 @@ class TestRunAndMain:
         # coarse grid, loose agreement only
         assert obj["rows"][0]["e1_numeric"] == pytest.approx(want1, abs=0.05)
 
+    def test_kappa_minus_two_rows_start_at_its_lowest_level(self, tmp_path):
+        # kappa = -2 has no n = 1 level; its rows are n = 2, 3
+        grid = "grid.N=600\n"
+        for command, extra in (("spectrum", "k=2\n"), ("c2", ""), ("convergence", "sweep.grid_sizes=600\n")):
+            cfg = write_config(tmp_path, f"command={command}\nkappa=-2\nnu=0.5\n" + grid + extra)
+            out = str(tmp_path / f"{command}.json")
+            assert main([command, "--config", cfg, "--out", out, "--format", "json"]) == 0
+            rows = json.loads(open(out).read())["rows"]
+            if command == "spectrum":
+                for row, n in zip(rows, (2, 3)):
+                    want = float(f"{sommerfeld_energy(n, -2, 0.5):.12g}")
+                    assert row["e1_analytic"] == want
+                    assert row["e1_numeric"] == pytest.approx(want, abs=1e-3)
+            else:
+                e2 = sommerfeld_energy(2, -2, 0.5)
+                assert rows[0]["c2_analytic"] == float(f"{e2 + 1.0 - 0.5:.12g}")
+                assert rows[0]["c2_numeric"] == pytest.approx(e2 + 0.5, abs=1e-3)
+                if command == "convergence":
+                    assert rows[0]["e1_analytic"] == float(f"{e2:.12g}")
+
+    def test_c2_analytic_at_nu_one_is_one_minus_gamma(self, tmp_path):
+        cfg = write_config(tmp_path, "command=c2\nkappa=-1\nnu=1.0\ngrid.N=300\n")
+        out = str(tmp_path / "c2.json")
+        assert main(["c2", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        assert json.loads(open(out).read())["rows"][0]["c2_analytic"] == 0.5
+
     def test_validate_meta(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "command=validate\nkappa=-1\nnu=0.5\n" + SMALL_GRID

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -192,6 +193,36 @@ class TestAdmissibility:
         diffs = np.abs(np.diff(rep.integral_estimates))
         assert diffs[-1] < diffs[0]
 
+    @pytest.mark.parametrize("nu", [0.1, 0.9, 1.0])
+    def test_closed_form_matches_gauss_legendre(self, nu):
+        # composite 40-point Gauss-Legendre on 4 geometric panels per decade,
+        # of the integrand as (gamma - V)^{-2} V' squared with weight r^2
+        spec = DiracChannelSpec(kappa=-1, nu=nu, gamma=0.5)
+        rep = check_admissibility(spec, build_grid("logarithmic", 50, 1e-3, 10.0))
+        x, w = np.polynomial.legendre.leggauss(40)
+        for a, got in zip(rep.integral_cutoffs, rep.integral_estimates):
+            edges = np.geomspace(a, 1.0, 4 * round(-math.log10(a)) + 1)
+            lo, hi = edges[:-1, None], edges[1:, None]
+            r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+            f = (nu / (r**2 * (0.5 + nu / r) ** 2)) ** 2 * r**2
+            want = float(np.sum(0.5 * (hi - lo) * w * f))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rep.integral_bounded is True
+
+    @pytest.mark.parametrize(
+        "nu, gamma, bounded",
+        [(1e-6, 0.5, True), (2e-6, 0.5, True), (3e-6, 0.5, True), (1e-8, 0.1, False)],
+    )
+    def test_bounded_flag_compares_with_the_exact_limit(self, nu, gamma, bounded):
+        # the integral tends to (nu/3)/(gamma + nu)^3; below the cutoff a = 1e-6
+        # lies (nu/3)(a/(gamma a + nu))^3, 75% of it when nu/gamma = 1e-7 < a
+        spec = DiracChannelSpec(kappa=-1, nu=nu, gamma=gamma)
+        rep = check_admissibility(spec, build_grid("logarithmic", 50, 1e-3, 10.0))
+        limit = nu / 3.0 / (gamma + nu) ** 3
+        rest = nu / 3.0 * (1e-6 / (gamma * 1e-6 + nu)) ** 3
+        assert rep.integral_estimates[-1] == pytest.approx(limit - rest, rel=1e-12)
+        assert rep.integral_bounded is bounded
+
     def test_supercritical_flagged(self):
         spec = DiracChannelSpec(kappa=-1, nu=1.05, gamma=0.5)
         g = build_grid("logarithmic", 50, 1e-3, 10.0)
@@ -351,6 +382,21 @@ class TestC2Consistency:
         )
         assert c2a == pytest.approx(1.5, abs=1e-12)
 
+    def test_analytic_at_the_sharp_coupling_is_one_minus_gamma(self):
+        # nu = |kappa| = 1, where sommerfeld_energy refuses: E_1 = 0
+        g = build_grid("logarithmic", 300, 1e-4, 100.0)
+        c2n, c2a, diff = c2_consistency(DiracChannelSpec(kappa=-1, nu=1.0, gamma=0.5), g)
+        assert c2a == 1.0 - 0.5
+        assert diff == c2n - c2a
+
+    def test_kappa_minus_two_compares_with_its_lowest_level(self):
+        # the lowest kappa = -2 level is n = 2, not the kappa = -1 ground state
+        g = build_grid("logarithmic", 400, 1e-4, 100.0)
+        c2n, c2a, diff = c2_consistency(DiracChannelSpec(kappa=-2, nu=0.5, gamma=0.5), g)
+        assert c2a == pytest.approx(sommerfeld_energy(2, -2, 0.5) + 0.5, abs=1e-15)
+        assert c2a == pytest.approx(1.46825, abs=1e-5)
+        assert abs(diff) < 1e-3
+
     def test_supercritical_rejected(self):
         g = build_grid("logarithmic", 100, 1e-3, 50.0)
         with pytest.raises(HypothesisFailed):
@@ -407,3 +453,22 @@ class TestStructure:
             "e1_numeric",
             "e1_analytic",
         )
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # a fresh interpreter reports what it loaded; the check runs here, so it
+    # holds under python -O as well
+    script = (
+        "import json, sys\n"
+        "import schurdirac, schurdirac.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurdirac.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "scipy.sparse" in loaded
+    unwanted = (["scipy", "integrate"], ["scipy", "optimize"])
+    assert [m for m in loaded if m.split(".")[:2] in unwanted] == []

@@ -356,6 +356,44 @@ def test_bad_residual_raises_under_optimize():
     assert proc.stdout.startswith("eigenpair residual"), proc.stdout
 
 
+def test_stiff_dense_pairs_pass_the_residual_check():
+    # 2N = 600 takes the dense branch; ||H|| is about 4e5 here, and
+    # backward-stable eigh residuals (3.2e-10) exceed 1e-10 * (1 + |lambda|);
+    # the rounding term 10 sqrt(2N) eps ||H|| is about 2e-8
+    B = channel(-1, 0.9, 300)
+    w = np.linalg.eigvalsh(full_matrix(B).toarray())
+    pairs = gap_eigenvalues(B, 0.0, 2, which="above")
+    assert [lam for lam, _ in pairs] == pytest.approx(w[300:302], rel=1e-12)
+
+
+def test_perturbed_dense_pair_is_refused(monkeypatch):
+    real = solver._eig_pairs_from_dense
+
+    def perturbed(*args):
+        pairs, norm = real(*args)
+        return [(lam, x + 1e-6) for lam, x in pairs], norm
+
+    monkeypatch.setattr(solver, "_eig_pairs_from_dense", perturbed)
+    with pytest.raises(NoConvergence, match="eigenpair residual"):
+        gap_eigenvalues(channel(-1, 0.9, 300), 0.0, 2, which="above")
+
+
+def test_sturm_pair_off_by_an_eigenvalue_sized_error_is_refused(monkeypatch):
+    # at N = 2000 ||H|| is about 3e6, so the rounding term is about 4e-7;
+    # a pair whose eigenvalue is off by 1e-6 fails at channel_spectrum's tol
+    B = channel(-1, 0.5, 2000)
+    assert len(gap_eigenvalues(B, 0.0, 2, tol=1e-8, which="above")) == 2
+    real = solver._tridiagonal_gap_pairs
+
+    def perturbed(*args):
+        pairs, norm = real(*args)
+        return [(lam + 1e-6, x) for lam, x in pairs], norm
+
+    monkeypatch.setattr(solver, "_tridiagonal_gap_pairs", perturbed)
+    with pytest.raises(NoConvergence, match="eigenpair residual"):
+        gap_eigenvalues(B, 0.0, 2, tol=1e-8, which="above")
+
+
 def test_failed_inverse_iteration_raises(monkeypatch):
     real = solver.dstein
     monkeypatch.setattr(solver, "dstein", lambda *a: (real(*a)[0], 1))
