@@ -31,9 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigvals_banded
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dlamch, dstebz
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DeltaOutOfRange,
@@ -46,10 +45,6 @@ from .errors import (
     ValidationError,
 )
 
-# Dimension below which eigenvalue problems go straight to dense LAPACK.
-DENSE_EIG_CAP = 600
-# Maximum half-bandwidth routed to the banded eigensolver.
-MAX_BANDWIDTH = 64
 # Default cap on 2N for the dense inertia oracle.
 DENSE_ORACLE_CAP = 1000
 # Relative coefficient of the positive-semidefinite acceptance tolerance.
@@ -113,23 +108,6 @@ def _within_band(m: sp.csr_matrix, lower: int, upper: int) -> bool:
     return not np.any(m.data[(offsets < lower) | (offsets > upper)])
 
 
-def _bandwidth(m: sp.csr_matrix) -> int:
-    coo = m.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
-
-
-def _to_banded_upper(m: sp.csr_matrix, bw: int) -> np.ndarray:
-    # LAPACK upper banded storage: band[bw + i - j, j] = m[i, j] for i <= j.
-    n = m.shape[0]
-    coo = m.tocoo()
-    band = np.zeros((bw + 1, n))
-    mask = coo.row <= coo.col
-    band[bw + coo.row[mask] - coo.col[mask], coo.col[mask]] = coo.data[mask]
-    return band
-
-
 class _Tridiagonal(NamedTuple):
     """Symmetric tridiagonal matrix given by its diagonal d and off-diagonal e."""
 
@@ -147,9 +125,14 @@ class _Tridiagonal(NamedTuple):
         return sp.diags([self.e, self.d, self.e], [-1, 0, 1], format="csr")
 
 
-# Absolute tolerance of the Sturm bisection: the value eigvals_banded
-# passes to dsbevx, which hands it to the same dstebz.
+# Absolute tolerance of the Sturm bisection: twice the underflow
+# threshold, the value at which LAPACK computes eigenvalues most accurately.
 _STEBZ_ABSTOL = 2.0 * dlamch("S")
+
+
+def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
+    # scipy's wrappers refuse the empty e of a 1x1 matrix; LAPACK reads none of it
+    return e if e.shape[0] else np.zeros(1)
 
 
 def _tridiagonal_eigenvalues(
@@ -161,58 +144,39 @@ def _tridiagonal_eigenvalues(
     (ascending within each split-off block, not overall), iblock[:w.size]
     the block of each, isplit the block ends.
     """
-    # dstebz does not check its input; an overflowed form is refused as
-    # eigvals_banded refuses it on the sparse path
+    # dstebz does not check its input; an overflowed form is refused here
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("array must not contain infs or NaNs")
     # range 2 selects the eigenvalues with indices il..iu
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, il, iu, _STEBZ_ABSTOL, "B")
+    m, w, iblock, isplit, info = dstebz(
+        d, _lapack_offdiagonal(e), 2, 0.0, 0.0, il, iu, _STEBZ_ABSTOL, "B"
+    )
     if info != 0:
         raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
     return w[:m], iblock, isplit
 
 
-def _dense_eigvalsh(m) -> np.ndarray:
-    return np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
-
-
-def _goes_dense(m) -> bool:
-    """Whether _extreme_eigenvalue sends m to dense eigvalsh."""
-    if m.shape[0] <= DENSE_EIG_CAP:
-        return True
-    if isinstance(m, _Tridiagonal):
-        return False
-    return not sp.issparse(m) or _bandwidth(m) > MAX_BANDWIDTH
-
-
 def _extreme_eigenvalue(m, which: str) -> float:
-    """Smallest or largest eigenvalue of a symmetric matrix.
+    """Smallest or largest eigenvalue of a symmetric matrix, routed by structure.
 
     m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
     _schur_form returns when assembly recorded M_alpha as tridiagonal.
-    Above DENSE_EIG_CAP a _Tridiagonal pair takes one dstebz Sturm
-    bisection and a sparse matrix of half-bandwidth <= MAX_BANDWIDTH the
-    banded solver; every other form, at every size, takes dense eigvalsh,
-    O(n^3).
+    A _Tridiagonal pair takes one dstebz Sturm bisection, O(n) at every
+    n; every other form takes dense eigvalsh, O(n^3).
     """
-    n = m.shape[0]
-    if _goes_dense(m):
-        w = _dense_eigvalsh(m)
-        return float(w[0] if which == "min" else w[-1])
     if isinstance(m, _Tridiagonal):
-        index = 1 if which == "min" else n
+        index = 1 if which == "min" else m.d.shape[0]
         return float(_tridiagonal_eigenvalues(m.d, m.e, index, index)[0][0])
-    band = _to_banded_upper(m, _bandwidth(m))
-    idx = 0 if which == "min" else n - 1
-    return float(eigvals_banded(band, select="i", select_range=(idx, idx))[0])
+    lo, hi = _extreme_eigenvalues(m)
+    return lo if which == "min" else hi
 
 
 def _extreme_eigenvalues(m) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of m; one eigvalsh gives both whenever m goes dense."""
-    if _goes_dense(m):
-        w = _dense_eigvalsh(m)
-        return float(w[0]), float(w[-1])
-    return _extreme_eigenvalue(m, "min"), _extreme_eigenvalue(m, "max")
+    """(lambda_min, lambda_max) of m; one eigvalsh gives both unless m is tridiagonal."""
+    if isinstance(m, _Tridiagonal):
+        return _extreme_eigenvalue(m, "min"), _extreme_eigenvalue(m, "max")
+    w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
+    return float(w[0]), float(w[-1])
 
 
 def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
@@ -222,6 +186,8 @@ def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
     is >= -coeff * (1 + ||m||_inf); exact semidefinite matrices perturb
     slightly negative in floating point.
     """
+    if isinstance(m, _Tridiagonal):
+        m = m.tocsr()
     if sp.issparse(m):
         norm = float(np.max(np.asarray(abs(m).sum(axis=1)).ravel(), initial=0.0))
     else:
@@ -406,6 +372,18 @@ def _check_shift(name: str, value: float) -> float:
     return value
 
 
+def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagonal:
+    """T^t diag(w) T for T = diag(a) + superdiag(b), symmetrized.
+
+    The entries of the sparse product, in its operation order, so the
+    values are bitwise equal to it.
+    """
+    aw, bw = a * w, b * w[:-1]
+    d = aw * a
+    d[1:] += bw * b
+    return _Tridiagonal(d=d, e=(aw[:-1] * b + bw * a[:-1]) * 0.5)
+
+
 def _schur_form(B: BlockOperator, alpha: float):
     """M_alpha in the layout the eigensolver takes, symmetrized.
 
@@ -422,13 +400,7 @@ def _schur_form(B: BlockOperator, alpha: float):
     if B.S_diagonal:
         w = 1.0 / (B.S.diagonal() + alpha)
         if B.M_tridiagonal:
-            # T = diag(a) + superdiag(b).  The entries of the sparse product
-            # below, in its operation order, so the values are bitwise equal.
-            a, b = B.T.diagonal(), B.T.diagonal(1)
-            aw, bw = a * w, b * w[:-1]
-            d = aw * a
-            d[1:] += bw * b
-            e = (aw[:-1] * b + bw * a[:-1]) * 0.5
+            d, e = _bidiagonal_gram(B.T.diagonal(), B.T.diagonal(1), w)
             return _Tridiagonal(d=(B.P.diagonal() - alpha) + d, e=e)
         M = (B.P - alpha * sp.identity(n, format="csr")) + B.T.T @ sp.diags(w) @ B.T
         return ((M + M.T) * 0.5).tocsr()
@@ -538,17 +510,14 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
 def _s_inverse(B: BlockOperator):
     """Callable applying S^{-1} to a vector or the columns of a matrix.
 
-    Exact division for a diagonal S, a dense Cholesky factorization up to
-    DENSE_EIG_CAP and a sparse LU above it.  Uncached: the solver keeps
-    one per operator.
+    Exact division for a diagonal S and a dense Cholesky factorization
+    otherwise.  Uncached: the solver keeps one per operator.
     """
     if B.S_diagonal:
         d = B.S.diagonal()
         return lambda x: x / d if x.ndim == 1 else x / d[:, None]
-    if B.N <= DENSE_EIG_CAP:
-        factor = cho_factor(B.S.toarray(), lower=True)
-        return lambda x: cho_solve(factor, x)
-    return splu(B.S.tocsc()).solve
+    factor = cho_factor(B.S.toarray(), lower=True)
+    return lambda x: cho_solve(factor, x)
 
 
 def embedding_delta(
@@ -558,14 +527,21 @@ def embedding_delta(
 
     Certifies M_0 - delta*(I + K^t K) >= 0 with K = S^{-1} T, i.e. the
     base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2).  Returns
-    (delta, certified).
+    (delta, certified).  When B.M_tridiagonal, K is bidiagonal and the
+    form is built from its two diagonals, O(N); otherwise K is dense and
+    K^t K costs O(N^3).
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
-    M0 = schur_form_matrix(B, 0.0)
-    K = _s_inverse(B)(B.T.toarray())
-    G = M0 - delta * (sp.identity(B.N, format="csr") + sp.csr_matrix(K.T @ K))
-    G = ((G + G.T) * 0.5).tocsr()
+    M0 = _schur_form(B, 0.0)
+    if isinstance(M0, _Tridiagonal):
+        s = B.S.diagonal()
+        KtK = _bidiagonal_gram(B.T.diagonal() / s, B.T.diagonal(1) / s[:-1], np.ones(B.N))
+        G = _Tridiagonal(d=M0.d - delta * (1.0 + KtK.d), e=M0.e - delta * KtK.e)
+    else:
+        K = _s_inverse(B)(B.T.toarray())
+        G = _form_csr(M0) - delta * (sp.identity(B.N, format="csr") + sp.csr_matrix(K.T @ K))
+        G = ((G + G.T) * 0.5).tocsr()
     lam = _extreme_eigenvalue(G, "min")
     return delta, bool(lam >= -psd_tolerance(G, psd_coeff))
 
@@ -628,13 +604,22 @@ def matrix_to_text(A) -> str:
 
 
 def matrix_from_text(text: str) -> np.ndarray:
+    """Parse matrix_to_text output.
+
+    Raises ValueError for empty text, a header the data does not match,
+    or a non-finite entry, as operator_from_text refuses them.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty text: expected a 'rows cols' header")
     rows, cols = (int(tok) for tok in lines[0].split())
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
     arr = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
     if arr.shape != (rows, cols):
         raise ValueError(f"data shape {arr.shape} does not match header {(rows, cols)}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has a non-finite entry")
     return arr
 
 

@@ -355,11 +355,13 @@ def channel_spectrum(
     """The k lowest physical energies of the channel above the gap floor.
 
     Eigenvalues of H strictly above 0 are selected by index, N+1, N+2, ...
-    (one Sturm bisection on the interleaved tridiagonal H; dense eigh for
-    2N <= DENSE_EIG_CAP), eigenvectors with high-frequency energy
-    fraction above 0.5 are discarded as discretization artifacts and
-    replaced by the next eigenvalues, and the survivors are reported as
-    physical Dirac energies E = lambda + gamma - 1.
+    (one Sturm bisection on the interleaved tridiagonal H, at every N),
+    eigenvectors with high-frequency energy fraction above 0.5 are
+    discarded as discretization artifacts and replaced by the next
+    eigenvalues, and the survivors are reported as physical Dirac
+    energies E = lambda + gamma - 1.  A channel whose base form M_0 is
+    not positive semidefinite (every kappa > 0 channel today) raises
+    HypothesisFailed at every N.
     """
     return _spectrum_of(build_channel(spec, grid), spec, k, tol)
 

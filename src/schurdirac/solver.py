@@ -7,12 +7,14 @@ splits into a reduced positive-definite solve and a back-substitution:
 
 Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
-N+2, ... of H.  For Dirac channels (B.M_tridiagonal) H is tridiagonal
-after interleaving u and v, and one Sturm bisection selects them by
-index; every other operator uses dense eigh of H, at O((2N)^3) cost,
-up to 2N = DENSE_ORACLE_CAP.  Factorizations are cached per operator
-behind a lock; all operations are pure and safe to run concurrently on
-shared inputs.
+N+2, ... of H.  The route is picked from structure alone.  For Dirac
+channels (B.M_tridiagonal) M_0 is tridiagonal and dpttrf factors it,
+and H is tridiagonal after interleaving u and v, so one Sturm bisection
+selects the gap eigenvalues by index, at every N.  Every other operator
+uses dense Cholesky of M_0 and dense eigh of H, at O(N^3) and
+O((2N)^3) cost, the latter up to 2N = DENSE_ORACLE_CAP.
+Factorizations are cached per operator behind a lock; all operations
+are pure and safe to run concurrently on shared inputs.
 """
 
 from __future__ import annotations
@@ -26,19 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dstein
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstein
 
 from .blockop import (
-    DENSE_EIG_CAP,
     DENSE_ORACLE_CAP,
     BlockOperator,
     StateVector,
     _check_shift,
-    _extreme_eigenvalue,
     _extreme_eigenvalues,
     _form_csr,
-    _goes_dense,
+    _lapack_offdiagonal,
     _s_inverse,
     _schur_form,
     _tridiagonal_eigenvalues,
@@ -102,34 +101,30 @@ def _m0(B: BlockOperator):
     """(M_0 in CSR, lambda_min(M_0), lambda_max(M_0)), cached per operator.
 
     M_0 is formed once, in the layout the eigensolver takes, and the
-    extreme eigenvalues come from that form: one eigvalsh gives both
-    whenever the form goes dense.  On the tridiagonal and banded routes
-    lambda_max is computed only when M_0 is positive definite, the one
-    case in which _m0_solver reads it; it is NaN otherwise.
+    extreme eigenvalues come from that form: two Sturm bisections for a
+    tridiagonal form, one eigvalsh for any other.
     """
 
     def build():
         form = _schur_form(B, 0.0)
-        if _goes_dense(form):
-            lo, hi = _extreme_eigenvalues(form)
-        else:
-            lo = _extreme_eigenvalue(form, "min")
-            hi = _extreme_eigenvalue(form, "max") if lo > 0.0 else math.nan
-        return _form_csr(form), lo, hi
+        return (_form_csr(form),) + _extreme_eigenvalues(form)
 
     return _cache_get(B, "M0", build)
 
 
 def _m0_matrix(B: BlockOperator):
     """(M_0, lambda_min(M_0)), cached per operator."""
-    M0, lammin, _ = _m0(B)
-    return M0, lammin
+    return _m0(B)[:2]
 
 
 def _m0_solver(B: BlockOperator):
     """Callable applying M_0^{-1}, plus the condition estimate.
 
-    Raises HypothesisFailed if M_0 is not positive definite.
+    A tridiagonal M_0 (B.M_tridiagonal) is factored by dpttrf, L D L^t
+    in O(N); any other M_0 by dense Cholesky, O(N^3).
+
+    Raises HypothesisFailed if M_0 is not positive definite, by its
+    smallest eigenvalue or by a failed factorization.
     """
     M0, margin = _m0_matrix(B)
     if margin <= 0.0:
@@ -141,12 +136,14 @@ def _m0_solver(B: BlockOperator):
 
     def build():
         cond = _m0(B)[2] / margin
-        if B.N <= DENSE_EIG_CAP:
+        if B.M_tridiagonal:
+            d, e, info = dpttrf(M0.diagonal(), _lapack_offdiagonal(M0.diagonal(1)))
+            if info != 0:
+                raise HypothesisFailed(f"M_0 is not positive definite (dpttrf info = {info})")
+            fn = lambda x: dpttrs(d, e, x)[0]
+        else:
             factor = cho_factor(M0.toarray(), lower=True)
             fn = lambda x: cho_solve(factor, x)
-        else:
-            lu = splu(M0.tocsc())
-            fn = lu.solve
         return fn, cond
 
     return _cache_get(B, "M0solve", build)
@@ -326,10 +323,11 @@ def gap_eigenvalues(
 
     which = "nearest" returns the k eigenvalues closest to sigma;
     which = "above" returns the k smallest eigenvalues strictly above
-    sigma (the gap floor).  Two paths, chosen from the operator:
+    sigma (the gap floor).  Two paths, chosen from the operator's
+    structure alone:
 
-    * B.M_tridiagonal (every Dirac channel) and 2N > DENSE_EIG_CAP: H
-      is tridiagonal in the order (u_1, v_1, u_2, v_2, ...).  Inertia
+    * B.M_tridiagonal (every Dirac channel), at every N: H is
+      tridiagonal in the order (u_1, v_1, u_2, v_2, ...).  Inertia
       additivity, In(H - sigma) = In(-(S + sigma)) + In(M_sigma), makes
       M_sigma >= 0 exactly when eigenvalue N+1 of H is >= sigma, so the
       wanted eigenvalues are N+1, N+2, ... ("above"; N-k+1 .. N+k for
@@ -359,7 +357,9 @@ def gap_eigenvalues(
     HypothesisFailed
         On the tridiagonal path, if M_sigma is not positive
         semidefinite: eigenvalue N+1 of H lies below sigma by more than
-        rounding.  The dense path does not test M_sigma.
+        rounding.  So a channel whose base form is indefinite is refused
+        at every N.  The dense path returns the eigenpairs of H without
+        this test.
     NoConvergence
         If fewer than k eigenvalues lie above sigma ("above"), inverse
         iteration fails, or a residual check is violated.
@@ -371,7 +371,7 @@ def gap_eigenvalues(
         raise ValueError(f"k must be in [1, 2N = {n2}], got {k}")
     sigma = _nonnegative_shift(sigma)
 
-    if B.M_tridiagonal and n2 > DENSE_EIG_CAP:
+    if B.M_tridiagonal:
         raw, norm = _tridiagonal_gap_pairs(B, sigma, k, which)
     elif n2 > DENSE_ORACLE_CAP:
         raise TooLarge(

@@ -19,6 +19,7 @@ from schurdirac import (
     HypothesisFailed,
     NegativeAlpha,
     NonPositiveS,
+    RhsPair,
     SchurDiracError,
     StateVector,
     TooLarge,
@@ -40,6 +41,7 @@ from schurdirac import (
     psd_tolerance,
     resolvent_difference_check,
     schur_form_matrix,
+    solve,
 )
 from schurdirac.errors import DeltaOutOfRange
 
@@ -392,6 +394,16 @@ class TestSerialization:
         assert np.array_equal(C.Q.toarray(), B.Q.toarray())
         assert C.c1 == B.c1
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_matrix_from_empty_text(self, text):
+        with pytest.raises(ValueError, match="empty text"):
+            matrix_from_text(text)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+    def test_matrix_from_text_refuses_non_finite(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_from_text(f"1 2\n1 {entry}\n")
+
     def test_blocks_are_read_only(self, rng):
         B = random_block_operator(rng, 5)
         with pytest.raises(ValueError):
@@ -569,6 +581,24 @@ class TestTextFormat:
         assert isinstance(C, BlockOperator)
 
 
+def with_floor(B, floor):
+    """B with P shifted so that margin(0) is about floor."""
+    shift = positivity_margin(B, 0.0) - floor
+    return assemble(B.P - shift * sp.identity(B.N), B.T, B.S)
+
+
+def assert_round_trip(B, data):
+    # apply(B, solve(B, rhs).solution) equals rhs within the reported residual
+    assume(positivity_margin(B, 0.0) > 0.0)
+    entries = st.lists(MODERATE, min_size=B.N, max_size=B.N)
+    F1, F2 = np.array(data.draw(entries)), np.array(data.draw(entries))
+    report = solve(B, RhsPair(F1, F2))
+    out = apply(B, report.solution)
+    residual = np.linalg.norm(np.concatenate([out.u - F1, out.v - F2]))
+    assert residual <= report.residual_norm
+    assert report.residual_norm <= 1e-9 * (1.0 + np.linalg.norm(np.concatenate([F1, F2])))
+
+
 class TestInertiaProperties:
     """The c2 contract on random operators, independent of how find_c2 searches."""
 
@@ -582,6 +612,27 @@ class TestInertiaProperties:
         assume(positivity_margin(B, 0.0) >= 0.0)
         tol = 1e-8
         assert abs(find_c2(B, tol) - inertia_c2_oracle(B)) <= tol
+
+    @settings(deadline=2000, max_examples=100)
+    @given(B=operators(MODERATE, MODERATE_POSITIVE), floor=st.floats(0.1, 5.0), data=st.data())
+    def test_solve_then_apply_round_trip(self, B, floor, data):
+        assert_round_trip(with_floor(B, floor), data)
+
+    @settings(deadline=2000, max_examples=100)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        floor=st.floats(0.1, 5.0),
+        data=st.data(),
+    )
+    def test_tridiagonal_solve_then_apply_round_trip(self, n, seed, floor, data):
+        # the dpttrf route, from N = 1
+        rng = np.random.default_rng(seed)
+        T = sp.diags([rng.uniform(-10, 10, n), rng.uniform(-10, 10, n - 1)], [0, 1])
+        B = assemble(sp.diags(rng.uniform(-10, 10, n)), T, sp.diags(rng.uniform(0.1, 10, n)))
+        B = with_floor(B, floor)
+        assert B.M_tridiagonal
+        assert_round_trip(B, data)
 
     @settings(deadline=2000, max_examples=100)
     @given(

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurdirac.blockop as blockop
 import schurdirac.cli as cli
@@ -76,6 +78,34 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL + "nu=0.6\n")
         assert err.value.key == "nu"
+
+    @settings(deadline=2000, max_examples=300)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(cli._KNOWN_KEYS + ("", " nu ", "colour")),
+                    st.one_of(
+                        st.sampled_from(
+                            ["", "-1", "0", "2", "0.5", "1e-3", "nan", "inf", "-0.0", "1e999",
+                             "9" * 5000, "0.5,1.2", ",", "1,,2", "c2", "spectrum", "json",
+                             "uniform", "logarithmic", " # comment", "=", "x"]
+                        ),
+                        st.text(max_size=12),
+                    ),
+                ).map(lambda kv: f"{kv[0]}={kv[1]}"),
+                st.text(max_size=30),
+            ),
+            max_size=12,
+        ),
+        override=st.sampled_from((None,) + COMMANDS),
+    )
+    def test_fuzzed_config_raises_only_config_errors(self, lines, override):
+        try:
+            cfg = parse_config("\n".join(lines), command_override=override)
+        except (ParseError, ValidationError):
+            return
+        assert cfg.command in COMMANDS
 
     def test_command_required(self):
         with pytest.raises(ValidationError) as err:
@@ -395,6 +425,12 @@ class TestRunAndMain:
         cfg = write_config(
             tmp_path, "command=spectrum\nkappa=-1\nnu=1.3\n" + SMALL_GRID
         )
+        assert main(["spectrum", "--config", cfg]) == 2
+        assert "hypothesis violated" in capsys.readouterr().err
+
+    def test_exit_two_for_kappa_positive_spectrum_at_small_n(self, tmp_path, capsys):
+        # refused at every N, as at the default N = 2000
+        cfg = write_config(tmp_path, "command=spectrum\nkappa=1\nnu=0.5\ngrid.N=40\n")
         assert main(["spectrum", "--config", cfg]) == 2
         assert "hypothesis violated" in capsys.readouterr().err
 

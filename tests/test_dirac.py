@@ -302,7 +302,7 @@ class TestChannelSpectrum:
         with pytest.raises(ValueError):
             channel_spectrum(GROUND, g, k=0)
         # k above 2N asks for more eigenvalues than exist: refused, not a ValueError
-        with pytest.raises(NoConvergence, match="only 2 eigenvalues above"):
+        with pytest.raises(NoConvergence, match="at most 2 eigenvalues lie above"):
             channel_spectrum(GROUND, build_grid("logarithmic", 2, 1e-2, 10.0), k=5)
 
     @pytest.mark.parametrize(

@@ -239,8 +239,8 @@ class TestGapEigenvalues:
             assert np.array_equal(va.v, vb.v)
 
     def test_sparse_path_matches_dense_oracle(self, rng):
-        # 2N = 800 is above DENSE_EIG_CAP; a random operator is not
-        # tridiagonal, so dense eigh serves it there too
+        # a random operator is not tridiagonal, so dense eigh serves it
+        # at 2N = 800 as at every size up to the dense cap
         B = random_block_operator(rng, 400, margin_target=1.0)
         got = [lam for lam, _ in gap_eigenvalues(B, 0.0, 3, which="above")]
         w = np.linalg.eigvalsh(full_matrix(B).toarray())

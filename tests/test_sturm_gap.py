@@ -1,6 +1,7 @@
 """Gap eigenpairs of tridiagonal operators (every Dirac channel) by Sturm
-selection on the interleaved H: agreement with dense eigh, the inertia gate,
-the ARPACK paths gone, and the dense branch serving every other operator."""
+selection on the interleaved H at every N: agreement with dense eigh, the
+inertia gate, the ARPACK, banded and SuperLU paths gone, and the dense
+branch serving every other operator."""
 
 import functools
 import os
@@ -81,7 +82,7 @@ class TestAgainstDense:
     @pytest.mark.parametrize("N", [301, 450])
     def test_channel(self, N, kappa, nu, shift, which):
         B = channel(kappa, nu, N)
-        assert B.M_tridiagonal and 2 * N > blockop.DENSE_EIG_CAP
+        assert B.M_tridiagonal
         lam = dense_eigh(B)[0][N]  # eigenvalue N+1 of H
         assert lam > 0.0
         sigma = {
@@ -96,15 +97,18 @@ class TestAgainstDense:
         ):
             assert_matches_dense(B, sigma, 3, which)
 
-    @settings(deadline=5000, max_examples=25)
+    # no deadline: the dense eigh reference is O(n^3), so its time measures
+    # the machine's load, not the package
+    @settings(deadline=None, max_examples=25)
     @given(
-        n=st.integers(min_value=301, max_value=400),
+        n=st.integers(min_value=1, max_value=400),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         sigma=st.floats(min_value=0.0, max_value=1.0),
         k=st.integers(min_value=1, max_value=4),
         which=st.sampled_from(["above", "nearest"]),
     )
     def test_random_bidiagonal(self, n, seed, sigma, k, which):
+        k = min(k, n)  # H has n eigenvalues above sigma when M_sigma >= 0
         rng = np.random.default_rng(seed)
         T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, 1])
         B = assemble(
@@ -176,13 +180,11 @@ class TestOneShiftCheck:
 
 
 def test_channels_never_take_the_lanczos_path(monkeypatch):
-    for name in ("_sparse_gap_pairs", "_FactorBreakdown", "eigsh", "LinearOperator"):
+    for name in ("_sparse_gap_pairs", "_FactorBreakdown", "eigsh", "LinearOperator", "splu"):
         assert not hasattr(solver, name)
-    for name in ("_gershgorin_bounds", "eigsh"):
+    for name in ("_gershgorin_bounds", "eigsh", "splu", "eigvals_banded", "DENSE_EIG_CAP"):
         assert not hasattr(blockop, name)
-    for name in ("_m0", "splu"):
-        monkeypatch.setattr(solver, name, mock.Mock(side_effect=AssertionError(name)))
-    monkeypatch.setattr(blockop, "splu", mock.Mock(side_effect=AssertionError("splu")))
+    monkeypatch.setattr(solver, "_m0", mock.Mock(side_effect=AssertionError("_m0")))
     calls = []
     monkeypatch.setattr(
         dirac, "gap_eigenvalues", lambda *a, **kw: calls.append(a) or gap_eigenvalues(*a, **kw)
@@ -207,11 +209,20 @@ def assert_dense_pairs(B, which):
 
 
 @pytest.mark.parametrize("which", ["above", "nearest"])
-@pytest.mark.parametrize("kappa, N", [(-1, 40), (-2, 300), (1, 120)])
+@pytest.mark.parametrize("kappa, N", [(-1, 2), (-1, 40), (-2, 300), (1, 120)])
 def test_small_channels_keep_the_dense_pairs(kappa, N, which):
+    # small channels take the Sturm path too, and agree with dense eigh
     B = channel(kappa, 0.5, N)
-    assert 2 * N <= blockop.DENSE_EIG_CAP
-    assert_dense_pairs(B, which)
+    assert B.M_tridiagonal
+    with mock.patch.object(
+        solver, "_eig_pairs_from_dense", side_effect=AssertionError("dense path")
+    ):
+        if kappa > 0:
+            # M_0 of a kappa > 0 channel is indefinite, now refused at every N
+            with pytest.raises(HypothesisFailed, match="eigenvalue N\\+1"):
+                gap_eigenvalues(B, 0.6, 3, which=which)
+        else:
+            assert_matches_dense(B, 0.6, min(3, N), which)
 
 
 def lower_bidiagonal(rng, n):
@@ -226,7 +237,7 @@ def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, whic
         B = random_block_operator(rng, 400, margin_target=1.0)
     else:
         B = lower_bidiagonal(rng, 350)
-    assert not B.M_tridiagonal and 2 * B.N > blockop.DENSE_EIG_CAP
+    assert not B.M_tridiagonal
     assert_dense_pairs(B, which)
 
 
@@ -273,24 +284,30 @@ def test_embedding_delta_uses_the_dense_cholesky(rng):
         assert certified == bool(lam >= -blockop.psd_tolerance(G))
 
 
-def test_embedding_delta_on_a_channel_takes_the_banded_route(monkeypatch):
-    # G = M_0 - delta (I + K^t K) is tridiagonal for a channel, so above
-    # the cap its margin is one banded LAPACK call, not dense eigvalsh
-    B = channel(-1, 0.5, 1000)
-    seen = []
-    real = blockop._extreme_eigenvalue
-    monkeypatch.setattr(
-        blockop, "_dense_eigvalsh", mock.Mock(side_effect=AssertionError("dense"))
-    )
-    monkeypatch.setattr(
-        blockop, "_extreme_eigenvalue", lambda m, which: seen.append(m) or real(m, which)
-    )
-    delta, certified = embedding_delta(B)
-    G = seen[-1]
-    assert sp.issparse(G) and blockop._bandwidth(G) == 1
-    lam = real(G, "min")
-    assert abs(lam - np.linalg.eigvalsh(G.toarray())[0]) <= 1e-12 * blockop.psd_tolerance(G, 1.0)
-    assert certified == bool(lam >= -blockop.psd_tolerance(G))
+def test_embedding_delta_on_a_channel_takes_the_banded_route():
+    # G = M_0 - delta (I + K^t K) is tridiagonal for a channel, so it is
+    # built from two diagonals and its margin is one Sturm bisection; the
+    # reference is the dense K = S^{-1} T, K^t K and eigvalsh
+    for N in (40, 1000):
+        B = channel(-1, 0.5, N)
+        seen = []
+        real = blockop._extreme_eigenvalue
+        with mock.patch.object(
+            blockop, "_extreme_eigenvalue", lambda m, which: seen.append(m) or real(m, which)
+        ), mock.patch.object(
+            blockop.np.linalg, "eigvalsh", side_effect=AssertionError("dense")
+        ):
+            delta, certified = embedding_delta(B)
+        G = seen[-1]
+        assert isinstance(G, blockop._Tridiagonal)
+        K = B.T.toarray() / B.S.diagonal()[:, None]
+        want = blockop.schur_form_matrix(B, 0.0) - delta * (
+            sp.identity(N, format="csr") + sp.csr_matrix(K.T @ K)
+        )
+        want = ((want + want.T) * 0.5).tocsr()
+        lam_want = np.linalg.eigvalsh(want.toarray())[0]
+        assert abs(real(G, "min") - lam_want) <= 1e-12 * blockop.psd_tolerance(want, 1.0)
+        assert certified == bool(lam_want >= -blockop.psd_tolerance(want))
 
 
 def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
@@ -321,6 +338,15 @@ def test_s_inverse_above_the_dense_cap_agrees(rng):
     assert not B.S_diagonal
     X = rng.standard_normal((n, 3))
     np.testing.assert_allclose(B.S @ blockop._s_inverse(B)(X), X, atol=1e-12)
+
+
+def test_import_loads_no_superlu_or_arpack():
+    script = "import sys, schurdirac, schurdirac.cli\nsys.exit('scipy.sparse.linalg' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schurdirac.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bad_residual_raises_under_optimize():
@@ -356,11 +382,23 @@ def test_bad_residual_raises_under_optimize():
     assert proc.stdout.startswith("eigenpair residual"), proc.stdout
 
 
+def dense_twin(B):
+    """B with a 1e-300 off-diagonal pair added to P.
+
+    That clears M_tridiagonal, so the operator takes the dense branch,
+    and leaves every entry of H unchanged relative to its scale.
+    """
+    bump = sp.csr_matrix(([1e-300, 1e-300], ([0, 1], [1, 0])), shape=(B.N, B.N))
+    C = assemble(B.P + bump, B.T, B.S)
+    assert not C.M_tridiagonal
+    return C
+
+
 def test_stiff_dense_pairs_pass_the_residual_check():
-    # 2N = 600 takes the dense branch; ||H|| is about 4e5 here, and
-    # backward-stable eigh residuals (3.2e-10) exceed 1e-10 * (1 + |lambda|);
-    # the rounding term 10 sqrt(2N) eps ||H|| is about 2e-8
-    B = channel(-1, 0.9, 300)
+    # dense branch at 2N = 600; ||H|| is about 4e5 here, and backward-stable
+    # eigh residuals (3.2e-10) exceed 1e-10 * (1 + |lambda|); the rounding
+    # term 10 sqrt(2N) eps ||H|| is about 2e-8
+    B = dense_twin(channel(-1, 0.9, 300))
     w = np.linalg.eigvalsh(full_matrix(B).toarray())
     pairs = gap_eigenvalues(B, 0.0, 2, which="above")
     assert [lam for lam, _ in pairs] == pytest.approx(w[300:302], rel=1e-12)
@@ -375,7 +413,7 @@ def test_perturbed_dense_pair_is_refused(monkeypatch):
 
     monkeypatch.setattr(solver, "_eig_pairs_from_dense", perturbed)
     with pytest.raises(NoConvergence, match="eigenpair residual"):
-        gap_eigenvalues(channel(-1, 0.9, 300), 0.0, 2, which="above")
+        gap_eigenvalues(dense_twin(channel(-1, 0.9, 300)), 0.0, 2, which="above")
 
 
 def test_sturm_pair_off_by_an_eigenvalue_sized_error_is_refused(monkeypatch):

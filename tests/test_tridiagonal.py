@@ -44,11 +44,8 @@ def reference_form(B, alpha):
 
 
 def reference_extremes(M):
-    """(lambda_min, lambda_max) by dense eigvalsh or the banded solver."""
+    """(lambda_min, lambda_max) by scipy's banded solver, at every size."""
     n = M.shape[0]
-    if n <= blockop.DENSE_EIG_CAP:
-        w = np.linalg.eigvalsh(M.toarray())
-        return w[0], w[-1]
     coo = M.tocoo()
     bw = int(np.max(np.abs(coo.row - coo.col)))
     band = np.zeros((bw + 1, n))
@@ -148,13 +145,16 @@ class TestTridiagonalField:
         assert abs(hi - w[-1]) <= 1e-9 * scale
 
     def test_channels_skip_the_sparse_detour(self):
-        B = channel(N=2000)
-        boom = mock.Mock(side_effect=AssertionError("sparse path used"))
-        with mock.patch.object(blockop, "_bandwidth", boom), mock.patch.object(
-            blockop, "eigvals_banded", boom
-        ), mock.patch.object(blockop.sp, "diags", boom):
-            positivity_margin(B, 0.5)
-            form_report(B, 0.5)
+        for name in ("_bandwidth", "_to_banded_upper", "eigvals_banded", "_goes_dense"):
+            assert not hasattr(blockop, name)
+        boom = mock.Mock(side_effect=AssertionError("sparse or dense path used"))
+        for B in (assemble([[2.0]], [[1.0]], [[1.0]]), channel(N=40), channel(N=2000)):
+            assert B.M_tridiagonal
+            with mock.patch.object(blockop.sp, "diags", boom), mock.patch.object(
+                blockop.np.linalg, "eigvalsh", boom
+            ):
+                positivity_margin(B, 0.5)
+                form_report(B, 0.5)
 
 
 class TestBitwiseReference:
@@ -173,9 +173,17 @@ class TestBitwiseReference:
         for alpha in alphas:
             assert_bitwise_reference(B, float(alpha))
 
+    @pytest.mark.parametrize("N", [2, 3, 40])
+    def test_small_channel(self, N):
+        # the Sturm route serves small forms too, bitwise as the banded solver
+        for kappa in (-2, -1, 1):
+            B = channel(kappa, 0.5, N)
+            for alpha in np.linspace(0.0, 2.0, 5):
+                assert_bitwise_reference(B, float(alpha))
+
     @settings(deadline=5000, max_examples=25)
     @given(
-        n=st.integers(min_value=601, max_value=900),
+        n=st.integers(min_value=2, max_value=900),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         t_scale=st.floats(min_value=1e-3, max_value=1e3),
         alpha=st.floats(min_value=0.0, max_value=10.0),
@@ -201,6 +209,48 @@ class TestBitwiseReference:
             assert np.array_equal(M0.toarray(), reference_form(B, 0.0).toarray())
             rep = solve(B, RhsPair(np.ones(N), np.zeros(N)))
             assert rep.schur_condition_estimate == hi / lo
+
+
+class TestOrderOne:
+    """N = 1: every operator with diagonal blocks is M_tridiagonal, and the
+    LAPACK wrappers refuse the empty off-diagonal of its forms."""
+
+    def test_every_entry_point(self):
+        B = assemble([[2.0]], [[1.0]], [[1.0]])
+        assert B.M_tridiagonal
+        assert positivity_margin(B, 0.0) == 3.0
+        assert positivity_margin(B, 1.0) == 1.5
+        assert form_report(B, 1.0) == blockop.FormReport(1.0, 1.5, 1.0)
+        c2 = (1.0 + math.sqrt(13.0)) / 2.0  # root of 2 - a + 1/(1 + a)
+        assert find_c2(B, 1e-12) == pytest.approx(c2, abs=1e-12)
+        rep = solve(B, RhsPair([3.0], [0.0]))
+        assert rep.solution.u == pytest.approx([1.0]) and rep.solution.v == pytest.approx([1.0])
+        assert rep.residual_norm <= 1e-15 and rep.schur_condition_estimate == 1.0
+        pairs = gap_eigenvalues(B, 0.0, 2)
+        assert [lam for lam, _ in pairs] == pytest.approx([(1.0 - math.sqrt(13.0)) / 2.0, c2])
+        assert [lam for lam, _ in gap_eigenvalues(B, 0.0, 1, which="above")] == pytest.approx([c2])
+
+    def test_indefinite_is_refused(self):
+        B = assemble([[-2.0]], [[1.0]], [[1.0]])
+        assert positivity_margin(B, 0.0) == -1.0
+        with pytest.raises(HypothesisFailed):
+            find_c2(B)
+        with pytest.raises(HypothesisFailed):
+            solve(B, RhsPair([1.0], [1.0]))
+        with pytest.raises(HypothesisFailed):
+            gap_eigenvalues(B, 0.0, 1, which="above")
+
+
+def test_failed_tridiagonal_factorization_is_refused(monkeypatch):
+    # dpttrf reporting a non-positive pivot stops the solve; the factor is
+    # never used, even when the Sturm margin was positive
+    B = channel(N=40)
+    assert positivity_margin(B, 0.0) > 0.0
+    real = solver.dpttrf
+    monkeypatch.setattr(solver, "dpttrf", lambda d, e: real(d, e)[:2] + (1,))
+    monkeypatch.setattr(solver, "dpttrs", mock.Mock(side_effect=AssertionError("used")))
+    with pytest.raises(HypothesisFailed, match="dpttrf info = 1"):
+        solve(B, RhsPair(np.ones(40), np.zeros(40)))
 
 
 class TestOneDenseEigvalsh:
