@@ -592,9 +592,12 @@ def matrix_to_text(A) -> str:
     """Serialize a matrix: 'rows cols' header, then row-major decimal entries.
 
     Entries use %.17g so float64 values round-trip exactly; the format
-    is plain ASCII and locale-independent.
+    is plain ASCII and locale-independent.  Raises ValueError for a
+    non-finite entry, which matrix_from_text would refuse.
     """
     arr = np.atleast_2d(A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has a non-finite entry")
     out = io.StringIO()
     out.write(f"{arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:

@@ -45,7 +45,7 @@ from .errors import (
     SchurDiracError,
     ValidationError,
 )
-from .solver import RhsPair, _m0_matrix, solve
+from .solver import RhsPair, _elimination, solve
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "COMMANDS"]
 
@@ -77,56 +77,27 @@ class RunConfig:
     sweep_r_mins: tuple[float, ...]
     bisection_tol: float
     eigen_tol: float
-    psd_eps: float
     k: int
     output_path: str | None
     output_format: str
 
     def canonical_text(self) -> str:
         """Config text that re-parses to an equal RunConfig."""
-        lines = [f"command={self.command}", f"kappa={self.kappa}"]
-        if self.nu is not None:
-            lines.append(f"nu={self.nu!r}")
-        lines.append(f"gamma={self.gamma!r}")
-        lines.append(f"grid.scheme={self.grid_scheme}")
-        lines.append(f"grid.N={self.grid_N}")
-        lines.append(f"grid.r_min={self.grid_r_min!r}")
-        lines.append(f"grid.r_max={self.grid_r_max!r}")
-        if self.sweep_nu_values:
-            lines.append("sweep.nu_values=" + ",".join(repr(x) for x in self.sweep_nu_values))
-        if self.sweep_grid_sizes:
-            lines.append("sweep.grid_sizes=" + ",".join(str(x) for x in self.sweep_grid_sizes))
-        if self.sweep_r_mins:
-            lines.append("sweep.r_mins=" + ",".join(repr(x) for x in self.sweep_r_mins))
-        lines.append(f"bisection_tol={self.bisection_tol!r}")
-        lines.append(f"eigen_tol={self.eigen_tol!r}")
-        lines.append(f"psd_eps={self.psd_eps!r}")
-        lines.append(f"k={self.k}")
-        if self.output_path is not None:
-            lines.append(f"output.path={self.output_path}")
-        lines.append(f"output.format={self.output_format}")
+        lines = []
+        for key, (field, _, _) in _KEYS.items():
+            value = getattr(self, field)
+            if value is None or value == ():
+                continue
+            if isinstance(value, tuple):
+                value = ",".join(repr(x) for x in value)
+            elif not isinstance(value, str):
+                value = repr(value)
+            lines.append(f"{key}={value}")
         return "\n".join(lines) + "\n"
 
 
-_KNOWN_KEYS = (
-    "command",
-    "kappa",
-    "nu",
-    "gamma",
-    "grid.scheme",
-    "grid.N",
-    "grid.r_min",
-    "grid.r_max",
-    "sweep.nu_values",
-    "sweep.grid_sizes",
-    "sweep.r_mins",
-    "bisection_tol",
-    "eigen_tol",
-    "psd_eps",
-    "k",
-    "output.path",
-    "output.format",
-)
+def _to_str(key: str, value: str, line: int, col: int) -> str:
+    return value
 
 
 def _to_float(key: str, value: str, line: int, col: int) -> float:
@@ -146,28 +117,49 @@ def _to_int(key: str, value: str, line: int, col: int) -> int:
         raise ParseError(f"invalid integer for {key}: {value!r}", line, col) from None
 
 
-def _to_float_list(key: str, value: str, line: int, col: int) -> tuple[float, ...]:
-    toks = [t.strip() for t in value.split(",") if t.strip()]
-    if not toks:
-        raise ValidationError(key, "empty list")
-    return tuple(_to_float(key, t, line, col) for t in toks)
+def _list_of(convert):
+    """Converter of a comma-separated, non-empty list of convert's values."""
+
+    def to_list(key: str, value: str, line: int, col: int) -> tuple:
+        toks = [t.strip() for t in value.split(",") if t.strip()]
+        if not toks:
+            raise ValidationError(key, "empty list")
+        return tuple(convert(key, t, line, col) for t in toks)
+
+    return to_list
 
 
-def _to_int_list(key: str, value: str, line: int, col: int) -> tuple[int, ...]:
-    toks = [t.strip() for t in value.split(",") if t.strip()]
-    if not toks:
-        raise ValidationError(key, "empty list")
-    return tuple(_to_int(key, t, line, col) for t in toks)
+# Each config key once: key -> (RunConfig field, converter, default), in
+# the order canonical_text echoes them.
+_KEYS = {
+    "command": ("command", _to_str, None),
+    "kappa": ("kappa", _to_int, None),
+    "nu": ("nu", _to_float, None),
+    "gamma": ("gamma", _to_float, 0.5),
+    "grid.scheme": ("grid_scheme", _to_str, "logarithmic"),
+    "grid.N": ("grid_N", _to_int, 2000),
+    "grid.r_min": ("grid_r_min", _to_float, 1e-4),
+    "grid.r_max": ("grid_r_max", _to_float, 100.0),
+    "sweep.nu_values": ("sweep_nu_values", _list_of(_to_float), ()),
+    "sweep.grid_sizes": ("sweep_grid_sizes", _list_of(_to_int), ()),
+    "sweep.r_mins": ("sweep_r_mins", _list_of(_to_float), ()),
+    "bisection_tol": ("bisection_tol", _to_float, 1e-8),
+    "eigen_tol": ("eigen_tol", _to_float, 1e-8),
+    "k": ("k", _to_int, 2),
+    "output.path": ("output_path", _to_str, None),
+    "output.format": ("output_format", _to_str, "csv"),
+}
+_KNOWN_KEYS = tuple(_KEYS)
 
 
 def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     """Parse flat key=value configuration text into a validated RunConfig.
 
     Lines hold one `key=value` pair each; `#` starts a comment; blank
-    lines are skipped.  Defaults: gamma=0.5, logarithmic grid with
-    N=2000 on [1e-4, 100], bisection_tol=1e-8.  Raises ParseError with
-    line/column for malformed text and ValidationError naming the key
-    for semantically invalid values.
+    lines are skipped; keys and their defaults are those of _KEYS.
+    Raises ParseError with line/column for malformed text and
+    ValidationError naming the key for semantically invalid values,
+    unknown and duplicate keys included.
     """
     raw: dict[str, tuple[str, int, int]] = {}
     for lineno, full_line in enumerate(text.splitlines(), 1):
@@ -188,57 +180,56 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
             raise ValidationError(key, "duplicate key")
         raw[key] = (value, lineno, col)
 
-    def fetch(key: str, conv, default):
-        if key not in raw:
-            return default
-        value, line, col = raw[key]
-        return conv(key, value, line, col)
+    values = {}  # RunConfig field -> value, filled by fetch
 
-    def fetch_str(key: str, default: str | None) -> str | None:
-        if key not in raw:
-            return default
-        return raw[key][0]
+    def fetch(key: str):
+        field, convert, value = _KEYS[key]
+        if key in raw:
+            text, line, col = raw[key]
+            value = convert(key, text, line, col)
+        values[field] = value
+        return value
 
-    command = fetch_str("command", None)
+    command = fetch("command")
     if command_override is not None:
-        command = command_override
+        command = values["command"] = command_override
     if command is None:
         raise ValidationError("command", "required")
     if command not in COMMANDS:
         raise ValidationError("command", f"must be one of {', '.join(COMMANDS)}")
 
-    kappa = fetch("kappa", _to_int, None)
+    kappa = fetch("kappa")
     if kappa is None:
         raise ValidationError("kappa", "required")
     if kappa == 0:
         raise ValidationError("kappa", "must be nonzero")
 
-    nu = fetch("nu", _to_float, None)
+    nu = fetch("nu")
     if nu is None and command in _CHANNEL_COMMANDS:
         raise ValidationError("nu", "required for this command")
     if nu is not None and nu <= 0.0:
         raise ValidationError("nu", "must be positive")
 
-    gamma = fetch("gamma", _to_float, 0.5)
+    gamma = fetch("gamma")
     if gamma <= 0.0:
         raise ValidationError("gamma", "must be positive")
 
-    scheme = fetch_str("grid.scheme", "logarithmic")
+    scheme = fetch("grid.scheme")
     if scheme not in _SCHEMES:
         raise ValidationError("grid.scheme", f"must be one of {', '.join(_SCHEMES)}")
-    grid_n = fetch("grid.N", _to_int, 2000)
+    grid_n = fetch("grid.N")
     if grid_n < 2:
         raise ValidationError("grid.N", "must be >= 2")
-    r_min = fetch("grid.r_min", _to_float, 1e-4)
-    r_max = fetch("grid.r_max", _to_float, 100.0)
+    r_min = fetch("grid.r_min")
+    r_max = fetch("grid.r_max")
     if r_min <= 0.0:
         raise ValidationError("grid.r_min", "must be positive")
     if r_max <= r_min:
         raise ValidationError("grid.r_max", "must exceed grid.r_min")
 
-    nu_values = fetch("sweep.nu_values", _to_float_list, ())
-    grid_sizes = fetch("sweep.grid_sizes", _to_int_list, ())
-    r_mins = fetch("sweep.r_mins", _to_float_list, ())
+    nu_values = fetch("sweep.nu_values")
+    grid_sizes = fetch("sweep.grid_sizes")
+    r_mins = fetch("sweep.r_mins")
     if command == "hardy-sweep" and not nu_values:
         raise ValidationError("sweep.nu_values", "required for hardy-sweep")
     if command in _LADDER_COMMANDS and not grid_sizes:
@@ -255,45 +246,21 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
         if any(x >= r_max for x in r_mins):
             raise ValidationError("sweep.r_mins", "entries must stay below grid.r_max")
 
-    bisection_tol = fetch("bisection_tol", _to_float, 1e-8)
-    eigen_tol = fetch("eigen_tol", _to_float, 1e-8)
-    psd_eps = fetch("psd_eps", _to_float, 1e-9)
-    for key, val in (
-        ("bisection_tol", bisection_tol),
-        ("eigen_tol", eigen_tol),
-        ("psd_eps", psd_eps),
-    ):
+    tolerances = {key: fetch(key) for key in ("bisection_tol", "eigen_tol")}
+    for key, val in tolerances.items():
         if val <= 0.0:
             raise ValidationError(key, "must be positive")
 
-    k = fetch("k", _to_int, 2)
+    k = fetch("k")
     if k < 1:
         raise ValidationError("k", "must be >= 1")
 
-    out_path = fetch_str("output.path", None)
-    out_format = fetch_str("output.format", "csv")
+    fetch("output.path")
+    out_format = fetch("output.format")
     if out_format not in _FORMATS:
         raise ValidationError("output.format", f"must be one of {', '.join(_FORMATS)}")
 
-    return RunConfig(
-        command=command,
-        kappa=kappa,
-        nu=nu,
-        gamma=gamma,
-        grid_scheme=scheme,
-        grid_N=grid_n,
-        grid_r_min=r_min,
-        grid_r_max=r_max,
-        sweep_nu_values=nu_values,
-        sweep_grid_sizes=grid_sizes,
-        sweep_r_mins=r_mins,
-        bisection_tol=bisection_tol,
-        eigen_tol=eigen_tol,
-        psd_eps=psd_eps,
-        k=k,
-        output_path=out_path,
-        output_format=out_format,
-    )
+    return RunConfig(**values)
 
 
 def _sommerfeld_or_none(n: int, kappa: int, nu: float) -> float | None:
@@ -348,7 +315,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         r = grid.nodes
         rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
         # lambda_min(M_0), which the solve has just computed and cached
-        margin = _m0_matrix(B)[1]
+        margin = _elimination(B).margin
         meta = {
             "rhs": "F1=exp(-r), F2=r*exp(-r)",
             "residual_norm": rep.residual_norm,

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blockop import (
+    DENSE_ORACLE_CAP,
     BlockOperator,
     _find_c2,
     assemble,
@@ -438,9 +439,9 @@ def c2_consistency(
     shifted convention: E_{n_min} is the Sommerfeld energy of the lowest
     level, n_min = |kappa| for kappa < 0 and kappa + 1 for kappa > 0
     (c2* = 1 + sqrt(1 - nu^2) - gamma for kappa = -1), and diff =
-    c2_numeric - c2_analytic.  At sizes 2N <= 1000 the numeric value is
-    additionally cross-checked against the dense inertia oracle;
-    CheckFailed is raised if they disagree by more than 10*tol.
+    c2_numeric - c2_analytic.  Up to 2N = DENSE_ORACLE_CAP, the size the
+    dense inertia oracle accepts, the numeric value is cross-checked
+    against it; CheckFailed is raised if they disagree by more than 10*tol.
     """
     B = build_channel(spec, grid)
     _require_sharp_coupling(spec)
@@ -470,7 +471,7 @@ def _require_sharp_coupling(spec: DiracChannelSpec) -> None:
 def _c2_compared(
     B: BlockOperator, spec: DiracChannelSpec, tol: float, c2n: float
 ) -> tuple[float, float, float]:
-    """(c2n, c2_analytic, diff), c2n cross-checked by the oracle at 2N <= 1000."""
+    """(c2n, c2_analytic, diff), c2n cross-checked by the oracle up to its cap."""
     kappa, nu = spec.kappa, spec.nu
     # E_{n_min} = sqrt(kappa^2 - nu^2)/|kappa| for kappa < 0: 0 at nu = |kappa|,
     # the one coupling sommerfeld_energy refuses
@@ -479,7 +480,7 @@ def _c2_compared(
     else:
         e_min = sommerfeld_energy(_n_min(kappa), kappa, nu)
     c2a = e_min + 1.0 - spec.gamma
-    if 2 * B.N <= 1000:
+    if 2 * B.N <= DENSE_ORACLE_CAP:
         oracle = inertia_c2_oracle(B)
         if not abs(c2n - oracle) <= 10.0 * tol:
             raise CheckFailed(f"bisection {c2n!r} disagrees with inertia oracle {oracle!r}")

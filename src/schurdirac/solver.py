@@ -13,8 +13,11 @@ and H is tridiagonal after interleaving u and v, so one Sturm bisection
 selects the gap eigenvalues by index, at every N.  Every other operator
 uses dense Cholesky of M_0 and dense eigh of H, at O(N^3) and
 O((2N)^3) cost, the latter up to 2N = DENSE_ORACLE_CAP.
-Factorizations are cached per operator behind a lock; all operations
-are pure and safe to run concurrently on shared inputs.
+What the elimination needs of an operator (S^{-1}, M_0, its extreme
+eigenvalues and its factor, or the reason M_0 cannot be factored) is
+built once into one _Elimination record, cached per operator behind a
+lock; all operations are pure and safe to run concurrently on shared
+inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import threading
 import warnings
 import weakref
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,85 +72,63 @@ __all__ = [
 # bisects a tridiagonal T to _ULP times a bound on ||T||.
 _ULP = dlamch("P")
 
+
+class _Elimination(NamedTuple):
+    """S^{-1}, M_0 in CSR, its extreme eigenvalues, and M_0^{-1} or why not."""
+
+    s_solve: Callable
+    M0: sp.csr_matrix
+    margin: float
+    lam_max: float
+    m0_solve: Callable | None
+    refusal: str | None
+
+
 _cache_lock = threading.Lock()
-_factor_cache: "weakref.WeakKeyDictionary[BlockOperator, dict]" = weakref.WeakKeyDictionary()
+_records = weakref.WeakKeyDictionary()  # BlockOperator -> _Elimination
 
 
-def _cache_entry(B: BlockOperator) -> dict:
-    with _cache_lock:
-        entry = _factor_cache.get(B)
-        if entry is None:
-            entry = {}
-            _factor_cache[B] = entry
-        return entry
+def _elimination(B: BlockOperator) -> _Elimination:
+    """The elimination record of B, built once and cached per operator.
 
-
-def _cache_get(B: BlockOperator, key: str, build):
-    """Per-(operator, key) memo; safe to race, results are pure."""
-    entry = _cache_entry(B)
-    value = entry.get(key)
-    if value is None:
-        value = build()
-        with _cache_lock:
-            value = entry.setdefault(key, value)
-    return value
-
-
-def _s_solver(B: BlockOperator):
-    """Callable applying S^{-1}, cached per operator."""
-    return _cache_get(B, "S", lambda: _s_inverse(B))
-
-
-def _m0(B: BlockOperator):
-    """(M_0 in CSR, lambda_min(M_0), lambda_max(M_0)), cached per operator.
-
-    M_0 is formed once, in the layout the eigensolver takes, and the
+    M_0 is formed once, in the layout the eigensolver takes, and its
     extreme eigenvalues come from that form: two Sturm bisections for a
-    tridiagonal form, one eigvalsh for any other.
+    tridiagonal form, one eigvalsh for any other.  A positive definite
+    M_0 is factored with it, by dpttrf (L D L^t, O(N)) when
+    B.M_tridiagonal and by dense Cholesky (O(N^3)) otherwise.  For any
+    other M_0, m0_solve is None and refusal says why.  Safe to race:
+    records are pure, built outside the lock, and the first stored wins.
     """
-
-    def build():
-        form = _schur_form(B, 0.0)
-        return (_form_csr(form),) + _extreme_eigenvalues(form)
-
-    return _cache_get(B, "M0", build)
-
-
-def _m0_matrix(B: BlockOperator):
-    """(M_0, lambda_min(M_0)), cached per operator."""
-    return _m0(B)[:2]
-
-
-def _m0_solver(B: BlockOperator):
-    """Callable applying M_0^{-1}, plus the condition estimate.
-
-    A tridiagonal M_0 (B.M_tridiagonal) is factored by dpttrf, L D L^t
-    in O(N); any other M_0 by dense Cholesky, O(N^3).
-
-    Raises HypothesisFailed if M_0 is not positive definite, by its
-    smallest eigenvalue or by a failed factorization.
-    """
-    M0, margin = _m0_matrix(B)
+    with _cache_lock:
+        record = _records.get(B)
+    if record is not None:
+        return record
+    s_solve = _s_inverse(B)
+    form = _schur_form(B, 0.0)
+    M0 = _form_csr(form)
+    margin, lam_max = _extreme_eigenvalues(form)
+    m0_solve = refusal = None
     if margin <= 0.0:
-        raise HypothesisFailed(
-            f"reduced matrix M_0 is not positive definite "
-            f"(lambda_min = {margin:.6g}); the elimination requires a "
-            "positive base form"
+        refusal = (
+            f"reduced matrix M_0 is not positive definite (lambda_min = {margin:.6g}); "
+            "the elimination requires a positive base form"
         )
-
-    def build():
-        cond = _m0(B)[2] / margin
-        if B.M_tridiagonal:
-            d, e, info = dpttrf(M0.diagonal(), _lapack_offdiagonal(M0.diagonal(1)))
-            if info != 0:
-                raise HypothesisFailed(f"M_0 is not positive definite (dpttrf info = {info})")
-            fn = lambda x: dpttrs(d, e, x)[0]
+    elif B.M_tridiagonal:
+        d, e, info = dpttrf(M0.diagonal(), _lapack_offdiagonal(M0.diagonal(1)))
+        if info != 0:
+            refusal = f"M_0 is not positive definite (dpttrf info = {info})"
         else:
+            m0_solve = lambda x: dpttrs(d, e, x)[0]
+    else:
+        try:
             factor = cho_factor(M0.toarray(), lower=True)
-            fn = lambda x: cho_solve(factor, x)
-        return fn, cond
-
-    return _cache_get(B, "M0solve", build)
+        except np.linalg.LinAlgError as exc:
+            refusal = f"M_0 is not positive definite (Cholesky: {exc})"
+        else:
+            m0_solve = lambda x: cho_solve(factor, x)
+    record = _Elimination(s_solve, M0, margin, lam_max, m0_solve, refusal)
+    with _cache_lock:
+        return _records.setdefault(B, record)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,27 +187,21 @@ def solve(B: BlockOperator, rhs: RhsPair, cond_cap: float = 1e12) -> SolveReport
         raise DimensionMismatch(
             f"rhs has component length {rhs.F1.shape[0]}, operator expects {B.N}"
         )
-    s_solve = _s_solver(B)
-    m0_solve, cond = _m0_solver(B)
-    M0, _ = _m0_matrix(B)
+    rec = _elimination(B)
+    if rec.m0_solve is None:
+        raise HypothesisFailed(rec.refusal)
+    cond = rec.lam_max / rec.margin
 
-    g = rhs.F1 + B.Q @ s_solve(rhs.F2)
-    u = m0_solve(g)
-    u = u + m0_solve(g - M0 @ u)
-    v = s_solve(B.T @ u - rhs.F2)
+    g = rhs.F1 + B.Q @ rec.s_solve(rhs.F2)
+    u = rec.m0_solve(g)
+    u = u + rec.m0_solve(g - rec.M0 @ u)
+    v = rec.s_solve(B.T @ u - rhs.F2)
     sol = StateVector(u, v)
 
-    out = apply(B, sol)
-    residual = float(
-        np.linalg.norm(np.concatenate([out.u - rhs.F1, out.v - rhs.F2]))
-    )
+    residual = float(np.linalg.norm(apply(B, sol).stacked() - rhs.stacked()))
     ill = bool(cond > cond_cap)
     if ill:
-        warnings.warn(
-            IllConditioned(
-                f"condition estimate {cond:.3g} exceeds cap {cond_cap:.3g}"
-            )
-        )
+        warnings.warn(IllConditioned(f"condition estimate {cond:.3g} exceeds cap {cond_cap:.3g}"))
     return SolveReport(
         solution=sol,
         residual_norm=residual,
@@ -249,16 +225,15 @@ def symmetry_identity_check(
     """
     if w.u.shape[0] != B.N or wt.u.shape[0] != B.N:
         raise DimensionMismatch("state vector length differs from operator N")
-    M0, _ = _m0_matrix(B)
-    s_solve = _s_solver(B)
+    rec = _elimination(B)
 
     hw = apply(B, w)
     lhs = float(hw.u @ wt.u + hw.v @ wt.v)
 
     def expansion(a: StateVector, b: StateVector) -> float:
-        ka = s_solve(B.T @ a.u)
-        kb = s_solve(B.T @ b.u)
-        return float((M0 @ a.u) @ b.u - (B.S @ (a.v - ka)) @ (b.v - kb))
+        ka = rec.s_solve(B.T @ a.u)
+        kb = rec.s_solve(B.T @ b.u)
+        return float((rec.M0 @ a.u) @ b.u - (B.S @ (a.v - ka)) @ (b.v - kb))
 
     rhs = expansion(w, wt)
     swapped = expansion(wt, w)

@@ -404,6 +404,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite"):
             matrix_from_text(f"1 2\n1 {entry}\n")
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_matrix_to_text_refuses_non_finite(self, entry):
+        # every matrix the writer produces must read back
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_to_text(np.array([[1.0, entry]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_to_text(sp.csr_matrix(np.array([[0.0, entry]])))
+
+    def test_matrix_roundtrip_is_bitwise_at_the_edges(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        a = np.array([[-0.0, tiny, -2.5e-310], [np.finfo(float).max, 1.0 / 3.0, 0.0]])
+        back = matrix_from_text(matrix_to_text(a))
+        assert back.tobytes() == a.tobytes()
+        assert np.signbit(back[0, 0])
+
     def test_blocks_are_read_only(self, rng):
         B = random_block_operator(rng, 5)
         with pytest.raises(ValueError):

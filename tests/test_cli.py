@@ -175,10 +175,19 @@ class TestParseConfig:
             )
 
     def test_tolerances_positive(self):
-        for key in ("bisection_tol", "eigen_tol", "psd_eps"):
+        for key in ("bisection_tol", "eigen_tol"):
             with pytest.raises(ValidationError) as err:
                 parse_config(MINIMAL + f"{key}=0\n")
             assert err.value.key == key
+
+    def test_psd_eps_is_unknown(self, tmp_path, capsys):
+        # no code path read it, so it is no longer a key
+        with pytest.raises(ValidationError, match="unknown key") as err:
+            parse_config(MINIMAL + "psd_eps=1e-9\n")
+        assert err.value.key == "psd_eps"
+        cfg = write_config(tmp_path, MINIMAL + "psd_eps=1e-9\n")
+        assert main(["c2", "--config", cfg]) == 1
+        assert "psd_eps: unknown key" in capsys.readouterr().err
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
@@ -211,6 +220,34 @@ class TestParseConfig:
         )
         cfg = parse_config(text)
         assert parse_config(cfg.canonical_text()) == cfg
+
+    def test_echo_of_every_key(self):
+        # pins the echo order and the format of each kind of value
+        text = (
+            "output.format=json\noutput.path=out/r.json\nk=3\neigen_tol=2.5e-09\n"
+            "bisection_tol=1e-10\nsweep.r_mins=0.001,1e-05\nsweep.grid_sizes=100,200\n"
+            "sweep.nu_values=0.5,1.05\ngrid.r_max=50\ngrid.r_min=1e-3\ngrid.N=300\n"
+            "grid.scheme=uniform\ngamma=0.25\nnu=0.9\nkappa=-2\ncommand=convergence\n"
+        )
+        assert len(text.splitlines()) == len(cli._KNOWN_KEYS) == 16
+        assert parse_config(text).canonical_text() == (
+            "command=convergence\n"
+            "kappa=-2\n"
+            "nu=0.9\n"
+            "gamma=0.25\n"
+            "grid.scheme=uniform\n"
+            "grid.N=300\n"
+            "grid.r_min=0.001\n"
+            "grid.r_max=50.0\n"
+            "sweep.nu_values=0.5,1.05\n"
+            "sweep.grid_sizes=100,200\n"
+            "sweep.r_mins=0.001,1e-05\n"
+            "bisection_tol=1e-10\n"
+            "eigen_tol=2.5e-09\n"
+            "k=3\n"
+            "output.path=out/r.json\n"
+            "output.format=json\n"
+        )
 
     def test_commands_tuple(self):
         assert COMMANDS == (

@@ -1,12 +1,18 @@
+import gc
+import sys
 import threading
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import schurdirac.cli as cli
 import schurdirac.solver as solver
 from schurdirac import (
     CheckFailed,
+    DiracChannelSpec,
     DimensionMismatch,
     HypothesisFailed,
     IllConditioned,
@@ -15,6 +21,8 @@ from schurdirac import (
     StateVector,
     apply,
     assemble,
+    build_channel,
+    build_grid,
     full_matrix,
     gap_eigenvalues,
     positivity_margin,
@@ -100,28 +108,95 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             RhsPair([1.0], [1.0, 2.0])
 
-    def test_concurrent_solves_share_cache(self, rng):
+    def test_failed_dense_factorization_is_refused(self):
+        # M_0 = P is rank one plus rounding: eigvalsh puts lambda_min at
+        # +5.3e-18, but Cholesky meets a non-positive pivot
+        P = [
+            [0.2500084332558668, -0.6802345741367943, -0.501207589831805],
+            [-0.6802345741367943, 1.8508138698565582, 1.3637089236683433],
+            [-0.501207589831805, 1.3637089236683433, 1.0048022974005497],
+        ]
+        B = assemble(P, np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]) + 0.1)
+        assert positivity_margin(B, 0.0) > 0.0
+        with pytest.raises(HypothesisFailed, match="Cholesky"):
+            solve(B, RhsPair(np.ones(3), np.ones(3)))
+        w = StateVector(np.ones(3), np.ones(3))
+        assert symmetry_identity_check(B, w, w)[2] <= 1e-12
+
+    def test_concurrent_solves_share_cache(self, rng, monkeypatch):
         B = random_block_operator(rng, 40, margin_target=1.0)
         rhs = RhsPair(rng.standard_normal(40), rng.standard_normal(40))
         reports = [None] * 8
         errors = []
+        records = []
+        real = solver._elimination
+
+        def spy(B):
+            record = real(B)
+            records.append(record)
+            return record
+
+        monkeypatch.setattr(solver, "_elimination", spy)
+        start = threading.Barrier(8)
 
         def work(i):
             try:
+                start.wait(timeout=60)
                 reports[i] = solve(B, rhs)
             except Exception as exc:  # noqa: BLE001 - collect for the assert
                 errors.append(exc)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
+        assert len(records) == 8
+        assert all(rec is records[0] for rec in records)
         ref = reports[0].solution
         for rep in reports[1:]:
             assert np.array_equal(rep.solution.u, ref.u)
             assert np.array_equal(rep.solution.v, ref.v)
+
+
+class TestEliminationRecord:
+    def test_one_record_serves_solve_check_and_cli(self, monkeypatch):
+        grid = build_grid("logarithmic", 40, 1e-4, 100.0)
+        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        forms = mock.Mock(wraps=solver._schur_form)
+        extremes = mock.Mock(wraps=solver._extreme_eigenvalues)
+        monkeypatch.setattr(solver, "_schur_form", forms)
+        monkeypatch.setattr(solver, "_extreme_eigenvalues", extremes)
+        monkeypatch.setattr(cli, "build_channel", lambda spec, grid: B)
+        rhs = RhsPair(np.ones(40), np.zeros(40))
+        first, second = solve(B, rhs), solve(B, rhs)
+        assert np.array_equal(first.solution.u, second.solution.u)
+        w = StateVector(np.ones(40), np.ones(40))
+        symmetry_identity_check(B, w, w)
+        config = cli.parse_config("command=solve\nkappa=-1\nnu=0.5\ngrid.N=40\n")
+        rows, _ = cli._execute(config)
+        assert forms.call_args_list == [mock.call(B, 0.0)]
+        assert extremes.call_count == 1
+        assert rows[0].margin == solver._elimination(B).margin > 0.0
+
+    def test_record_does_not_keep_its_operator_alive(self, rng):
+        gc.collect()
+        before = len(solver._records)
+        B = random_block_operator(rng, 10, margin_target=1.0)
+        solve(B, RhsPair(np.ones(10), np.ones(10)))
+        assert len(solver._records) == before + 1
+        ref = weakref.ref(B)
+        del B
+        gc.collect()
+        assert ref() is None
+        assert len(solver._records) == before
 
 
 class TestSymmetryIdentity:
@@ -148,7 +223,8 @@ class TestSymmetryIdentity:
     def test_asymmetric_expansion_raises(self, rng, monkeypatch):
         B = random_block_operator(rng, 4, margin_target=1.0)
         skew = sp.csr_matrix(np.triu(np.ones((4, 4)), 1))
-        monkeypatch.setattr(solver, "_m0_matrix", lambda B: (skew, 1.0))
+        record = solver._elimination(B)._replace(M0=skew)
+        monkeypatch.setattr(solver, "_elimination", lambda B: record)
         w = StateVector(np.ones(4), np.zeros(4))
         wt = StateVector(np.arange(4.0), np.zeros(4))
         with pytest.raises(CheckFailed, match="not symmetric under swap"):

@@ -184,7 +184,9 @@ def test_channels_never_take_the_lanczos_path(monkeypatch):
         assert not hasattr(solver, name)
     for name in ("_gershgorin_bounds", "eigsh", "splu", "eigvals_banded", "DENSE_EIG_CAP"):
         assert not hasattr(blockop, name)
-    monkeypatch.setattr(solver, "_m0", mock.Mock(side_effect=AssertionError("_m0")))
+    monkeypatch.setattr(
+        solver, "_elimination", mock.Mock(side_effect=AssertionError("_elimination"))
+    )
     calls = []
     monkeypatch.setattr(
         dirac, "gap_eigenvalues", lambda *a, **kw: calls.append(a) or gap_eigenvalues(*a, **kw)
@@ -311,14 +313,15 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
 
 
 def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
-    # positive definite, so _m0 needs lambda_max too
+    # positive definite, so the elimination record needs lambda_max too
     B = random_block_operator(rng, 700, margin_target=1.0)
     form = blockop._schur_form(B, 0.0)
     w = np.linalg.eigvalsh(form)
     calls = mock.Mock(wraps=np.linalg.eigvalsh)
     monkeypatch.setattr(np.linalg, "eigvalsh", calls)
     assert blockop._extreme_eigenvalues(form) == (w[0], w[-1])
-    assert solver._m0(B)[1:] == (w[0], w[-1])
+    rec = solver._elimination(B)
+    assert (rec.margin, rec.lam_max) == (w[0], w[-1])
     assert calls.call_count == 2
 
 

@@ -204,9 +204,9 @@ class TestBitwiseReference:
         for N in (300, 2000):
             B = channel(N=N)
             lo, hi = reference_extremes(reference_form(B, 0.0))
-            M0, margin = solver._m0_matrix(B)
-            assert margin == lo
-            assert np.array_equal(M0.toarray(), reference_form(B, 0.0).toarray())
+            rec = solver._elimination(B)
+            assert rec.margin == lo
+            assert np.array_equal(rec.M0.toarray(), reference_form(B, 0.0).toarray())
             rep = solve(B, RhsPair(np.ones(N), np.zeros(N)))
             assert rep.schur_condition_estimate == hi / lo
 
