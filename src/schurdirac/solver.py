@@ -7,12 +7,12 @@ splits into a reduced positive-definite solve and a back-substitution:
 
 Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
-N+2, ... of H.  The route is picked from structure alone.  For Dirac
-channels (B.M_tridiagonal) M_0 is tridiagonal and dpttrf factors it,
-and H is tridiagonal after interleaving u and v, so one Sturm bisection
-selects the gap eigenvalues by index, at every N.  Every other operator
-uses dense Cholesky of M_0 and dense eigh of H, at O(N^3) and
-O((2N)^3) cost, the latter up to 2N = DENSE_ORACLE_CAP.
+N+2, ... of H, selected by index on every route.  Structure picks the
+route.  For Dirac channels (B.M_tridiagonal) dpttrf factors the
+tridiagonal M_0, and Sturm bisection selects from H interleaved into
+tridiagonal form, at every N.  Every other operator takes dense
+Cholesky of M_0 and dense selection (dsyevx) from H, up to 2N =
+DENSE_ORACLE_CAP.
 What the elimination needs of an operator (S^{-1}, M_0, its extreme
 eigenvalues and its factor, or the reason M_0 cannot be factored) is
 built once into one _Elimination record, cached per operator behind a
@@ -32,10 +32,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstein
+from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstein, dsyevx
 
 from .blockop import (
     DENSE_ORACLE_CAP,
+    _STEBZ_ABSTOL,
     BlockOperator,
     StateVector,
     _check_shift,
@@ -47,7 +48,6 @@ from .blockop import (
     _tridiagonal_eigenvalues,
     apply,
     assemble,
-    full_matrix,
 )
 from .errors import (
     CheckFailed,
@@ -270,23 +270,6 @@ def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
     )
 
 
-def _eig_pairs_from_dense(
-    H: np.ndarray, sigma: float, k: int, which: str
-) -> tuple[list[tuple[float, np.ndarray]], float]:
-    """The selected eigenpairs of the dense H, and ||H||_2 = max |w|."""
-    w, V = np.linalg.eigh(H)
-    if which == "nearest":
-        order = np.argsort(np.abs(w - sigma), kind="stable")[:k]
-    else:
-        above = np.flatnonzero(w > sigma)
-        if above.shape[0] < k:
-            raise NoConvergence(
-                f"only {above.shape[0]} eigenvalues above sigma = {sigma:.6g}"
-            )
-        order = above[:k]
-    return [(float(w[i]), V[:, i].copy()) for i in order], float(max(-w[0], w[-1]))
-
-
 def gap_eigenvalues(
     B: BlockOperator,
     sigma: float,
@@ -298,63 +281,55 @@ def gap_eigenvalues(
 
     which = "nearest" returns the k eigenvalues closest to sigma;
     which = "above" returns the k smallest eigenvalues strictly above
-    sigma (the gap floor).  Two paths, chosen from the operator's
-    structure alone:
-
-    * B.M_tridiagonal (every Dirac channel), at every N: H is
-      tridiagonal in the order (u_1, v_1, u_2, v_2, ...).  Inertia
-      additivity, In(H - sigma) = In(-(S + sigma)) + In(M_sigma), makes
-      M_sigma >= 0 exactly when eigenvalue N+1 of H is >= sigma, so the
-      wanted eigenvalues are N+1, N+2, ... ("above"; N-k+1 .. N+k for
-      "nearest").  One Sturm bisection (dstebz) selects them by index
-      and inverse iteration (dstein) gives their eigenvectors.
-    * every other operator: dense eigh of H, O((2N)^3) time and
-      (2N)^2 doubles of memory, up to 2N = DENSE_ORACLE_CAP.
+    sigma (the gap floor).  By inertia additivity,
+    In(H - sigma) = In(-(S + sigma)) + In(M_sigma), M_sigma >= 0 exactly
+    when eigenvalue N+1 of H is >= sigma.  So on every path one gated
+    selection takes eigenvalues N+1, N+2, ... by index ("above";
+    N-k+1 .. N+k for "nearest"), and structure picks only the LAPACK
+    routine that returns them with their vectors: for B.M_tridiagonal
+    (every Dirac channel, at every N) Sturm bisection (dstebz) and
+    inverse iteration (dstein) on H interleaved as (u_1, v_1, u_2, ...),
+    which is tridiagonal; for every other operator dsyevx on the dense H,
+    O((2N)^3) time and (2N)^2 doubles, up to 2N = DENSE_ORACLE_CAP.
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
     satisfy ||H x - lambda x|| <= tol * (1 + |lambda|) + 10 sqrt(2N) eps ||H||.
     For a unit x some eigenvalue lies within that residual of lambda, so
-    tol stays an absolute accuracy; the second term admits the rounding
-    of a backward-stable solver on a stiff H.  ||H|| comes at no extra
-    cost from what the path computed: the largest eigenvalue magnitude
-    of the dense H, or the row-sum bound max|d| + 2 max|e| of the
-    tridiagonal one.
+    tol stays an absolute accuracy (tol = 0 admits rounding only); the
+    second term admits the rounding of a backward-stable solver on a
+    stiff H.  ||H|| is bounded by the largest absolute row sum of H.
 
     Raises
     ------
     ValueError
-        If which is not "nearest" or "above", or k is not in [1, 2N].
+        If which is not "nearest" or "above", k is not in [1, 2N], or
+        tol is not finite and nonnegative.
     NegativeShiftUnsupported
         If sigma < 0.
     TooLarge
-        If the operator takes the dense path and 2N > DENSE_ORACLE_CAP.
+        If the operator is not tridiagonal and 2N > DENSE_ORACLE_CAP.
     HypothesisFailed
-        On the tridiagonal path, if M_sigma is not positive
-        semidefinite: eigenvalue N+1 of H lies below sigma by more than
-        rounding.  So a channel whose base form is indefinite is refused
-        at every N.  The dense path returns the eigenpairs of H without
-        this test.
+        If M_sigma is not positive semidefinite (eigenvalue N+1 of H lies
+        below sigma by more than rounding), on every path and at every N.
     NoConvergence
-        If fewer than k eigenvalues lie above sigma ("above"), inverse
-        iteration fails, or a residual check is violated.
+        If fewer than k eigenvalues lie above sigma ("above"), a LAPACK
+        routine fails, or a residual check is violated.
     """
     if which not in ("nearest", "above"):
         raise ValueError(f"which must be 'nearest' or 'above', got {which!r}")
     n2 = 2 * B.N
     if not 1 <= k <= n2:
         raise ValueError(f"k must be in [1, 2N = {n2}], got {k}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     sigma = _nonnegative_shift(sigma)
-
-    if B.M_tridiagonal:
-        raw, norm = _tridiagonal_gap_pairs(B, sigma, k, which)
-    elif n2 > DENSE_ORACLE_CAP:
+    if not B.M_tridiagonal and n2 > DENSE_ORACLE_CAP:
         raise TooLarge(
             f"2N = {n2} exceeds the dense cap {DENSE_ORACLE_CAP} for an operator "
             "that is not tridiagonal"
         )
-    else:
-        raw, norm = _eig_pairs_from_dense(full_matrix(B).toarray(), sigma, k, which)
+    raw, norm = _gap_pairs(B, sigma, k, which)
 
     rounding = 10.0 * math.sqrt(n2) * _ULP * norm
     pairs = []
@@ -373,24 +348,20 @@ def gap_eigenvalues(
     return pairs
 
 
-def _tridiagonal_gap_pairs(
+def _gap_pairs(
     B: BlockOperator, sigma: float, k: int, which: str
 ) -> tuple[list[tuple[float, np.ndarray]], float]:
-    """Eigenpairs of H by index selection on its interleaved tridiagonal form.
+    """Eigenpairs of H selected by index: the window, the gate and the skip.
 
-    Returns the pairs, vectors in the (u, v) layout, and the bound
-    max|d| + 2 max|e| on ||H||_inf.  An eigenvalue within rounding of
-    sigma (ulp times that bound, the accuracy dstebz defaults to) is not
-    strictly above it, so for "above" the index window moves up past it.
+    B's structure gives window(il, iu): eigenvalues il..iu (1-based) of H,
+    ascending, and a map from positions in them to (lambda, x) pairs, x
+    in the (u, v) layout.  Returns the pairs and a bound on ||H||_inf.
+    An eigenvalue within rounding of sigma (ulp times that bound) is not
+    strictly above it, so for "above" the window moves up past it.
     """
     N = B.N
-    d = np.empty(2 * N)
-    d[0::2], d[1::2] = B.P.diagonal(), -B.S.diagonal()
-    e = np.empty(2 * N - 1)
-    e[0::2], e[1::2] = B.T.diagonal(), B.T.diagonal(1)
-    norm = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    window, norm = (_tridiagonal_window if B.M_tridiagonal else _dense_window)(B)
     rounding = _ULP * norm
-
     if which == "nearest":
         il, iu = max(1, N - k + 1), min(2 * N, N + k)
     else:
@@ -403,30 +374,66 @@ def _tridiagonal_gap_pairs(
                 f"at most {N - skipped} eigenvalues lie above sigma = {sigma:.6g}, "
                 f"fewer than k = {k}"
             )
-        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu)
-        # w is in block order; rank[i] is the position of the i-th smallest
-        rank = np.argsort(w, kind="stable")
-        floor = w[rank[N + 1 - il]]
+        w, pairs_at = window(il, iu)
+        floor = w[N + 1 - il]
         if floor < sigma - rounding:
             raise HypothesisFailed(
                 f"eigenvalue N+1 of H is {floor:.6g} < sigma = {sigma:.6g}, so by "
                 "inertia additivity M_sigma is not positive semidefinite"
             )
         if which == "nearest":
-            chosen = rank[np.argsort(np.abs(w[rank] - sigma), kind="stable")[:k]]
+            chosen = np.argsort(np.abs(w - sigma), kind="stable")[:k]
             break
         skipped = int(np.count_nonzero(w <= sigma + rounding))
         if iu - il + 1 - skipped >= k:
-            chosen = rank[skipped : skipped + k]
+            chosen = np.arange(skipped, skipped + k)
             break
         iu = N + k + skipped
+    return pairs_at(chosen), norm
 
-    keep = np.sort(chosen)  # dstein takes block order
-    blocks = np.zeros_like(iblock)
-    blocks[: keep.shape[0]] = iblock[keep]
-    z, info = dstein(d, e, w[keep], blocks, isplit)
-    if info != 0:
-        raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
-    x = np.empty_like(z)
-    x[:N], x[N:] = z[0::2], z[1::2]
-    return [(float(w[i]), x[:, j]) for j, i in enumerate(keep)], norm
+
+def _tridiagonal_window(B: BlockOperator) -> tuple[Callable, float]:
+    """dstebz values, dstein vectors and max|d| + 2 max|e| of the interleaved H."""
+    N = B.N
+    d = np.empty(2 * N)
+    d[0::2], d[1::2] = B.P.diagonal(), -B.S.diagonal()
+    e = np.empty(2 * N - 1)
+    e[0::2], e[1::2] = B.T.diagonal(), B.T.diagonal(1)
+
+    def window(il, iu):
+        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu)
+        # w is in block order; rank[i] is the position of the i-th smallest
+        rank = np.argsort(w, kind="stable")
+
+        def pairs_at(chosen):
+            keep = np.sort(rank[chosen])  # dstein takes block order
+            blocks = np.zeros_like(iblock)
+            blocks[: keep.shape[0]] = iblock[keep]
+            z, info = dstein(d, e, w[keep], blocks, isplit)
+            if info != 0:
+                raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
+            x = np.concatenate([z[0::2], z[1::2]])
+            return [(float(w[i]), x[:, j]) for j, i in enumerate(keep)]
+
+        return w[rank], pairs_at
+
+    return window, float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+
+
+def _dense_window(B: BlockOperator) -> tuple[Callable, float]:
+    """dsyevx pairs il..iu and the largest absolute row sum of the dense H.
+
+    The lower triangle and the tiny abstol keep the eigenvalues of a
+    stiff H as accurate as a full eigh gives them.
+    """
+    H = np.block([[B.P.toarray(), B.Q.toarray()], [B.T.toarray(), -B.S.toarray()]])
+
+    def window(il, iu):
+        w, z, m, _, info = dsyevx(
+            H, compute_v=1, range="I", il=il, iu=iu, lower=1, abstol=_STEBZ_ABSTOL
+        )
+        if info != 0:
+            raise NoConvergence(f"dense eigensolver failed (dsyevx info = {info})")
+        return w[:m], lambda chosen: [(float(w[i]), z[:, i]) for i in chosen]
+
+    return window, float(np.max(np.abs(H).sum(axis=1)))

@@ -1,9 +1,10 @@
 """Gap eigenpairs of tridiagonal operators (every Dirac channel) by Sturm
 selection on the interleaved H at every N: agreement with dense eigh, the
 inertia gate, the ARPACK, banded and SuperLU paths gone, and the dense
-branch serving every other operator."""
+branch serving every other operator by the same gated index selection."""
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from schurdirac import (
     HypothesisFailed,
     NegativeShiftUnsupported,
     NoConvergence,
+    SchurDiracError,
     TooLarge,
     assemble,
     build_channel,
@@ -92,9 +94,7 @@ class TestAgainstDense:
             "at": lam,
         }[shift]
         assert not hasattr(solver, "_sparse_gap_pairs")
-        with mock.patch.object(
-            solver, "_eig_pairs_from_dense", side_effect=AssertionError("dense path")
-        ):
+        with mock.patch.object(solver, "dsyevx", side_effect=AssertionError("dense path")):
             assert_matches_dense(B, sigma, 3, which)
 
     # no deadline: the dense eigh reference is O(n^3), so its time measures
@@ -199,26 +199,13 @@ def test_channels_never_take_the_lanczos_path(monkeypatch):
     )
 
 
-def assert_dense_pairs(B, which):
-    # the dense branch: eigh of H, the selection, then the sign normalization
-    w, V = np.linalg.eigh(full_matrix(B).toarray())
-    sigma = 0.6
-    want = [(float(w[i]), sign_normalized(V[:, i])) for i in dense_selection(w, sigma, 3, which)]
-    got = gap_eigenvalues(B, sigma, 3, which=which)
-    assert [lam for lam, _ in got] == [lam for lam, _ in want]
-    for (_, sv), (_, x) in zip(got, want):
-        assert np.array_equal(sv.stacked(), x)
-
-
 @pytest.mark.parametrize("which", ["above", "nearest"])
 @pytest.mark.parametrize("kappa, N", [(-1, 2), (-1, 40), (-2, 300), (1, 120)])
 def test_small_channels_keep_the_dense_pairs(kappa, N, which):
     # small channels take the Sturm path too, and agree with dense eigh
     B = channel(kappa, 0.5, N)
     assert B.M_tridiagonal
-    with mock.patch.object(
-        solver, "_eig_pairs_from_dense", side_effect=AssertionError("dense path")
-    ):
+    with mock.patch.object(solver, "dsyevx", side_effect=AssertionError("dense path")):
         if kappa > 0:
             # M_0 of a kappa > 0 channel is indefinite, now refused at every N
             with pytest.raises(HypothesisFailed, match="eigenvalue N\\+1"):
@@ -240,13 +227,13 @@ def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, whic
     else:
         B = lower_bidiagonal(rng, 350)
     assert not B.M_tridiagonal
-    assert_dense_pairs(B, which)
+    assert_matches_dense(B, 0.6, 3, which)
 
 
 def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
     B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
     assert not B.M_tridiagonal
-    with mock.patch.object(solver, "full_matrix", side_effect=AssertionError("densified")):
+    with mock.patch.object(solver, "_dense_window", side_effect=AssertionError("densified")):
         for which in ("above", "nearest"):
             with pytest.raises(TooLarge, match="dense cap"):
                 gap_eigenvalues(B, 0.0, 1, which=which)
@@ -397,6 +384,96 @@ def dense_twin(B):
     return C
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.6])
+@pytest.mark.parametrize("which", ["above", "nearest"])
+def test_dense_twin_of_an_indefinite_channel_is_refused(which, sigma):
+    # M_0 of a kappa > 0 channel is indefinite; the dense route gates on
+    # eigenvalue N+1 as the tridiagonal one does
+    B = channel(1, 0.5, 120)
+    for C in (B, dense_twin(B)):
+        with pytest.raises(HypothesisFailed, match="eigenvalue N\\+1"):
+            gap_eigenvalues(C, sigma, 2, which=which)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    B = channel(-1, 0.5, 301)
+    for C in (B, dense_twin(B)):
+        for which in ("above", "nearest"):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                gap_eigenvalues(C, 0.0, 1, tol=tol, which=which)
+    grid = build_grid("logarithmic", 301, 1e-4, 100.0)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        channel_spectrum(DiracChannelSpec(-1, 0.5, 0.5), grid, 2, tol)
+
+
+def test_zero_tol_admits_rounding_only():
+    B = channel(-1, 0.5, 301)
+    w = dense_eigh(B)[0]
+    for C in (B, dense_twin(B)):
+        pairs = gap_eigenvalues(C, 0.0, 2, tol=0.0, which="above")
+        assert [lam for lam, _ in pairs] == pytest.approx(w[301:303], rel=1e-12)
+    grid = build_grid("logarithmic", 301, 1e-4, 100.0)
+    spec = DiracChannelSpec(-1, 0.5, 0.5)
+    assert channel_spectrum(spec, grid, 2, 0.0) == channel_spectrum(spec, grid, 2)
+
+
+def dense_route(B, *args, **kwargs):
+    """gap_eigenvalues of B's H on the dense route: through its dense twin,
+    or at N = 1, where every operator is tridiagonal, with the dense
+    window standing in for the tridiagonal one."""
+    if B.N > 1:
+        return gap_eigenvalues(dense_twin(B), *args, **kwargs)
+    with mock.patch.object(solver, "_tridiagonal_window", solver._dense_window):
+        return gap_eigenvalues(B, *args, **kwargs)
+
+
+def outcome(f):
+    try:
+        return f()
+    except SchurDiracError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    place=st.sampled_from(["zero", "inside", "above-c2"]),
+    frac=st.floats(min_value=0.05, max_value=0.95),
+    k=st.integers(min_value=1, max_value=4),
+    which=st.sampled_from(["above", "nearest"]),
+)
+def test_both_routes_select_the_same_indices(n, seed, place, frac, k, which):
+    rng = np.random.default_rng(seed)
+    T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, 1])
+    B = assemble(sp.diags(rng.uniform(-1.0, 3.0, n)), T, sp.diags(rng.uniform(0.05, 2.0, n)))
+    assert B.M_tridiagonal
+    w = dense_eigh(B)[0]
+    c2 = w[n]  # eigenvalue N+1 of H
+    sigma = {"zero": 0.0, "inside": frac * max(c2, 0.0), "above-c2": max(c2, 0.0) + frac}[place]
+    k = min(k, 2 * n)
+    # keep every eigenvalue, and every distance to sigma, clear of the next,
+    # so the selection and the vectors are well defined
+    distances = np.sort(np.abs(w - sigma))
+    assume(distances[0] > 1e-8 and np.all(np.diff(distances) > 1e-8))
+    assume(np.all(np.diff(w) > 1e-6))
+
+    tri = outcome(lambda: gap_eigenvalues(B, sigma, k, which=which))
+    dense = outcome(lambda: dense_route(B, sigma, k, which=which))
+    if isinstance(tri, type) or isinstance(dense, type):
+        assert tri is dense
+        return
+    H = full_matrix(B).toarray()
+    rounding = 10.0 * math.sqrt(2 * n) * np.finfo(float).eps * np.max(np.abs(H).sum(axis=1))
+    assert len(tri) == len(dense) == k
+    for (lt, vt), (ld, vd) in zip(tri, dense):
+        assert abs(lt - ld) <= 1e-10 * (1.0 + abs(lt)) + rounding
+        xt, xd = vt.stacked(), vd.stacked()
+        assert xt[int(np.argmax(np.abs(xt)))] > 0.0 and xd[int(np.argmax(np.abs(xd)))] > 0.0
+        assert np.linalg.norm(xt - xd) <= 1e-6
+
+
 def test_stiff_dense_pairs_pass_the_residual_check():
     # dense branch at 2N = 600; ||H|| is about 4e5 here, and backward-stable
     # eigh residuals (3.2e-10) exceed 1e-10 * (1 + |lambda|); the rounding
@@ -408,13 +485,13 @@ def test_stiff_dense_pairs_pass_the_residual_check():
 
 
 def test_perturbed_dense_pair_is_refused(monkeypatch):
-    real = solver._eig_pairs_from_dense
+    real = solver.dsyevx
 
-    def perturbed(*args):
-        pairs, norm = real(*args)
-        return [(lam, x + 1e-6) for lam, x in pairs], norm
+    def perturbed(*args, **kwargs):
+        w, z, m, ifail, info = real(*args, **kwargs)
+        return w, z + 1e-6, m, ifail, info
 
-    monkeypatch.setattr(solver, "_eig_pairs_from_dense", perturbed)
+    monkeypatch.setattr(solver, "dsyevx", perturbed)
     with pytest.raises(NoConvergence, match="eigenpair residual"):
         gap_eigenvalues(dense_twin(channel(-1, 0.9, 300)), 0.0, 2, which="above")
 
@@ -424,13 +501,13 @@ def test_sturm_pair_off_by_an_eigenvalue_sized_error_is_refused(monkeypatch):
     # a pair whose eigenvalue is off by 1e-6 fails at channel_spectrum's tol
     B = channel(-1, 0.5, 2000)
     assert len(gap_eigenvalues(B, 0.0, 2, tol=1e-8, which="above")) == 2
-    real = solver._tridiagonal_gap_pairs
+    real = solver._gap_pairs
 
     def perturbed(*args):
         pairs, norm = real(*args)
         return [(lam + 1e-6, x) for lam, x in pairs], norm
 
-    monkeypatch.setattr(solver, "_tridiagonal_gap_pairs", perturbed)
+    monkeypatch.setattr(solver, "_gap_pairs", perturbed)
     with pytest.raises(NoConvergence, match="eigenpair residual"):
         gap_eigenvalues(B, 0.0, 2, tol=1e-8, which="above")
 
