@@ -2,10 +2,10 @@
 
 A block operator
 
-    H = [[P,  Q],
-         [T, -S]]
+    H = [[P,  T^t],
+         [T,  -S]]
 
-with Q = T^t, P = P^t, S = S^t and S >= c1*I > 0 admits the family of
+with P = P^t, S = S^t and S >= c1*I > 0 admits the family of
 reduced quadratic forms
 
     q_alpha(u, u) = ((S + alpha)^{-1} T u, T u) + ((P - alpha) u, u),
@@ -114,13 +114,6 @@ class _Tridiagonal(NamedTuple):
     d: np.ndarray
     e: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d.shape[0], self.d.shape[0])
-
-    def toarray(self) -> np.ndarray:
-        return self.tocsr().toarray()
-
     def tocsr(self) -> sp.csr_matrix:
         return sp.diags([self.e, self.d, self.e], [-1, 0, 1], format="csr")
 
@@ -222,17 +215,26 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """The four blocks of H = [[P, Q], [T, -S]] plus the certified c1.
+    """The blocks P, T, S of H = [[P, T^t], [T, -S]] plus the certified c1.
 
-    Structural guarantees established at assembly and preserved by the
-    read-only storage: Q equals T^t entrywise exactly, P and S are
-    exactly symmetric, and lambda_min(S) >= c1 > 0.
+    P, T, S and c1 are the only fields that can be set.  The upper right
+    block of H is T^t by definition, never separate data, so no
+    operator, dataclasses.replace(B, T=X) included, can hold an H that
+    is not symmetric.  Guarantees established at assembly and preserved
+    by the read-only storage: P and S are exactly symmetric, and
+    lambda_min(S) >= c1 > 0.  dataclasses.replace does not re-certify
+    c1, so a replaced S is trusted to keep that bound.
 
-    Assembly also records the structure of the blocks, in two fields
-    derived from them in one O(nnz) pass each (explicit stored zeros are
-    ignored) that cannot be passed in and that dataclasses.replace
-    recomputes:
+    Four fields are derived from the blocks in __post_init__, O(nnz) in
+    all (explicit stored zeros are ignored); they cannot be passed in and
+    dataclasses.replace recomputes them:
 
+    N
+        The common size of the blocks, P.shape[0].
+    Tt
+        T^t as a CSC view of T's arrays, no copy.  Made once per
+        operator because scipy builds a transpose object on every T.T,
+        which apply would otherwise pay on each call.
     S_diagonal
         S has no nonzero off-diagonal entry.
     M_tridiagonal
@@ -243,15 +245,17 @@ class BlockOperator:
     """
 
     P: sp.csr_matrix
-    Q: sp.csr_matrix
     T: sp.csr_matrix
     S: sp.csr_matrix
     c1: float
-    N: int
+    N: int = field(init=False)
+    Tt: sp.csc_matrix = field(init=False, repr=False)
     S_diagonal: bool = field(init=False)
     M_tridiagonal: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "N", self.P.shape[0])
+        object.__setattr__(self, "Tt", self.T.T)
         s_diagonal = _within_band(self.S, 0, 0)
         object.__setattr__(self, "S_diagonal", s_diagonal)
         object.__setattr__(
@@ -289,7 +293,8 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     Returns
     -------
     BlockOperator
-        With Q set to the exact transpose of T.
+        Holding the three blocks as read-only CSR matrices and c1; the
+        upper right block of H is T^t by definition, not a stored copy.
 
     Raises
     ------
@@ -333,14 +338,8 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
                 f"asserted c1 = {c1:.6g} exceeds lambda_min(S) = {smin:.6g}"
             )
 
-    Qc = Tc.T.tocsr()
     return BlockOperator(
-        P=_freeze_csr(Pc),
-        Q=_freeze_csr(Qc),
-        T=_freeze_csr(Tc),
-        S=_freeze_csr(Sc),
-        c1=c1,
-        N=n,
+        P=_freeze_csr(Pc), T=_freeze_csr(Tc), S=_freeze_csr(Sc), c1=c1
     )
 
 
@@ -352,17 +351,17 @@ def _check_state(B: BlockOperator, w: StateVector, name: str = "w") -> None:
 
 
 def apply(B: BlockOperator, w: StateVector) -> StateVector:
-    """Apply H to (u, v): returns (Pu + Qv, Tu - Sv)."""
+    """Apply H to (u, v): returns (Pu + T^t v, Tu - Sv)."""
     _check_state(B, w)
     return StateVector(
-        B.P @ w.u + B.Q @ w.v,
+        B.P @ w.u + B.Tt @ w.v,
         B.T @ w.u - B.S @ w.v,
     )
 
 
 def full_matrix(B: BlockOperator) -> sp.csr_matrix:
-    """The assembled 2N x 2N matrix [[P, Q], [T, -S]] (exactly symmetric)."""
-    return sp.bmat([[B.P, B.Q], [B.T, -B.S]], format="csr")
+    """The assembled 2N x 2N matrix [[P, T^t], [T, -S]] (exactly symmetric)."""
+    return sp.bmat([[B.P, B.Tt], [B.T, -B.S]], format="csr")
 
 
 def _check_shift(name: str, value: float) -> float:
@@ -402,7 +401,7 @@ def _schur_form(B: BlockOperator, alpha: float):
         if B.M_tridiagonal:
             d, e = _bidiagonal_gram(B.T.diagonal(), B.T.diagonal(1), w)
             return _Tridiagonal(d=(B.P.diagonal() - alpha) + d, e=e)
-        M = (B.P - alpha * sp.identity(n, format="csr")) + B.T.T @ sp.diags(w) @ B.T
+        M = (B.P - alpha * sp.identity(n, format="csr")) + B.Tt @ sp.diags(w) @ B.T
         return ((M + M.T) * 0.5).tocsr()
     A = B.S.toarray()
     A[np.diag_indices(n)] += alpha
@@ -520,16 +519,15 @@ def _s_inverse(B: BlockOperator):
     return lambda x: cho_solve(factor, x)
 
 
-def embedding_delta(
-    B: BlockOperator, tol: float = 1e-8, psd_coeff: float = PSD_COEFF
-) -> tuple[float, bool]:
+def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     """Scale-of-spaces constant delta = c1*c2/(c1+c2) and its certificate.
 
     Certifies M_0 - delta*(I + K^t K) >= 0 with K = S^{-1} T, i.e. the
-    base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2).  Returns
-    (delta, certified).  When B.M_tridiagonal, K is bidiagonal and the
-    form is built from its two diagonals, O(N); otherwise K is dense and
-    K^t K costs O(N^3).
+    base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2), to the
+    tolerance psd_tolerance gives with its default coefficient PSD_COEFF.
+    Returns (delta, certified).  When B.M_tridiagonal, K is bidiagonal
+    and the form is built from its two diagonals, O(N); otherwise K is
+    dense and K^t K costs O(N^3).
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
@@ -543,16 +541,10 @@ def embedding_delta(
         G = _form_csr(M0) - delta * (sp.identity(B.N, format="csr") + sp.csr_matrix(K.T @ K))
         G = ((G + G.T) * 0.5).tocsr()
     lam = _extreme_eigenvalue(G, "min")
-    return delta, bool(lam >= -psd_tolerance(G, psd_coeff))
+    return delta, bool(lam >= -psd_tolerance(G))
 
 
-def resolvent_difference_check(
-    B: BlockOperator,
-    alpha: float,
-    delta: float,
-    psd_coeff: float = PSD_COEFF,
-    dense_cap: int = DENSE_ORACLE_CAP,
-) -> bool:
+def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> bool:
     """Check S^{-1} - (S+alpha)^{-1} >= delta*S^{-2} spectrally.
 
     All three terms are functions of S, so the smallest eigenvalue of
@@ -560,11 +552,14 @@ def resolvent_difference_check(
 
         f(s) = 1/s - 1/(s + alpha) - delta/s**2,
 
-    evaluated without forming or inverting any matrix.  Valid deltas
-    satisfy 0 < delta <= c1*alpha/(c1+alpha); at that boundary f is
-    nonnegative on [c1, inf) with equality at s = c1.
+    evaluated without forming or inverting any matrix.  The spectrum is
+    the diagonal of a diagonal S (B.S_diagonal) and one dense eigvalsh
+    of any other S, at every N: the same eigvalsh assemble runs to
+    certify c1.  Valid deltas satisfy 0 < delta <= c1*alpha/(c1+alpha);
+    at that boundary f is nonnegative on [c1, inf) with equality at
+    s = c1.
 
-    Returns True iff min f(s) >= -eps_psd.
+    Returns True iff min f(s) >= -PSD_COEFF * (1 + max |f(s)|).
     """
     alpha = _check_shift("alpha", alpha)
     delta = float(delta)
@@ -575,17 +570,10 @@ def resolvent_difference_check(
         raise DeltaOutOfRange(
             f"delta = {delta:.6g} outside (0, c1*alpha/(c1+alpha) = {bound:.6g}]"
         )
-    if B.S_diagonal:
-        s = B.S.diagonal()
-    elif B.N <= dense_cap:
-        s = np.linalg.eigvalsh(B.S.toarray())
-    else:
-        raise TooLarge(
-            f"spectral check of a non-diagonal S needs N <= {dense_cap}, got {B.N}"
-        )
+    s = B.S.diagonal() if B.S_diagonal else np.linalg.eigvalsh(B.S.toarray())
     vals = 1.0 / s - 1.0 / (s + alpha) - delta / s**2
     scale = float(np.max(np.abs(vals), initial=0.0))
-    return bool(np.min(vals) >= -psd_coeff * (1.0 + scale))
+    return bool(np.min(vals) >= -PSD_COEFF * (1.0 + scale))
 
 
 def matrix_to_text(A) -> str:
@@ -645,8 +633,7 @@ def operator_to_text(B: BlockOperator) -> str:
 
     The last three lines of a block are its CSR arrays as stored, explicit
     zeros included; they are empty lines when nnz = 0.  Floats are written
-    with repr, which round-trips every float64 exactly.  Q is not written:
-    it is implied by Q = T^t.
+    with repr, which round-trips every float64 exactly.
     """
     lines = ["blockoperator 2", f"N {B.N}", f"c1 {float(B.c1)!r}"]
     for name in _BLOCK_NAMES:

@@ -97,6 +97,8 @@ class RadialGrid:
         nodes = np.array(self.nodes, dtype=np.float64).ravel()
         if self.N < 2 or nodes.shape[0] != self.N:
             raise BadRange(f"need N >= 2 nodes, got N = {self.N}")
+        if not np.all(np.isfinite(nodes)):
+            raise BadRange("nodes must be finite")
         if not np.all(np.diff(nodes) > 0.0):
             raise BadRange("nodes must be strictly increasing")
         if nodes[0] != self.r_min or nodes[-1] != self.r_max:
@@ -121,9 +123,9 @@ class DiracChannelSpec:
     """(kappa, nu, gamma): partial-wave channel parameters.
 
     kappa is the nonzero spin-orbit quantum number, nu the Coulomb
-    coupling (sup of r|V|), and gamma > 0 the spectral shift placing the
-    gap; the sharp coupling range is nu <= 1 and construction accepts
-    nu up to NU_MAX so supercritical sweeps remain expressible.
+    coupling (sup of r|V|), and gamma the finite, positive spectral shift
+    placing the gap; the sharp coupling range is nu <= 1 and construction
+    accepts nu up to NU_MAX so supercritical sweeps remain expressible.
     """
 
     kappa: int
@@ -140,9 +142,10 @@ class DiracChannelSpec:
                 f"coupling nu = {self.nu:.6g} outside the admissible band "
                 f"(0, {NU_MAX}]; the sharp range is nu <= 1"
             )
-        if self.gamma <= 0.0:
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise HypothesisFailed(
-                f"gamma = {self.gamma:.6g} must be positive (slightly above sup V = 0)"
+                f"gamma = {self.gamma:.6g} must be finite and positive "
+                "(slightly above sup V = 0)"
             )
 
 
@@ -240,10 +243,10 @@ def build_channel(
     P = diag(V + 2 - gamma) and S = diag(gamma - V) are multiplication
     operators; T = D + kappa*diag(1/r) with the weighted one-sided
     difference D (diagonal -1/h_j, superdiagonal 1/sqrt(h_j h_{j+1})),
-    truncating homogeneously at both ends.  Q is the exact transpose of
-    T by assembly, never an approximation.  For the built-in Coulomb
-    potential c1 = gamma is certified; a sampled potential must keep
-    gamma - V positive and gets c1 computed from the samples.
+    truncating homogeneously at both ends.  The upper right block of H
+    is T^t by definition, never an approximation.  For the built-in
+    Coulomb potential c1 = gamma is certified; a sampled potential must
+    keep gamma - V positive and gets c1 computed from the samples.
     """
     r = grid.nodes
     v = _sample_potential(spec, grid, potential)
@@ -399,8 +402,10 @@ def hardy_sweep(
     """Positivity margins over a (nu, grid) table, with the critical coupling.
 
     Grids are taken coarse to fine in input order; the last is treated
-    as finest.  Per-cell failures (for example a coupling outside the
-    constructible band) are recorded on the cell, never raised.
+    as finest, and nu_star reads only its cells, by position (two grids
+    may share N and r_min).  Per-cell failures (for example a coupling
+    outside the constructible band) are recorded on the cell, never
+    raised.
     """
     if not nu_values or not grids:
         raise ValueError("nu_values and grids must be nonempty")
@@ -416,15 +421,9 @@ def hardy_sweep(
                 cells.append(SweepCell(margin=positivity_margin(B, 0.0), **base))
             except SchurDiracError as exc:
                 cells.append(SweepCell(error=str(exc), **base))
-    finest = grids[-1]
-    negative = [
-        c.nu
-        for c in cells
-        if c.grid_N == finest.N
-        and c.grid_r_min == finest.r_min
-        and c.margin is not None
-        and c.margin < 0.0
-    ]
+    # cells are nu-major, so the finest grid's cells are every len(grids)-th
+    finest = cells[len(grids) - 1 :: len(grids)]
+    negative = [c.nu for c in finest if c.margin is not None and c.margin < 0.0]
     nu_star = min(negative) if negative else None
     return SweepReport(kappa=kappa, gamma=gamma, cells=tuple(cells), nu_star=nu_star)
 

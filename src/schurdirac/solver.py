@@ -3,7 +3,7 @@
 With R = M_0 (the Schur complement of -S) positive definite, the system
 splits into a reduced positive-definite solve and a back-substitution:
 
-    R u = F1 + Q S^{-1} F2,      v = S^{-1} (T u - F2).
+    R u = F1 + T^t S^{-1} F2,      v = S^{-1} (T u - F2).
 
 Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
@@ -71,6 +71,8 @@ __all__ = [
 # Relative machine precision times the base: without a tolerance, dstebz
 # bisects a tridiagonal T to _ULP times a bound on ||T||.
 _ULP = dlamch("P")
+# solve warns IllConditioned above this condition estimate of M_0.
+COND_CAP = 1e12
 
 
 class _Elimination(NamedTuple):
@@ -168,13 +170,14 @@ class SolveReport:
     ill_conditioned: bool = False
 
 
-def solve(B: BlockOperator, rhs: RhsPair, cond_cap: float = 1e12) -> SolveReport:
+def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     """Solve H(u, v) = (F1, F2) by elimination through M_0.
 
     Performs one iterative-refinement pass on the reduced system, then
-    back-substitutes v = S^{-1}(Tu - F2).  If the condition estimate of
-    M_0 exceeds cond_cap, an IllConditioned warning is issued and the
-    report is flagged, but the solution is still returned.
+    back-substitutes v = S^{-1}(Tu - F2).  If the condition estimate
+    lambda_max(M_0) / lambda_min(M_0) exceeds COND_CAP = 1e12, an
+    IllConditioned warning is issued and the report is flagged, but the
+    solution is still returned.
 
     Raises
     ------
@@ -192,16 +195,16 @@ def solve(B: BlockOperator, rhs: RhsPair, cond_cap: float = 1e12) -> SolveReport
         raise HypothesisFailed(rec.refusal)
     cond = rec.lam_max / rec.margin
 
-    g = rhs.F1 + B.Q @ rec.s_solve(rhs.F2)
+    g = rhs.F1 + B.Tt @ rec.s_solve(rhs.F2)
     u = rec.m0_solve(g)
     u = u + rec.m0_solve(g - rec.M0 @ u)
     v = rec.s_solve(B.T @ u - rhs.F2)
     sol = StateVector(u, v)
 
     residual = float(np.linalg.norm(apply(B, sol).stacked() - rhs.stacked()))
-    ill = bool(cond > cond_cap)
+    ill = bool(cond > COND_CAP)
     if ill:
-        warnings.warn(IllConditioned(f"condition estimate {cond:.3g} exceeds cap {cond_cap:.3g}"))
+        warnings.warn(IllConditioned(f"condition estimate {cond:.3g} exceeds cap {COND_CAP:.3g}"))
     return SolveReport(
         solution=sol,
         residual_norm=residual,
@@ -253,7 +256,7 @@ def _nonnegative_shift(sigma: float) -> float:
 
 
 def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
-    """The operator of H - sigma*I: blocks (P - sigma, Q, T, -(S + sigma)).
+    """The operator of H - sigma*I: blocks (P - sigma, T, S + sigma).
 
     Requires sigma >= 0 so that S + sigma keeps the lower bound
     c1 + sigma > 0; negative shifts are rejected.
@@ -303,8 +306,8 @@ def gap_eigenvalues(
     Raises
     ------
     ValueError
-        If which is not "nearest" or "above", k is not in [1, 2N], or
-        tol is not finite and nonnegative.
+        If which is not "nearest" or "above", k is not an integer in
+        [1, 2N], or tol is not finite and nonnegative.
     NegativeShiftUnsupported
         If sigma < 0.
     TooLarge
@@ -319,6 +322,8 @@ def gap_eigenvalues(
     if which not in ("nearest", "above"):
         raise ValueError(f"which must be 'nearest' or 'above', got {which!r}")
     n2 = 2 * B.N
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n2:
         raise ValueError(f"k must be in [1, 2N = {n2}], got {k}")
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -426,7 +431,8 @@ def _dense_window(B: BlockOperator) -> tuple[Callable, float]:
     The lower triangle and the tiny abstol keep the eigenvalues of a
     stiff H as accurate as a full eigh gives them.
     """
-    H = np.block([[B.P.toarray(), B.Q.toarray()], [B.T.toarray(), -B.S.toarray()]])
+    T = B.T.toarray()
+    H = np.block([[B.P.toarray(), T.T], [T, -B.S.toarray()]])
 
     def window(il, iu):
         w, z, m, _, info = dsyevx(

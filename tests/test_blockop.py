@@ -75,7 +75,8 @@ class TestAssemble:
         B = scalar_operator()
         assert B.N == 1
         assert B.c1 == 1.0
-        assert B.Q.toarray().item() == 1.0
+        # the upper right block of H is T^t
+        assert full_matrix(B).toarray()[0, 1] == 1.0
 
     def test_rejects_nonpositive_s(self):
         with pytest.raises(NonPositiveS):
@@ -84,7 +85,7 @@ class TestAssemble:
     def test_diagonal_case(self):
         B = assemble(np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2))
         assert B.c1 == 2.0
-        assert B.Q.nnz == 0
+        assert full_matrix(B)[:2, 2:].nnz == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -104,8 +105,8 @@ class TestAssemble:
 
     def test_q_is_exact_transpose_and_h_symmetric(self, rng):
         B = random_block_operator(rng, 17)
-        assert (B.Q - B.T.T).nnz == 0
         H = full_matrix(B)
+        assert (H[:17, 17:] - B.T.T).nnz == 0
         assert (H - H.T).nnz == 0
 
     @pytest.mark.parametrize("name", ["P", "T", "S"])
@@ -145,7 +146,54 @@ class TestAssemble:
         assert C.S_diagonal and not B.S_diagonal
         assert not dataclasses.replace(B).S_diagonal
         with pytest.raises(TypeError):
-            BlockOperator(B.P, B.Q, B.T, B.S, B.c1, B.N, S_diagonal=True)
+            BlockOperator(B.P, B.T, B.S, B.c1, S_diagonal=True)
+
+    def test_only_the_blocks_and_c1_are_settable(self, rng):
+        assert [f.name for f in dataclasses.fields(BlockOperator) if f.init] == [
+            "P", "T", "S", "c1"
+        ]
+        B = random_block_operator(rng, 4)
+        assert BlockOperator(B.P, B.T, B.S, B.c1).N == 4
+        with pytest.raises(TypeError):
+            BlockOperator(B.P, B.T, B.S, B.c1, N=3)
+        with pytest.raises(TypeError):
+            BlockOperator(B.P, B.T, B.S, B.c1, Tt=B.T)
+        with pytest.raises(TypeError):
+            BlockOperator(B.P, B.T.T.tocsr(), B.T, B.S, B.c1)
+        n = 3
+        C = dataclasses.replace(
+            B, P=sp.csr_matrix(np.eye(n)), T=sp.csr_matrix((n, n)), S=sp.csr_matrix(np.eye(n))
+        )
+        assert C.N == n and B.N == 4
+
+    def test_replaced_t_keeps_h_symmetric(self):
+        # H's upper right block is T^t by definition, so replacing T cannot
+        # leave a stale copy of the old T behind
+        B = assemble(2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
+        X = sp.csr_matrix(np.triu(np.ones((3, 3))))
+        C = dataclasses.replace(B, T=X)
+        assert np.array_equal(C.Tt.toarray(), X.toarray().T)
+        H = full_matrix(C)
+        assert (H - H.T).nnz == 0
+        w = StateVector([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        assert np.array_equal(apply(C, w).stacked(), H @ w.stacked())
+        rhs = RhsPair([1.0, -2.0, 0.5], [3.0, 0.0, -1.0])
+        rep = solve(C, rhs)
+        assert rep.residual_norm <= 1e-14 * (1.0 + np.linalg.norm(rhs.stacked()))
+        assert find_c2(C) == pytest.approx(inertia_c2_oracle(C), abs=1e-8)
+
+    def test_replaced_t_on_random_operators(self, rng):
+        for n in (5, 30):
+            B = random_block_operator(rng, n, margin_target=1.0)
+            # 2T only adds 3 T^t S^{-1} T >= 0 to M_0, which stays positive definite
+            C = dataclasses.replace(B, T=2.0 * B.T)
+            H = full_matrix(C)
+            assert (H - H.T).nnz == 0
+            w = StateVector(rng.standard_normal(n), rng.standard_normal(n))
+            assert np.allclose(apply(C, w).stacked(), H @ w.stacked(), rtol=1e-14, atol=1e-14)
+            rhs = RhsPair(rng.standard_normal(n), rng.standard_normal(n))
+            rep = solve(C, rhs)
+            assert rep.residual_norm <= 1e-12 * (1.0 + np.linalg.norm(rhs.stacked()))
 
 
 class TestApply:
@@ -391,7 +439,7 @@ class TestSerialization:
         assert np.array_equal(C.P.toarray(), B.P.toarray())
         assert np.array_equal(C.T.toarray(), B.T.toarray())
         assert np.array_equal(C.S.toarray(), B.S.toarray())
-        assert np.array_equal(C.Q.toarray(), B.Q.toarray())
+        assert np.array_equal(full_matrix(C).toarray(), full_matrix(B).toarray())
         assert C.c1 == B.c1
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -520,8 +568,8 @@ class TestTextFormat:
         assert C.N == B.N
         assert _same_bits(np.float64(C.c1), np.float64(B.c1))
         assert C.S_diagonal == B.S_diagonal
-        for name in ("P", "T", "S", "Q"):
-            a, b = getattr(B, name), getattr(C, name)
+        pairs = [(getattr(B, name), getattr(C, name)) for name in ("P", "T", "S")]
+        for a, b in pairs + [(full_matrix(B), full_matrix(C))]:
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert _same_bits(a.data, b.data)

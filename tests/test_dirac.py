@@ -78,6 +78,14 @@ class TestBuildGrid:
         with pytest.raises(BadRange):
             RadialGrid("uniform", 3, 1.0, 3.0, np.array([1.0, 2.0, 4.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_grid_refuses_non_finite_nodes(self, bad):
+        # increasing, with endpoints equal to r_min and r_max, but not finite
+        with pytest.raises(BadRange, match="finite"):
+            RadialGrid("uniform", 3, 1.0, bad, [1.0, 2.0, bad])
+        with pytest.raises(BadRange, match="finite"):
+            RadialGrid("uniform", 3, 1.0, 3.0, [1.0, bad, 3.0])
+
 
 class TestChannelSpec:
     def test_valid(self):
@@ -102,6 +110,11 @@ class TestChannelSpec:
     def test_gamma_positive(self):
         with pytest.raises(HypothesisFailed):
             DiracChannelSpec(kappa=-1, nu=0.5, gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_gamma_finite(self, gamma):
+        with pytest.raises(HypothesisFailed, match="finite and positive"):
+            DiracChannelSpec(kappa=-1, nu=0.5, gamma=gamma)
 
 
 class TestBuildChannel:
@@ -153,8 +166,8 @@ class TestBuildChannel:
     def test_q_is_exact_transpose(self):
         g = build_grid("logarithmic", 40, 1e-2, 10.0)
         B = build_channel(GROUND, g)
-        assert (B.Q - B.T.T).nnz == 0
         H = full_matrix(B)
+        assert (H[:40, 40:] - B.T.T).nnz == 0
         assert (H - H.T).nnz == 0
 
     def test_zero_potential_blocks(self):
@@ -301,6 +314,8 @@ class TestChannelSpectrum:
         g = build_grid("logarithmic", 100, 1e-2, 10.0)
         with pytest.raises(ValueError):
             channel_spectrum(GROUND, g, k=0)
+        with pytest.raises(ValueError, match="integer"):
+            channel_spectrum(GROUND, g, k=1.5)
         # k above 2N asks for more eigenvalues than exist: refused, not a ValueError
         with pytest.raises(NoConvergence, match="at most 2 eigenvalues lie above"):
             channel_spectrum(GROUND, build_grid("logarithmic", 2, 1e-2, 10.0), k=5)
@@ -358,6 +373,15 @@ class TestHardySweep:
         layout = [(c.nu, c.grid_N) for c in rep.cells]
         assert layout == [(0.4, 40), (0.4, 80), (0.6, 40), (0.6, 80)]
         assert len(rep.margins_for(0.4)) == 2
+
+    def test_nu_star_reads_only_the_last_grid(self):
+        # both grids share N and r_min; only the last (logarithmic) one counts
+        grids = [build_grid(s, 200, 1e-4, 100.0) for s in ("uniform", "logarithmic")]
+        nus = [0.9, 1.0, 1.05, 1.1, 1.2]
+        rep = hardy_sweep(-1, nus, 0.5, grids)
+        assert rep.nu_star == hardy_sweep(-1, nus, 0.5, grids[-1:]).nu_star == 1.1
+        # the uniform grid alone is already negative at 1.05
+        assert hardy_sweep(-1, nus, 0.5, grids[:1]).nu_star == 1.05
 
     def test_empty_arguments(self):
         g = build_grid("uniform", 4, 1.0, 4.0)

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 from unittest import mock
 
@@ -88,12 +89,19 @@ class TestSolve:
         )
         assert recomputed == pytest.approx(rep.residual_norm, rel=1e-12, abs=1e-15)
 
-    def test_ill_conditioned_warns_and_flags(self, rng):
-        B = random_block_operator(rng, 10, margin_target=0.5)
+    def test_ill_conditioned_warns_and_flags(self):
+        # with T = 0, M_0 = P: condition 1e13 is above the fixed cap 1e12
+        B = assemble(np.diag(np.logspace(0.0, -13.0, 10)), np.zeros((10, 10)), np.eye(10))
         with pytest.warns(IllConditioned):
-            rep = solve(B, RhsPair(np.ones(10), np.ones(10)), cond_cap=1.0)
+            rep = solve(B, RhsPair(np.ones(10), np.ones(10)))
         assert rep.ill_conditioned
-        assert rep.schur_condition_estimate > 1.0
+        assert rep.schur_condition_estimate > 1e12
+        assert rep.residual_norm <= 1e-12
+        # condition 1e11 is below it
+        C = assemble(np.diag(np.logspace(0.0, -11.0, 10)), np.zeros((10, 10)), np.eye(10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditioned)
+            assert not solve(C, RhsPair(np.ones(10), np.ones(10))).ill_conditioned
 
     def test_indefinite_reduced_form_rejected(self):
         B = assemble(-2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
@@ -334,3 +342,7 @@ class TestGapEigenvalues:
             gap_eigenvalues(scalar_operator(), 0.0, 1, which="sideways")
         with pytest.raises(ValueError):
             gap_eigenvalues(scalar_operator(), 0.0, 0)
+        for k in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="integer"):
+                gap_eigenvalues(scalar_operator(), 0.0, k)
+        assert len(gap_eigenvalues(scalar_operator(), 0.0, np.int64(1))) == 1

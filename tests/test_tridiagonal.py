@@ -114,7 +114,7 @@ class TestTridiagonalField:
     def test_derived_not_passed(self, rng):
         B = channel(N=20)
         with pytest.raises(TypeError):
-            BlockOperator(B.P, B.Q, B.T, B.S, B.c1, B.N, M_tridiagonal=True)
+            BlockOperator(B.P, B.T, B.S, B.c1, M_tridiagonal=True)
         assert dataclasses.replace(B).M_tridiagonal
         dense_t = sp.csr_matrix(rng.standard_normal((20, 20)))
         assert not dataclasses.replace(B, T=dense_t).M_tridiagonal
