@@ -153,7 +153,7 @@ def _extreme_eigenvalue(m, which: str) -> float:
     """Smallest or largest eigenvalue of a symmetric matrix, routed by structure.
 
     m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
-    _schur_form returns when assembly recorded M_alpha as tridiagonal.
+    _schur_form returns when B.H_tridiagonal is set.
     A _Tridiagonal pair takes one dstebz Sturm bisection, O(n) at every
     n; every other form takes dense eigvalsh, O(n^3).
     """
@@ -188,9 +188,33 @@ def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
     return coeff * (1.0 + norm)
 
 
+def _check_finite(*named: tuple[str, np.ndarray]) -> None:
+    """Raise ValidationError, keyed by its name, for the first array with a non-finite entry."""
+    for name, a in named:
+        if not np.isfinite(a).all():
+            raise ValidationError(name, "has a non-finite entry")
+
+
+def _check_c1(smin: float, c1: float) -> None:
+    """Raise NonPositiveS unless lambda_min(S) = smin > 0 and 0 < c1 <= smin.
+
+    c1 may exceed smin by a relative 1e-12, the rounding of a bound
+    computed elsewhere.
+    """
+    if smin <= 0.0:
+        raise NonPositiveS(f"lambda_min(S) = {smin:.6g} <= 0; S >= c1 I > 0 fails")
+    if not c1 > 0.0:
+        raise NonPositiveS(f"asserted c1 = {c1:.6g} is not positive")
+    if smin < c1 - 1e-12 * (1.0 + abs(smin)):
+        raise NonPositiveS(f"asserted c1 = {c1:.6g} exceeds lambda_min(S) = {smin:.6g}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A pair (u, v) of upper/lower component vectors of equal length."""
+    """A pair (u, v) of finite upper/lower component vectors of equal length.
+
+    Raises ValidationError naming u or v for a non-finite entry.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -202,6 +226,7 @@ class StateVector:
             raise DimensionMismatch(
                 f"component lengths differ: {u.shape[0]} vs {v.shape[0]}"
             )
+        _check_finite(("u", u), ("v", v))
         object.__setattr__(self, "u", _freeze(u))
         object.__setattr__(self, "v", _freeze(v))
 
@@ -222,8 +247,10 @@ class BlockOperator:
     operator, dataclasses.replace(B, T=X) included, can hold an H that
     is not symmetric.  Guarantees established at assembly and preserved
     by the read-only storage: P and S are exactly symmetric, and
-    lambda_min(S) >= c1 > 0.  dataclasses.replace does not re-certify
-    c1, so a replaced S is trusted to keep that bound.
+    lambda_min(S) >= c1 > 0.  For a diagonal S that bound is checked
+    here, in O(N), so dataclasses.replace(B, S=X) with a diagonal X
+    raises NonPositiveS as assemble would; a replaced S that is not
+    diagonal is trusted to keep it.
 
     Four fields are derived from the blocks in __post_init__, O(nnz) in
     all (explicit stored zeros are ignored); they cannot be passed in and
@@ -237,11 +264,12 @@ class BlockOperator:
         which apply would otherwise pay on each call.
     S_diagonal
         S has no nonzero off-diagonal entry.
-    M_tridiagonal
-        S and P are diagonal and T has nonzero entries only on its
-        diagonal and first superdiagonal, so every M_alpha is
-        tridiagonal (every Dirac channel); margins are then evaluated
-        from its two diagonals, without forming a sparse matrix.
+    H_tridiagonal
+        When P and S are diagonal and T is upper bidiagonal (every Dirac
+        channel), H interleaved as (u_1, v_1, u_2, v_2, ...), which is
+        tridiagonal, and so is every M_alpha: the read-only _Tridiagonal
+        pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
+        O(N) route reads it.  None for every other structure.
     """
 
     P: sp.csr_matrix
@@ -251,18 +279,22 @@ class BlockOperator:
     N: int = field(init=False)
     Tt: sp.csc_matrix = field(init=False, repr=False)
     S_diagonal: bool = field(init=False)
-    M_tridiagonal: bool = field(init=False)
+    H_tridiagonal: _Tridiagonal | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "N", self.P.shape[0])
         object.__setattr__(self, "Tt", self.T.T)
         s_diagonal = _within_band(self.S, 0, 0)
         object.__setattr__(self, "S_diagonal", s_diagonal)
-        object.__setattr__(
-            self,
-            "M_tridiagonal",
-            s_diagonal and _within_band(self.P, 0, 0) and _within_band(self.T, 0, 1),
-        )
+        if s_diagonal:
+            _check_c1(float(np.min(self.S.diagonal())), self.c1)
+        H = None
+        if s_diagonal and _within_band(self.P, 0, 0) and _within_band(self.T, 0, 1):
+            d, e = np.empty(2 * self.N), np.empty(2 * self.N - 1)
+            d[0::2], d[1::2] = self.P.diagonal(), -self.S.diagonal()
+            e[0::2], e[1::2] = self.T.diagonal(), self.T.diagonal(1)
+            H = _Tridiagonal(d=_freeze(d), e=_freeze(e))
+        object.__setattr__(self, "H_tridiagonal", H)
 
 
 @dataclass(frozen=True)
@@ -314,8 +346,7 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     for name, m in (("P", Pc), ("T", Tc), ("S", Sc)):
         if m.shape != (n, n):
             raise DimensionMismatch(f"block {name} has shape {m.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(m.data)):
-            raise ValidationError(name, "block has a non-finite entry")
+        _check_finite((name, m.data))
     if not _is_symmetric_exact(Pc):
         raise ValidationError("P", "block must be exactly symmetric")
     if not _is_symmetric_exact(Sc):
@@ -325,19 +356,8 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
         smin = float(np.min(Sc.diagonal()))
     else:
         smin = _extreme_eigenvalue(Sc, "min")
-    if smin <= 0.0:
-        raise NonPositiveS(f"lambda_min(S) = {smin:.6g} <= 0; S >= c1 I > 0 fails")
-    if c1_policy == "compute":
-        c1 = smin
-    else:
-        c1 = float(c1_policy)
-        if not c1 > 0.0:
-            raise NonPositiveS(f"asserted c1 = {c1:.6g} is not positive")
-        if smin < c1 - 1e-12 * (1.0 + abs(smin)):
-            raise NonPositiveS(
-                f"asserted c1 = {c1:.6g} exceeds lambda_min(S) = {smin:.6g}"
-            )
-
+    c1 = smin if c1_policy == "compute" else float(c1_policy)
+    _check_c1(smin, c1)
     return BlockOperator(
         P=_freeze_csr(Pc), T=_freeze_csr(Tc), S=_freeze_csr(Sc), c1=c1
     )
@@ -386,31 +406,21 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
 def _schur_form(B: BlockOperator, alpha: float):
     """M_alpha in the layout the eigensolver takes, symmetrized.
 
-    With a diagonal S, B.M_tridiagonal gives the _Tridiagonal pair of
-    M_alpha's diagonal and off-diagonal, O(N) NumPy arithmetic, and any
-    other structure the sparse product T^t diag(1/(s + alpha)) T in CSR,
-    O(nnz).  A non-diagonal S + alpha*I is Cholesky-factored and M_alpha
-    is formed, symmetrized and returned as a dense ndarray.
+    One of two layouts.  When B.H_tridiagonal is set, the _Tridiagonal
+    pair of M_alpha's diagonal and off-diagonal, read from the
+    interleaved H in O(N) NumPy arithmetic.  Otherwise a dense ndarray:
+    S + alpha*I is applied by _s_inverse and M_alpha formed in O(N^3).
     """
     alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
-    n = B.N
-    if B.S_diagonal:
-        w = 1.0 / (B.S.diagonal() + alpha)
-        if B.M_tridiagonal:
-            d, e = _bidiagonal_gram(B.T.diagonal(), B.T.diagonal(1), w)
-            return _Tridiagonal(d=(B.P.diagonal() - alpha) + d, e=e)
-        M = (B.P - alpha * sp.identity(n, format="csr")) + B.Tt @ sp.diags(w) @ B.T
-        return ((M + M.T) * 0.5).tocsr()
-    A = B.S.toarray()
-    A[np.diag_indices(n)] += alpha
-    try:
-        factor = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite") from exc
+    H = B.H_tridiagonal
+    if H is not None:
+        # H.d holds -s, so alpha - H.d[1::2] is s + alpha
+        d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
+        return _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
     T = B.T.toarray()
-    M = B.P.toarray() - alpha * np.eye(n) + T.T @ cho_solve(factor, T)
+    M = B.P.toarray() - alpha * np.eye(B.N) + T.T @ _s_inverse(B, alpha)(T)
     return (M + M.T) * 0.5
 
 
@@ -421,18 +431,16 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     block S + alpha*I is applied by factorization and solve, never by
     explicit inversion; a diagonal S (B.S_diagonal) short-circuits to
     exact division.  The result is symmetrized to remove roundoff skew
-    and returned in CSR form (built from the two diagonals when
-    B.M_tridiagonal); positivity_margin and the other internal callers
-    take the same values without forming the CSR matrix.
+    and returned in CSR form, built from _schur_form's two diagonals or
+    dense array; positivity_margin and the other internal callers take
+    the same values without forming the CSR matrix.
     """
     return _form_csr(_schur_form(B, alpha))
 
 
 def _form_csr(M) -> sp.csr_matrix:
     """A form returned by _schur_form, as CSR."""
-    if isinstance(M, _Tridiagonal):
-        return M.tocsr()
-    return M if sp.issparse(M) else sp.csr_matrix(M)
+    return M.tocsr() if isinstance(M, _Tridiagonal) else sp.csr_matrix(M)
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
@@ -506,16 +514,22 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
     return float(w[B.N])
 
 
-def _s_inverse(B: BlockOperator):
-    """Callable applying S^{-1} to a vector or the columns of a matrix.
+def _s_inverse(B: BlockOperator, alpha: float = 0.0):
+    """Callable applying (S + alpha I)^{-1} to a vector or the columns of a matrix.
 
-    Exact division for a diagonal S and a dense Cholesky factorization
-    otherwise.  Uncached: the solver keeps one per operator.
+    The one place S + alpha*I is factored: exact division for a diagonal
+    S, else dense Cholesky, with NonPositiveS if that fails.  Uncached:
+    the solver keeps one per operator.
     """
     if B.S_diagonal:
-        d = B.S.diagonal()
+        d = B.S.diagonal() + alpha
         return lambda x: x / d if x.ndim == 1 else x / d[:, None]
-    factor = cho_factor(B.S.toarray(), lower=True)
+    A = B.S.toarray()
+    A[np.diag_indices(B.N)] += alpha
+    try:
+        factor = cho_factor(A, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite") from exc
     return lambda x: cho_solve(factor, x)
 
 
@@ -525,21 +539,22 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     Certifies M_0 - delta*(I + K^t K) >= 0 with K = S^{-1} T, i.e. the
     base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2), to the
     tolerance psd_tolerance gives with its default coefficient PSD_COEFF.
-    Returns (delta, certified).  When B.M_tridiagonal, K is bidiagonal
-    and the form is built from its two diagonals, O(N); otherwise K is
-    dense and K^t K costs O(N^3).
+    Returns (delta, certified).  When B.H_tridiagonal is set, K is
+    bidiagonal and the form is built from its diagonals, O(N); otherwise
+    K is dense and K^t K costs O(N^3).
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
     M0 = _schur_form(B, 0.0)
-    if isinstance(M0, _Tridiagonal):
-        s = B.S.diagonal()
-        KtK = _bidiagonal_gram(B.T.diagonal() / s, B.T.diagonal(1) / s[:-1], np.ones(B.N))
+    H = B.H_tridiagonal
+    if H is not None:
+        s = -H.d[1::2]
+        KtK = _bidiagonal_gram(H.e[0::2] / s, H.e[1::2] / s[:-1], np.ones(B.N))
         G = _Tridiagonal(d=M0.d - delta * (1.0 + KtK.d), e=M0.e - delta * KtK.e)
     else:
         K = _s_inverse(B)(B.T.toarray())
-        G = _form_csr(M0) - delta * (sp.identity(B.N, format="csr") + sp.csr_matrix(K.T @ K))
-        G = ((G + G.T) * 0.5).tocsr()
+        G = M0 - delta * (np.eye(B.N) + K.T @ K)
+        G = (G + G.T) * 0.5
     lam = _extreme_eigenvalue(G, "min")
     return delta, bool(lam >= -psd_tolerance(G))
 

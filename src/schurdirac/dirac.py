@@ -77,6 +77,11 @@ _SCHEMES = ("uniform", "logarithmic")
 NU_MAX = 1.2
 
 
+def _check_grid_size(N) -> None:
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise BadRange(f"N = {N!r} must be an integer >= 2")
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing nodes on (0, r_max] with scheme metadata.
@@ -94,9 +99,10 @@ class RadialGrid:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise BadRange(f"unknown grid scheme {self.scheme!r}")
+        _check_grid_size(self.N)
         nodes = np.array(self.nodes, dtype=np.float64).ravel()
-        if self.N < 2 or nodes.shape[0] != self.N:
-            raise BadRange(f"need N >= 2 nodes, got N = {self.N}")
+        if nodes.shape[0] != self.N:
+            raise BadRange(f"need N = {self.N} nodes, got {nodes.shape[0]}")
         if not np.all(np.isfinite(nodes)):
             raise BadRange("nodes must be finite")
         if not np.all(np.diff(nodes) > 0.0):
@@ -212,8 +218,7 @@ def build_grid(scheme: str, N: int, r_min: float, r_max: float) -> RadialGrid:
     """
     if scheme not in _SCHEMES:
         raise BadRange(f"unknown grid scheme {scheme!r}")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise BadRange(f"N = {N!r} must be an integer >= 2")
+    _check_grid_size(N)
     if r_min <= 0.0 or r_max <= r_min:
         raise BadRange(f"need 0 < r_min < r_max, got r_min={r_min:.6g} r_max={r_max:.6g}")
     if scheme == "uniform":
@@ -232,6 +237,8 @@ def _sample_potential(spec: DiracChannelSpec, grid: RadialGrid, potential) -> np
         v = np.asarray(potential, dtype=np.float64).ravel()
     if v.shape[0] != grid.N:
         raise BadRange(f"sampled potential has {v.shape[0]} values, grid has {grid.N}")
+    if not np.all(np.isfinite(v)):
+        raise BadRange("sampled potential has a non-finite value")
     return v
 
 

@@ -8,11 +8,11 @@ splits into a reduced positive-definite solve and a back-substitution:
 Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
 N+2, ... of H, selected by index on every route.  Structure picks the
-route.  For Dirac channels (B.M_tridiagonal) dpttrf factors the
-tridiagonal M_0, and Sturm bisection selects from H interleaved into
-tridiagonal form, at every N.  Every other operator takes dense
-Cholesky of M_0 and dense selection (dsyevx) from H, up to 2N =
-DENSE_ORACLE_CAP.
+route, and assembly records it once: for Dirac channels
+B.H_tridiagonal holds H interleaved into tridiagonal form, so dpttrf
+factors the tridiagonal M_0 and Sturm bisection selects from that H, at
+every N.  Every other operator takes dense Cholesky of M_0 and dense
+selection (dsyevx) from H, up to 2N = DENSE_ORACLE_CAP.
 What the elimination needs of an operator (S^{-1}, M_0, its extreme
 eigenvalues and its factor, or the reason M_0 cannot be factored) is
 built once into one _Elimination record, cached per operator behind a
@@ -39,6 +39,8 @@ from .blockop import (
     _STEBZ_ABSTOL,
     BlockOperator,
     StateVector,
+    _Tridiagonal,
+    _check_finite,
     _check_shift,
     _extreme_eigenvalues,
     _form_csr,
@@ -95,9 +97,9 @@ def _elimination(B: BlockOperator) -> _Elimination:
 
     M_0 is formed once, in the layout the eigensolver takes, and its
     extreme eigenvalues come from that form: two Sturm bisections for a
-    tridiagonal form, one eigvalsh for any other.  A positive definite
-    M_0 is factored with it, by dpttrf (L D L^t, O(N)) when
-    B.M_tridiagonal and by dense Cholesky (O(N^3)) otherwise.  For any
+    _Tridiagonal pair, one eigvalsh for an ndarray.  A positive definite
+    M_0 is factored from the same form, by dpttrf (L D L^t, O(N)) on the
+    pair's arrays or by dense Cholesky (O(N^3)) on the ndarray.  For any
     other M_0, m0_solve is None and refusal says why.  Safe to race:
     records are pure, built outside the lock, and the first stored wins.
     """
@@ -107,7 +109,6 @@ def _elimination(B: BlockOperator) -> _Elimination:
         return record
     s_solve = _s_inverse(B)
     form = _schur_form(B, 0.0)
-    M0 = _form_csr(form)
     margin, lam_max = _extreme_eigenvalues(form)
     m0_solve = refusal = None
     if margin <= 0.0:
@@ -115,27 +116,30 @@ def _elimination(B: BlockOperator) -> _Elimination:
             f"reduced matrix M_0 is not positive definite (lambda_min = {margin:.6g}); "
             "the elimination requires a positive base form"
         )
-    elif B.M_tridiagonal:
-        d, e, info = dpttrf(M0.diagonal(), _lapack_offdiagonal(M0.diagonal(1)))
+    elif isinstance(form, _Tridiagonal):
+        d, e, info = dpttrf(form.d, _lapack_offdiagonal(form.e))
         if info != 0:
             refusal = f"M_0 is not positive definite (dpttrf info = {info})"
         else:
             m0_solve = lambda x: dpttrs(d, e, x)[0]
     else:
         try:
-            factor = cho_factor(M0.toarray(), lower=True)
+            factor = cho_factor(form, lower=True)
         except np.linalg.LinAlgError as exc:
             refusal = f"M_0 is not positive definite (Cholesky: {exc})"
         else:
             m0_solve = lambda x: cho_solve(factor, x)
-    record = _Elimination(s_solve, M0, margin, lam_max, m0_solve, refusal)
+    record = _Elimination(s_solve, _form_csr(form), margin, lam_max, m0_solve, refusal)
     with _cache_lock:
         return _records.setdefault(B, record)
 
 
 @dataclass(frozen=True, eq=False)
 class RhsPair:
-    """Right-hand side (F1, F2) of the block system."""
+    """Right-hand side (F1, F2) of the block system, finite.
+
+    Raises ValidationError naming F1 or F2 for a non-finite entry.
+    """
 
     F1: np.ndarray
     F2: np.ndarray
@@ -147,6 +151,7 @@ class RhsPair:
             raise DimensionMismatch(
                 f"rhs component lengths differ: {f1.shape[0]} vs {f2.shape[0]}"
             )
+        _check_finite(("F1", f1), ("F2", f2))
         f1.setflags(write=False)
         f2.setflags(write=False)
         object.__setattr__(self, "F1", f1)
@@ -289,11 +294,11 @@ def gap_eigenvalues(
     when eigenvalue N+1 of H is >= sigma.  So on every path one gated
     selection takes eigenvalues N+1, N+2, ... by index ("above";
     N-k+1 .. N+k for "nearest"), and structure picks only the LAPACK
-    routine that returns them with their vectors: for B.M_tridiagonal
-    (every Dirac channel, at every N) Sturm bisection (dstebz) and
-    inverse iteration (dstein) on H interleaved as (u_1, v_1, u_2, ...),
-    which is tridiagonal; for every other operator dsyevx on the dense H,
-    O((2N)^3) time and (2N)^2 doubles, up to 2N = DENSE_ORACLE_CAP.
+    routine that returns them with their vectors: when B.H_tridiagonal is
+    set (every Dirac channel, at every N) Sturm bisection (dstebz) and
+    inverse iteration (dstein) on that interleaved H, (u_1, v_1, u_2, ...);
+    for every other operator dsyevx on the dense H, O((2N)^3) time and
+    (2N)^2 doubles, up to 2N = DENSE_ORACLE_CAP.
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
@@ -311,7 +316,7 @@ def gap_eigenvalues(
     NegativeShiftUnsupported
         If sigma < 0.
     TooLarge
-        If the operator is not tridiagonal and 2N > DENSE_ORACLE_CAP.
+        If B.H_tridiagonal is None and 2N > DENSE_ORACLE_CAP.
     HypothesisFailed
         If M_sigma is not positive semidefinite (eigenvalue N+1 of H lies
         below sigma by more than rounding), on every path and at every N.
@@ -329,7 +334,7 @@ def gap_eigenvalues(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     sigma = _nonnegative_shift(sigma)
-    if not B.M_tridiagonal and n2 > DENSE_ORACLE_CAP:
+    if B.H_tridiagonal is None and n2 > DENSE_ORACLE_CAP:
         raise TooLarge(
             f"2N = {n2} exceeds the dense cap {DENSE_ORACLE_CAP} for an operator "
             "that is not tridiagonal"
@@ -365,7 +370,7 @@ def _gap_pairs(
     strictly above it, so for "above" the window moves up past it.
     """
     N = B.N
-    window, norm = (_tridiagonal_window if B.M_tridiagonal else _dense_window)(B)
+    window, norm = (_dense_window if B.H_tridiagonal is None else _tridiagonal_window)(B)
     rounding = _ULP * norm
     if which == "nearest":
         il, iu = max(1, N - k + 1), min(2 * N, N + k)
@@ -398,12 +403,8 @@ def _gap_pairs(
 
 
 def _tridiagonal_window(B: BlockOperator) -> tuple[Callable, float]:
-    """dstebz values, dstein vectors and max|d| + 2 max|e| of the interleaved H."""
-    N = B.N
-    d = np.empty(2 * N)
-    d[0::2], d[1::2] = B.P.diagonal(), -B.S.diagonal()
-    e = np.empty(2 * N - 1)
-    e[0::2], e[1::2] = B.T.diagonal(), B.T.diagonal(1)
+    """dstebz values, dstein vectors and max|d| + 2 max|e| of B.H_tridiagonal."""
+    d, e = B.H_tridiagonal
 
     def window(il, iu):
         w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu)

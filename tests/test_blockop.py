@@ -148,6 +148,19 @@ class TestAssemble:
         with pytest.raises(TypeError):
             BlockOperator(B.P, B.T, B.S, B.c1, S_diagonal=True)
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, 0.01])
+    def test_replaced_diagonal_s_rechecks_c1(self, scale):
+        # c1 = 1 is kept by replace; a diagonal S below it is refused, as
+        # assemble refuses it, before any form is built from the stale c1
+        B = assemble(2.0 * np.eye(3), np.ones((3, 3)), np.eye(3))
+        message = "lambda_min" if scale <= 0.0 else "exceeds"
+        with pytest.raises(NonPositiveS, match=message):
+            dataclasses.replace(B, S=sp.csr_matrix(scale * np.eye(3)))
+        # within assemble's relative 1e-12 slack, or above c1, it is kept
+        for s in (1.0 - 1e-13, 1.5):
+            C = dataclasses.replace(B, S=sp.csr_matrix(s * np.eye(3)))
+            assert C.c1 == 1.0 and C.S_diagonal
+
     def test_only_the_blocks_and_c1_are_settable(self, rng):
         assert [f.name for f in dataclasses.fields(BlockOperator) if f.init] == [
             "P", "T", "S", "c1"
@@ -694,7 +707,7 @@ class TestInertiaProperties:
         T = sp.diags([rng.uniform(-10, 10, n), rng.uniform(-10, 10, n - 1)], [0, 1])
         B = assemble(sp.diags(rng.uniform(-10, 10, n)), T, sp.diags(rng.uniform(0.1, 10, n)))
         B = with_floor(B, floor)
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         assert_round_trip(B, data)
 
     @settings(deadline=2000, max_examples=100)

@@ -86,6 +86,11 @@ class TestBuildGrid:
         with pytest.raises(BadRange, match="finite"):
             RadialGrid("uniform", 3, 1.0, 3.0, [1.0, bad, 3.0])
 
+    def test_grid_refuses_a_float_size(self):
+        # build_grid's integer check, applied to a grid built directly
+        with pytest.raises(BadRange, match="must be an integer"):
+            RadialGrid("uniform", 3.0, 1.0, 3.0, [1.0, 2.0, 3.0])
+
 
 class TestChannelSpec:
     def test_valid(self):
@@ -242,6 +247,14 @@ class TestAdmissibility:
         rep = check_admissibility(spec, g)
         assert rep.coupling_sup == pytest.approx(1.05, rel=1e-12)
         assert not rep.coupling_ok
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_raise_the_same_error_at_both_entry_points(self, bad):
+        g = build_grid("uniform", 4, 1.0, 4.0)
+        for potential in (np.full(4, bad), lambda r: np.where(r > 2.0, bad, -0.1 / r)):
+            for entry in (check_admissibility, build_channel):
+                with pytest.raises(BadRange, match="non-finite"):
+                    entry(GROUND, g, potential=potential)
 
     def test_sampled_reports_sup_only(self):
         g = build_grid("uniform", 4, 1.0, 4.0)

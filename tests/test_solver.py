@@ -20,6 +20,7 @@ from schurdirac import (
     NegativeShiftUnsupported,
     RhsPair,
     StateVector,
+    ValidationError,
     apply,
     assemble,
     build_channel,
@@ -115,6 +116,15 @@ class TestSolve:
     def test_rhs_component_mismatch(self):
         with pytest.raises(DimensionMismatch):
             RhsPair([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["F1", "F2"])
+    def test_non_finite_rhs_is_refused_by_name(self, field, bad):
+        parts = {"F1": np.zeros(3), "F2": np.zeros(3)}
+        parts[field][1] = bad
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            solve(assemble(np.eye(3), np.zeros((3, 3)), np.eye(3)), RhsPair(**parts))
+        assert err.value.key == field
 
     def test_failed_dense_factorization_is_refused(self):
         # M_0 = P is rank one plus rounding: eigvalsh puts lambda_min at
@@ -249,6 +259,16 @@ class TestSymmetryIdentity:
         w2 = StateVector([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(DimensionMismatch):
             symmetry_identity_check(scalar_operator(), w1, w2)
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_non_finite_state_is_refused_by_name(self, field):
+        parts = {"u": [1.0, 0.5], "v": [0.25, -1.0]}
+        parts[field][0] = np.nan
+        w = StateVector([1.0, 0.5], [0.25, -1.0])
+        B = assemble(2.0 * np.eye(2), np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            symmetry_identity_check(B, w, StateVector(**parts))
+        assert err.value.key == field
 
     def test_works_without_positive_margin(self):
         # the identity is algebraic; it must not require M_0 >= 0

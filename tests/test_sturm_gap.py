@@ -84,7 +84,7 @@ class TestAgainstDense:
     @pytest.mark.parametrize("N", [301, 450])
     def test_channel(self, N, kappa, nu, shift, which):
         B = channel(kappa, nu, N)
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         lam = dense_eigh(B)[0][N]  # eigenvalue N+1 of H
         assert lam > 0.0
         sigma = {
@@ -114,7 +114,7 @@ class TestAgainstDense:
         B = assemble(
             sp.diags(rng.uniform(-1.0, 3.0, n)), T, sp.diags(rng.uniform(0.05, 2.0, n))
         )
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         w = dense_eigh(B)[0]
         # keep eigenvalue N+1 clear of sigma, so the expected outcome is certain
         assume(abs(w[n] - sigma) > 1e-8)
@@ -136,7 +136,7 @@ class TestGate:
 
     def test_sigma_below_valid_region_operator(self):
         B = assemble(-2.0 * np.eye(350), np.zeros((350, 350)), np.eye(350))
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         for which in ("above", "nearest"):
             with pytest.raises(HypothesisFailed):
                 gap_eigenvalues(B, 0.0, 2, which=which)
@@ -165,7 +165,7 @@ class TestOneShiftCheck:
             channel(-1, 0.5, 400),
             assemble(sp.identity(350), lower_t, 2.0 * sp.identity(350)),
         ]
-        assert [B.M_tridiagonal for B in operators] == [False, True, False]
+        assert [B.H_tridiagonal is not None for B in operators] == [False, True, False]
         for B in operators:
             with pytest.raises(NegativeShiftUnsupported):
                 gap_eigenvalues(B, -0.1, 1)
@@ -204,7 +204,7 @@ def test_channels_never_take_the_lanczos_path(monkeypatch):
 def test_small_channels_keep_the_dense_pairs(kappa, N, which):
     # small channels take the Sturm path too, and agree with dense eigh
     B = channel(kappa, 0.5, N)
-    assert B.M_tridiagonal
+    assert B.H_tridiagonal is not None
     with mock.patch.object(solver, "dsyevx", side_effect=AssertionError("dense path")):
         if kappa > 0:
             # M_0 of a kappa > 0 channel is indefinite, now refused at every N
@@ -226,13 +226,13 @@ def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, whic
         B = random_block_operator(rng, 400, margin_target=1.0)
     else:
         B = lower_bidiagonal(rng, 350)
-    assert not B.M_tridiagonal
+    assert B.H_tridiagonal is None
     assert_matches_dense(B, 0.6, 3, which)
 
 
 def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
     B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
-    assert not B.M_tridiagonal
+    assert B.H_tridiagonal is None
     with mock.patch.object(solver, "_dense_window", side_effect=AssertionError("densified")):
         for which in ("above", "nearest"):
             with pytest.raises(TooLarge, match="dense cap"):
@@ -375,12 +375,12 @@ def test_bad_residual_raises_under_optimize():
 def dense_twin(B):
     """B with a 1e-300 off-diagonal pair added to P.
 
-    That clears M_tridiagonal, so the operator takes the dense branch,
+    That leaves H_tridiagonal None, so the operator takes the dense branch,
     and leaves every entry of H unchanged relative to its scale.
     """
     bump = sp.csr_matrix(([1e-300, 1e-300], ([0, 1], [1, 0])), shape=(B.N, B.N))
     C = assemble(B.P + bump, B.T, B.S)
-    assert not C.M_tridiagonal
+    assert C.H_tridiagonal is None
     return C
 
 
@@ -448,7 +448,7 @@ def test_both_routes_select_the_same_indices(n, seed, place, frac, k, which):
     rng = np.random.default_rng(seed)
     T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, 1])
     B = assemble(sp.diags(rng.uniform(-1.0, 3.0, n)), T, sp.diags(rng.uniform(0.05, 2.0, n)))
-    assert B.M_tridiagonal
+    assert B.H_tridiagonal is not None
     w = dense_eigh(B)[0]
     c2 = w[n]  # eigenvalue N+1 of H
     sigma = {"zero": 0.0, "inside": frac * max(c2, 0.0), "above-c2": max(c2, 0.0) + frac}[place]

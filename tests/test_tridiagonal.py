@@ -25,6 +25,7 @@ from schurdirac import (
     build_grid,
     find_c2,
     form_report,
+    full_matrix,
     gap_eigenvalues,
     positivity_margin,
     resolvent_difference_check,
@@ -65,6 +66,15 @@ def assert_bitwise_reference(B, alpha):
     assert np.array_equal(schur_form_matrix(B, alpha).toarray(), M.toarray())
 
 
+def assert_interleaves_full_matrix(B):
+    """H_tridiagonal, permuted back to the (u, v) order, is full_matrix(B) exactly."""
+    H = B.H_tridiagonal.tocsr()
+    order = np.concatenate([np.arange(0, 2 * B.N, 2), np.arange(1, 2 * B.N, 2)])
+    diff = (H[order][:, order] - full_matrix(B)).tocsr()
+    diff.eliminate_zeros()
+    assert diff.nnz == 0
+
+
 def channel(kappa=-1, nu=0.5, N=300, potential=None):
     grid = build_grid("logarithmic", N, 1e-4, 40.0)
     return build_channel(DiracChannelSpec(kappa, nu, 0.5), grid, potential)
@@ -91,12 +101,12 @@ def bidiagonal_operator(rng, n, t_offsets=(0, 1), p_offsets=(0,), s_offsets=(0,)
 class TestTridiagonalField:
     def test_true_for_channels(self):
         for kappa in (-2, -1, 1):
-            assert channel(kappa=kappa).M_tridiagonal
+            assert channel(kappa=kappa).H_tridiagonal is not None
 
     def test_true_for_sampled_potential(self):
         r = build_grid("logarithmic", 300, 1e-4, 40.0).nodes
         B = channel(potential=-0.4 / r - 0.1 * np.exp(-r))
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
 
     def test_explicit_stored_zeros_are_ignored(self):
         B = channel(N=40)
@@ -108,16 +118,37 @@ class TestTridiagonalField:
         T = sp.csr_matrix((data, (rows, cols)), shape=B.T.shape)
         assert T.nnz == B.T.nnz + 2
         C = assemble(B.P, T, B.S)
-        assert C.M_tridiagonal
+        assert C.H_tridiagonal is not None
         assert positivity_margin(C, 0.3) == positivity_margin(B, 0.3)
 
     def test_derived_not_passed(self, rng):
         B = channel(N=20)
         with pytest.raises(TypeError):
-            BlockOperator(B.P, B.T, B.S, B.c1, M_tridiagonal=True)
-        assert dataclasses.replace(B).M_tridiagonal
+            BlockOperator(B.P, B.T, B.S, B.c1, H_tridiagonal=B.H_tridiagonal)
+        assert dataclasses.replace(B).H_tridiagonal is not None
         dense_t = sp.csr_matrix(rng.standard_normal((20, 20)))
-        assert not dataclasses.replace(B, T=dense_t).M_tridiagonal
+        assert dataclasses.replace(B, T=dense_t).H_tridiagonal is None
+
+    @pytest.mark.parametrize("N", [2, 40, 2000])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1])
+    def test_interleaved_h_is_the_full_matrix(self, kappa, N):
+        assert_interleaves_full_matrix(channel(kappa=kappa, N=N))
+
+    @settings(deadline=None, max_examples=25)
+    @given(n=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_h_of_random_bidiagonal_operators(self, n, seed):
+        rng = np.random.default_rng(seed)
+        T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, 1])
+        assert_interleaves_full_matrix(
+            assemble(sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n)))
+        )
+
+    def test_interleaved_h_is_read_only(self):
+        for B in (assemble([[2.0]], [[1.0]], [[1.0]]), channel(N=40)):
+            for a in B.H_tridiagonal:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     @pytest.mark.parametrize(
         "structure",
@@ -133,7 +164,7 @@ class TestTridiagonalField:
     @pytest.mark.parametrize("n", [40, 700])
     def test_false_off_structure_and_old_path_agrees(self, structure, n):
         B = bidiagonal_operator(np.random.default_rng(n), n, **structure)
-        assert not B.M_tridiagonal
+        assert B.H_tridiagonal is None
         form = blockop._schur_form(B, 0.25)
         assert not isinstance(form, blockop._Tridiagonal)
         dense = schur_form_matrix(B, 0.25).toarray()
@@ -149,10 +180,13 @@ class TestTridiagonalField:
             assert not hasattr(blockop, name)
         boom = mock.Mock(side_effect=AssertionError("sparse or dense path used"))
         for B in (assemble([[2.0]], [[1.0]], [[1.0]]), channel(N=40), channel(N=2000)):
-            assert B.M_tridiagonal
+            assert B.H_tridiagonal is not None
+            # the margins read the interleaved H: no CSR diagonal is extracted
             with mock.patch.object(blockop.sp, "diags", boom), mock.patch.object(
                 blockop.np.linalg, "eigvalsh", boom
-            ):
+            ), mock.patch.object(type(B.P), "diagonal", boom), mock.patch.object(
+                type(B.T), "diagonal", boom
+            ), mock.patch.object(type(B.S), "diagonal", boom):
                 positivity_margin(B, 0.5)
                 form_report(B, 0.5)
 
@@ -197,7 +231,7 @@ class TestBitwiseReference:
         B = assemble(
             sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n))
         )
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         assert_bitwise_reference(B, alpha)
 
     def test_cached_m0_condition_estimate(self):
@@ -212,12 +246,12 @@ class TestBitwiseReference:
 
 
 class TestOrderOne:
-    """N = 1: every operator with diagonal blocks is M_tridiagonal, and the
+    """N = 1: every operator with diagonal blocks has an H_tridiagonal, and the
     LAPACK wrappers refuse the empty off-diagonal of its forms."""
 
     def test_every_entry_point(self):
         B = assemble([[2.0]], [[1.0]], [[1.0]])
-        assert B.M_tridiagonal
+        assert B.H_tridiagonal is not None
         assert positivity_margin(B, 0.0) == 3.0
         assert positivity_margin(B, 1.0) == 1.5
         assert form_report(B, 1.0) == blockop.FormReport(1.0, 1.5, 1.0)
