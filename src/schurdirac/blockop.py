@@ -27,12 +27,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dstebz
+from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstebz
 
 from .errors import (
     DeltaOutOfRange,
@@ -116,6 +116,13 @@ class _Tridiagonal(NamedTuple):
 
     def tocsr(self) -> sp.csr_matrix:
         return sp.diags([self.e, self.d, self.e], [-1, 0, 1], format="csr")
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x, each row summed in the order of tocsr() @ x, so bitwise equal to it."""
+        y = self.d * x
+        y[1:] += self.e * x[:-1]
+        y[:-1] += self.e * x[1:]
+        return y
 
 
 # Absolute tolerance of the Sturm bisection: twice the underflow
@@ -209,6 +216,19 @@ def _check_c1(smin: float, c1: float) -> None:
         raise NonPositiveS(f"asserted c1 = {c1:.6g} exceeds lambda_min(S) = {smin:.6g}")
 
 
+def _finite_pair(obj, first: str, second: str) -> None:
+    """Freeze obj's two vector fields; DimensionMismatch or ValidationError if unfit."""
+    a = np.array(getattr(obj, first), dtype=np.float64).ravel()
+    b = np.array(getattr(obj, second), dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise DimensionMismatch(
+            f"{first} and {second} lengths differ: {a.shape[0]} vs {b.shape[0]}"
+        )
+    _check_finite((first, a), (second, b))
+    object.__setattr__(obj, first, _freeze(a))
+    object.__setattr__(obj, second, _freeze(b))
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A pair (u, v) of finite upper/lower component vectors of equal length.
@@ -220,15 +240,7 @@ class StateVector:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=np.float64).ravel()
-        v = np.array(self.v, dtype=np.float64).ravel()
-        if u.shape != v.shape:
-            raise DimensionMismatch(
-                f"component lengths differ: {u.shape[0]} vs {v.shape[0]}"
-            )
-        _check_finite(("u", u), ("v", v))
-        object.__setattr__(self, "u", _freeze(u))
-        object.__setattr__(self, "v", _freeze(v))
+        _finite_pair(self, "u", "v")
 
     def stacked(self) -> np.ndarray:
         """The length-2N vector (u, v)."""
@@ -363,16 +375,16 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     )
 
 
-def _check_state(B: BlockOperator, w: StateVector, name: str = "w") -> None:
-    if w.u.shape[0] != B.N:
+def _check_length(B: BlockOperator, name: str, x: np.ndarray) -> None:
+    if x.shape[0] != B.N:
         raise DimensionMismatch(
-            f"{name} has component length {w.u.shape[0]}, operator expects {B.N}"
+            f"{name} has component length {x.shape[0]}, operator expects {B.N}"
         )
 
 
 def apply(B: BlockOperator, w: StateVector) -> StateVector:
     """Apply H to (u, v): returns (Pu + T^t v, Tu - Sv)."""
-    _check_state(B, w)
+    _check_length(B, "w", w.u)
     return StateVector(
         B.P @ w.u + B.Tt @ w.v,
         B.T @ w.u - B.S @ w.v,
@@ -430,17 +442,29 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     At alpha = 0 this is the Schur complement of -S in H.  The shifted
     block S + alpha*I is applied by factorization and solve, never by
     explicit inversion; a diagonal S (B.S_diagonal) short-circuits to
-    exact division.  The result is symmetrized to remove roundoff skew
-    and returned in CSR form, built from _schur_form's two diagonals or
-    dense array; positivity_margin and the other internal callers take
-    the same values without forming the CSR matrix.
+    exact division.  The result is symmetrized to remove roundoff skew;
+    only this function converts _schur_form's layout to CSR.
     """
-    return _form_csr(_schur_form(B, alpha))
-
-
-def _form_csr(M) -> sp.csr_matrix:
-    """A form returned by _schur_form, as CSR."""
+    M = _schur_form(B, alpha)
     return M.tocsr() if isinstance(M, _Tridiagonal) else sp.csr_matrix(M)
+
+
+def _factor(M) -> tuple[Callable | None, str | None]:
+    """(solve, None) with solve applying M^{-1}, or (None, why M is not positive definite).
+
+    Every factorization on the solve path, in the layout of _schur_form:
+    dpttrf (O(n)) on a _Tridiagonal pair, dense Cholesky on an ndarray.
+    """
+    if isinstance(M, _Tridiagonal):
+        d, e, info = dpttrf(M.d, _lapack_offdiagonal(M.e))
+        if info != 0:
+            return None, f"dpttrf info = {info}"
+        return (lambda x: dpttrs(d, e, x)[0]), None
+    try:
+        factor = cho_factor(M, lower=True)
+    except np.linalg.LinAlgError as exc:
+        return None, f"Cholesky: {exc}"
+    return (lambda x: cho_solve(factor, x)), None
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
@@ -518,19 +542,18 @@ def _s_inverse(B: BlockOperator, alpha: float = 0.0):
     """Callable applying (S + alpha I)^{-1} to a vector or the columns of a matrix.
 
     The one place S + alpha*I is factored: exact division for a diagonal
-    S, else dense Cholesky, with NonPositiveS if that fails.  Uncached:
-    the solver keeps one per operator.
+    S, else _factor's dense Cholesky, with NonPositiveS if that fails.
+    Uncached: the solver keeps one per operator.
     """
     if B.S_diagonal:
         d = B.S.diagonal() + alpha
         return lambda x: x / d if x.ndim == 1 else x / d[:, None]
     A = B.S.toarray()
     A[np.diag_indices(B.N)] += alpha
-    try:
-        factor = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite") from exc
-    return lambda x: cho_solve(factor, x)
+    s_solve = _factor(A)[0]
+    if s_solve is None:
+        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite")
+    return s_solve
 
 
 def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:

@@ -469,6 +469,9 @@ def run(config: RunConfig) -> int:
     except SchurDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1

@@ -9,12 +9,13 @@ Eigenvalues of H in the spectral gap come from the same identity seen
 through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
 N+2, ... of H, selected by index on every route.  Structure picks the
 route, and assembly records it once: for Dirac channels
-B.H_tridiagonal holds H interleaved into tridiagonal form, so dpttrf
-factors the tridiagonal M_0 and Sturm bisection selects from that H, at
-every N.  Every other operator takes dense Cholesky of M_0 and dense
-selection (dsyevx) from H, up to 2N = DENSE_ORACLE_CAP.
-What the elimination needs of an operator (S^{-1}, M_0, its extreme
-eigenvalues and its factor, or the reason M_0 cannot be factored) is
+B.H_tridiagonal holds H interleaved into tridiagonal form, so M_0 is a
+tridiagonal pair, factored by dpttrf, and Sturm bisection selects from
+that H, at every N.  Every other operator has a dense M_0, factored by
+Cholesky, and dense selection (dsyevx) from H, up to 2N =
+DENSE_ORACLE_CAP.  blockop._factor does both factorizations.  What the
+elimination needs of an operator (S^{-1}, M_0 in that one layout, its
+extreme eigenvalues and its factor, or why M_0 cannot be factored) is
 built once into one _Elimination record, cached per operator behind a
 lock; all operations are pure and safe to run concurrently on shared
 inputs.
@@ -31,8 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstein, dsyevx
+from scipy.linalg.lapack import dlamch, dstein, dsyevx
 
 from .blockop import (
     DENSE_ORACLE_CAP,
@@ -40,11 +40,11 @@ from .blockop import (
     BlockOperator,
     StateVector,
     _Tridiagonal,
-    _check_finite,
+    _check_length,
     _check_shift,
     _extreme_eigenvalues,
-    _form_csr,
-    _lapack_offdiagonal,
+    _factor,
+    _finite_pair,
     _s_inverse,
     _schur_form,
     _tridiagonal_eigenvalues,
@@ -53,7 +53,6 @@ from .blockop import (
 )
 from .errors import (
     CheckFailed,
-    DimensionMismatch,
     HypothesisFailed,
     IllConditioned,
     NegativeShiftUnsupported,
@@ -78,10 +77,10 @@ COND_CAP = 1e12
 
 
 class _Elimination(NamedTuple):
-    """S^{-1}, M_0 in CSR, its extreme eigenvalues, and M_0^{-1} or why not."""
+    """S^{-1}, M_0 as _schur_form lays it out, its extreme eigenvalues, and M_0^{-1} or why not."""
 
     s_solve: Callable
-    M0: sp.csr_matrix
+    M0: _Tridiagonal | np.ndarray
     margin: float
     lam_max: float
     m0_solve: Callable | None
@@ -95,41 +94,30 @@ _records = weakref.WeakKeyDictionary()  # BlockOperator -> _Elimination
 def _elimination(B: BlockOperator) -> _Elimination:
     """The elimination record of B, built once and cached per operator.
 
-    M_0 is formed once, in the layout the eigensolver takes, and its
-    extreme eigenvalues come from that form: two Sturm bisections for a
-    _Tridiagonal pair, one eigvalsh for an ndarray.  A positive definite
-    M_0 is factored from the same form, by dpttrf (L D L^t, O(N)) on the
-    pair's arrays or by dense Cholesky (O(N^3)) on the ndarray.  For any
-    other M_0, m0_solve is None and refusal says why.  Safe to race:
-    records are pure, built outside the lock, and the first stored wins.
+    M_0 stays in the one layout _schur_form gives it, a _Tridiagonal
+    pair or an ndarray, from its extreme eigenvalues to _factor and the
+    refinement product.  For an M_0 that is not positive definite,
+    m0_solve is None and refusal says why.  Safe to race: records are
+    pure, built outside the lock, and the first stored wins.
     """
     with _cache_lock:
         record = _records.get(B)
     if record is not None:
         return record
     s_solve = _s_inverse(B)
-    form = _schur_form(B, 0.0)
-    margin, lam_max = _extreme_eigenvalues(form)
+    M0 = _schur_form(B, 0.0)
+    margin, lam_max = _extreme_eigenvalues(M0)
     m0_solve = refusal = None
     if margin <= 0.0:
         refusal = (
             f"reduced matrix M_0 is not positive definite (lambda_min = {margin:.6g}); "
             "the elimination requires a positive base form"
         )
-    elif isinstance(form, _Tridiagonal):
-        d, e, info = dpttrf(form.d, _lapack_offdiagonal(form.e))
-        if info != 0:
-            refusal = f"M_0 is not positive definite (dpttrf info = {info})"
-        else:
-            m0_solve = lambda x: dpttrs(d, e, x)[0]
     else:
-        try:
-            factor = cho_factor(form, lower=True)
-        except np.linalg.LinAlgError as exc:
-            refusal = f"M_0 is not positive definite (Cholesky: {exc})"
-        else:
-            m0_solve = lambda x: cho_solve(factor, x)
-    record = _Elimination(s_solve, _form_csr(form), margin, lam_max, m0_solve, refusal)
+        m0_solve, reason = _factor(M0)
+        if m0_solve is None:
+            refusal = f"M_0 is not positive definite ({reason})"
+    record = _Elimination(s_solve, M0, margin, lam_max, m0_solve, refusal)
     with _cache_lock:
         return _records.setdefault(B, record)
 
@@ -145,17 +133,7 @@ class RhsPair:
     F2: np.ndarray
 
     def __post_init__(self):
-        f1 = np.array(self.F1, dtype=np.float64).ravel()
-        f2 = np.array(self.F2, dtype=np.float64).ravel()
-        if f1.shape != f2.shape:
-            raise DimensionMismatch(
-                f"rhs component lengths differ: {f1.shape[0]} vs {f2.shape[0]}"
-            )
-        _check_finite(("F1", f1), ("F2", f2))
-        f1.setflags(write=False)
-        f2.setflags(write=False)
-        object.__setattr__(self, "F1", f1)
-        object.__setattr__(self, "F2", f2)
+        _finite_pair(self, "F1", "F2")
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.F1, self.F2])
@@ -191,10 +169,7 @@ def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     DimensionMismatch
         If the right-hand side length differs from the operator's N.
     """
-    if rhs.F1.shape[0] != B.N:
-        raise DimensionMismatch(
-            f"rhs has component length {rhs.F1.shape[0]}, operator expects {B.N}"
-        )
+    _check_length(B, "rhs", rhs.F1)
     rec = _elimination(B)
     if rec.m0_solve is None:
         raise HypothesisFailed(rec.refusal)
@@ -231,8 +206,8 @@ def symmetry_identity_check(
     under swapping w and wt; CheckFailed is raised if it is not.
     Returns (lhs, rhs, absdiff).
     """
-    if w.u.shape[0] != B.N or wt.u.shape[0] != B.N:
-        raise DimensionMismatch("state vector length differs from operator N")
+    _check_length(B, "w", w.u)
+    _check_length(B, "wt", wt.u)
     rec = _elimination(B)
 
     hw = apply(B, w)

@@ -496,3 +496,13 @@ class TestRunAndMain:
         assert main(["c2", "--config", cfg, "--out", out]) == 0
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".schurdirac-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "existing_dir"])
+    def test_exit_one_for_unwritable_report(self, tmp_path, capsys, target):
+        # a missing directory, or --out naming a directory
+        (tmp_path / "existing_dir").mkdir()
+        cfg = write_config(tmp_path, MINIMAL + SMALL_GRID)
+        assert main(["c2", "--config", cfg, "--out", str(tmp_path / target)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write report: " in err and "internal error" not in err
+        assert [p.name for p in tmp_path.rglob(".schurdirac-*.tmp")] == []

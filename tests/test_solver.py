@@ -260,6 +260,29 @@ class TestSymmetryIdentity:
         with pytest.raises(DimensionMismatch):
             symmetry_identity_check(scalar_operator(), w1, w2)
 
+    def test_length_errors_name_the_vector(self):
+        B, w = scalar_operator(), StateVector([1.0], [1.0])
+        long = StateVector([1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="^w has component length 2, "):
+            symmetry_identity_check(B, long, w)
+        with pytest.raises(DimensionMismatch, match="^wt has component length 2, "):
+            symmetry_identity_check(B, w, long)
+        with pytest.raises(DimensionMismatch, match="^w has component length 2, "):
+            apply(B, long)
+        with pytest.raises(DimensionMismatch, match="^rhs has component length 2, "):
+            solve(B, RhsPair([1.0, 2.0], [0.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match="^u and v lengths differ: 1 vs 2$"):
+            StateVector([1.0], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="^F1 and F2 lengths differ: 2 vs 1$"):
+            RhsPair([1.0, 2.0], [1.0])
+
+    def test_rhs_is_stored_read_only_as_the_state(self):
+        pairs = [(RhsPair([1, 2], [3, 4]), "F1", "F2"), (StateVector([1, 2], [3, 4]), "u", "v")]
+        for pair, *names in pairs:
+            for name in names:
+                a = getattr(pair, name)
+                assert a.dtype == np.float64 and not a.flags.writeable
+
     @pytest.mark.parametrize("field", ["u", "v"])
     def test_non_finite_state_is_refused_by_name(self, field):
         parts = {"u": [1.0, 0.5], "v": [0.25, -1.0]}

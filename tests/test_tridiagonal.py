@@ -27,6 +27,7 @@ from schurdirac import (
     form_report,
     full_matrix,
     gap_eigenvalues,
+    inertia_c2_oracle,
     positivity_margin,
     resolvent_difference_check,
     schur_form_matrix,
@@ -75,8 +76,8 @@ def assert_interleaves_full_matrix(B):
     assert diff.nnz == 0
 
 
-def channel(kappa=-1, nu=0.5, N=300, potential=None):
-    grid = build_grid("logarithmic", N, 1e-4, 40.0)
+def channel(kappa=-1, nu=0.5, N=300, potential=None, scheme="logarithmic"):
+    grid = build_grid(scheme, N, 1e-4, 40.0)
     return build_channel(DiracChannelSpec(kappa, nu, 0.5), grid, potential)
 
 
@@ -237,10 +238,12 @@ class TestBitwiseReference:
     def test_cached_m0_condition_estimate(self):
         for N in (300, 2000):
             B = channel(N=N)
-            lo, hi = reference_extremes(reference_form(B, 0.0))
+            M0 = reference_form(B, 0.0)
+            lo, hi = reference_extremes(M0)
             rec = solver._elimination(B)
             assert rec.margin == lo
-            assert np.array_equal(rec.M0.toarray(), reference_form(B, 0.0).toarray())
+            assert np.array_equal(rec.M0.d, M0.diagonal())
+            assert np.array_equal(rec.M0.e, M0.diagonal(1))
             rep = solve(B, RhsPair(np.ones(N), np.zeros(N)))
             assert rep.schur_condition_estimate == hi / lo
 
@@ -280,11 +283,83 @@ def test_failed_tridiagonal_factorization_is_refused(monkeypatch):
     # never used, even when the Sturm margin was positive
     B = channel(N=40)
     assert positivity_margin(B, 0.0) > 0.0
-    real = solver.dpttrf
-    monkeypatch.setattr(solver, "dpttrf", lambda d, e: real(d, e)[:2] + (1,))
-    monkeypatch.setattr(solver, "dpttrs", mock.Mock(side_effect=AssertionError("used")))
+    real = blockop.dpttrf
+    monkeypatch.setattr(blockop, "dpttrf", lambda d, e: real(d, e)[:2] + (1,))
+    monkeypatch.setattr(blockop, "dpttrs", mock.Mock(side_effect=AssertionError("used")))
     with pytest.raises(HypothesisFailed, match="dpttrf info = 1"):
         solve(B, RhsPair(np.ones(40), np.zeros(40)))
+
+
+class TestMatmul:
+    """_Tridiagonal @ x sums each row as tocsr() @ x does, so the elimination's
+    refinement product is bitwise the CSR product it replaced."""
+
+    @pytest.mark.parametrize("N", [2, 40, 2000])
+    @pytest.mark.parametrize("scheme", ["uniform", "logarithmic"])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1])
+    def test_channel_forms(self, kappa, scheme, N):
+        B = channel(kappa, N=N, scheme=scheme)
+        x = np.random.default_rng(N).standard_normal(N)
+        for alpha in (0.0, 0.7):
+            M = blockop._schur_form(B, alpha)
+            assert np.array_equal(M @ x, M.tocsr() @ x)
+        y = np.random.default_rng(N).standard_normal(2 * N)
+        assert np.array_equal(B.H_tridiagonal @ y, B.H_tridiagonal.tocsr() @ y)
+
+    def test_order_one(self):
+        B = assemble([[2.0]], [[1.0]], [[1.0]])
+        M = blockop._schur_form(B, 0.0)
+        assert np.array_equal(M @ np.array([0.5]), M.tocsr() @ np.array([0.5]))
+
+    @settings(deadline=None, max_examples=50)
+    @given(n=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1))
+    def test_random_pairs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=3)
+        M = blockop._Tridiagonal(
+            d=scale[0] * rng.standard_normal(n), e=scale[1] * rng.standard_normal(n - 1)
+        )
+        x = scale[2] * rng.standard_normal(n)
+        assert np.array_equal(M @ x, M.tocsr() @ x)
+
+
+def test_elimination_keeps_m0_in_its_form_layout(rng):
+    assert isinstance(solver._elimination(channel(N=40)).M0, blockop._Tridiagonal)
+    rec = solver._elimination(random_block_operator(rng, 20, margin_target=0.5))
+    assert type(rec.M0) is np.ndarray
+
+
+class TestFactorCertifiesC2:
+    """By Sylvester's law of inertia, _factor of M_alpha succeeds just below c2
+    and fails just above it; c2 comes from an independent eigenvalue selection."""
+
+    @staticmethod
+    def assert_separates(B, c2):
+        below = blockop._factor(blockop._schur_form(B, c2 * (1.0 - 1e-9)))
+        above = blockop._factor(blockop._schur_form(B, c2 * (1.0 + 1e-9)))
+        assert below[0] is not None and below[1] is None
+        assert above[0] is None and isinstance(above[1], str)
+
+    @pytest.mark.parametrize(
+        "kappa, nu, N", [(-1, 0.9, 8000), (-2, 0.5, 300), (-1, 0.5, 2000), (-2, 0.9, 400)]
+    )
+    def test_channel(self, kappa, nu, N):
+        B = channel(kappa, nu, N)
+        if 2 * N <= blockop.DENSE_ORACLE_CAP:
+            c2 = inertia_c2_oracle(B)
+        else:
+            H = B.H_tridiagonal
+            c2 = float(blockop._tridiagonal_eigenvalues(H.d, H.e, N + 1, N + 1)[0][0])
+        assert c2 > 0.0
+        self.assert_separates(B, c2)
+
+    def test_dense_family(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(5, 101))
+            B = random_block_operator(rng, n, margin_target=rng.uniform(0.05, 2.0))
+            assert B.H_tridiagonal is None
+            self.assert_separates(B, inertia_c2_oracle(B))
 
 
 class TestOneDenseEigvalsh:
