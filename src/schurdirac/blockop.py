@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,9 +145,9 @@ def _tridiagonal_eigenvalues(
     (ascending within each split-off block, not overall), iblock[:w.size]
     the block of each, isplit the block ends.
     """
-    # dstebz does not check its input; an overflowed form is refused here
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("array must not contain infs or NaNs")
+    # dstebz does not check its input, and it reads H and the embedding
+    # form as well as _schur_form's output
+    _check_finite_form(d, e)
     # range 2 selects the eigenvalues with indices il..iu
     m, w, iblock, isplit, info = dstebz(
         d, _lapack_offdiagonal(e), 2, 0.0, 0.0, il, iu, _STEBZ_ABSTOL, "B"
@@ -154,6 +155,12 @@ def _tridiagonal_eigenvalues(
     if info != 0:
         raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
     return w[:m], iblock, isplit
+
+
+def _check_finite_form(*arrays: np.ndarray) -> None:
+    """Raise ValueError, as scipy's eigensolvers do, for a non-finite entry."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _extreme_eigenvalue(m, which: str) -> float:
@@ -282,6 +289,28 @@ class BlockOperator:
         tridiagonal, and so is every M_alpha: the read-only _Tridiagonal
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
+
+    Three dense facts are lazy: each is made on first use and cached on
+    this operator, arrays read-only.  None is made at assembly, and
+    dataclasses.replace starts without them.  Threads that race to make
+    one compute equal values, and one is kept.
+
+    _s_solve
+        S^{-1} of a non-diagonal S by _factor's Cholesky, used by every
+        S^{-1} the package applies (_s_inverse).
+    _M0
+        M_0 = P + T^t S^{-1} T of an operator without H_tridiagonal,
+        formed through that S^{-1} and symmetrized.  Every read of the
+        dense M_0 takes this one array.
+    _shift_basis
+        (s, Y) with S = Q diag(s) Q^t and Y = diag(s)^{-1/2} Q^t T, made
+        by one eigh of S (none for a diagonal S, where Q = I) at the
+        first dense margin with alpha > 0.  Since (S + alpha)^{-1} =
+        S^{-1} - alpha S^{-1/2} (S + alpha)^{-1} S^{-1/2},
+
+            M_alpha = M_0 - alpha (I + Y^t diag(1/(s + alpha)) Y),
+
+        so each further dense M_alpha is one syrk away from M_0.
     """
 
     P: sp.csr_matrix
@@ -307,6 +336,31 @@ class BlockOperator:
             e[0::2], e[1::2] = self.T.diagonal(), self.T.diagonal(1)
             H = _Tridiagonal(d=_freeze(d), e=_freeze(e))
         object.__setattr__(self, "H_tridiagonal", H)
+
+    @cached_property
+    def _s_solve(self) -> Callable:
+        s_solve, reason = _factor(self.S.toarray())
+        if s_solve is None:
+            raise NonPositiveS(f"S is not positive definite ({reason})")
+        return s_solve
+
+    @cached_property
+    def _M0(self) -> np.ndarray:
+        T = self.T.toarray()
+        with np.errstate(all="ignore"):
+            M = self.P.toarray() + T.T @ _s_inverse(self)(T)
+            return _freeze((M + M.T) * 0.5)
+
+    @cached_property
+    def _shift_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        T = self.T.toarray()
+        with np.errstate(all="ignore"):
+            if self.S_diagonal:
+                s, QtT = self.S.diagonal(), T
+            else:
+                s, Q = np.linalg.eigh(self.S.toarray())
+                QtT = Q.T @ T
+            return _freeze(s), _freeze(QtT / np.sqrt(s)[:, None])
 
 
 @dataclass(frozen=True)
@@ -416,34 +470,49 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
 
 
 def _schur_form(B: BlockOperator, alpha: float):
-    """M_alpha in the layout the eigensolver takes, symmetrized.
+    """M_alpha in the layout the eigensolver takes, exactly symmetric and finite.
 
     One of two layouts.  When B.H_tridiagonal is set, the _Tridiagonal
     pair of M_alpha's diagonal and off-diagonal, read from the
     interleaved H in O(N) NumPy arithmetic.  Otherwise a dense ndarray:
-    S + alpha*I is applied by _s_inverse and M_alpha formed in O(N^3).
+    B._M0 at alpha = 0, read-only and formed once per operator, and at
+    alpha > 0 M_0 - alpha (I + X^t X) with X = diag(s + alpha)^{-1/2} Y
+    from B._shift_basis, one syrk.  Either layout is formed without
+    floating-point warnings; a non-finite form (an overflow) raises
+    ValueError.
     """
     alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
     H = B.H_tridiagonal
     if H is not None:
-        # H.d holds -s, so alpha - H.d[1::2] is s + alpha
-        d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
-        return _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
-    T = B.T.toarray()
-    M = B.P.toarray() - alpha * np.eye(B.N) + T.T @ _s_inverse(B, alpha)(T)
-    return (M + M.T) * 0.5
+        with np.errstate(all="ignore"):
+            # H.d holds -s, so alpha - H.d[1::2] is s + alpha
+            d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
+            M = _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
+        _check_finite_form(*M)
+        return M
+    M = B._M0
+    if alpha > 0.0:
+        s, Y = B._shift_basis
+        with np.errstate(all="ignore"):
+            X = Y / np.sqrt(s + alpha)[:, None]
+            # X.T @ X of one buffer goes to syrk, which fills both triangles alike
+            M = M - alpha * (X.T @ X)
+            M[np.diag_indices(B.N)] -= alpha
+    _check_finite_form(M)
+    return M
 
 
 def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     """Matrix of the reduced form: M_alpha = (P - alpha I) + T^t (S + alpha I)^{-1} T.
 
-    At alpha = 0 this is the Schur complement of -S in H.  The shifted
-    block S + alpha*I is applied by factorization and solve, never by
-    explicit inversion; a diagonal S (B.S_diagonal) short-circuits to
-    exact division.  The result is symmetrized to remove roundoff skew;
-    only this function converts _schur_form's layout to CSR.
+    At alpha = 0 this is the Schur complement of -S in H.  No inverse
+    is formed: S^{-1} is applied by Cholesky solves (exact division for
+    a diagonal S, B.S_diagonal), and a dense M_alpha with alpha > 0
+    comes from M_0 through the shift basis (see _schur_form).  The
+    result is exactly symmetric; only this function converts
+    _schur_form's layout to CSR.
     """
     M = _schur_form(B, alpha)
     return M.tocsr() if isinstance(M, _Tridiagonal) else sp.csr_matrix(M)
@@ -453,7 +522,8 @@ def _factor(M) -> tuple[Callable | None, str | None]:
     """(solve, None) with solve applying M^{-1}, or (None, why M is not positive definite).
 
     Every factorization on the solve path, in the layout of _schur_form:
-    dpttrf (O(n)) on a _Tridiagonal pair, dense Cholesky on an ndarray.
+    dpttrf (O(n)) on a _Tridiagonal pair, dense Cholesky on an ndarray,
+    which is also how B._s_solve factors a non-diagonal S, once.
     """
     if isinstance(M, _Tridiagonal):
         d, e, info = dpttrf(M.d, _lapack_offdiagonal(M.e))
@@ -464,11 +534,16 @@ def _factor(M) -> tuple[Callable | None, str | None]:
         factor = cho_factor(M, lower=True)
     except np.linalg.LinAlgError as exc:
         return None, f"Cholesky: {exc}"
-    return (lambda x: cho_solve(factor, x)), None
+    return partial(cho_solve, factor), None
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
-    """lambda_min(M_alpha); nonnegative certifies the inequality at level alpha."""
+    """lambda_min(M_alpha); nonnegative certifies the inequality at level alpha.
+
+    With B.H_tridiagonal set, one dstebz Sturm bisection, O(N);
+    otherwise one dense eigvalsh, O(N^3), of B._M0 at alpha = 0 and of
+    a form one syrk away from it at alpha > 0.
+    """
     return _extreme_eigenvalue(_schur_form(B, alpha), "min")
 
 
@@ -487,6 +562,10 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     margin(0) - alpha and [0, margin(0)] brackets the root; bisection
     narrows it to width <= tol, or until the bracket ends are adjacent
     floats when tol is below their spacing, and the midpoint is returned.
+
+    Each step costs one positivity_margin: O(N) for an operator with
+    B.H_tridiagonal set, and one syrk plus one eigvalsh for every other,
+    all from one M_0 and one shift basis.
 
     Raises
     ------
@@ -538,22 +617,16 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
     return float(w[B.N])
 
 
-def _s_inverse(B: BlockOperator, alpha: float = 0.0):
-    """Callable applying (S + alpha I)^{-1} to a vector or the columns of a matrix.
+def _s_inverse(B: BlockOperator):
+    """Callable applying S^{-1} to a vector or the columns of a matrix.
 
-    The one place S + alpha*I is factored: exact division for a diagonal
-    S, else _factor's dense Cholesky, with NonPositiveS if that fails.
-    Uncached: the solver keeps one per operator.
+    Exact division for a diagonal S; otherwise B._s_solve, which raises
+    NonPositiveS if S has no Cholesky factor.
     """
     if B.S_diagonal:
-        d = B.S.diagonal() + alpha
+        d = B.S.diagonal()
         return lambda x: x / d if x.ndim == 1 else x / d[:, None]
-    A = B.S.toarray()
-    A[np.diag_indices(B.N)] += alpha
-    s_solve = _factor(A)[0]
-    if s_solve is None:
-        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite")
-    return s_solve
+    return B._s_solve
 
 
 def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
@@ -564,7 +637,8 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     tolerance psd_tolerance gives with its default coefficient PSD_COEFF.
     Returns (delta, certified).  When B.H_tridiagonal is set, K is
     bidiagonal and the form is built from its diagonals, O(N); otherwise
-    K is dense and K^t K costs O(N^3).
+    K is dense, applied with the operator's one factor of S, M_0 is its
+    cached array, and K^t K costs O(N^3).
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)

@@ -506,3 +506,21 @@ class TestRunAndMain:
         err = capsys.readouterr().err
         assert "cannot write report: " in err and "internal error" not in err
         assert [p.name for p in tmp_path.rglob(".schurdirac-*.tmp")] == []
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/out.csv", "No such file or directory"), ("existing_dir", "Is a directory")],
+    )
+    def test_unwritable_report_names_the_requested_path(self, tmp_path, capsys, target, reason):
+        (tmp_path / "existing_dir").mkdir()
+        cfg = write_config(tmp_path, MINIMAL + SMALL_GRID)
+        out = str(tmp_path / target)
+        messages = []
+        for _ in range(2):
+            assert main(["c2", "--config", cfg, "--out", out]) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "cannot write report: [Errno " in messages[0]
+        assert f"{reason}: {out!r}" in messages[0]
+        assert ".schurdirac-" not in messages[0]
+        assert list(tmp_path.rglob("*.tmp")) == []
