@@ -145,8 +145,7 @@ def _tridiagonal_eigenvalues(
     (ascending within each split-off block, not overall), iblock[:w.size]
     the block of each, isplit the block ends.
     """
-    # dstebz does not check its input, and it reads H and the embedding
-    # form as well as _schur_form's output
+    # dstebz does not check its input; an overflowed form is refused here
     _check_finite_form(d, e)
     # range 2 selects the eigenvalues with indices il..iu
     m, w, iblock, isplit, info = dstebz(
@@ -300,17 +299,19 @@ class BlockOperator:
         S^{-1} the package applies (_s_inverse).
     _M0
         M_0 = P + T^t S^{-1} T of an operator without H_tridiagonal,
-        formed through that S^{-1} and symmetrized.  Every read of the
-        dense M_0 takes this one array.
+        formed through that S^{-1}, symmetrized and checked finite.
+        Every read of the dense M_0 takes this one array.
     _shift_basis
-        (s, Y) with S = Q diag(s) Q^t and Y = diag(s)^{-1/2} Q^t T, made
-        by one eigh of S (none for a diagonal S, where Q = I) at the
-        first dense margin with alpha > 0.  Since (S + alpha)^{-1} =
-        S^{-1} - alpha S^{-1/2} (S + alpha)^{-1} S^{-1/2},
+        (P, s, Z): P as a dense array, and S = Q diag(s) Q^t with
+        Z = Q^t T, made by one eigh of S (none for a diagonal S, where
+        Q = I) at the first dense margin with alpha > 0.  Then
 
-            M_alpha = M_0 - alpha (I + Y^t diag(1/(s + alpha)) Y),
+            M_alpha = (P - alpha I) + X^t X,  X = diag(s + alpha)^{-1/2} Z,
 
-        so each further dense M_alpha is one syrk away from M_0.
+        so each further dense M_alpha is one syrk and one add.  Nothing
+        is subtracted from M_0, whose T^t S^{-1} T term grows like
+        1/lambda_min(S): the error of M_alpha stays that of a form
+        with S + alpha in place of S, however small lambda_min(S) is.
     """
 
     P: sp.csr_matrix
@@ -339,9 +340,9 @@ class BlockOperator:
 
     @cached_property
     def _s_solve(self) -> Callable:
-        s_solve, reason = _factor(self.S.toarray())
+        s_solve, _ = _factor(self.S.toarray())
         if s_solve is None:
-            raise NonPositiveS(f"S is not positive definite ({reason})")
+            raise NonPositiveS("S + 0 I is not positive definite")
         return s_solve
 
     @cached_property
@@ -349,18 +350,20 @@ class BlockOperator:
         T = self.T.toarray()
         with np.errstate(all="ignore"):
             M = self.P.toarray() + T.T @ _s_inverse(self)(T)
-            return _freeze((M + M.T) * 0.5)
+            M = (M + M.T) * 0.5
+        _check_finite_form(M)
+        return _freeze(M)
 
     @cached_property
-    def _shift_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        T = self.T.toarray()
+    def _shift_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        P, T = self.P.toarray(), self.T.toarray()
         with np.errstate(all="ignore"):
             if self.S_diagonal:
-                s, QtT = self.S.diagonal(), T
+                s, Z = self.S.diagonal(), T
             else:
                 s, Q = np.linalg.eigh(self.S.toarray())
-                QtT = Q.T @ T
-            return _freeze(s), _freeze(QtT / np.sqrt(s)[:, None])
+                Z = Q.T @ T
+            return _freeze((P + P.T) * 0.5), _freeze(s), _freeze(Z)
 
 
 @dataclass(frozen=True)
@@ -470,16 +473,18 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
 
 
 def _schur_form(B: BlockOperator, alpha: float):
-    """M_alpha in the layout the eigensolver takes, exactly symmetric and finite.
+    """M_alpha in the layout the eigensolver takes, exactly symmetric.
 
     One of two layouts.  When B.H_tridiagonal is set, the _Tridiagonal
     pair of M_alpha's diagonal and off-diagonal, read from the
-    interleaved H in O(N) NumPy arithmetic.  Otherwise a dense ndarray:
-    B._M0 at alpha = 0, read-only and formed once per operator, and at
-    alpha > 0 M_0 - alpha (I + X^t X) with X = diag(s + alpha)^{-1/2} Y
-    from B._shift_basis, one syrk.  Either layout is formed without
-    floating-point warnings; a non-finite form (an overflow) raises
-    ValueError.
+    interleaved H in O(N) NumPy arithmetic; the eigensolver refuses a
+    non-finite pair.  Otherwise a dense ndarray: B._M0 at alpha = 0,
+    read-only and formed once per operator, and at alpha > 0
+    (P - alpha I) + X^t X with X = diag(s + alpha)^{-1/2} Z from
+    B._shift_basis, one syrk.  Either layout is formed without
+    floating-point warnings; a non-finite dense form (an overflow)
+    raises ValueError, and an S + alpha I that is not positive definite
+    (a replaced, trusted S) raises NonPositiveS.
     """
     alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
@@ -489,17 +494,17 @@ def _schur_form(B: BlockOperator, alpha: float):
         with np.errstate(all="ignore"):
             # H.d holds -s, so alpha - H.d[1::2] is s + alpha
             d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
-            M = _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
-        _check_finite_form(*M)
-        return M
-    M = B._M0
-    if alpha > 0.0:
-        s, Y = B._shift_basis
-        with np.errstate(all="ignore"):
-            X = Y / np.sqrt(s + alpha)[:, None]
-            # X.T @ X of one buffer goes to syrk, which fills both triangles alike
-            M = M - alpha * (X.T @ X)
-            M[np.diag_indices(B.N)] -= alpha
+            return _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
+    if alpha == 0.0:
+        return B._M0
+    P, s, Z = B._shift_basis
+    if not np.min(s) + alpha > 0.0:
+        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite")
+    with np.errstate(all="ignore"):
+        X = Z / np.sqrt(s + alpha)[:, None]
+        # X.T @ X of one buffer goes to syrk, which fills both triangles alike
+        M = P + X.T @ X
+        M[np.diag_indices(B.N)] -= alpha
     _check_finite_form(M)
     return M
 
@@ -510,7 +515,7 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     At alpha = 0 this is the Schur complement of -S in H.  No inverse
     is formed: S^{-1} is applied by Cholesky solves (exact division for
     a diagonal S, B.S_diagonal), and a dense M_alpha with alpha > 0
-    comes from M_0 through the shift basis (see _schur_form).  The
+    comes from P and the shift basis (see _schur_form).  The
     result is exactly symmetric; only this function converts
     _schur_form's layout to CSR.
     """
@@ -542,7 +547,7 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
 
     With B.H_tridiagonal set, one dstebz Sturm bisection, O(N);
     otherwise one dense eigvalsh, O(N^3), of B._M0 at alpha = 0 and of
-    a form one syrk away from it at alpha > 0.
+    P - alpha I plus one syrk of the shift basis at alpha > 0.
     """
     return _extreme_eigenvalue(_schur_form(B, alpha), "min")
 
@@ -565,7 +570,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
 
     Each step costs one positivity_margin: O(N) for an operator with
     B.H_tridiagonal set, and one syrk plus one eigvalsh for every other,
-    all from one M_0 and one shift basis.
+    all from one M_0 and one shift basis (P, s, Q^t T).
 
     Raises
     ------

@@ -1,6 +1,7 @@
 """Dense margins from one shift basis per operator: M_0 formed once and
-read-only, each M_alpha one syrk away from it, agreement with a
-40-digit reference, and overflowed forms refused on both routes."""
+read-only, each M_alpha one syrk and one add from the basis, agreement
+with a 40-digit reference also for an ill-conditioned S, and overflowed
+forms refused on both routes."""
 
 import dataclasses
 import sys
@@ -17,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 import schurdirac.blockop as blockop
 import schurdirac.solver as solver
 from schurdirac import (
+    NonPositiveS,
     RhsPair,
     StateVector,
     assemble,
@@ -54,6 +56,31 @@ def dense_operators(rng):
     ]
 
 
+def ill_conditioned_operators(rng):
+    """Dense P and T with lambda_min(S) = 1e-8, S non-diagonal or diagonal.
+
+    T^t S^{-1} T is then about 1e8 times larger than M_alpha at alpha
+    of order one, so a form that subtracts the shift from M_0 would lose
+    about eight digits there.
+    """
+    ops = []
+    for n, diagonal in ((6, False), (12, False), (8, True)):
+        s = rng.uniform(0.5, 3.0, n)
+        s[n // 2] = 1e-8
+        if diagonal:
+            S = np.diag(s)
+        else:
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            S = symmetrize((Q * s) @ Q.T)
+        T = rng.standard_normal((n, n)) / np.sqrt(n)
+        P = symmetrize(rng.standard_normal((n, n)))
+        B = assemble(P, T, S)
+        assert B.S_diagonal == diagonal and B.H_tridiagonal is None
+        assert B.c1 < 1e-7
+        ops.append(B)
+    return ops
+
+
 def mp_margin(mp, B, alpha):
     """lambda_min of (P - alpha I) + T^t (S + alpha I)^{-1} T at mp's precision."""
     n = B.N
@@ -69,6 +96,17 @@ def test_margins_agree_with_a_40_digit_reference(rng):
     mp.dps = 40
     for B in dense_operators(rng):
         for alpha in (0.0,) + ALPHAS:
+            ref = float(mp_margin(mp, B, alpha))
+            got = positivity_margin(B, alpha)
+            assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (B.N, alpha, got, ref)
+
+
+def test_ill_conditioned_s_margins_agree_with_a_40_digit_reference(rng):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for B in ill_conditioned_operators(rng):
+        for alpha in ALPHAS + (1.0,):
             ref = float(mp_margin(mp, B, alpha))
             got = positivity_margin(B, alpha)
             assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (B.N, alpha, got, ref)
@@ -122,9 +160,10 @@ def test_one_eigh_serves_c2_embedding_and_form_report(rng, monkeypatch):
 def test_diagonal_s_needs_no_eigh(rng, monkeypatch):
     B = diagonal_s_operator(rng, 10)
     monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh")))
-    s, Y = B._shift_basis
+    P, s, Z = B._shift_basis
+    assert np.array_equal(P, B.P.toarray())
     assert np.array_equal(s, B.S.diagonal())
-    assert np.array_equal(Y, B.T.toarray() / np.sqrt(s)[:, None])
+    assert np.array_equal(Z, B.T.toarray())
     find_c2(B)
 
 
@@ -160,6 +199,16 @@ def test_replaced_s_gives_the_margins_of_a_fresh_assembly(rng):
     for alpha in (0.0,) + ALPHAS:
         assert positivity_margin(C, alpha) == positivity_margin(D, alpha)
     assert positivity_margin(C, 0.5) != positivity_margin(B, 0.5)
+
+
+def test_a_replaced_s_that_is_not_positive_definite_is_refused(rng):
+    B = random_block_operator(rng, 7, margin_target=1.0)
+    C = dataclasses.replace(B, S=-B.S)
+    assert not C.S_diagonal
+    with pytest.raises(NonPositiveS, match=r"^S \+ 0 I is not positive definite$"):
+        positivity_margin(C, 0.0)
+    with pytest.raises(NonPositiveS, match=r"^S \+ 0\.5 I is not positive definite$"):
+        positivity_margin(C, 0.5)
 
 
 def test_racing_threads_see_one_set_of_margins(rng):
