@@ -33,9 +33,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstebz
+from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstebz, dsyevx
 
 from .errors import (
+    CheckFailed,
     DeltaOutOfRange,
     DimensionMismatch,
     HypothesisFailed,
@@ -129,6 +130,8 @@ class _Tridiagonal(NamedTuple):
 # Absolute tolerance of the Sturm bisection: twice the underflow
 # threshold, the value at which LAPACK computes eigenvalues most accurately.
 _STEBZ_ABSTOL = 2.0 * dlamch("S")
+# Relative machine precision times the base, the unit of the rounding bounds.
+_ULP = dlamch("P")
 
 
 def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
@@ -453,6 +456,16 @@ def full_matrix(B: BlockOperator) -> sp.csr_matrix:
     return sp.bmat([[B.P, B.Tt], [B.T, -B.S]], format="csr")
 
 
+def _dense_H(B: BlockOperator) -> np.ndarray:
+    """H = [[P, T^t], [T, -S]] as one dense array, exactly symmetric.
+
+    The one dense H of the package: find_c2's selection, the dense gap
+    pairs and inertia_c2_oracle read it.
+    """
+    T = B.T.toarray()
+    return np.block([[B.P.toarray(), T.T], [T, -B.S.toarray()]])
+
+
 def _check_shift(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -561,16 +574,25 @@ def form_report(B: BlockOperator, alpha: float) -> FormReport:
 
 
 def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
-    """Largest c2 >= 0 with positivity_margin(B, c2) >= 0, by bisection.
+    """Largest c2 >= 0 with positivity_margin(B, c2) >= 0.
 
-    The margin decreases in alpha with slope <= -1, so margin(alpha) <=
-    margin(0) - alpha and [0, margin(0)] brackets the root; bisection
-    narrows it to width <= tol, or until the bracket ends are adjacent
-    floats when tol is below their spacing, and the midpoint is returned.
+    The margin decreases in alpha with slope <= -1, so the root lies in
+    [0, margin(0)]; by inertia additivity it is eigenvalue N+1 of H.
 
-    Each step costs one positivity_margin: O(N) for an operator with
-    B.H_tridiagonal set, and one syrk plus one eigvalsh for every other,
-    all from one M_0 and one shift basis (P, s, Q^t T).
+    * B.H_tridiagonal set (every Dirac channel): bisection of that
+      bracket to width <= tol, or to adjacent floats when tol is below
+      their spacing; the midpoint is returned.  One O(N) margin a step.
+    * Otherwise: eigenvalue N+1 of the dense H by one values-only
+      dsyevx, clamped to the bracket, then certified by two Cholesky
+      factorizations, which select no eigenvalue (Sylvester's law of
+      inertia): M_{c2-t} must be positive definite and M_{c2+t} must
+      not, each one syrk from the shift basis.  A side outside the
+      bracket is settled by it.  t is tol/2, or the rounding floor of
+      _certificate_offset when larger: at a tol below rounding, or for
+      a stiff H (||H||_inf above about 1e6/sqrt(N) at the default tol),
+      whose dense eigenvalues are only as accurate as ulp ||H||.
+
+    Either way the root lies within max(tol/2, rounding) of the result.
 
     Raises
     ------
@@ -579,12 +601,17 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     HypothesisFailed
         If the margin at alpha = 0 is negative (the base form is not
         positive semidefinite, so no c2 >= 0 exists).
+    NoConvergence
+        If dsyevx fails.
+    CheckFailed
+        If a certificate contradicts the selected value; no dense c2 is
+        returned unchecked.
     """
     return _find_c2(B, tol)[0]
 
 
 def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
-    """find_c2 plus the margin at alpha = 0 its bracket starts from."""
+    """find_c2 plus the margin at alpha = 0 that gates it."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     m0 = positivity_margin(B, 0.0)
@@ -595,6 +622,8 @@ def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
         )
     if m0 == 0.0:
         return 0.0, m0
+    if B.H_tridiagonal is None:
+        return _selected_c2(B, tol, m0), m0
     lo, hi = 0.0, m0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -607,18 +636,59 @@ def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
     return 0.5 * (lo + hi), m0
 
 
+def _selected_c2(B: BlockOperator, tol: float, m0: float) -> float:
+    """Eigenvalue N+1 of the dense H in [0, m0], certified at c2 -+ t; see find_c2."""
+    H = _dense_H(B)
+    w, _, _, _, info = dsyevx(
+        H, compute_v=0, range="I", il=B.N + 1, iu=B.N + 1, lower=1, abstol=_STEBZ_ABSTOL
+    )
+    if info != 0:
+        raise NoConvergence(f"dense eigensolver failed (dsyevx info = {info})")
+    c2 = min(max(float(w[0]), 0.0), m0)
+    t = _certificate_offset(B, tol, c2, H)
+    for alpha, definite in ((c2 - t, True), (c2 + t, False)):
+        # margin(0) > 0 settles alpha <= 0; margin(alpha) <= m0 - alpha < 0 above m0
+        if 0.0 < alpha <= m0 and (_factor(_schur_form(B, alpha))[0] is not None) != definite:
+            state = "is not" if definite else "is"
+            raise CheckFailed(
+                f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
+                f"{state} positive definite at alpha = {alpha!r}"
+            )
+    return c2
+
+
+def _certificate_offset(B: BlockOperator, tol: float, c2: float, H: np.ndarray) -> float:
+    """t = max(tol/2, 10 sqrt(2N) ulp (||H||_inf + a bound on ||M_c2||_2)).
+
+    The floor is the rounding of the two computations it certifies:
+    the selected eigenvalue of H, as gap_eigenvalues bounds a dense
+    pair's, and the Cholesky factorization of a shifted form near M_c2.
+    ||M_c2||_2 <= ||P||_F + c2 + ||X||_F^2 with X = diag(s + c2)^{-1/2} Z
+    from the shift basis.  M_0 is not used: its T^t S^{-1} T term grows
+    like 1/lambda_min(S), while the shifted forms stay of moderate size.
+    """
+    P, s, Z = B._shift_basis
+    with np.errstate(all="ignore"):
+        h_norm = float(np.max(np.abs(H).sum(axis=1)))
+        form_norm = float(np.linalg.norm(P)) + c2 + float((Z * Z).sum(axis=1) @ (1.0 / (s + c2)))
+    return max(0.5 * tol, 10.0 * math.sqrt(2 * B.N) * _ULP * (h_norm + form_norm))
+
+
 def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> float:
-    """Independent oracle for c2 via the dense eigendecomposition of H.
+    """Oracle for c2: eigenvalue N+1 of the dense H from a full eigvalsh.
 
     Inertia additivity makes M_alpha positive semidefinite exactly when
     alpha does not exceed the (N+1)-th smallest eigenvalue of H, so that
-    eigenvalue equals find_c2 whenever it is nonnegative.  Intended for
-    verification at small sizes only.
+    eigenvalue equals find_c2 whenever it is nonnegative.  It reads the
+    same _dense_H as find_c2's dense selection, through another LAPACK
+    driver (dsyevd, all eigenvalues), so on a dense operator it checks
+    the selection, not the margins; find_c2's two factorizations are
+    the check that selects no eigenvalue.  Intended for verification at
+    small sizes only.
     """
     if 2 * B.N > dense_cap:
         raise TooLarge(f"2N = {2 * B.N} exceeds the dense oracle cap {dense_cap}")
-    H = full_matrix(B).toarray()
-    w = np.linalg.eigvalsh(H)
+    w = np.linalg.eigvalsh(_dense_H(B))
     return float(w[B.N])
 
 
@@ -640,10 +710,12 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     Certifies M_0 - delta*(I + K^t K) >= 0 with K = S^{-1} T, i.e. the
     base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2), to the
     tolerance psd_tolerance gives with its default coefficient PSD_COEFF.
-    Returns (delta, certified).  When B.H_tridiagonal is set, K is
-    bidiagonal and the form is built from its diagonals, O(N); otherwise
-    K is dense, applied with the operator's one factor of S, M_0 is its
-    cached array, and K^t K costs O(N^3).
+    Returns (delta, certified).  c2 is find_c2(B, tol): bisection when
+    B.H_tridiagonal is set, one certified selection otherwise.  When
+    B.H_tridiagonal is set, K is bidiagonal and the form is built from
+    its diagonals, O(N); otherwise K is dense, applied with the
+    operator's one factor of S, M_0 is its cached array, and K^t K costs
+    O(N^3).
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)

@@ -32,16 +32,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dlamch, dstein, dsyevx
+from scipy.linalg.lapack import dstein, dsyevx
 
 from .blockop import (
     DENSE_ORACLE_CAP,
     _STEBZ_ABSTOL,
+    _ULP,
     BlockOperator,
     StateVector,
     _Tridiagonal,
     _check_length,
     _check_shift,
+    _dense_H,
     _extreme_eigenvalues,
     _factor,
     _finite_pair,
@@ -69,9 +71,6 @@ __all__ = [
     "gap_eigenvalues",
 ]
 
-# Relative machine precision times the base: without a tolerance, dstebz
-# bisects a tridiagonal T to _ULP times a bound on ||T||.
-_ULP = dlamch("P")
 # solve warns IllConditioned above this condition estimate of M_0.
 COND_CAP = 1e12
 
@@ -407,8 +406,7 @@ def _dense_window(B: BlockOperator) -> tuple[Callable, float]:
     The lower triangle and the tiny abstol keep the eigenvalues of a
     stiff H as accurate as a full eigh gives them.
     """
-    T = B.T.toarray()
-    H = np.block([[B.P.toarray(), T.T], [T, -B.S.toarray()]])
+    H = _dense_H(B)
 
     def window(il, iu):
         w, z, m, _, info = dsyevx(

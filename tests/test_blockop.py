@@ -12,8 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import schurdirac.blockop as blockop
+import schurdirac.solver as solver
 from schurdirac import (
     BlockOperator,
+    CheckFailed,
     DiracChannelSpec,
     DimensionMismatch,
     HypothesisFailed,
@@ -32,6 +34,7 @@ from schurdirac import (
     find_c2,
     form_report,
     full_matrix,
+    gap_eigenvalues,
     inertia_c2_oracle,
     matrix_from_text,
     matrix_to_text,
@@ -325,14 +328,12 @@ class TestFindC2:
         assert c2 == pytest.approx(C2_SCALAR, abs=1e-14)
 
     @settings(deadline=2000, max_examples=40)
-    @given(tol=st.floats(min_value=1e-15, max_value=4.0), wide=st.booleans())
-    def test_margin_sequence_is_plain_bisection(self, tol, wide):
+    @given(tol=st.floats(min_value=1e-15, max_value=4.0))
+    def test_margin_sequence_is_plain_bisection(self, tol):
+        # the 1x1 operator is tridiagonal, the route that still bisects;
         # reference: the bisection loop without the stagnation exit
-        B = (
-            assemble(np.diag([3.0, 1.0]), [[1.0, 0.5], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]])
-            if wide
-            else scalar_operator()
-        )
+        B = scalar_operator()
+        assert B.H_tridiagonal is not None
         want = [0.0]
         lo, hi = 0.0, positivity_margin(B, 0.0)
         while hi - lo > tol:
@@ -355,6 +356,48 @@ class TestFindC2:
         assert seen == want
         assert c2 == 0.5 * (lo + hi)
 
+    @settings(deadline=2000, max_examples=40)
+    @given(tol=st.floats(min_value=1e-15, max_value=4.0))
+    def test_dense_sequence_is_one_selection_and_two_factorizations(self, tol):
+        # S is not diagonal, so the dense route: the margin at 0, one
+        # dsyevx, and _factor exactly at c2 - t and c2 + t where those
+        # lie in (0, margin(0)]
+        B = wide_operator()
+        assert B.H_tridiagonal is None
+        m0 = positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
+        margins, selected, factored = [], [], []
+        margin, dsyevx, factor = blockop.positivity_margin, blockop.dsyevx, blockop._factor
+
+        def recording_margin(B, alpha):
+            margins.append(alpha)
+            return margin(B, alpha)
+
+        def recording_dsyevx(*args, **kwargs):
+            selected.append(dsyevx(*args, **kwargs))
+            return selected[-1]
+
+        def recording_factor(M):
+            factored.append(np.array(M))
+            return factor(M)
+
+        with mock.patch.multiple(
+            blockop,
+            positivity_margin=recording_margin,
+            dsyevx=recording_dsyevx,
+            _factor=recording_factor,
+        ):
+            c2 = find_c2(B, tol)
+        assert margins == [0.0]
+        assert len(selected) == 1
+        assert 0.0 < c2 < m0
+        assert c2 == selected[0][0][0]
+        t = blockop._certificate_offset(B, tol, c2, blockop._dense_H(B))
+        assert t == max(tol / 2, blockop._certificate_offset(B, 0.0, c2, blockop._dense_H(B)))
+        want = [a for a in (c2 - t, c2 + t) if 0.0 < a <= m0]
+        assert len(factored) == len(want)
+        for M, alpha in zip(factored, want):
+            assert np.array_equal(M, blockop._schur_form(B, alpha))
+
     def test_slope_bound(self, rng):
         # margin(beta) <= margin(alpha) - (beta - alpha) for alpha < beta
         for seed in range(3):
@@ -363,6 +406,167 @@ class TestFindC2:
                 ma = positivity_margin(B, alpha)
                 mb = positivity_margin(B, beta)
                 assert mb <= ma - (beta - alpha) + 1e-10
+
+
+def wide_operator():
+    """A 2x2 operator with a non-diagonal S: the dense route."""
+    return assemble(np.diag([3.0, 1.0]), [[1.0, 0.5], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]])
+
+
+def dense_family():
+    """40 dense operators, n in [5, 100], margin(0) in [0.05, 2]."""
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(5, 101))
+        yield random_block_operator(rng, n, margin_target=rng.uniform(0.05, 2.0))
+
+
+class TestDenseC2:
+    """Dense find_c2: eigenvalue N+1 of H by one selection, certified by
+    two Cholesky factorizations of the shifted forms."""
+
+    def test_family_matches_the_inertia_oracle(self):
+        for B in dense_family():
+            assert B.H_tridiagonal is None
+            c2 = find_c2(B)
+            assert abs(c2 - inertia_c2_oracle(B)) <= 1e-12 * (1.0 + c2)
+
+    @pytest.mark.parametrize("smin", [1e-8, 1e-12])
+    def test_ill_conditioned_s_matches_a_40_digit_eigenvalue(self, smin):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        rng = np.random.default_rng(3)
+        for n, diagonal in ((6, False), (12, False), (8, True)):
+            s = rng.uniform(0.5, 3.0, n)
+            s[n // 2] = smin
+            if diagonal:
+                S = np.diag(s)
+            else:
+                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                S = symmetrize((Q * s) @ Q.T)
+            T = rng.standard_normal((n, n)) / np.sqrt(n)
+            P = symmetrize(rng.standard_normal((n, n)))
+            shift = rng.uniform(0.1, 2.0) - positivity_margin(assemble(P, T, S), 0.0)
+            B = assemble(P + shift * np.eye(n), T, S)
+            assert B.H_tridiagonal is None and B.c1 < 10.0 * smin
+            H = mp.matrix(full_matrix(B).toarray().tolist())
+            ref = float(sorted(mp.eigsy(H, eigvals_only=True))[n])
+            c2 = find_c2(B, tol=1e-8)
+            assert abs(c2 - ref) <= 1e-12, (n, diagonal)
+            # the floor comes from the shifted forms, not from M_0 (about 1/smin)
+            assert blockop._certificate_offset(B, 0.0, c2, blockop._dense_H(B)) < 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324, 1e-17])
+    def test_tolerance_below_rounding_terminates(self, tol):
+        B = wide_operator()
+        with time_limit(10.0):
+            c2 = find_c2(B, tol)
+        assert abs(c2 - inertia_c2_oracle(B)) <= 1e-14
+
+    @pytest.mark.parametrize("tol", [1e-8, 5e-324])
+    def test_stiff_h_is_certified_to_its_rounding(self, tol):
+        # S up to 1e12, so ||H|| is about 1e12 while M_alpha stays moderate:
+        # the selection is only as accurate as ulp ||H||, which t covers
+        rng = np.random.default_rng(1)
+        for n in (3, 6, 10):
+            s = np.logspace(0.0, 12.0, n)
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            S = symmetrize((Q * s) @ Q.T)
+            T = np.sqrt(s.max()) * rng.standard_normal((n, n)) * 0.01
+            P = symmetrize(rng.standard_normal((n, n)))
+            shift = 0.5 - positivity_margin(assemble(P, T, S), 0.0)
+            B = assemble(P + shift * np.eye(n), T, S)
+            assert np.abs(blockop._dense_H(B)).sum(axis=1).max() > 1e9
+            c2 = find_c2(B, tol)
+            t = blockop._certificate_offset(B, tol, c2, blockop._dense_H(B))
+            assert positivity_margin(B, c2 - t) >= 0.0 > positivity_margin(B, c2 + t)
+
+    def test_result_stays_in_the_bracket(self):
+        # at margin(0) near 1e-15 the selected eigenvalue can round to
+        # either side of [0, margin(0)]; the root cannot lie outside it
+        for seed in range(40):
+            B = random_block_operator(np.random.default_rng(seed), 8, margin_target=1e-17)
+            m0 = positivity_margin(B, 0.0)
+            if m0 >= 0.0:
+                assert 0.0 <= find_c2(B) <= m0, seed
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_contradicted_certificate_raises(self, side, monkeypatch):
+        B = random_block_operator(np.random.default_rng(2), 12, margin_target=0.8)
+        positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
+        factor, calls = blockop._factor, []
+
+        def flipped(M):
+            calls.append(M)
+            solve, reason = factor(M)
+            if len(calls) - 1 != side:
+                return solve, reason
+            return (None, "flipped") if solve is not None else (lambda x: x, None)
+
+        monkeypatch.setattr(blockop, "_factor", flipped)
+        with pytest.raises(CheckFailed, match="certificate"):
+            find_c2(B)
+        assert len(calls) == side + 1
+
+    def test_negative_base_margin_is_refused_before_selection(self, monkeypatch):
+        dsyevx = mock.Mock()
+        monkeypatch.setattr(blockop, "dsyevx", dsyevx)
+        B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
+        with pytest.raises(HypothesisFailed):
+            find_c2(B)
+        dsyevx.assert_not_called()
+
+    def test_no_size_cap(self):
+        # 2N = 1040 is above DENSE_ORACLE_CAP, which find_c2 does not apply
+        B = random_block_operator(np.random.default_rng(5), 520, margin_target=0.7)
+        assert 2 * B.N > blockop.DENSE_ORACLE_CAP
+        tol = 1e-8
+        c2 = find_c2(B, tol)
+        assert positivity_margin(B, c2 - tol) >= 0.0 > positivity_margin(B, c2 + tol)
+
+
+class TestDenseH:
+    """blockop._dense_H is the matrix each dense reader of H formed before."""
+
+    @staticmethod
+    def blocks_H(B):
+        T = B.T.toarray()
+        return np.block([[B.P.toarray(), T.T], [T, -B.S.toarray()]])
+
+    @staticmethod
+    def operators():
+        n = 7
+        off = np.full(n - 1, 0.25)
+        sparse = assemble(
+            np.eye(n), sp.diags(np.ones(n)), sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1])
+        )
+        return [wide_operator(), sparse] + [
+            random_block_operator(np.random.default_rng(seed), n, margin_target=0.5)
+            for seed, n in ((1, 3), (2, 20), (3, 45))
+        ]
+
+    def test_selection_and_gap_pairs_read_the_blocks_h(self):
+        for B in self.operators():
+            want = self.blocks_H(B).tobytes()
+            for module, call in (
+                (blockop, lambda: find_c2(B)),
+                (solver, lambda: gap_eigenvalues(B, 0.0, 2, which="above")),
+            ):
+                with mock.patch.object(module, "dsyevx", wraps=module.dsyevx) as spy:
+                    call()
+                assert [c.args[0].tobytes() for c in spy.call_args_list] == [want]
+
+    def test_oracle_reads_the_full_matrix(self, monkeypatch):
+        for B in self.operators():
+            old = full_matrix(B).toarray()
+            spy = mock.Mock(wraps=np.linalg.eigvalsh)
+            monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+            c2 = inertia_c2_oracle(B)
+            monkeypatch.undo()
+            # equal entries; a structural zero of S is -0.0 here, +0.0 in old
+            assert np.array_equal(spy.call_args.args[0], old)
+            assert c2 == float(np.linalg.eigvalsh(old)[B.N])
 
 
 class TestInertiaOracle:
