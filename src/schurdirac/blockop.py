@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dpttrf, dpttrs, dstebz, dsyevx
+from scipy.linalg.lapack import dlamch, dposvx, dptsvx, dpttrf, dpttrs, dstebz, dsyevx
 
 from .errors import (
     CheckFailed,
@@ -165,27 +165,19 @@ def _check_finite_form(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _extreme_eigenvalue(m, which: str) -> float:
-    """Smallest or largest eigenvalue of a symmetric matrix, routed by structure.
+def _extreme_eigenvalues(m, both: bool = True) -> tuple[float, ...]:
+    """(lambda_min, lambda_max) of a symmetric matrix, or (lambda_min,) when not both.
 
     m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
-    _schur_form returns when B.H_tridiagonal is set.
-    A _Tridiagonal pair takes one dstebz Sturm bisection, O(n) at every
-    n; every other form takes dense eigvalsh, O(n^3).
+    _schur_form returns when B.H_tridiagonal is set.  A _Tridiagonal
+    pair takes one dstebz Sturm bisection per eigenvalue, O(n) at every
+    n; every other form takes one dense eigvalsh for both, O(n^3).
     """
     if isinstance(m, _Tridiagonal):
-        index = 1 if which == "min" else m.d.shape[0]
-        return float(_tridiagonal_eigenvalues(m.d, m.e, index, index)[0][0])
-    lo, hi = _extreme_eigenvalues(m)
-    return lo if which == "min" else hi
-
-
-def _extreme_eigenvalues(m) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of m; one eigvalsh gives both unless m is tridiagonal."""
-    if isinstance(m, _Tridiagonal):
-        return _extreme_eigenvalue(m, "min"), _extreme_eigenvalue(m, "max")
+        ends = (1, m.d.shape[0]) if both else (1,)
+        return tuple(float(_tridiagonal_eigenvalues(m.d, m.e, i, i)[0][0]) for i in ends)
     w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
-    return float(w[0]), float(w[-1])
+    return (float(w[0]), float(w[-1]))[: 2 if both else 1]
 
 
 def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
@@ -251,6 +243,13 @@ class StateVector:
     def __post_init__(self):
         _finite_pair(self, "u", "v")
 
+    @classmethod
+    def _computed(cls, u: np.ndarray, v: np.ndarray) -> StateVector:
+        """u, v frozen, unchecked: for computed vectors a later gate refuses if non-finite."""
+        w = object.__new__(cls)
+        w.__dict__.update(u=_freeze(u), v=_freeze(v))
+        return w
+
     def stacked(self) -> np.ndarray:
         """The length-2N vector (u, v)."""
         return np.concatenate([self.u, self.v])
@@ -292,8 +291,8 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Three dense facts are lazy: each is made on first use and cached on
-    this operator, arrays read-only.  None is made at assembly, and
+    Four facts are lazy: each is made on first use and cached on this
+    operator, arrays read-only.  None is made at assembly, and
     dataclasses.replace starts without them.  Threads that race to make
     one compute equal values, and one is kept.
 
@@ -315,6 +314,9 @@ class BlockOperator:
         is subtracted from M_0, whose T^t S^{-1} T term grows like
         1/lambda_min(S): the error of M_alpha stays that of a form
         with S + alpha in place of S, however small lambda_min(S) is.
+    _elimination
+        What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
+        and the expert driver's factor of M_0 or why it has none.
     """
 
     P: sp.csr_matrix
@@ -367,6 +369,15 @@ class BlockOperator:
                 s, Q = np.linalg.eigh(self.S.toarray())
                 Z = Q.T @ T
             return _freeze((P + P.T) * 0.5), _freeze(s), _freeze(Z)
+
+    @cached_property
+    def _elimination(self) -> _Elimination:
+        M0 = _schur_form(self, 0.0)
+        if isinstance(M0, _Tridiagonal):
+            _check_finite_form(M0.d, M0.e)  # the driver does not check its input
+        _, factor, _, info = _expert_solve(M0, np.zeros((self.N, 0)))
+        refusal = _refusal(M0, info) if 1 <= info <= self.N else None
+        return _Elimination(_s_inverse(self), M0, None if refusal else factor, refusal)
 
 
 @dataclass(frozen=True)
@@ -427,7 +438,7 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     if _within_band(Sc, 0, 0):
         smin = float(np.min(Sc.diagonal()))
     else:
-        smin = _extreme_eigenvalue(Sc, "min")
+        smin = _extreme_eigenvalues(Sc, both=False)[0]
     c1 = smin if c1_policy == "compute" else float(c1_policy)
     _check_c1(smin, c1)
     return BlockOperator(
@@ -442,13 +453,15 @@ def _check_length(B: BlockOperator, name: str, x: np.ndarray) -> None:
         )
 
 
+def _stacked_apply(B: BlockOperator, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H (u, v) as one length-2N vector, unchecked: for the residuals of computed results."""
+    return np.concatenate([B.P @ u + B.Tt @ v, B.T @ u - B.S @ v])
+
+
 def apply(B: BlockOperator, w: StateVector) -> StateVector:
     """Apply H to (u, v): returns (Pu + T^t v, Tu - Sv)."""
     _check_length(B, "w", w.u)
-    return StateVector(
-        B.P @ w.u + B.Tt @ w.v,
-        B.T @ w.u - B.S @ w.v,
-    )
+    return StateVector(*np.split(_stacked_apply(B, w.u, w.v), 2))
 
 
 def full_matrix(B: BlockOperator) -> sp.csr_matrix:
@@ -488,10 +501,10 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
 def _schur_form(B: BlockOperator, alpha: float):
     """M_alpha in the layout the eigensolver takes, exactly symmetric.
 
-    One of two layouts.  When B.H_tridiagonal is set, the _Tridiagonal
-    pair of M_alpha's diagonal and off-diagonal, read from the
-    interleaved H in O(N) NumPy arithmetic; the eigensolver refuses a
-    non-finite pair.  Otherwise a dense ndarray: B._M0 at alpha = 0,
+    One of two layouts.  When B.H_tridiagonal is set, the read-only
+    _Tridiagonal pair of M_alpha's diagonal and off-diagonal, read from
+    the interleaved H in O(N) NumPy arithmetic; the eigensolver refuses
+    a non-finite pair.  Otherwise a dense ndarray: B._M0 at alpha = 0,
     read-only and formed once per operator, and at alpha > 0
     (P - alpha I) + X^t X with X = diag(s + alpha)^{-1/2} Z from
     B._shift_basis, one syrk.  Either layout is formed without
@@ -507,7 +520,7 @@ def _schur_form(B: BlockOperator, alpha: float):
         with np.errstate(all="ignore"):
             # H.d holds -s, so alpha - H.d[1::2] is s + alpha
             d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
-            return _Tridiagonal(d=(H.d[0::2] - alpha) + d, e=e)
+            return _Tridiagonal(d=_freeze((H.d[0::2] - alpha) + d), e=_freeze(e))
     if alpha == 0.0:
         return B._M0
     P, s, Z = B._shift_basis
@@ -539,9 +552,9 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
 def _factor(M) -> tuple[Callable | None, str | None]:
     """(solve, None) with solve applying M^{-1}, or (None, why M is not positive definite).
 
-    Every factorization on the solve path, in the layout of _schur_form:
-    dpttrf (O(n)) on a _Tridiagonal pair, dense Cholesky on an ndarray,
-    which is also how B._s_solve factors a non-diagonal S, once.
+    In the layout of _schur_form: dpttrf (O(n)) on a _Tridiagonal pair,
+    Cholesky on an ndarray, which is how B._s_solve factors a non-diagonal
+    S, once; its solve passes a non-finite vector on, to solve's residual.
     """
     if isinstance(M, _Tridiagonal):
         d, e, info = dpttrf(M.d, _lapack_offdiagonal(M.e))
@@ -552,7 +565,46 @@ def _factor(M) -> tuple[Callable | None, str | None]:
         factor = cho_factor(M, lower=True)
     except np.linalg.LinAlgError as exc:
         return None, f"Cholesky: {exc}"
-    return partial(cho_solve, factor), None
+    return partial(cho_solve, factor, check_finite=False), None
+
+
+class _Elimination(NamedTuple):
+    """B._elimination: S^{-1}, M_0, and the driver's factor of M_0 or why it has none."""
+
+    s_solve: Callable
+    M0: _Tridiagonal | np.ndarray
+    factor: tuple | np.ndarray | None
+    refusal: str | None
+
+
+def _expert_solve(M, b: np.ndarray, factor=None) -> tuple:
+    """(x, factor, rcond, info) of M x = b by one call of LAPACK's expert driver.
+
+    dptsvx on a _Tridiagonal pair, dposvx (lower, not equilibrated) on an
+    ndarray: it factors M (fact = "N", b may have no columns) or takes the
+    factor it returned (fact = "F"), solves, refines x iteratively and
+    returns rcond = 1 / kappa_1(M), exact (dptcon) or estimated (dpocon).
+    info in 1..n: pivot info is not positive, no x; n + 1: rcond < eps.
+    """
+    if isinstance(M, _Tridiagonal):
+        given = {} if factor is None else {"fact": "F", "df": factor[0], "ef": factor[1]}
+        df, ef, x, rcond, _, _, info = dptsvx(M.d, _lapack_offdiagonal(M.e), b, **given)
+        return x, (_freeze(df), _freeze(_lapack_offdiagonal(ef))), rcond, info
+    given = {"fact": "N"} if factor is None else {"fact": "F", "af": factor, "equed": "N"}
+    _, af, _, _, _, x, rcond, _, _, info = dposvx(M, b, lower=1, **given)
+    return x, _freeze(af), rcond, info
+
+
+def _refusal(M0, info: int) -> str:
+    """Why the driver could not factor M_0 (info in 1..n); lambda_min is computed only here."""
+    lam = _extreme_eigenvalues(M0, both=False)[0]
+    if lam <= 0.0:
+        return (
+            f"reduced matrix M_0 is not positive definite (lambda_min = {lam:.6g}); "
+            "the elimination requires a positive base form"
+        )
+    kind, driver = ("L D L^t", "dptsvx") if isinstance(M0, _Tridiagonal) else ("Cholesky", "dposvx")
+    return f"M_0 is not positive definite ({kind} pivot {info} <= 0, {driver} info = {info})"
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
@@ -562,7 +614,7 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
     otherwise one dense eigvalsh, O(N^3), of B._M0 at alpha = 0 and of
     P - alpha I plus one syrk of the shift basis at alpha > 0.
     """
-    return _extreme_eigenvalue(_schur_form(B, alpha), "min")
+    return _extreme_eigenvalues(_schur_form(B, alpha), both=False)[0]
 
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
@@ -729,7 +781,7 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
         K = _s_inverse(B)(B.T.toarray())
         G = M0 - delta * (np.eye(B.N) + K.T @ K)
         G = (G + G.T) * 0.5
-    lam = _extreme_eigenvalue(G, "min")
+    lam = _extreme_eigenvalues(G, both=False)[0]
     return delta, bool(lam >= -psd_tolerance(G))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .blockop import positivity_margin
+from .blockop import _extreme_eigenvalues, positivity_margin
 from .dirac import (
     CSV_COLUMNS,
     DiracChannelSpec,
@@ -45,7 +45,7 @@ from .errors import (
     SchurDiracError,
     ValidationError,
 )
-from .solver import RhsPair, _elimination, solve
+from .solver import RhsPair, solve
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "COMMANDS"]
 
@@ -314,8 +314,8 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         B = build_channel(spec, grid)
         r = grid.nodes
         rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
-        # lambda_min(M_0), which the solve has just computed and cached
-        margin = _elimination(B).margin
+        # positivity_margin(B, 0.0), from the M_0 the solve cached instead of a second one
+        margin = _extreme_eigenvalues(B._elimination.M0, both=False)[0]
         meta = {
             "rhs": "F1=exp(-r), F2=r*exp(-r)",
             "residual_norm": rep.residual_norm,

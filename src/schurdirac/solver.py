@@ -5,30 +5,23 @@ splits into a reduced positive-definite solve and a back-substitution:
 
     R u = F1 + T^t S^{-1} F2,      v = S^{-1} (T u - F2).
 
-Eigenvalues of H in the spectral gap come from the same identity seen
-through inertia additivity: when M_sigma >= 0 they are eigenvalues N+1,
-N+2, ... of H, selected by index on every route.  Structure picks the
-route, and assembly records it once: for Dirac channels
-B.H_tridiagonal holds H interleaved into tridiagonal form, so M_0 is a
-tridiagonal pair, factored by dpttrf, and Sturm bisection selects from
-that H, at every N.  Every other operator has a dense M_0, factored by
-Cholesky, and dense selection (dsyevx) from H, up to 2N =
-DENSE_ORACLE_CAP.  blockop._factor does both factorizations.  What the
-elimination needs of an operator (S^{-1}, M_0 in that one layout, its
-extreme eigenvalues and its factor, or why M_0 cannot be factored) is
-built once into one _Elimination record, cached per operator behind a
-lock; all operations are pure and safe to run concurrently on shared
-inputs.
+The reduced solve is one call of LAPACK's expert driver on the factor
+of M_0 cached in B._elimination: dptsvx when B.H_tridiagonal is set
+(every Dirac channel, whose M_0 is tridiagonal), dposvx on the dense
+M_0 of every other operator.  Eigenvalues of H in the spectral gap come
+from the same identity through inertia additivity: when M_sigma >= 0
+they are eigenvalues N+1, N+2, ... of H, selected by index, by Sturm
+bisection from the interleaved H at every N, and by dsyevx from the
+dense H up to 2N = DENSE_ORACLE_CAP.  All operations are pure and safe
+to run concurrently on shared inputs.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-import weakref
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,15 +33,12 @@ from .blockop import (
     _ULP,
     BlockOperator,
     StateVector,
-    _Tridiagonal,
     _check_length,
     _check_shift,
     _dense_H,
-    _extreme_eigenvalues,
-    _factor,
+    _expert_solve,
     _finite_pair,
-    _s_inverse,
-    _schur_form,
+    _stacked_apply,
     _tridiagonal_eigenvalues,
     apply,
     assemble,
@@ -75,52 +65,6 @@ __all__ = [
 COND_CAP = 1e12
 
 
-class _Elimination(NamedTuple):
-    """S^{-1}, M_0 as _schur_form lays it out, its extreme eigenvalues, and M_0^{-1} or why not."""
-
-    s_solve: Callable
-    M0: _Tridiagonal | np.ndarray
-    margin: float
-    lam_max: float
-    m0_solve: Callable | None
-    refusal: str | None
-
-
-_cache_lock = threading.Lock()
-_records = weakref.WeakKeyDictionary()  # BlockOperator -> _Elimination
-
-
-def _elimination(B: BlockOperator) -> _Elimination:
-    """The elimination record of B, built once and cached per operator.
-
-    M_0 stays in the one layout _schur_form gives it, a _Tridiagonal
-    pair or an ndarray, from its extreme eigenvalues to _factor and the
-    refinement product.  For an M_0 that is not positive definite,
-    m0_solve is None and refusal says why.  Safe to race: records are
-    pure, built outside the lock, and the first stored wins.
-    """
-    with _cache_lock:
-        record = _records.get(B)
-    if record is not None:
-        return record
-    s_solve = _s_inverse(B)
-    M0 = _schur_form(B, 0.0)
-    margin, lam_max = _extreme_eigenvalues(M0)
-    m0_solve = refusal = None
-    if margin <= 0.0:
-        refusal = (
-            f"reduced matrix M_0 is not positive definite (lambda_min = {margin:.6g}); "
-            "the elimination requires a positive base form"
-        )
-    else:
-        m0_solve, reason = _factor(M0)
-        if m0_solve is None:
-            refusal = f"M_0 is not positive definite ({reason})"
-    record = _Elimination(s_solve, M0, margin, lam_max, m0_solve, refusal)
-    with _cache_lock:
-        return _records.setdefault(B, record)
-
-
 @dataclass(frozen=True, eq=False)
 class RhsPair:
     """Right-hand side (F1, F2) of the block system, finite.
@@ -142,8 +86,9 @@ class RhsPair:
 class SolveReport:
     """Solution plus independently recomputed residual and conditioning.
 
-    residual_norm is ||apply(B, solution) - (F1, F2)||_2, evaluated
-    through the assembled blocks rather than the elimination path.
+    residual_norm is ||H (u, v) - (F1, F2)||_2 through the assembled
+    blocks, not the elimination path; schur_condition_estimate is
+    kappa_1(M_0) = 1 / rcond, exact for a tridiagonal M_0, else estimated.
     """
 
     solution: StateVector
@@ -155,37 +100,41 @@ class SolveReport:
 def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     """Solve H(u, v) = (F1, F2) by elimination through M_0.
 
-    Performs one iterative-refinement pass on the reduced system, then
-    back-substitutes v = S^{-1}(Tu - F2).  If the condition estimate
-    lambda_max(M_0) / lambda_min(M_0) exceeds COND_CAP = 1e12, an
-    IllConditioned warning is issued and the report is flagged, but the
-    solution is still returned.
+    One expert-driver call on the cached factor of M_0 (the same for the
+    first solve and every later one, so they are bitwise equal) solves
+    the reduced system, refines it iteratively and returns rcond; then
+    v = S^{-1}(Tu - F2).
+    If kappa_1(M_0) = 1 / rcond exceeds COND_CAP = 1e12 (M_0 singular to
+    working precision included), an IllConditioned warning is issued and
+    the report is flagged, but the solution is still returned.
 
     Raises
     ------
     HypothesisFailed
-        If M_0 is not positive definite.
+        If M_0 is not positive definite (its factorization fails).
     DimensionMismatch
         If the right-hand side length differs from the operator's N.
+    CheckFailed
+        If the recomputed residual has a non-finite entry (an overflow).
     """
     _check_length(B, "rhs", rhs.F1)
-    rec = _elimination(B)
-    if rec.m0_solve is None:
+    rec = B._elimination
+    if rec.refusal is not None:
         raise HypothesisFailed(rec.refusal)
-    cond = rec.lam_max / rec.margin
-
-    g = rhs.F1 + B.Tt @ rec.s_solve(rhs.F2)
-    u = rec.m0_solve(g)
-    u = u + rec.m0_solve(g - rec.M0 @ u)
-    v = rec.s_solve(B.T @ u - rhs.F2)
-    sol = StateVector(u, v)
-
-    residual = float(np.linalg.norm(apply(B, sol).stacked() - rhs.stacked()))
+    with np.errstate(all="ignore"):  # an overflow is refused by its residual, below
+        x, _, rcond, _ = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
+        u = x[:, 0]
+        v = rec.s_solve(B.T @ u - rhs.F2)
+        r = _stacked_apply(B, u, v) - rhs.stacked()
+        residual = float(np.linalg.norm(r))
+    if not np.isfinite(r).all():
+        raise CheckFailed("the residual of the solution is not finite (it overflowed)")
+    cond = math.inf if rcond == 0.0 else 1.0 / rcond
     ill = bool(cond > COND_CAP)
     if ill:
         warnings.warn(IllConditioned(f"condition estimate {cond:.3g} exceeds cap {COND_CAP:.3g}"))
     return SolveReport(
-        solution=sol,
+        solution=StateVector._computed(u, v),
         residual_norm=residual,
         schur_condition_estimate=float(cond),
         ill_conditioned=ill,
@@ -207,7 +156,7 @@ def symmetry_identity_check(
     """
     _check_length(B, "w", w.u)
     _check_length(B, "wt", wt.u)
-    rec = _elimination(B)
+    rec = B._elimination
 
     hw = apply(B, w)
     lhs = float(hw.u @ wt.u + hw.v @ wt.v)
@@ -318,17 +267,15 @@ def gap_eigenvalues(
     rounding = 10.0 * math.sqrt(n2) * _ULP * norm
     pairs = []
     for lam, x in sorted(raw, key=lambda p: p[0]):
-        j = int(np.argmax(np.abs(x)))
-        if x[j] < 0.0:
-            x = -x
-        sv = StateVector(x[: B.N], x[B.N :])
-        resid = float(np.linalg.norm(apply(B, sv).stacked() - lam * x))
+        x = math.copysign(1.0, x[np.argmax(np.abs(x))]) * x
+        resid = float(np.linalg.norm(_stacked_apply(B, x[: B.N], x[B.N :]) - lam * x))
+        # False for a non-finite x too, so the pair needs no second check
         if not resid <= tol * (1.0 + abs(lam)) + rounding:
             raise NoConvergence(
                 f"eigenpair residual {resid:.3g} exceeds {tol:.3g}*(1+|lambda|) "
                 f"+ {rounding:.3g} at lambda = {lam:.12g}"
             )
-        pairs.append((lam, sv))
+        pairs.append((lam, StateVector._computed(x[: B.N], x[B.N :])))
     return pairs
 
 

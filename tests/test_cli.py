@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import schurdirac.blockop as blockop
 import schurdirac.cli as cli
 import schurdirac.dirac as dirac
-import schurdirac.solver as solver
 from schurdirac import ParseError, ValidationError, sommerfeld_energy
 from schurdirac.cli import COMMANDS, main, parse_config, run
 
@@ -427,7 +426,8 @@ class TestRunAndMain:
         ],
     )
     def test_base_form_formed_once_per_grid(self, tmp_path, monkeypatch, command, extra, grids):
-        # M_0 is formed by every margin at alpha = 0 and by the solver's cache
+        # M_0 is formed by every margin at alpha = 0 and by the operator's
+        # elimination record, whose M_0 the solve report's margin reads
         shifts = []
         original = blockop._schur_form
 
@@ -436,7 +436,6 @@ class TestRunAndMain:
             return original(B, alpha)
 
         monkeypatch.setattr(blockop, "_schur_form", recording)
-        monkeypatch.setattr(solver, "_schur_form", recording)
         cfg = write_config(
             tmp_path, f"command={command}\nkappa=-1\nnu=0.5\ngrid.N=400\n" + extra
         )

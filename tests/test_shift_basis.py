@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 import schurdirac.blockop as blockop
-import schurdirac.solver as solver
 from schurdirac import (
     NonPositiveS,
     RhsPair,
@@ -138,7 +137,7 @@ def test_m0_is_one_read_only_array_per_operator(rng):
     find_c2(B)
     embedding_delta(B)
     assert blockop._schur_form(B, 0.0) is M0
-    assert solver._elimination(B).M0 is M0
+    assert B._elimination.M0 is M0
     assert np.array_equal(schur_form_matrix(B, 0.0).toarray(), M0)
 
 

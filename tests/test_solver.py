@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import threading
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import schurdirac.blockop as blockop
 import schurdirac.cli as cli
-import schurdirac.solver as solver
 from schurdirac import (
     CheckFailed,
     DiracChannelSpec,
@@ -141,20 +142,66 @@ class TestSolve:
         w = StateVector(np.ones(3), np.ones(3))
         assert symmetry_identity_check(B, w, w)[2] <= 1e-12
 
-    def test_concurrent_solves_share_cache(self, rng, monkeypatch):
+    def test_refusal_names_lambda_min_on_both_routes(self, rng):
+        grid = build_grid("logarithmic", 200, 1e-4, 100.0)
+        channel = build_channel(DiracChannelSpec(1, 0.5, 0.5), grid)
+        dense = random_block_operator(rng, 12, margin_target=-0.5)
+        assert channel.H_tridiagonal is not None and dense.H_tridiagonal is None
+        for B in (channel, dense):
+            lam = positivity_margin(B, 0.0)
+            assert lam < 0.0
+            with pytest.raises(HypothesisFailed) as err:
+                solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
+            assert str(err.value) == (
+                f"reduced matrix M_0 is not positive definite (lambda_min = {lam:.6g}); "
+                "the elimination requires a positive base form"
+            )
+
+    @pytest.mark.parametrize("S", [np.eye(2), [[2.0, 0.5], [0.5, 2.0]]], ids=["tridiagonal", "dense"])
+    def test_singular_to_working_precision_is_flagged_not_refused(self, S):
+        # M_0 = P = diag(1, 1e-17) factors, but rcond = 1e-17 is below
+        # machine precision: the driver's info = N + 1
+        B = assemble(np.diag([1.0, 1e-17]), np.zeros((2, 2)), S)
+        with pytest.warns(IllConditioned):
+            rep = solve(B, RhsPair(np.ones(2), np.zeros(2)))
+        assert rep.ill_conditioned
+        assert rep.schur_condition_estimate == pytest.approx(1e17)
+        assert rep.solution.u == pytest.approx([1.0, 1e17])
+        assert rep.residual_norm <= 1e-15
+
+    @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
+    def test_cold_and_warm_solves_are_bitwise_equal(self, rng, route):
+        if route == "tridiagonal":
+            grid = build_grid("logarithmic", 300, 1e-4, 100.0)
+            B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        else:
+            B = random_block_operator(rng, 40, margin_target=0.5)
+        rhs = RhsPair(rng.standard_normal(B.N), rng.standard_normal(B.N))
+        cold, warm = solve(B, rhs), solve(B, rhs)
+        fresh = solve(dataclasses.replace(B), rhs)
+        for rep in (warm, fresh):
+            assert np.array_equal(rep.solution.u, cold.solution.u)
+            assert np.array_equal(rep.solution.v, cold.solution.v)
+            assert rep.residual_norm == cold.residual_norm
+            assert rep.schur_condition_estimate == cold.schur_condition_estimate
+
+    @pytest.mark.parametrize("S", [np.eye(3), np.eye(3) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)], ids=["tridiagonal", "dense"])
+    def test_an_overflowing_solution_is_refused(self, S):
+        # M_0 = 1e-200 I is perfectly conditioned, but u = 1e200 / 1e-200
+        # overflows; and F1 + T^t S^{-1} F2 overflows before the solve
+        # starts.  Both are refused by a package error, without a warning.
+        B = assemble(1e-200 * np.eye(3), np.zeros((3, 3)), S)
+        C = assemble(np.eye(3), np.eye(3), S)
+        for op, rhs in ((B, (1e200, 0.0)), (C, (1.5e308, 1.5e308))):
+            with pytest.raises(CheckFailed, match="not finite"):
+                solve(op, RhsPair(np.full(3, rhs[0]), np.full(3, rhs[1])))
+        assert solve(B, RhsPair(np.full(3, 1e-200), np.zeros(3))).solution.u == pytest.approx(np.ones(3))
+
+    def test_concurrent_solves_share_cache(self, rng):
         B = random_block_operator(rng, 40, margin_target=1.0)
         rhs = RhsPair(rng.standard_normal(40), rng.standard_normal(40))
         reports = [None] * 8
         errors = []
-        records = []
-        real = solver._elimination
-
-        def spy(B):
-            record = real(B)
-            records.append(record)
-            return record
-
-        monkeypatch.setattr(solver, "_elimination", spy)
         start = threading.Barrier(8)
 
         def work(i):
@@ -176,45 +223,67 @@ class TestSolve:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(records) == 8
-        assert all(rec is records[0] for rec in records)
-        ref = reports[0].solution
-        for rep in reports[1:]:
+        ref = solve(dataclasses.replace(B), rhs).solution
+        for rep in reports:
             assert np.array_equal(rep.solution.u, ref.u)
             assert np.array_equal(rep.solution.v, ref.v)
+
+
+def spy_on_lapack(monkeypatch):
+    """Record every expert-driver call by its fact argument, and refuse any eigenvalue."""
+    facts = []
+    for name in ("dptsvx", "dposvx"):
+        real = getattr(blockop, name)
+
+        def driver(*args, real=real, name=name, **kw):
+            facts.append((name, kw.get("fact", "N")))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(blockop, name, driver)
+    for module, name in ((blockop, "dstebz"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+    return facts
 
 
 class TestEliminationRecord:
     def test_one_record_serves_solve_check_and_cli(self, monkeypatch):
         grid = build_grid("logarithmic", 40, 1e-4, 100.0)
         B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
-        forms = mock.Mock(wraps=solver._schur_form)
-        extremes = mock.Mock(wraps=solver._extreme_eigenvalues)
-        monkeypatch.setattr(solver, "_schur_form", forms)
-        monkeypatch.setattr(solver, "_extreme_eigenvalues", extremes)
-        monkeypatch.setattr(cli, "build_channel", lambda spec, grid: B)
+        forms = mock.Mock(wraps=blockop._schur_form)
+        monkeypatch.setattr(blockop, "_schur_form", forms)
         rhs = RhsPair(np.ones(40), np.zeros(40))
-        first, second = solve(B, rhs), solve(B, rhs)
+        with monkeypatch.context() as m:
+            facts = spy_on_lapack(m)
+            first, second = solve(B, rhs), solve(B, rhs)
+            w = StateVector(np.ones(40), np.ones(40))
+            symmetry_identity_check(B, w, w)
+        # one factorization per operator, one driver call per solve, no eigenvalue
+        assert facts == [("dptsvx", "N"), ("dptsvx", "F"), ("dptsvx", "F")]
         assert np.array_equal(first.solution.u, second.solution.u)
-        w = StateVector(np.ones(40), np.ones(40))
-        symmetry_identity_check(B, w, w)
+        monkeypatch.setattr(cli, "build_channel", lambda spec, grid: B)
         config = cli.parse_config("command=solve\nkappa=-1\nnu=0.5\ngrid.N=40\n")
         rows, _ = cli._execute(config)
         assert forms.call_args_list == [mock.call(B, 0.0)]
-        assert extremes.call_count == 1
-        assert rows[0].margin == solver._elimination(B).margin > 0.0
+        assert rows[0].margin == positivity_margin(B, 0.0) > 0.0
+
+    def test_dense_operators_are_factored_once(self, rng, monkeypatch):
+        B = random_block_operator(rng, 30, margin_target=0.5)
+        rhs = RhsPair(rng.standard_normal(30), rng.standard_normal(30))
+        facts = spy_on_lapack(monkeypatch)
+        first, second = solve(B, rhs), solve(B, rhs)
+        assert facts == [("dposvx", "N"), ("dposvx", "F"), ("dposvx", "F")]
+        assert first.schur_condition_estimate == second.schur_condition_estimate
+        assert first.residual_norm == second.residual_norm
 
     def test_record_does_not_keep_its_operator_alive(self, rng):
         gc.collect()
-        before = len(solver._records)
         B = random_block_operator(rng, 10, margin_target=1.0)
         solve(B, RhsPair(np.ones(10), np.ones(10)))
-        assert len(solver._records) == before + 1
+        assert "_elimination" in vars(B)
         ref = weakref.ref(B)
         del B
         gc.collect()
         assert ref() is None
-        assert len(solver._records) == before
 
 
 class TestSymmetryIdentity:
@@ -238,11 +307,10 @@ class TestSymmetryIdentity:
             lhs_swapped = float(hwt.u @ w.u + hwt.v @ w.v)
             assert lhs_swapped == pytest.approx(lhs, rel=1e-10, abs=1e-12)
 
-    def test_asymmetric_expansion_raises(self, rng, monkeypatch):
+    def test_asymmetric_expansion_raises(self, rng):
         B = random_block_operator(rng, 4, margin_target=1.0)
         skew = sp.csr_matrix(np.triu(np.ones((4, 4)), 1))
-        record = solver._elimination(B)._replace(M0=skew)
-        monkeypatch.setattr(solver, "_elimination", lambda B: record)
+        vars(B)["_elimination"] = B._elimination._replace(M0=skew)
         w = StateVector(np.ones(4), np.zeros(4))
         wt = StateVector(np.arange(4.0), np.zeros(4))
         with pytest.raises(CheckFailed, match="not symmetric under swap"):

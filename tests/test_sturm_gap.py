@@ -25,6 +25,7 @@ from schurdirac import (
     HypothesisFailed,
     NegativeShiftUnsupported,
     NoConvergence,
+    RhsPair,
     SchurDiracError,
     TooLarge,
     assemble,
@@ -34,6 +35,7 @@ from schurdirac import (
     embedding_delta,
     full_matrix,
     gap_eigenvalues,
+    solve,
 )
 
 from conftest import random_block_operator
@@ -185,7 +187,9 @@ def test_channels_never_take_the_lanczos_path(monkeypatch):
     for name in ("_gershgorin_bounds", "eigsh", "splu", "eigvals_banded", "DENSE_EIG_CAP"):
         assert not hasattr(blockop, name)
     monkeypatch.setattr(
-        solver, "_elimination", mock.Mock(side_effect=AssertionError("_elimination"))
+        blockop.BlockOperator,
+        "_elimination",
+        property(mock.Mock(side_effect=AssertionError("_elimination"))),
     )
     calls = []
     monkeypatch.setattr(
@@ -269,7 +273,7 @@ def test_embedding_delta_uses_the_dense_cholesky(rng):
             sp.identity(n, format="csr") + sp.csr_matrix(K.T @ K)
         )
         G = ((G + G.T) * 0.5).tocsr()
-        lam = blockop._extreme_eigenvalue(G, "min")
+        lam = blockop._extreme_eigenvalues(G, both=False)[0]
         assert certified == bool(lam >= -blockop.psd_tolerance(G))
 
 
@@ -280,9 +284,9 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
     for N in (40, 1000):
         B = channel(-1, 0.5, N)
         seen = []
-        real = blockop._extreme_eigenvalue
+        real = blockop._extreme_eigenvalues
         with mock.patch.object(
-            blockop, "_extreme_eigenvalue", lambda m, which: seen.append(m) or real(m, which)
+            blockop, "_extreme_eigenvalues", lambda m, both=True: seen.append(m) or real(m, both)
         ), mock.patch.object(
             blockop.np.linalg, "eigvalsh", side_effect=AssertionError("dense")
         ):
@@ -295,21 +299,23 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
         )
         want = ((want + want.T) * 0.5).tocsr()
         lam_want = np.linalg.eigvalsh(want.toarray())[0]
-        assert abs(real(G, "min") - lam_want) <= 1e-12 * blockop.psd_tolerance(want, 1.0)
+        assert abs(real(G, both=False)[0] - lam_want) <= 1e-12 * blockop.psd_tolerance(want, 1.0)
         assert certified == bool(lam_want >= -blockop.psd_tolerance(want))
 
 
 def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
-    # positive definite, so the elimination record needs lambda_max too
+    # positive definite, and a solve on it takes no eigenvalue at all:
+    # its condition number comes from the expert driver's rcond
     B = random_block_operator(rng, 700, margin_target=1.0)
     form = blockop._schur_form(B, 0.0)
     w = np.linalg.eigvalsh(form)
     calls = mock.Mock(wraps=np.linalg.eigvalsh)
     monkeypatch.setattr(np.linalg, "eigvalsh", calls)
     assert blockop._extreme_eigenvalues(form) == (w[0], w[-1])
-    rec = solver._elimination(B)
-    assert (rec.margin, rec.lam_max) == (w[0], w[-1])
-    assert calls.call_count == 2
+    assert calls.call_count == 1
+    rep = solve(B, RhsPair(np.ones(700), np.zeros(700)))
+    assert calls.call_count == 1
+    assert 1.0 <= rep.schur_condition_estimate <= 1e12
 
 
 def test_margin_of_a_non_diagonal_s_above_the_cap_is_dense(rng):
