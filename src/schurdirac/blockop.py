@@ -24,6 +24,7 @@ buffers and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import base64
 import io
 import math
 from dataclasses import dataclass, field
@@ -32,8 +33,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dposvx, dptsvx, dpttrf, dpttrs, dstebz, dsyevx
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dptsvx, dpttrf, dstebz, dsyevx
 
 from .errors import (
     CheckFailed,
@@ -316,7 +317,8 @@ class BlockOperator:
         with S + alpha in place of S, however small lambda_min(S) is.
     _elimination
         What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
-        and the expert driver's factor of M_0 or why it has none.
+        and _factor's factor of M_0, which the expert driver takes, or
+        why it has none.
     """
 
     P: sp.csr_matrix
@@ -345,10 +347,11 @@ class BlockOperator:
 
     @cached_property
     def _s_solve(self) -> Callable:
-        s_solve, _ = _factor(self.S.toarray())
-        if s_solve is None:
+        factor, _ = _factor(self.S.toarray())
+        if factor is None:
             raise NonPositiveS("S + 0 I is not positive definite")
-        return s_solve
+        # a non-finite vector passes on, to solve's residual
+        return partial(cho_solve, (factor, True), check_finite=False)
 
     @cached_property
     def _M0(self) -> np.ndarray:
@@ -374,10 +377,10 @@ class BlockOperator:
     def _elimination(self) -> _Elimination:
         M0 = _schur_form(self, 0.0)
         if isinstance(M0, _Tridiagonal):
-            _check_finite_form(M0.d, M0.e)  # the driver does not check its input
-        _, factor, _, info = _expert_solve(M0, np.zeros((self.N, 0)))
-        refusal = _refusal(M0, info) if 1 <= info <= self.N else None
-        return _Elimination(_s_inverse(self), M0, None if refusal else factor, refusal)
+            _check_finite_form(M0.d, M0.e)  # dpttrf does not check its input
+        factor, info = _factor(M0)
+        refusal = None if factor is not None else _refusal(M0, info)
+        return _Elimination(_s_inverse(self), M0, factor, refusal)
 
 
 @dataclass(frozen=True)
@@ -549,27 +552,24 @@ def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     return M.tocsr() if isinstance(M, _Tridiagonal) else sp.csr_matrix(M)
 
 
-def _factor(M) -> tuple[Callable | None, str | None]:
-    """(solve, None) with solve applying M^{-1}, or (None, why M is not positive definite).
+def _factor(M) -> tuple[tuple | np.ndarray | None, int]:
+    """(factor, 0) of a positive definite M, or (None, info) with LAPACK's pivot info > 0.
 
     In the layout of _schur_form: dpttrf (O(n)) on a _Tridiagonal pair,
-    Cholesky on an ndarray, which is how B._s_solve factors a non-diagonal
-    S, once; its solve passes a non-finite vector on, to solve's residual.
+    whose factor is the (d, e) of L D L^t; Cholesky (dpotrf, lower) on an
+    ndarray, whose factor holds L in its lower triangle.  These are the
+    factors _expert_solve hands its driver, and B._s_solve keeps a
+    non-diagonal S's.
     """
     if isinstance(M, _Tridiagonal):
         d, e, info = dpttrf(M.d, _lapack_offdiagonal(M.e))
-        if info != 0:
-            return None, f"dpttrf info = {info}"
-        return (lambda x: dpttrs(d, e, x)[0]), None
-    try:
-        factor = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        return None, f"Cholesky: {exc}"
-    return partial(cho_solve, factor, check_finite=False), None
+        return (None, info) if info else ((_freeze(d), _freeze(e)), 0)
+    c, info = dpotrf(M, lower=1, clean=0)
+    return (None, info) if info else (_freeze(c), 0)
 
 
 class _Elimination(NamedTuple):
-    """B._elimination: S^{-1}, M_0, and the driver's factor of M_0 or why it has none."""
+    """B._elimination: S^{-1}, M_0, and _factor's factor of M_0 or why it has none."""
 
     s_solve: Callable
     M0: _Tridiagonal | np.ndarray
@@ -577,26 +577,27 @@ class _Elimination(NamedTuple):
     refusal: str | None
 
 
-def _expert_solve(M, b: np.ndarray, factor=None) -> tuple:
-    """(x, factor, rcond, info) of M x = b by one call of LAPACK's expert driver.
+def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
+    """(x, rcond) of M x = b by one call of LAPACK's expert driver on _factor's factor.
 
     dptsvx on a _Tridiagonal pair, dposvx (lower, not equilibrated) on an
-    ndarray: it factors M (fact = "N", b may have no columns) or takes the
-    factor it returned (fact = "F"), solves, refines x iteratively and
+    ndarray, both with fact = "F": it solves, refines x iteratively and
     returns rcond = 1 / kappa_1(M), exact (dptcon) or estimated (dpocon).
-    info in 1..n: pivot info is not positive, no x; n + 1: rcond < eps.
+    Its info, 0 or n + 1 (rcond < eps) once M is factored, is not needed.
     """
     if isinstance(M, _Tridiagonal):
-        given = {} if factor is None else {"fact": "F", "df": factor[0], "ef": factor[1]}
-        df, ef, x, rcond, _, _, info = dptsvx(M.d, _lapack_offdiagonal(M.e), b, **given)
-        return x, (_freeze(df), _freeze(_lapack_offdiagonal(ef))), rcond, info
-    given = {"fact": "N"} if factor is None else {"fact": "F", "af": factor, "equed": "N"}
-    _, af, _, _, _, x, rcond, _, _, info = dposvx(M, b, lower=1, **given)
-    return x, _freeze(af), rcond, info
+        e = _lapack_offdiagonal(M.e)
+        _, _, x, rcond, _, _, _ = dptsvx(M.d, e, b, fact="F", df=factor[0], ef=factor[1])
+        return x, rcond
+    _, _, _, _, _, x, rcond, _, _, _ = dposvx(M, b, lower=1, fact="F", af=factor, equed="N")
+    return x, rcond
 
 
 def _refusal(M0, info: int) -> str:
-    """Why the driver could not factor M_0 (info in 1..n); lambda_min is computed only here."""
+    """Why M_0 has no factor, from _factor's pivot info in 1..n (the driver's info alike).
+
+    lambda_min is computed only here.
+    """
     lam = _extreme_eigenvalues(M0, both=False)[0]
     if lam <= 0.0:
         return (
@@ -859,32 +860,32 @@ _BLOCK_NAMES = ("P", "T", "S")
 
 
 def operator_to_text(B: BlockOperator) -> str:
-    """Serialize a BlockOperator in text format version 2: O(nnz), not O(N^2).
+    """Serialize a BlockOperator in text format version 3: O(nnz), not O(N^2).
 
-    Lines, in order (tokens separated by single spaces):
+    Lines, in order:
 
-        blockoperator 2
+        blockoperator 3
         N <n>
         c1 <c1>
         then for each block of P, T, S, four lines:
         <name> <nnz>
-        <indptr: n + 1 integers>
-        <indices: nnz integers>
-        <data: nnz floats>
+        <indptr: n + 1 words>
+        <indices: nnz words>
+        <data: nnz words>
 
     The last three lines of a block are its CSR arrays as stored, explicit
-    zeros included; they are empty lines when nnz = 0.  Floats are written
-    with repr, which round-trips every float64 exactly.
+    zeros included, each as the standard base64 (no line breaks) of its
+    entries as little-endian 8-byte words: signed integers for indptr and
+    indices, IEEE binary64 for data.  They are empty lines when nnz = 0.
+    c1 is written with repr; both round-trip every float64 exactly.
     """
-    lines = ["blockoperator 2", f"N {B.N}", f"c1 {float(B.c1)!r}"]
+    lines = ["blockoperator 3", f"N {B.N}", f"c1 {float(B.c1)!r}"]
     for name in _BLOCK_NAMES:
         m = getattr(B, name)
-        lines += [
-            f"{name} {m.nnz}",
-            " ".join(map(str, m.indptr.tolist())),
-            " ".join(map(str, m.indices.tolist())),
-            " ".join(map(repr, m.data.tolist())),
-        ]
+        lines.append(f"{name} {m.nnz}")
+        for array, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")):
+            words = np.asarray(array, dtype=dtype).tobytes()
+            lines.append(base64.b64encode(words).decode("ascii"))
     return "\n".join(lines) + "\n"
 
 
@@ -895,30 +896,33 @@ def _keyed_value(line: str, key: str) -> str:
     return tokens[1]
 
 
-def _numbers(line: str, dtype, count: int, what: str) -> np.ndarray:
+def _words(line: str, dtype: str, count: int, what: str) -> np.ndarray:
     try:
-        arr = np.array(line.split(), dtype=dtype)
-    except (ValueError, OverflowError) as exc:
+        raw = base64.b64decode(line, validate=True)
+    except ValueError as exc:  # binascii.Error: a character or padding base64 refuses
         raise ValueError(f"{what}: {exc}") from None
-    if arr.shape[0] != count:
-        raise ValueError(f"{what}: expected {count} entries, found {arr.shape[0]}")
-    return arr
+    if len(raw) % 8:
+        raise ValueError(f"{what}: {len(raw)} bytes is not a whole number of 8-byte words")
+    if len(raw) // 8 != count:
+        raise ValueError(f"{what}: expected {count} entries, found {len(raw) // 8}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def operator_from_text(text: str) -> BlockOperator:
     """Parse operator_to_text output and re-assemble it (c1 is verified).
 
-    Raises ValueError naming the defect for any other header, a wrong
-    line or entry count, an indptr that is not monotone from 0 to nnz,
-    a column index outside [0, N), or column indices that are not
-    strictly increasing within a row (a repeated entry would otherwise
-    be summed); the blocks then pass through
-    assemble, so non-finite, non-symmetric or non-positive blocks raise
-    its package errors.
+    Raises ValueError naming the defect for any other header (version 2
+    included), a wrong line count, a line that is not base64 of whole
+    8-byte words or holds the wrong number of them, an indptr that is
+    not monotone from 0 to nnz, a column index outside [0, N), or
+    column indices that are not strictly increasing within a row (a
+    repeated entry would otherwise be summed); the blocks then pass
+    through assemble, so non-finite, non-symmetric or non-positive
+    blocks raise its package errors.
     """
     lines = text.splitlines()
-    if not lines or lines[0].split() != ["blockoperator", "2"]:
-        raise ValueError("not a blockoperator version 2 serialization")
+    if not lines or lines[0].split() != ["blockoperator", "3"]:
+        raise ValueError("not a blockoperator version 3 serialization")
     expected = 3 + 4 * len(_BLOCK_NAMES)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")
@@ -930,13 +934,14 @@ def operator_from_text(text: str) -> BlockOperator:
     for k, name in enumerate(_BLOCK_NAMES):
         head, ptr_line, idx_line, data_line = lines[3 + 4 * k : 7 + 4 * k]
         nnz = int(_keyed_value(head, name))
-        indptr = _numbers(ptr_line, np.int64, n + 1, f"{name} indptr")
-        if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        indptr = _words(ptr_line, "<i8", n + 1, f"{name} indptr")
+        # compared, not differenced: a difference of int64 words can wrap
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
             raise ValueError(f"{name} indptr is not monotone from 0 to nnz = {nnz}")
-        indices = _numbers(idx_line, np.int64, nnz, f"{name} indices")
+        indices = _words(idx_line, "<i8", nnz, f"{name} indices")
         if nnz and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"{name} has a column index outside [0, {n})")
-        data = _numbers(data_line, np.float64, nnz, f"{name} data")
+        data = _words(data_line, "<f8", nnz, f"{name} data")
         blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         if not blocks[name].has_canonical_format:
             raise ValueError(f"{name} column indices are not increasing within a row")

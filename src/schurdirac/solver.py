@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dstein, dsyevx
 
 from .blockop import (
@@ -122,11 +123,11 @@ def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     if rec.refusal is not None:
         raise HypothesisFailed(rec.refusal)
     with np.errstate(all="ignore"):  # an overflow is refused by its residual, below
-        x, _, rcond, _ = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
+        x, rcond = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
         u = x[:, 0]
         v = rec.s_solve(B.T @ u - rhs.F2)
         r = _stacked_apply(B, u, v) - rhs.stacked()
-        residual = float(np.linalg.norm(r))
+        residual = float(dnrm2(r))  # scaled: no overflow where ||r|| is finite
     if not np.isfinite(r).all():
         raise CheckFailed("the residual of the solution is not finite (it overflowed)")
     cond = math.inf if rcond == 0.0 else 1.0 / rcond

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dnrm2
 
 import schurdirac.blockop as blockop
 import schurdirac.solver as solver
@@ -749,26 +751,36 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def words(dtype: str, values) -> str:
+    """A CSR array line of text format 3: base64 of little-endian 8-byte words."""
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
+
+
 class TestTextFormat:
     def test_layout(self):
         text = operator_to_text(assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2)))
-        assert text.splitlines() == [
-            "blockoperator 2",
+        lines = text.splitlines()
+        i8, f8 = (lambda vals: words("<i8", vals)), (lambda vals: words("<f8", vals))
+        assert lines == [
+            "blockoperator 3",
             "N 2",
             "c1 1.0",
             "P 2",
-            "0 1 2",
-            "0 1",
-            "2.0 -1.0",
+            i8([0, 1, 2]),
+            i8([0, 1]),
+            f8([2.0, -1.0]),
             "T 1",
-            "0 1 1",
-            "0",
-            "0.5",
+            i8([0, 1, 1]),
+            i8([0]),
+            f8([0.5]),
             "S 2",
-            "0 1 2",
-            "0 1",
-            "1.0 1.0",
+            i8([0, 1, 2]),
+            i8([0, 1]),
+            f8([1.0, 1.0]),
         ]
+        # byte order pinned: 2.0 = 0x4000000000000000, -1.0 = 0xBFF0000000000000
+        assert lines[6] == "AAAAAAAAAEAAAAAAAADwvw=="
+        assert base64.b64decode(lines[6]) == bytes(7) + b"\x40" + bytes(6) + b"\xf0\xbf"
 
     def test_channel_text_is_linear_in_n(self):
         spec = DiracChannelSpec(kappa=-1, nu=0.5, gamma=0.5)
@@ -794,24 +806,35 @@ class TestTextFormat:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda ls: ["blockoperator 1"] + ls[1:], "version 2"),
+            (lambda ls: ["blockoperator 1"] + ls[1:], "version 3"),
+            (lambda ls: ["blockoperator 2"] + ls[1:], "not a blockoperator version 3"),
             (lambda ls: ls[:-1], "expected 15 lines"),
             (lambda ls: ls + [""], "expected 15 lines"),
             (lambda ls: ls[:1] + ["N -1"] + ls[2:], "negative"),
             (lambda ls: ls[:1] + ["M 2"] + ls[2:], "'N <value>'"),
             (lambda ls: ls[:3] + ["T 2"] + ls[4:], "'P <value>'"),
             (lambda ls: ls[:3] + ["P 3"] + ls[4:], "nnz = 3"),
-            (lambda ls: ls[:4] + ["0 2 1"] + ls[5:], "not monotone"),
-            (lambda ls: ls[:4] + ["1 1 2"] + ls[5:], "not monotone"),
-            (lambda ls: ls[:4] + ["0 1"] + ls[5:], "P indptr: expected 3 entries"),
-            (lambda ls: ls[:5] + ["0 2"] + ls[6:], "outside [0, 2)"),
-            (lambda ls: ls[:5] + ["-1 1"] + ls[6:], "outside [0, 2)"),
-            (lambda ls: ls[:4] + ["0 2 2", "1 0"] + ls[6:], "not increasing"),
-            (lambda ls: ls[:4] + ["0 2 2", "0 0"] + ls[6:], "not increasing"),
-            (lambda ls: ls[:5] + ["0 1.5"] + ls[6:], "P indices"),
-            (lambda ls: ls[:6] + ["2.0"] + ls[7:], "P data: expected 2 entries"),
-            (lambda ls: ls[:6] + ["2.0 x"] + ls[7:], "P data"),
-            (lambda ls: ls[:5] + ["9" * 30 + " 1"] + ls[6:], "P indices"),
+            (lambda ls: ls[:4] + [words("<i8", [0, 2, 1])] + ls[5:], "not monotone"),
+            (lambda ls: ls[:4] + [words("<i8", [1, 1, 2])] + ls[5:], "not monotone"),
+            (lambda ls: ls[:4] + [words("<i8", [0, 1])] + ls[5:], "P indptr: expected 3 entries"),
+            (lambda ls: ls[:5] + [words("<i8", [0, 2])] + ls[6:], "outside [0, 2)"),
+            (lambda ls: ls[:5] + [words("<i8", [-1, 1])] + ls[6:], "outside [0, 2)"),
+            (lambda ls: ls[:5] + [words("<i8", [0, 2**63 - 1])] + ls[6:], "outside [0, 2)"),
+            (lambda ls: ls[:4] + [words("<i8", [0, 2, 2]), words("<i8", [1, 0])] + ls[6:],
+             "not increasing"),
+            (lambda ls: ls[:4] + [words("<i8", [0, 2, 2]), words("<i8", [0, 0])] + ls[6:],
+             "not increasing"),
+            # characters outside the standard base64 alphabet
+            (lambda ls: ls[:5] + [ls[5][:4] + "." + ls[5][5:]] + ls[6:], "P indices"),
+            (lambda ls: ls[:6] + ["-" + ls[6][1:]] + ls[7:], "P data"),  # URL-safe only
+            (lambda ls: ls[:4] + [ls[4][:12] + " " + ls[4][12:]] + ls[5:],
+             "P indptr: Only base64 data is allowed"),
+            # bad padding, and a byte count that is not a multiple of 8
+            (lambda ls: ls[:5] + [ls[5][:-1]] + ls[6:], "P indices"),
+            (lambda ls: ls[:6] + [ls[6][:-2]] + ls[7:], "P data: Incorrect padding"),
+            (lambda ls: ls[:6] + [base64.b64encode(bytes(12)).decode()] + ls[7:],
+             "P data: 12 bytes is not a whole number of 8-byte words"),
+            (lambda ls: ls[:6] + [words("<f8", [2.0])] + ls[7:], "P data: expected 2 entries"),
         ],
     )
     def test_rejects_malformed_text(self, edit, message):
@@ -820,10 +843,34 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             operator_from_text(text)
 
+    def test_indptr_whose_differences_wrap_is_not_monotone(self):
+        # (-3*2**61) - 3*2**61 = -3*2**62 wraps to +2**62 in int64, so np.diff
+        # of these words is nonnegative
+        lines = operator_to_text(assemble(np.eye(3), np.eye(3), np.eye(3))).splitlines()
+        lines[4] = words("<i8", [0, 3 * 2**61, -3 * 2**61, 3])
+        with pytest.raises(ValueError, match="P indptr is not monotone"):
+            operator_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_workload_family_roundtrip_is_bitwise(self, seed):
+        B = random_block_operator(np.random.default_rng(seed), 100, margin_target=0.5)
+        T = B.T.copy()
+        # a stored -0.0 and subnormals, as stored
+        T.data[:4] = [-0.0, 5e-324, -2.225073858507201e-308, np.nextafter(0.0, -1.0)]
+        B = assemble(B.P, T, B.S)
+        assert _same_bits(B.T.data[:4], T.data[:4])
+        C = operator_from_text(operator_to_text(B))
+        assert _same_bits(np.float64(C.c1), np.float64(B.c1))
+        for name in ("P", "T", "S"):
+            a, b = getattr(B, name), getattr(C, name)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert _same_bits(a.data, b.data)
+
     def test_non_finite_data_is_a_validation_error(self):
         B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))
         lines = operator_to_text(B).splitlines()
-        lines[10] = "1e999"
+        lines[10] = words("<f8", [np.inf])
         with pytest.raises(ValidationError) as info:
             operator_from_text("\n".join(lines))
         assert info.value.key == "T"
@@ -874,7 +921,7 @@ def assert_round_trip(B, data):
     F1, F2 = np.array(data.draw(entries)), np.array(data.draw(entries))
     report = solve(B, RhsPair(F1, F2))
     out = apply(B, report.solution)
-    residual = np.linalg.norm(np.concatenate([out.u - F1, out.v - F2]))
+    residual = dnrm2(np.concatenate([out.u - F1, out.v - F2]))  # as solve scales it
     assert residual <= report.residual_norm
     assert report.residual_norm <= 1e-9 * (1.0 + np.linalg.norm(np.concatenate([F1, F2])))
 

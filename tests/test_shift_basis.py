@@ -169,8 +169,8 @@ def test_diagonal_s_needs_no_eigh(rng, monkeypatch):
 def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     B = random_block_operator(rng, 10, margin_target=1.0)
     S = B.S.toarray()
-    factor = mock.Mock(wraps=blockop.cho_factor)
-    monkeypatch.setattr(blockop, "cho_factor", factor)
+    factor = mock.Mock(wraps=blockop.dpotrf)
+    monkeypatch.setattr(blockop, "dpotrf", factor)
     positivity_margin(B, 0.0)
     find_c2(B)
     embedding_delta(B)

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 import schurdirac.blockop as blockop
 import schurdirac.cli as cli
@@ -90,6 +91,20 @@ class TestSolve:
             np.concatenate([out.u - F1, out.v - F2])
         )
         assert recomputed == pytest.approx(rep.residual_norm, rel=1e-12, abs=1e-15)
+
+    def test_residual_norm_is_scaled_past_the_square_overflow(self):
+        # the CLI right-hand side times 1e170: residual entries near 1e154
+        # and above, whose squares overflow though ||r|| does not
+        grid = build_grid("logarithmic", 200, 1e-4, 100.0)
+        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        r = grid.nodes
+        rep = solve(B, RhsPair(1e170 * np.exp(-r), 1e170 * r * np.exp(-r)))
+        out = apply(B, rep.solution)
+        res = np.concatenate([out.u - 1e170 * np.exp(-r), out.v - 1e170 * r * np.exp(-r)])
+        top = np.max(np.abs(res))
+        assert top > 1e154
+        assert np.isfinite(rep.residual_norm)
+        assert rep.residual_norm == pytest.approx(top * np.linalg.norm(res / top), rel=1e-12)
 
     def test_ill_conditioned_warns_and_flags(self):
         # with T = 0, M_0 = P: condition 1e13 is above the fixed cap 1e12
@@ -230,13 +245,14 @@ class TestSolve:
 
 
 def spy_on_lapack(monkeypatch):
-    """Record every expert-driver call by its fact argument, and refuse any eigenvalue."""
+    """Record every factorization and expert-driver call, the latter with its
+    fact argument, and refuse any eigenvalue."""
     facts = []
-    for name in ("dptsvx", "dposvx"):
+    for name in ("dpttrf", "dpotrf", "dptsvx", "dposvx"):
         real = getattr(blockop, name)
 
         def driver(*args, real=real, name=name, **kw):
-            facts.append((name, kw.get("fact", "N")))
+            facts.append((name, kw.get("fact", "N") if name.endswith("svx") else None))
             return real(*args, **kw)
 
         monkeypatch.setattr(blockop, name, driver)
@@ -258,7 +274,7 @@ class TestEliminationRecord:
             w = StateVector(np.ones(40), np.ones(40))
             symmetry_identity_check(B, w, w)
         # one factorization per operator, one driver call per solve, no eigenvalue
-        assert facts == [("dptsvx", "N"), ("dptsvx", "F"), ("dptsvx", "F")]
+        assert facts == [("dpttrf", None), ("dptsvx", "F"), ("dptsvx", "F")]
         assert np.array_equal(first.solution.u, second.solution.u)
         monkeypatch.setattr(cli, "build_channel", lambda spec, grid: B)
         config = cli.parse_config("command=solve\nkappa=-1\nnu=0.5\ngrid.N=40\n")
@@ -271,9 +287,37 @@ class TestEliminationRecord:
         rhs = RhsPair(rng.standard_normal(30), rng.standard_normal(30))
         facts = spy_on_lapack(monkeypatch)
         first, second = solve(B, rhs), solve(B, rhs)
-        assert facts == [("dposvx", "N"), ("dposvx", "F"), ("dposvx", "F")]
+        # S's Cholesky factor, then M_0's
+        assert facts == [("dpotrf", None), ("dpotrf", None), ("dposvx", "F"), ("dposvx", "F")]
         assert first.schur_condition_estimate == second.schur_condition_estimate
         assert first.residual_norm == second.residual_norm
+
+    @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
+    def test_first_solve_is_one_driver_call_as_if_the_driver_factored(self, rng, route, monkeypatch):
+        # _factor's factor of M_0 is bitwise the one the driver makes with
+        # fact = "N", so the first solve is bitwise what factoring by the
+        # driver gave: one fact = "N" call on the reduced right-hand side
+        if route == "tridiagonal":
+            grid = build_grid("logarithmic", 300, 1e-4, 100.0)
+            B, driver = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid), "dptsvx"
+        else:
+            B, driver = random_block_operator(rng, 40, margin_target=0.5), "dposvx"
+        rhs = RhsPair(rng.standard_normal(B.N), rng.standard_normal(B.N))
+        with monkeypatch.context() as m:
+            facts = spy_on_lapack(m)
+            rep = solve(B, rhs)
+        assert [f for f in facts if f[0] == driver] == [(driver, "F")]
+        rec = B._elimination
+        b = rhs.F1 + B.Tt @ rec.s_solve(rhs.F2)
+        if route == "tridiagonal":
+            df, ef, x, rcond, _, _, info = lapack.dptsvx(rec.M0.d, rec.M0.e, b)
+            assert np.array_equal(rec.factor[0], df) and np.array_equal(rec.factor[1], ef)
+        else:
+            _, af, _, _, _, x, rcond, _, _, info = lapack.dposvx(rec.M0, b, fact="N", lower=1)
+            assert np.array_equal(np.tril(rec.factor), np.tril(af))
+        assert info == 0
+        assert np.array_equal(rep.solution.u, x[:, 0])
+        assert rep.schur_condition_estimate == 1.0 / rcond
 
     def test_record_does_not_keep_its_operator_alive(self, rng):
         gc.collect()

@@ -281,17 +281,18 @@ class TestOrderOne:
 
 
 def test_failed_tridiagonal_factorization_is_refused(monkeypatch):
-    # dptsvx reporting a non-positive pivot stops the solve; the driver is
-    # not called again to solve, even when the Sturm margin was positive
+    # dpttrf reporting a non-positive pivot stops the solve, once and for
+    # all, even when the Sturm margin was positive; the driver is never called
     B = channel(N=40)
     assert positivity_margin(B, 0.0) > 0.0
-    real, calls = blockop.dptsvx, []
+    real, calls = blockop.dpttrf, []
 
-    def failing(d, e, b, **kw):
+    def failing(d, e, **kw):
         calls.append(kw)
-        return real(d, e, b, **kw)[:6] + (1,)
+        return real(d, e, **kw)[:2] + (1,)
 
-    monkeypatch.setattr(blockop, "dptsvx", failing)
+    monkeypatch.setattr(blockop, "dpttrf", failing)
+    monkeypatch.setattr(blockop, "dptsvx", mock.Mock(side_effect=AssertionError("dptsvx")))
     for _ in range(2):
         with pytest.raises(HypothesisFailed, match=r"pivot 1 <= 0, dptsvx info = 1"):
             solve(B, RhsPair(np.ones(40), np.zeros(40)))
@@ -345,8 +346,8 @@ class TestFactorCertifiesC2:
     def assert_separates(B, c2):
         below = blockop._factor(blockop._schur_form(B, c2 * (1.0 - 1e-9)))
         above = blockop._factor(blockop._schur_form(B, c2 * (1.0 + 1e-9)))
-        assert below[0] is not None and below[1] is None
-        assert above[0] is None and isinstance(above[1], str)
+        assert below[0] is not None and below[1] == 0
+        assert above[0] is None and above[1] > 0
 
     @pytest.mark.parametrize(
         "kappa, nu, N", [(-1, 0.9, 8000), (-2, 0.5, 300), (-1, 0.5, 2000), (-2, 0.9, 400)]
