@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dptsvx, dpttrf, dstebz, dsyevx
+from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dptsvx, dpttrf, dstebz, dsytrd
 
 from .errors import (
     CheckFailed,
@@ -133,6 +133,10 @@ class _Tridiagonal(NamedTuple):
 _STEBZ_ABSTOL = 2.0 * dlamch("S")
 # Relative machine precision times the base, the unit of the rounding bounds.
 _ULP = dlamch("P")
+# dsyevx scales H so that max|H_ij| lies in [_RMIN, _RMAX] (about 1e-146
+# and 8.2e76) before it reduces H; B._H_reduced scales alike.
+_RMIN = math.sqrt(dlamch("S") / _ULP)
+_RMAX = min(math.sqrt(_ULP / dlamch("S")), 1.0 / math.sqrt(math.sqrt(dlamch("S"))))
 
 
 def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
@@ -141,19 +145,20 @@ def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
 
 
 def _tridiagonal_eigenvalues(
-    d: np.ndarray, e: np.ndarray, il: int, iu: int
+    d: np.ndarray, e: np.ndarray, il: int, iu: int, abstol: float = _STEBZ_ABSTOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues il..iu (1-based) of the tridiagonal (d, e) by one dstebz call.
 
     Returns (w, iblock, isplit) as dstein takes them: w in block order
     (ascending within each split-off block, not overall), iblock[:w.size]
-    the block of each, isplit the block ends.
+    the block of each, isplit the block ends.  abstol scales with a
+    scaled form, as B._H_reduced's is.
     """
     # dstebz does not check its input; an overflowed form is refused here
     _check_finite_form(d, e)
     # range 2 selects the eigenvalues with indices il..iu
     m, w, iblock, isplit, info = dstebz(
-        d, _lapack_offdiagonal(e), 2, 0.0, 0.0, il, iu, _STEBZ_ABSTOL, "B"
+        d, _lapack_offdiagonal(e), 2, 0.0, 0.0, il, iu, abstol, "B"
     )
     if info != 0:
         raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
@@ -292,7 +297,7 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Four facts are lazy: each is made on first use and cached on this
+    Five facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  None is made at assembly, and
     dataclasses.replace starts without them.  Threads that race to make
     one compute equal values, and one is kept.
@@ -319,6 +324,15 @@ class BlockOperator:
         What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
         and _factor's factor of M_0, which the expert driver takes, or
         why it has none.
+    _H_reduced
+        The dense H of an operator without H_tridiagonal, reduced to a
+        tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
+        reduces it (scaled first when max|H_ij| is out of range), with
+        the reflectors, ||H||_inf and the scale: a _Reduction.  find_c2's
+        selection and every gap_eigenvalues window read it, so each
+        dense H is reduced once, not once per call.  It keeps about
+        (2N)^2 doubles, H's own buffer: measured 0.33 MB at 2N = 200
+        and 8.0 MB at 2N = 1000 (16 MB at the peak while it is made).
     """
 
     P: sp.csr_matrix
@@ -374,6 +388,20 @@ class BlockOperator:
             return _freeze((P + P.T) * 0.5), _freeze(s), _freeze(Z)
 
     @cached_property
+    def _H_reduced(self) -> _Reduction:
+        H = _dense_H(self)
+        with np.errstate(all="ignore"):
+            a = np.abs(H)
+            norm, big = float(np.max(a.sum(axis=1))), float(np.max(a))
+        scale = _RMIN / big if 0.0 < big < _RMIN else _RMAX / big if big > _RMAX else 1.0
+        if scale != 1.0:
+            H *= scale
+        # H is exactly symmetric, so H.T is the Fortran-ordered array that
+        # dsytrd reduces in place, with the 5 * 2N words dsyevx hands it
+        A, d, e, tau, _ = dsytrd(H.T, lower=1, lwork=5 * H.shape[0], overwrite_a=1)
+        return _Reduction(*map(_freeze, (d, e, A, tau)), norm=norm, scale=scale)
+
+    @cached_property
     def _elimination(self) -> _Elimination:
         M0 = _schur_form(self, 0.0)
         if isinstance(M0, _Tridiagonal):
@@ -381,6 +409,17 @@ class BlockOperator:
         factor, info = _factor(M0)
         refusal = None if factor is not None else _refusal(M0, info)
         return _Elimination(_s_inverse(self), M0, factor, refusal)
+
+
+class _Reduction(NamedTuple):
+    """B._H_reduced: dsytrd's (d, e), reflectors and tau of scale * H; norm is ||H||_inf."""
+
+    d: np.ndarray
+    e: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    norm: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -635,15 +674,20 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
       their spacing; the midpoint is returned.  One O(N) margin a step.
-    * Otherwise: eigenvalue N+1 of the dense H by one values-only
-      dsyevx, clamped to the bracket, then certified by two Cholesky
-      factorizations, which select no eigenvalue (Sylvester's law of
-      inertia): M_{c2-t} must be positive definite and M_{c2+t} must
-      not, each one syrk from the shift basis.  A side outside the
-      bracket is settled by it.  t is tol/2, or the rounding floor of
-      _certificate_offset when larger: at a tol below rounding, or for
-      a stiff H (||H||_inf above about 1e6/sqrt(N) at the default tol),
-      whose dense eigenvalues are only as accurate as ulp ||H||.
+    * Otherwise: eigenvalue N+1 of the dense H by one dstebz selection
+      on B._H_reduced, H's tridiagonal form (the steps of a values-only
+      dsyevx, bitwise its result), clamped to the bracket, then
+      certified by two Cholesky factorizations, which select no
+      eigenvalue (Sylvester's law of inertia): M_{c2-t} must be positive
+      definite and M_{c2+t} must not, each one syrk from the shift
+      basis.  A side outside the bracket is settled by it.  t is tol/2,
+      or the sum of the two _rounding_floors when larger: at a tol
+      below rounding, or for a stiff H (||H||_inf above about
+      1e6/sqrt(N) at the default tol), whose dense eigenvalues are only
+      as accurate as ulp ||H||.  When that ||H|| term alone exceeds
+      tol/2 but the factorizations' own rounding does not, one Newton
+      step on lambda_min(M_alpha) from the selection is tried first and
+      returned if it is certified at tol/2.
 
     Either way the root lies within max(tol/2, rounding) of the result.
 
@@ -655,7 +699,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
         If the margin at alpha = 0 is negative (the base form is not
         positive semidefinite, so no c2 >= 0 exists).
     NoConvergence
-        If dsyevx fails.
+        If dstebz fails.
     CheckFailed
         If a certificate contradicts the selected value; no dense c2 is
         returned unchecked.
@@ -691,40 +735,65 @@ def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
 
 def _selected_c2(B: BlockOperator, tol: float, m0: float) -> float:
     """Eigenvalue N+1 of the dense H in [0, m0], certified at c2 -+ t; see find_c2."""
-    H = _dense_H(B)
-    w, _, _, _, info = dsyevx(
-        H, compute_v=0, range="I", il=B.N + 1, iu=B.N + 1, lower=1, abstol=_STEBZ_ABSTOL
-    )
-    if info != 0:
-        raise NoConvergence(f"dense eigensolver failed (dsyevx info = {info})")
-    c2 = min(max(float(w[0]), 0.0), m0)
-    t = _certificate_offset(B, tol, c2, H)
+    R = B._H_reduced
+    w = _tridiagonal_eigenvalues(R.d, R.e, B.N + 1, B.N + 1, _STEBZ_ABSTOL * R.scale)[0]
+    c2 = min(max(float(w[0] * (1.0 / R.scale)), 0.0), m0)
+    selection, forms = _rounding_floors(B, c2)
+    if forms <= 0.5 * tol < selection:
+        # a stiff H: the margin, which never reads H, reaches tol where the selection cannot
+        newton = _newton_step(B, c2, m0)
+        if _certificate_failure(B, newton, 0.5 * tol, m0) is None:
+            return newton
+    failure = _certificate_failure(B, c2, max(0.5 * tol, selection + forms), m0)
+    if failure is not None:
+        raise CheckFailed(f"eigenvalue N+1 of H, {c2!r}, fails its certificate: {failure}")
+    return c2
+
+
+def _certificate_failure(B: BlockOperator, c2: float, t: float, m0: float) -> str | None:
+    """None when M_{c2-t} is positive definite and M_{c2+t} is not, else what fails.
+
+    One _factor per side, the lower side first; a side outside
+    (0, m0] is settled by the bracket.
+    """
     for alpha, definite in ((c2 - t, True), (c2 + t, False)):
         # margin(0) > 0 settles alpha <= 0; margin(alpha) <= m0 - alpha < 0 above m0
         if 0.0 < alpha <= m0 and (_factor(_schur_form(B, alpha))[0] is not None) != definite:
             state = "is not" if definite else "is"
-            raise CheckFailed(
-                f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
-                f"{state} positive definite at alpha = {alpha!r}"
-            )
-    return c2
+            return f"M_alpha {state} positive definite at alpha = {alpha!r}"
+    return None
 
 
-def _certificate_offset(B: BlockOperator, tol: float, c2: float, H: np.ndarray) -> float:
-    """t = max(tol/2, 10 sqrt(2N) ulp (||H||_inf + a bound on ||M_c2||_2)).
+def _newton_step(B: BlockOperator, c2: float, m0: float) -> float:
+    """c2 + lam / (1 + sum_i ((Z x)_i / (s_i + c2))^2), clamped to [0, m0].
 
-    The floor is the rounding of the two computations it certifies:
-    the selected eigenvalue of H, as gap_eigenvalues bounds a dense
-    pair's, and the Cholesky factorization of a shifted form near M_c2.
-    ||M_c2||_2 <= ||P||_F + c2 + ||X||_F^2 with X = diag(s + c2)^{-1/2} Z
-    from the shift basis.  M_0 is not used: its T^t S^{-1} T term grows
-    like 1/lambda_min(S), while the shifted forms stay of moderate size.
+    One Newton step on lambda_min(M_alpha), whose slope at c2 is
+    -1 - sum_i ((Z x)_i / (s_i + c2))^2, with (lam, x) the lowest
+    eigenpair of M_c2 and (s, Z) from the shift basis.
+    """
+    _, s, Z = B._shift_basis
+    lam, x = np.linalg.eigh(_schur_form(B, c2))
+    with np.errstate(all="ignore"):
+        slope = 1.0 + float(np.sum(((Z @ x[:, 0]) / (s + c2)) ** 2))
+    return min(max(c2 + float(lam[0]) / slope, 0.0), m0)
+
+
+def _rounding_floors(B: BlockOperator, c2: float) -> tuple[float, float]:
+    """The rounding of the selection and of a factorization near M_c2.
+
+    10 sqrt(2N) ulp times ||H||_inf (cached with B._H_reduced), as
+    gap_eigenvalues bounds a dense pair's, and times
+    ||P||_F + c2 + ||X||_F^2 >= ||M_c2||_2 with X = diag(s + c2)^{-1/2} Z
+    from the shift basis.  The certificate offset is
+    t = max(tol/2, their sum).  M_0 is not used: its T^t S^{-1} T term
+    grows like 1/lambda_min(S), while the shifted forms stay of
+    moderate size.
     """
     P, s, Z = B._shift_basis
+    unit = 10.0 * math.sqrt(2 * B.N) * _ULP
     with np.errstate(all="ignore"):
-        h_norm = float(np.max(np.abs(H).sum(axis=1)))
         form_norm = float(np.linalg.norm(P)) + c2 + float((Z * Z).sum(axis=1) @ (1.0 / (s + c2)))
-    return max(0.5 * tol, 10.0 * math.sqrt(2 * B.N) * _ULP * (h_norm + form_norm))
+    return unit * B._H_reduced.norm, unit * form_norm
 
 
 def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> float:
@@ -732,12 +801,12 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
 
     Inertia additivity makes M_alpha positive semidefinite exactly when
     alpha does not exceed the (N+1)-th smallest eigenvalue of H, so that
-    eigenvalue equals find_c2 whenever it is nonnegative.  It reads the
-    same _dense_H as find_c2's dense selection, through another LAPACK
-    driver (dsyevd, all eigenvalues), so on a dense operator it checks
-    the selection, not the margins; find_c2's two factorizations are
-    the check that selects no eigenvalue.  Intended for verification at
-    small sizes only.
+    eigenvalue equals find_c2 whenever it is nonnegative.  It forms its
+    own _dense_H and takes another LAPACK driver (dsyevd, all
+    eigenvalues), never B._H_reduced, so on a dense operator it checks
+    find_c2's selection independently, not the margins; find_c2's two
+    factorizations are the check that selects no eigenvalue.  Intended
+    for verification at small sizes only.
     """
     if 2 * B.N > dense_cap:
         raise TooLarge(f"2N = {2 * B.N} exceeds the dense oracle cap {dense_cap}")

@@ -11,9 +11,10 @@ of M_0 cached in B._elimination: dptsvx when B.H_tridiagonal is set
 M_0 of every other operator.  Eigenvalues of H in the spectral gap come
 from the same identity through inertia additivity: when M_sigma >= 0
 they are eigenvalues N+1, N+2, ... of H, selected by index, by Sturm
-bisection from the interleaved H at every N, and by dsyevx from the
-dense H up to 2N = DENSE_ORACLE_CAP.  All operations are pure and safe
-to run concurrently on shared inputs.
+bisection and inverse iteration on a tridiagonal form of H: the
+interleaved H of a channel, and B._H_reduced, the one Householder
+reduction of every other operator's dense H.  All operations are pure
+and safe to run concurrently on shared inputs.
 """
 
 from __future__ import annotations
@@ -26,17 +27,15 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dstein, dsyevx
+from scipy.linalg.lapack import dormqr, dstein
 
 from .blockop import (
-    DENSE_ORACLE_CAP,
     _STEBZ_ABSTOL,
     _ULP,
     BlockOperator,
     StateVector,
     _check_length,
     _check_shift,
-    _dense_H,
     _expert_solve,
     _finite_pair,
     _stacked_apply,
@@ -50,7 +49,6 @@ from .errors import (
     IllConditioned,
     NegativeShiftUnsupported,
     NoConvergence,
-    TooLarge,
 )
 
 __all__ = [
@@ -218,11 +216,14 @@ def gap_eigenvalues(
     when eigenvalue N+1 of H is >= sigma.  So on every path one gated
     selection takes eigenvalues N+1, N+2, ... by index ("above";
     N-k+1 .. N+k for "nearest"), and structure picks only the LAPACK
-    routine that returns them with their vectors: when B.H_tridiagonal is
-    set (every Dirac channel, at every N) Sturm bisection (dstebz) and
-    inverse iteration (dstein) on that interleaved H, (u_1, v_1, u_2, ...);
-    for every other operator dsyevx on the dense H, O((2N)^3) time and
-    (2N)^2 doubles, up to 2N = DENSE_ORACLE_CAP.
+    tridiagonal form of H they run on: Sturm bisection (dstebz) and
+    inverse iteration (dstein), on the interleaved H (u_1, v_1, u_2, ...)
+    when B.H_tridiagonal is set (every Dirac channel, at every N), and
+    for every other operator on B._H_reduced, the dense H's one
+    Householder reduction, shared with find_c2 and made at the first of
+    them (O((2N)^3) time, (2N)^2 doubles, at every N), whose reflectors
+    carry the vectors back (dormqr).  Those are dsyevx's steps, so the
+    dense pairs are bitwise dsyevx's for distinct eigenvalues.
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
@@ -239,8 +240,6 @@ def gap_eigenvalues(
         [1, 2N], or tol is not finite and nonnegative.
     NegativeShiftUnsupported
         If sigma < 0.
-    TooLarge
-        If B.H_tridiagonal is None and 2N > DENSE_ORACLE_CAP.
     HypothesisFailed
         If M_sigma is not positive semidefinite (eigenvalue N+1 of H lies
         below sigma by more than rounding), on every path and at every N.
@@ -258,11 +257,6 @@ def gap_eigenvalues(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     sigma = _nonnegative_shift(sigma)
-    if B.H_tridiagonal is None and n2 > DENSE_ORACLE_CAP:
-        raise TooLarge(
-            f"2N = {n2} exceeds the dense cap {DENSE_ORACLE_CAP} for an operator "
-            "that is not tridiagonal"
-        )
     raw, norm = _gap_pairs(B, sigma, k, which)
 
     rounding = 10.0 * math.sqrt(n2) * _ULP * norm
@@ -285,14 +279,14 @@ def _gap_pairs(
 ) -> tuple[list[tuple[float, np.ndarray]], float]:
     """Eigenpairs of H selected by index: the window, the gate and the skip.
 
-    B's structure gives window(il, iu): eigenvalues il..iu (1-based) of H,
+    _window gives window(il, iu): eigenvalues il..iu (1-based) of H,
     ascending, and a map from positions in them to (lambda, x) pairs, x
     in the (u, v) layout.  Returns the pairs and a bound on ||H||_inf.
     An eigenvalue within rounding of sigma (ulp times that bound) is not
     strictly above it, so for "above" the window moves up past it.
     """
     N = B.N
-    window, norm = (_dense_window if B.H_tridiagonal is None else _tridiagonal_window)(B)
+    window, norm = _window(B)
     rounding = _ULP * norm
     if which == "nearest":
         il, iu = max(1, N - k + 1), min(2 * N, N + k)
@@ -324,44 +318,49 @@ def _gap_pairs(
     return pairs_at(chosen), norm
 
 
-def _tridiagonal_window(B: BlockOperator) -> tuple[Callable, float]:
-    """dstebz values, dstein vectors and max|d| + 2 max|e| of B.H_tridiagonal."""
-    d, e = B.H_tridiagonal
+def _window(B: BlockOperator) -> tuple[Callable, float]:
+    """window(il, iu) of H from a tridiagonal form (d, e) of it, and a bound on ||H||_inf.
+
+    dstebz selects the values and dstein the vectors of (d, e) on every
+    route; the form and the map back to H are what differ.  A channel's
+    form is B.H_tridiagonal: only the chosen eigenvalues are inverted,
+    and their vectors de-interleaved.  Every other operator's is
+    B._H_reduced: the whole window is inverted, and the vectors go back
+    through dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies
+    them for uplo = "L"), the values through 1 / scale, as dsyevx does.
+    """
+    if B.H_tridiagonal is not None:
+        (d, e), scale, whole = B.H_tridiagonal, 1.0, False
+        norm = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+
+        def back(z):
+            return np.concatenate([z[0::2], z[1::2]])
+
+    else:
+        d, e, A, tau, norm, scale = B._H_reduced
+        whole = True
+
+        def back(z):
+            # dormtr's workspace in dsyevx starts at word 2N + 1 of 8 * 2N
+            z[1:] = dormqr("L", "N", A[1:, :-1], tau, z[1:], 7 * d.shape[0])[0]
+            return z
 
     def window(il, iu):
-        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu)
+        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu, _STEBZ_ABSTOL * scale)
         # w is in block order; rank[i] is the position of the i-th smallest
         rank = np.argsort(w, kind="stable")
 
         def pairs_at(chosen):
-            keep = np.sort(rank[chosen])  # dstein takes block order
+            want = rank[chosen]
+            keep = np.arange(w.shape[0]) if whole else np.sort(want)  # dstein takes block order
             blocks = np.zeros_like(iblock)
             blocks[: keep.shape[0]] = iblock[keep]
             z, info = dstein(d, e, w[keep], blocks, isplit)
             if info != 0:
                 raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
-            x = np.concatenate([z[0::2], z[1::2]])
-            return [(float(w[i]), x[:, j]) for j, i in enumerate(keep)]
+            x = back(z)[:, np.searchsorted(keep, want)]
+            return [(float(w[i] * (1.0 / scale)), x[:, j]) for j, i in enumerate(want)]
 
-        return w[rank], pairs_at
+        return w[rank] * (1.0 / scale), pairs_at
 
-    return window, float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
-
-
-def _dense_window(B: BlockOperator) -> tuple[Callable, float]:
-    """dsyevx pairs il..iu and the largest absolute row sum of the dense H.
-
-    The lower triangle and the tiny abstol keep the eigenvalues of a
-    stiff H as accurate as a full eigh gives them.
-    """
-    H = _dense_H(B)
-
-    def window(il, iu):
-        w, z, m, _, info = dsyevx(
-            H, compute_v=1, range="I", il=il, iu=iu, lower=1, abstol=_STEBZ_ABSTOL
-        )
-        if info != 0:
-            raise NoConvergence(f"dense eigensolver failed (dsyevx info = {info})")
-        return w[:m], lambda chosen: [(float(w[i]), z[:, i]) for i in chosen]
-
-    return window, float(np.max(np.abs(H).sum(axis=1)))
+    return window, norm

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dsyevx
 
 import schurdirac.blockop as blockop
 import schurdirac.solver as solver
@@ -362,20 +363,26 @@ class TestFindC2:
     @given(tol=st.floats(min_value=1e-15, max_value=4.0))
     def test_dense_sequence_is_one_selection_and_two_factorizations(self, tol):
         # S is not diagonal, so the dense route: the margin at 0, one
-        # dsyevx, and _factor exactly at c2 - t and c2 + t where those
-        # lie in (0, margin(0)]
+        # reduction of H, one dstebz selection on it, and _factor exactly
+        # at c2 - t and c2 + t where those lie in (0, margin(0)]
         B = wide_operator()
         assert B.H_tridiagonal is None
         m0 = positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
-        margins, selected, factored = [], [], []
-        margin, dsyevx, factor = blockop.positivity_margin, blockop.dsyevx, blockop._factor
+        margins, reduced, selected, factored = [], [], [], []
+        margin, dsytrd, dstebz, factor = (
+            blockop.positivity_margin, blockop.dsytrd, blockop.dstebz, blockop._factor
+        )
 
         def recording_margin(B, alpha):
             margins.append(alpha)
             return margin(B, alpha)
 
-        def recording_dsyevx(*args, **kwargs):
-            selected.append(dsyevx(*args, **kwargs))
+        def recording_dsytrd(*args, **kwargs):
+            reduced.append(args)
+            return dsytrd(*args, **kwargs)
+
+        def recording_dstebz(*args):
+            selected.append(dstebz(*args))
             return selected[-1]
 
         def recording_factor(M):
@@ -385,16 +392,19 @@ class TestFindC2:
         with mock.patch.multiple(
             blockop,
             positivity_margin=recording_margin,
-            dsyevx=recording_dsyevx,
+            dsytrd=recording_dsytrd,
+            dstebz=recording_dstebz,
             _factor=recording_factor,
         ):
             c2 = find_c2(B, tol)
         assert margins == [0.0]
-        assert len(selected) == 1
+        assert len(reduced) == len(selected) == 1
         assert 0.0 < c2 < m0
-        assert c2 == selected[0][0][0]
-        t = blockop._certificate_offset(B, tol, c2, blockop._dense_H(B))
-        assert t == max(tol / 2, blockop._certificate_offset(B, 0.0, c2, blockop._dense_H(B)))
+        assert c2 == selected[0][1][0]
+        selection, forms = blockop._rounding_floors(B, c2)
+        # H is not stiff, so no Newton step at any tol
+        assert selection <= forms
+        t = max(tol / 2, selection + forms)
         want = [a for a in (c2 - t, c2 + t) if 0.0 < a <= m0]
         assert len(factored) == len(want)
         for M, alpha in zip(factored, want):
@@ -457,7 +467,7 @@ class TestDenseC2:
             c2 = find_c2(B, tol=1e-8)
             assert abs(c2 - ref) <= 1e-12, (n, diagonal)
             # the floor comes from the shifted forms, not from M_0 (about 1/smin)
-            assert blockop._certificate_offset(B, 0.0, c2, blockop._dense_H(B)) < 1e-10
+            assert sum(blockop._rounding_floors(B, c2)) < 1e-10
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324, 1e-17])
     def test_tolerance_below_rounding_terminates(self, tol):
@@ -481,7 +491,7 @@ class TestDenseC2:
             B = assemble(P + shift * np.eye(n), T, S)
             assert np.abs(blockop._dense_H(B)).sum(axis=1).max() > 1e9
             c2 = find_c2(B, tol)
-            t = blockop._certificate_offset(B, tol, c2, blockop._dense_H(B))
+            t = max(tol / 2, sum(blockop._rounding_floors(B, c2)))
             assert positivity_margin(B, c2 - t) >= 0.0 > positivity_margin(B, c2 + t)
 
     def test_result_stays_in_the_bracket(self):
@@ -512,12 +522,15 @@ class TestDenseC2:
         assert len(calls) == side + 1
 
     def test_negative_base_margin_is_refused_before_selection(self, monkeypatch):
-        dsyevx = mock.Mock()
-        monkeypatch.setattr(blockop, "dsyevx", dsyevx)
+        dsytrd, dstebz = mock.Mock(), mock.Mock()
+        monkeypatch.setattr(blockop, "dsytrd", dsytrd)
+        monkeypatch.setattr(blockop, "dstebz", dstebz)
         B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
         with pytest.raises(HypothesisFailed):
             find_c2(B)
-        dsyevx.assert_not_called()
+        dsytrd.assert_not_called()
+        dstebz.assert_not_called()
+        assert "_H_reduced" not in vars(B)
 
     def test_no_size_cap(self):
         # 2N = 1040 is above DENSE_ORACLE_CAP, which find_c2 does not apply
@@ -549,15 +562,24 @@ class TestDenseH:
         ]
 
     def test_selection_and_gap_pairs_read_the_blocks_h(self):
+        # whichever reads H first on an operator reduces the blocks' H, once
+        dsytrd = blockop.dsytrd
         for B in self.operators():
             want = self.blocks_H(B).tobytes()
-            for module, call in (
-                (blockop, lambda: find_c2(B)),
-                (solver, lambda: gap_eigenvalues(B, 0.0, 2, which="above")),
+            for call in (
+                lambda C: find_c2(C),
+                lambda C: gap_eigenvalues(C, 0.0, 2, which="above"),
             ):
-                with mock.patch.object(module, "dsyevx", wraps=module.dsyevx) as spy:
-                    call()
-                assert [c.args[0].tobytes() for c in spy.call_args_list] == [want]
+                reduced = []
+
+                def recording(a, **kwargs):
+                    reduced.append(np.array(a).tobytes())  # before dsytrd overwrites it
+                    return dsytrd(a, **kwargs)
+
+                C = dataclasses.replace(B)
+                with mock.patch.object(blockop, "dsytrd", recording):
+                    call(C)
+                assert reduced == [want]
 
     def test_oracle_reads_the_full_matrix(self, monkeypatch):
         for B in self.operators():
@@ -569,6 +591,127 @@ class TestDenseH:
             # equal entries; a structural zero of S is -0.0 here, +0.0 in old
             assert np.array_equal(spy.call_args.args[0], old)
             assert c2 == float(np.linalg.eigvalsh(old)[B.N])
+
+
+def dsyevx_c2(B):
+    """Eigenvalue N+1 of the dense H by one values-only dsyevx, the
+    reference B._H_reduced's selection reproduces."""
+    w, _, _, _, info = dsyevx(
+        blockop._dense_H(B), compute_v=0, range="I", il=B.N + 1, iu=B.N + 1,
+        lower=1, abstol=blockop._STEBZ_ABSTOL,
+    )
+    assert info == 0
+    return float(w[0])
+
+
+def dsyevx_window(B):
+    """The dense gap window as one dsyevx call per window: the reference
+    for the window on B._H_reduced, in solver._window's contract."""
+    H = blockop._dense_H(B)
+
+    def window(il, iu):
+        w, z, m, _, info = dsyevx(
+            H, compute_v=1, range="I", il=il, iu=iu, lower=1, abstol=blockop._STEBZ_ABSTOL
+        )
+        assert info == 0
+        return w[:m], lambda chosen: [(float(w[i]), z[:, i]) for i in chosen]
+
+    return window, float(np.max(np.abs(H).sum(axis=1)))
+
+
+def scaled(B, k):
+    return assemble(B.P * k, B.T * k, B.S * k)
+
+
+class TestReducedH:
+    """B._H_reduced: each dense H is reduced once, by dsyevx's own steps."""
+
+    @staticmethod
+    def operators():
+        yield from dense_family()
+        yield wide_operator()  # N = 2
+        # at 2N = 700 dormqr blocks by the workspace it is handed, so
+        # only dsyevx's own 7 * 2N words give its vectors
+        yield random_block_operator(np.random.default_rng(8), 350, margin_target=0.8)
+        B = random_block_operator(np.random.default_rng(6), 12, margin_target=0.9)
+        yield scaled(B, 1e80)
+        yield scaled(B, 1e-150)
+
+    def test_bitwise_dsyevx(self):
+        scales = []
+        for B in self.operators():
+            assert B.H_tridiagonal is None
+            m0 = positivity_margin(B, 0.0)
+            assert find_c2(B) == min(max(dsyevx_c2(B), 0.0), m0)
+            for which in ("above", "nearest"):
+                got = gap_eigenvalues(B, 0.0, 2, which=which)
+                with mock.patch.object(solver, "_window", dsyevx_window):
+                    want = gap_eigenvalues(B, 0.0, 2, which=which)
+                assert len(got) == len(want) == 2
+                for (lg, xg), (lw, xw) in zip(got, want):
+                    assert lg == lw
+                    assert np.array_equal(xg.u, xw.u) and np.array_equal(xg.v, xw.v)
+            scales.append(B._H_reduced.scale)
+        # the two scaled operators take dsyevx's scaling, the others do not
+        assert scales[-2] < 1.0 < scales[-1] and set(scales[:-2]) == {1.0}
+
+    def test_one_reduction_per_dense_operator(self):
+        B = random_block_operator(np.random.default_rng(11), 30, margin_target=0.7)
+        C = build_channel(
+            DiracChannelSpec(-1, 0.5, 0.5), build_grid("logarithmic", 200, 1e-4, 100.0)
+        )
+        with mock.patch.object(blockop, "dsytrd", wraps=blockop.dsytrd) as spy:
+            for op in (B, C):
+                find_c2(op)
+                embedding_delta(op)
+                for _ in range(3):
+                    gap_eigenvalues(op, 0.0, 2, which="above")
+            assert spy.call_count == 1
+            assert "_H_reduced" not in vars(C)
+            copy = dataclasses.replace(B)
+            assert "_H_reduced" not in vars(copy)
+            gap_eigenvalues(copy, 0.0, 2, which="nearest")
+            find_c2(copy)
+            assert spy.call_count == 2
+
+    @pytest.mark.parametrize("coupling", ["S^1/2 W", "W"])
+    def test_stiff_h_reaches_tol_as_the_bisection_did(self, coupling):
+        # S spectrum from 1 up to 1e7..1e12, so ||H||_inf is about max(s)
+        # while M_alpha stays moderate.  The selection is only as accurate
+        # as ulp ||H||; one Newton step on the margin brings the errors
+        # above tol down to the count of a plain bisection of the margin
+        # (at seed 5: S^1/2 W 12 -> 10, bisection 10; W 17 -> 8, bisection 8)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        rng = np.random.default_rng(5)
+        tol = 1e-8
+        errors = {"find_c2": 0, "selection": 0, "bisection": 0}
+        for _ in range(30):
+            n = int(rng.integers(3, 12))
+            s = np.logspace(0.0, rng.uniform(7.0, 12.0), n)
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            S = symmetrize((Q * s) @ Q.T)
+            W = rng.standard_normal((n, n))
+            T = (Q * np.sqrt(s)) @ Q.T @ W / np.sqrt(n) if coupling == "S^1/2 W" else W
+            P = symmetrize(rng.standard_normal((n, n)))
+            shift = rng.uniform(0.2, 2.0) - positivity_margin(assemble(P, T, S), 0.0)
+            B = assemble(P + shift * np.eye(n), T, S)
+            H = mp.matrix(full_matrix(B).toarray().tolist())
+            ref = sorted(mp.eigsy(H, eigvals_only=True))[n]
+            m0 = positivity_margin(B, 0.0)
+            lo, hi = 0.0, m0
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if positivity_margin(B, mid) >= 0.0 else (lo, mid)
+            for key, c2 in (
+                ("find_c2", find_c2(B, tol)),
+                ("selection", min(max(dsyevx_c2(B), 0.0), m0)),
+                ("bisection", 0.5 * (lo + hi)),
+            ):
+                errors[key] += bool(abs(mp.mpf(c2) - ref) > tol)
+        assert errors["find_c2"] <= errors["bisection"]
+        assert errors["find_c2"] < errors["selection"]
 
 
 class TestInertiaOracle:

@@ -479,8 +479,8 @@ class TestGapEigenvalues:
             assert np.array_equal(va.v, vb.v)
 
     def test_sparse_path_matches_dense_oracle(self, rng):
-        # a random operator is not tridiagonal, so dense eigh serves it
-        # at 2N = 800 as at every size up to the dense cap
+        # a random operator is not tridiagonal, so its dense H's one
+        # reduction serves it, at 2N = 800 as at every size
         B = random_block_operator(rng, 400, margin_target=1.0)
         got = [lam for lam, _ in gap_eigenvalues(B, 0.0, 3, which="above")]
         w = np.linalg.eigvalsh(full_matrix(B).toarray())

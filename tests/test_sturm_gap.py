@@ -3,6 +3,7 @@ selection on the interleaved H at every N: agreement with dense eigh, the
 inertia gate, the ARPACK, banded and SuperLU paths gone, and the dense
 branch serving every other operator by the same gated index selection."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -27,7 +28,6 @@ from schurdirac import (
     NoConvergence,
     RhsPair,
     SchurDiracError,
-    TooLarge,
     assemble,
     build_channel,
     build_grid,
@@ -96,8 +96,9 @@ class TestAgainstDense:
             "at": lam,
         }[shift]
         assert not hasattr(solver, "_sparse_gap_pairs")
-        with mock.patch.object(solver, "dsyevx", side_effect=AssertionError("dense path")):
+        with mock.patch.object(blockop, "dsytrd", side_effect=AssertionError("dense path")):
             assert_matches_dense(B, sigma, 3, which)
+        assert "_H_reduced" not in vars(B)
 
     # no deadline: the dense eigh reference is O(n^3), so its time measures
     # the machine's load, not the package
@@ -209,7 +210,7 @@ def test_small_channels_keep_the_dense_pairs(kappa, N, which):
     # small channels take the Sturm path too, and agree with dense eigh
     B = channel(kappa, 0.5, N)
     assert B.H_tridiagonal is not None
-    with mock.patch.object(solver, "dsyevx", side_effect=AssertionError("dense path")):
+    with mock.patch.object(blockop, "dsytrd", side_effect=AssertionError("dense path")):
         if kappa > 0:
             # M_0 of a kappa > 0 channel is indefinite, now refused at every N
             with pytest.raises(HypothesisFailed, match="eigenvalue N\\+1"):
@@ -235,12 +236,12 @@ def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, whic
 
 
 def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
+    # the name is kept from when 2N > DENSE_ORACLE_CAP was refused; the
+    # dense gap pairs now have no cap, as find_c2 has none
     B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
-    assert B.H_tridiagonal is None
-    with mock.patch.object(solver, "_dense_window", side_effect=AssertionError("densified")):
-        for which in ("above", "nearest"):
-            with pytest.raises(TooLarge, match="dense cap"):
-                gap_eigenvalues(B, 0.0, 1, which=which)
+    assert B.H_tridiagonal is None and 2 * B.N > blockop.DENSE_ORACLE_CAP
+    for which in ("above", "nearest"):
+        assert_matches_dense(B, 0.0, 2, which)
 
 
 class TestKAgainstDimension:
@@ -426,12 +427,13 @@ def test_zero_tol_admits_rounding_only():
 
 def dense_route(B, *args, **kwargs):
     """gap_eigenvalues of B's H on the dense route: through its dense twin,
-    or at N = 1, where every operator is tridiagonal, with the dense
-    window standing in for the tridiagonal one."""
+    or at N = 1, where every operator is tridiagonal, through a copy of B
+    whose tridiagonal H is cleared, so that its dense H is reduced."""
     if B.N > 1:
         return gap_eigenvalues(dense_twin(B), *args, **kwargs)
-    with mock.patch.object(solver, "_tridiagonal_window", solver._dense_window):
-        return gap_eigenvalues(B, *args, **kwargs)
+    C = dataclasses.replace(B)
+    object.__setattr__(C, "H_tridiagonal", None)
+    return gap_eigenvalues(C, *args, **kwargs)
 
 
 def outcome(f):
@@ -491,13 +493,13 @@ def test_stiff_dense_pairs_pass_the_residual_check():
 
 
 def test_perturbed_dense_pair_is_refused(monkeypatch):
-    real = solver.dsyevx
+    real = solver.dormqr
 
-    def perturbed(*args, **kwargs):
-        w, z, m, ifail, info = real(*args, **kwargs)
-        return w, z + 1e-6, m, ifail, info
+    def perturbed(*args):
+        cq, work, info = real(*args)
+        return cq + 1e-6, work, info
 
-    monkeypatch.setattr(solver, "dsyevx", perturbed)
+    monkeypatch.setattr(solver, "dormqr", perturbed)
     with pytest.raises(NoConvergence, match="eigenpair residual"):
         gap_eigenvalues(dense_twin(channel(-1, 0.9, 300)), 0.0, 2, which="above")
 
