@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dptsvx, dpttrf, dstebz, dsytrd
+from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dptsvx, dpttrf, dstebz, dsytrd, dtrtrs
 
 from .errors import (
     CheckFailed,
@@ -297,7 +297,7 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Five facts are lazy: each is made on first use and cached on this
+    Four facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  None is made at assembly, and
     dataclasses.replace starts without them.  Threads that race to make
     one compute equal values, and one is kept.
@@ -309,21 +309,10 @@ class BlockOperator:
         M_0 = P + T^t S^{-1} T of an operator without H_tridiagonal,
         formed through that S^{-1}, symmetrized and checked finite.
         Every read of the dense M_0 takes this one array.
-    _shift_basis
-        (P, s, Z): P as a dense array, and S = Q diag(s) Q^t with
-        Z = Q^t T, made by one eigh of S (none for a diagonal S, where
-        Q = I) at the first dense margin with alpha > 0.  Then
-
-            M_alpha = (P - alpha I) + X^t X,  X = diag(s + alpha)^{-1/2} Z,
-
-        so each further dense M_alpha is one syrk and one add.  Nothing
-        is subtracted from M_0, whose T^t S^{-1} T term grows like
-        1/lambda_min(S): the error of M_alpha stays that of a form
-        with S + alpha in place of S, however small lambda_min(S) is.
     _elimination
         What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
-        and _factor's factor of M_0, which the expert driver takes, or
-        why it has none.
+        and _factor's factor of M_0, which the expert driver takes and
+        the dense find_c2 reads as margin(0) > 0, or why it has none.
     _H_reduced
         The dense H of an operator without H_tridiagonal, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
@@ -375,17 +364,6 @@ class BlockOperator:
             M = (M + M.T) * 0.5
         _check_finite_form(M)
         return _freeze(M)
-
-    @cached_property
-    def _shift_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        P, T = self.P.toarray(), self.T.toarray()
-        with np.errstate(all="ignore"):
-            if self.S_diagonal:
-                s, Z = self.S.diagonal(), T
-            else:
-                s, Q = np.linalg.eigh(self.S.toarray())
-                Z = Q.T @ T
-            return _freeze((P + P.T) * 0.5), _freeze(s), _freeze(Z)
 
     @cached_property
     def _H_reduced(self) -> _Reduction:
@@ -540,7 +518,7 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
     return _Tridiagonal(d=d, e=(aw[:-1] * b + bw * a[:-1]) * 0.5)
 
 
-def _schur_form(B: BlockOperator, alpha: float):
+def _schur_form(B: BlockOperator, alpha: float, X: np.ndarray | None = None):
     """M_alpha in the layout the eigensolver takes, exactly symmetric.
 
     One of two layouts.  When B.H_tridiagonal is set, the read-only
@@ -548,11 +526,9 @@ def _schur_form(B: BlockOperator, alpha: float):
     the interleaved H in O(N) NumPy arithmetic; the eigensolver refuses
     a non-finite pair.  Otherwise a dense ndarray: B._M0 at alpha = 0,
     read-only and formed once per operator, and at alpha > 0
-    (P - alpha I) + X^t X with X = diag(s + alpha)^{-1/2} Z from
-    B._shift_basis, one syrk.  Either layout is formed without
-    floating-point warnings; a non-finite dense form (an overflow)
-    raises ValueError, and an S + alpha I that is not positive definite
-    (a replaced, trusted S) raises NonPositiveS.
+    (P - alpha I) + X^t X, one syrk of _shifted_x's X (or the X given).
+    Either layout is formed without floating-point warnings; a
+    non-finite dense form (an overflow) raises ValueError.
     """
     alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
@@ -565,26 +541,45 @@ def _schur_form(B: BlockOperator, alpha: float):
             return _Tridiagonal(d=_freeze((H.d[0::2] - alpha) + d), e=_freeze(e))
     if alpha == 0.0:
         return B._M0
-    P, s, Z = B._shift_basis
-    if not np.min(s) + alpha > 0.0:
-        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite")
+    X = _shifted_x(B, alpha) if X is None else X
     with np.errstate(all="ignore"):
-        X = Z / np.sqrt(s + alpha)[:, None]
         # X.T @ X of one buffer goes to syrk, which fills both triangles alike
-        M = P + X.T @ X
+        M = B.P.toarray() + X.T @ X
         M[np.diag_indices(B.N)] -= alpha
     _check_finite_form(M)
     return M
+
+
+def _shifted_x(B: BlockOperator, alpha: float) -> np.ndarray:
+    """X = L^{-1} T, L L^t = S + alpha I by dpotrf, so X^t X = T^t (S + alpha I)^{-1} T.
+
+    One dtrtrs; a diagonal S divides by sqrt(s + alpha), exactly.  M_0's
+    T^t S^{-1} T grows like 1/lambda_min(S); X has only the error of a
+    factor of S + alpha I.  NonPositiveS when S + alpha I has none.
+    """
+    T = B.T.toarray()
+    with np.errstate(all="ignore"):
+        if B.S_diagonal:
+            s = B.S.diagonal() + alpha
+            X, info = T / np.sqrt(s)[:, None], int(not np.min(s) > 0.0)
+        else:
+            # S is exactly symmetric, so S.T is the Fortran-ordered array dpotrf overwrites
+            S = B.S.toarray().T
+            S[np.diag_indices(B.N)] += alpha
+            L, info = dpotrf(S, lower=1, clean=0, overwrite_a=1)
+            X = None if info else dtrtrs(L, T, lower=1, overwrite_b=1)[0]
+    if info:
+        raise NonPositiveS(f"S + {alpha:.6g} I is not positive definite")
+    return X
 
 
 def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
     """Matrix of the reduced form: M_alpha = (P - alpha I) + T^t (S + alpha I)^{-1} T.
 
     At alpha = 0 this is the Schur complement of -S in H.  No inverse
-    is formed: S^{-1} is applied by Cholesky solves (exact division for
-    a diagonal S, B.S_diagonal), and a dense M_alpha with alpha > 0
-    comes from P and the shift basis (see _schur_form).  The
-    result is exactly symmetric; only this function converts
+    is formed: (S + alpha I)^{-1} is applied by its Cholesky factor
+    (exact division for a diagonal S, B.S_diagonal; see _schur_form).
+    The result is exactly symmetric; only this function converts
     _schur_form's layout to CSR.
     """
     M = _schur_form(B, alpha)
@@ -652,7 +647,7 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
 
     With B.H_tridiagonal set, one dstebz Sturm bisection, O(N);
     otherwise one dense eigvalsh, O(N^3), of B._M0 at alpha = 0 and of
-    P - alpha I plus one syrk of the shift basis at alpha > 0.
+    the Cholesky-formed M_alpha of _schur_form at alpha > 0.
     """
     return _extreme_eigenvalues(_schur_form(B, alpha), both=False)[0]
 
@@ -674,20 +669,21 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
       their spacing; the midpoint is returned.  One O(N) margin a step.
-    * Otherwise: eigenvalue N+1 of the dense H by one dstebz selection
-      on B._H_reduced, H's tridiagonal form (the steps of a values-only
-      dsyevx, bitwise its result), clamped to the bracket, then
-      certified by two Cholesky factorizations, which select no
-      eigenvalue (Sylvester's law of inertia): M_{c2-t} must be positive
-      definite and M_{c2+t} must not, each one syrk from the shift
-      basis.  A side outside the bracket is settled by it.  t is tol/2,
-      or the sum of the two _rounding_floors when larger: at a tol
-      below rounding, or for a stiff H (||H||_inf above about
-      1e6/sqrt(N) at the default tol), whose dense eigenvalues are only
-      as accurate as ulp ||H||.  When that ||H|| term alone exceeds
-      tol/2 but the factorizations' own rounding does not, one Newton
-      step on lambda_min(M_alpha) from the selection is tried first and
-      returned if it is certified at tol/2.
+    * Otherwise eigenvalue N+1 of the dense H by one dstebz selection
+      on B._H_reduced (the steps of a values-only dsyevx, bitwise its
+      result), certified by Cholesky factorizations alone (Sylvester's
+      law of inertia): M_{c2-t} must be positive definite and M_{c2+t}
+      must not, each formed by _shifted_x.  The factor of M_0 that
+      B._elimination keeps for solve shows margin(0) > 0; lambda_min(M_0)
+      is computed only without one (the refusal, or 0.0 at an exactly
+      singular M_0) or where c2 - t <= 0, to keep c2 in [0, margin(0)].
+      A side outside that bracket is settled by it.  t is tol/2, or the
+      sum of the two _rounding_floors when larger: at a tol below
+      rounding, or for a stiff H (||H||_inf above about 1e6/sqrt(N) at
+      the default tol), whose dense eigenvalues are only as accurate as
+      ulp ||H||.  When that ||H|| term alone exceeds tol/2 and the
+      factorizations' own rounding does not, factorizations bisect the
+      certified [c2 - t, c2 + t] to width <= tol; the midpoint is returned.
 
     Either way the root lies within max(tol/2, rounding) of the result.
 
@@ -704,23 +700,34 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
         If a certificate contradicts the selected value; no dense c2 is
         returned unchecked.
     """
+    if B.H_tridiagonal is None:
+        return _selected_c2(B, _checked_tol(tol))
     return _find_c2(B, tol)[0]
 
 
-def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
-    """find_c2 plus the margin at alpha = 0 that gates it."""
+def _checked_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
+def _base_margin(B: BlockOperator) -> float:
+    """margin(0), or HypothesisFailed when it is negative."""
     m0 = positivity_margin(B, 0.0)
     if m0 < 0.0:
         raise HypothesisFailed(
             f"margin at alpha=0 is {m0:.6g} < 0; the base form q_0 is not "
             "positive semidefinite"
         )
+    return m0
+
+
+def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
+    """find_c2's bisection plus the margin at alpha = 0 that gates it."""
+    _checked_tol(tol)
+    m0 = _base_margin(B)
     if m0 == 0.0:
         return 0.0, m0
-    if B.H_tridiagonal is None:
-        return _selected_c2(B, tol, m0), m0
     lo, hi = 0.0, m0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -733,66 +740,58 @@ def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
     return 0.5 * (lo + hi), m0
 
 
-def _selected_c2(B: BlockOperator, tol: float, m0: float) -> float:
-    """Eigenvalue N+1 of the dense H in [0, m0], certified at c2 -+ t; see find_c2."""
+def _selected_c2(B: BlockOperator, tol: float) -> float:
+    """Eigenvalue N+1 of the dense H, certified at c2 -+ t by factorizations; see find_c2."""
+    # a factor of M_0 shows margin(0) > 0; m0 stays inf unless lambda_min(M_0) is needed
+    m0 = math.inf if B._elimination.factor is not None else _base_margin(B)
+    if m0 == 0.0:
+        return 0.0
     R = B._H_reduced
     w = _tridiagonal_eigenvalues(R.d, R.e, B.N + 1, B.N + 1, _STEBZ_ABSTOL * R.scale)[0]
     c2 = min(max(float(w[0] * (1.0 / R.scale)), 0.0), m0)
-    selection, forms = _rounding_floors(B, c2)
-    if forms <= 0.5 * tol < selection:
-        # a stiff H: the margin, which never reads H, reaches tol where the selection cannot
-        newton = _newton_step(B, c2, m0)
-        if _certificate_failure(B, newton, 0.5 * tol, m0) is None:
-            return newton
-    failure = _certificate_failure(B, c2, max(0.5 * tol, selection + forms), m0)
-    if failure is not None:
-        raise CheckFailed(f"eigenvalue N+1 of H, {c2!r}, fails its certificate: {failure}")
-    return c2
-
-
-def _certificate_failure(B: BlockOperator, c2: float, t: float, m0: float) -> str | None:
-    """None when M_{c2-t} is positive definite and M_{c2+t} is not, else what fails.
-
-    One _factor per side, the lower side first; a side outside
-    (0, m0] is settled by the bracket.
-    """
+    # the lower side at the least t, formed first: its X bounds the floor at c2
+    below = c2 - 0.5 * tol
+    X = _shifted_x(B, below if below > 0.0 else c2)
+    selection, forms = _rounding_floors(B, c2, X)
+    t = max(0.5 * tol, selection + forms)
+    if c2 - t <= 0.0 and m0 == math.inf:
+        m0 = _base_margin(B)
+        c2 = min(c2, m0)
+    # one _factor a side, the lower first; margin(0) > 0 settles alpha <= 0,
+    # and margin(alpha) <= m0 - alpha < 0 above m0
     for alpha, definite in ((c2 - t, True), (c2 + t, False)):
-        # margin(0) > 0 settles alpha <= 0; margin(alpha) <= m0 - alpha < 0 above m0
-        if 0.0 < alpha <= m0 and (_factor(_schur_form(B, alpha))[0] is not None) != definite:
-            state = "is not" if definite else "is"
-            return f"M_alpha {state} positive definite at alpha = {alpha!r}"
-    return None
+        M = _schur_form(B, alpha, X if alpha == below else None) if 0.0 < alpha <= m0 else None
+        if M is not None and (_factor(M)[0] is not None) != definite:
+            raise CheckFailed(
+                f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
+                f"{'is not' if definite else 'is'} positive definite at alpha = {alpha!r}"
+            )
+    if not forms <= 0.5 * tol < selection:
+        return c2
+    # a stiff H: the factorizations, which never read H, reach tol where the selection cannot
+    lo, hi = max(c2 - t, 0.0), min(c2 + t, m0)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if _factor(_schur_form(B, mid))[0] is not None else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
-def _newton_step(B: BlockOperator, c2: float, m0: float) -> float:
-    """c2 + lam / (1 + sum_i ((Z x)_i / (s_i + c2))^2), clamped to [0, m0].
-
-    One Newton step on lambda_min(M_alpha), whose slope at c2 is
-    -1 - sum_i ((Z x)_i / (s_i + c2))^2, with (lam, x) the lowest
-    eigenpair of M_c2 and (s, Z) from the shift basis.
-    """
-    _, s, Z = B._shift_basis
-    lam, x = np.linalg.eigh(_schur_form(B, c2))
-    with np.errstate(all="ignore"):
-        slope = 1.0 + float(np.sum(((Z @ x[:, 0]) / (s + c2)) ** 2))
-    return min(max(c2 + float(lam[0]) / slope, 0.0), m0)
-
-
-def _rounding_floors(B: BlockOperator, c2: float) -> tuple[float, float]:
+def _rounding_floors(B: BlockOperator, c2: float, X=None) -> tuple[float, float]:
     """The rounding of the selection and of a factorization near M_c2.
 
     10 sqrt(2N) ulp times ||H||_inf (cached with B._H_reduced), as
-    gap_eigenvalues bounds a dense pair's, and times
-    ||P||_F + c2 + ||X||_F^2 >= ||M_c2||_2 with X = diag(s + c2)^{-1/2} Z
-    from the shift basis.  The certificate offset is
-    t = max(tol/2, their sum).  M_0 is not used: its T^t S^{-1} T term
-    grows like 1/lambda_min(S), while the shifted forms stay of
-    moderate size.
+    gap_eigenvalues bounds a dense pair's, and times ||P||_F + c2 +
+    ||X||_F^2 >= ||M_c2||_2, X from _shifted_x at c2 or the X given, made
+    at an alpha <= c2: ||X_alpha||_F^2 = tr T^t (S + alpha I)^{-1} T
+    shrinks as alpha grows.  t = max(tol/2, their sum).  M_0 is not
+    used: its T^t S^{-1} T grows like 1/lambda_min(S).
     """
-    P, s, Z = B._shift_basis
+    X = _shifted_x(B, c2) if X is None else X
     unit = 10.0 * math.sqrt(2 * B.N) * _ULP
     with np.errstate(all="ignore"):
-        form_norm = float(np.linalg.norm(P)) + c2 + float((Z * Z).sum(axis=1) @ (1.0 / (s + c2)))
+        form_norm = float(np.linalg.norm(B.P.data)) + c2 + float(np.einsum("ij,ij->", X, X))
     return unit * B._H_reduced.norm, unit * form_norm
 
 

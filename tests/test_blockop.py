@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import math
 import re
 import signal
@@ -362,15 +363,20 @@ class TestFindC2:
     @settings(deadline=2000, max_examples=40)
     @given(tol=st.floats(min_value=1e-15, max_value=4.0))
     def test_dense_sequence_is_one_selection_and_two_factorizations(self, tol):
-        # S is not diagonal, so the dense route: the margin at 0, one
-        # reduction of H, one dstebz selection on it, and _factor exactly
-        # at c2 - t and c2 + t where those lie in (0, margin(0)]
+        # S is not diagonal, so the dense route: one factorization of M_0,
+        # one reduction of H, one dstebz selection on it, and _factor
+        # exactly at c2 - t and c2 + t where those lie in the bracket.
+        # margin(0) is computed only where c2 - t <= 0 settles that side
         B = wide_operator()
         assert B.H_tridiagonal is None
         m0 = positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
-        margins, reduced, selected, factored = [], [], [], []
-        margin, dsytrd, dstebz, factor = (
-            blockop.positivity_margin, blockop.dsytrd, blockop.dstebz, blockop._factor
+        margins, reduced, selected, factored, floors = [], [], [], [], []
+        margin, dsytrd, dstebz, factor, rounding_floors = (
+            blockop.positivity_margin,
+            blockop.dsytrd,
+            blockop.dstebz,
+            blockop._factor,
+            blockop._rounding_floors,
         )
 
         def recording_margin(B, alpha):
@@ -389,25 +395,36 @@ class TestFindC2:
             factored.append(np.array(M))
             return factor(M)
 
+        def recording_floors(*args):
+            floors.append(rounding_floors(*args))
+            return floors[-1]
+
         with mock.patch.multiple(
             blockop,
             positivity_margin=recording_margin,
             dsytrd=recording_dsytrd,
             dstebz=recording_dstebz,
             _factor=recording_factor,
+            _rounding_floors=recording_floors,
         ):
             c2 = find_c2(B, tol)
-        assert margins == [0.0]
-        assert len(reduced) == len(selected) == 1
+        assert len(reduced) == len(selected) == len(floors) == 1
         assert 0.0 < c2 < m0
         assert c2 == selected[0][1][0]
-        selection, forms = blockop._rounding_floors(B, c2)
-        # H is not stiff, so no Newton step at any tol
+        selection, forms = floors[0]
+        # H is not stiff, so no bisection at any tol
         assert selection <= forms
+        # the floor read at c2 - tol/2 bounds the one at c2 itself
+        assert selection == blockop._rounding_floors(B, c2)[0]
+        assert forms >= blockop._rounding_floors(B, c2)[1] * (1.0 - 1e-12)
         t = max(tol / 2, selection + forms)
-        want = [a for a in (c2 - t, c2 + t) if 0.0 < a <= m0]
-        assert len(factored) == len(want)
-        for M, alpha in zip(factored, want):
+        settled = c2 - t <= 0.0
+        assert margins == ([0.0] if settled else [])
+        top = m0 if settled else math.inf
+        want = [a for a in (c2 - t, c2 + t) if 0.0 < a <= top]
+        assert len(factored) == 1 + len(want)
+        assert np.array_equal(factored[0], blockop._schur_form(B, 0.0))
+        for M, alpha in zip(factored[1:], want):
             assert np.array_equal(M, blockop._schur_form(B, alpha))
 
     def test_slope_bound(self, rng):
@@ -433,6 +450,25 @@ def dense_family():
         yield random_block_operator(rng, n, margin_target=rng.uniform(0.05, 2.0))
 
 
+def ill_conditioned_family(smin):
+    """Three dense operators with lambda_min(S) = smin, one with a diagonal S."""
+    rng = np.random.default_rng(3)
+    for n, diagonal in ((6, False), (12, False), (8, True)):
+        s = rng.uniform(0.5, 3.0, n)
+        s[n // 2] = smin
+        if diagonal:
+            S = np.diag(s)
+        else:
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            S = symmetrize((Q * s) @ Q.T)
+        T = rng.standard_normal((n, n)) / np.sqrt(n)
+        P = symmetrize(rng.standard_normal((n, n)))
+        shift = rng.uniform(0.1, 2.0) - positivity_margin(assemble(P, T, S), 0.0)
+        B = assemble(P + shift * np.eye(n), T, S)
+        assert B.H_tridiagonal is None and B.c1 < 10.0 * smin
+        yield B
+
+
 class TestDenseC2:
     """Dense find_c2: eigenvalue N+1 of H by one selection, certified by
     two Cholesky factorizations of the shifted forms."""
@@ -448,20 +484,8 @@ class TestDenseC2:
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40
-        rng = np.random.default_rng(3)
-        for n, diagonal in ((6, False), (12, False), (8, True)):
-            s = rng.uniform(0.5, 3.0, n)
-            s[n // 2] = smin
-            if diagonal:
-                S = np.diag(s)
-            else:
-                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-                S = symmetrize((Q * s) @ Q.T)
-            T = rng.standard_normal((n, n)) / np.sqrt(n)
-            P = symmetrize(rng.standard_normal((n, n)))
-            shift = rng.uniform(0.1, 2.0) - positivity_margin(assemble(P, T, S), 0.0)
-            B = assemble(P + shift * np.eye(n), T, S)
-            assert B.H_tridiagonal is None and B.c1 < 10.0 * smin
+        for B in ill_conditioned_family(smin):
+            n, diagonal = B.N, B.S_diagonal
             H = mp.matrix(full_matrix(B).toarray().tolist())
             ref = float(sorted(mp.eigsy(H, eigvals_only=True))[n])
             c2 = find_c2(B, tol=1e-8)
@@ -494,6 +518,53 @@ class TestDenseC2:
             t = max(tol / 2, sum(blockop._rounding_floors(B, c2)))
             assert positivity_margin(B, c2 - t) >= 0.0 > positivity_margin(B, c2 + t)
 
+    @pytest.mark.parametrize("family", ["dense", "ill-conditioned S"])
+    def test_certificate_holds_for_forms_made_in_the_test(self, family):
+        # no _factor and no _schur_form: M_{c2 -+ t} from the blocks by a
+        # general solve with S + alpha I, and the sign of its lowest eigenvalue
+        tol = 1e-8
+        for B in dense_family() if family == "dense" else ill_conditioned_family(1e-12):
+            c2 = find_c2(B, tol)
+            t = max(tol / 2, sum(blockop._rounding_floors(B, c2)))
+            P, T, S = (m.toarray() for m in (B.P, B.T, B.S))
+            for alpha, sign in ((c2 - t, 1.0), (c2 + t, -1.0)):
+                shift = alpha * np.eye(B.N)
+                M = P - shift + T.T @ np.linalg.solve(S + shift, T)
+                assert sign * np.linalg.eigvalsh(symmetrize(M))[0] > 0.0, (B.N, alpha)
+
+    def test_success_takes_no_eigendecomposition(self, monkeypatch):
+        # a fresh operator: S's factor and M_0's for the gate, one reduction
+        # of H and one selection, then S + alpha I and M_alpha on each side
+        for B in itertools.islice(dense_family(), 10):
+            S = B.S.toarray()
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(np.linalg, name, mock.Mock(side_effect=AssertionError(name)))
+            calls, factored = [], []
+            dpotrf, dsytrd, dstebz = blockop.dpotrf, blockop.dsytrd, blockop.dstebz
+
+            def recording_dpotrf(a, **kwargs):
+                calls.append("dpotrf")
+                factored.append(np.array(a))  # before dpotrf overwrites it
+                return dpotrf(a, **kwargs)
+
+            def recording(name, fn):
+                return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+            with mock.patch.multiple(
+                blockop,
+                dpotrf=recording_dpotrf,
+                dsytrd=recording("dsytrd", dsytrd),
+                dstebz=recording("dstebz", dstebz),
+            ):
+                c2 = find_c2(B)
+            monkeypatch.undo()
+            assert calls == ["dpotrf", "dpotrf", "dsytrd", "dstebz"] + ["dpotrf"] * 4
+            t = 0.5e-8
+            want = [S, B._M0, S + (c2 - t) * np.eye(B.N)]
+            want += [blockop._schur_form(B, c2 - t), S + (c2 + t) * np.eye(B.N)]
+            want += [blockop._schur_form(B, c2 + t)]
+            assert all(np.array_equal(a, b) for a, b in zip(factored, want)), B.N
+
     def test_result_stays_in_the_bracket(self):
         # at margin(0) near 1e-15 the selected eigenvalue can round to
         # either side of [0, margin(0)]; the root cannot lie outside it
@@ -506,7 +577,7 @@ class TestDenseC2:
     @pytest.mark.parametrize("side", [0, 1])
     def test_a_contradicted_certificate_raises(self, side, monkeypatch):
         B = random_block_operator(np.random.default_rng(2), 12, margin_target=0.8)
-        positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
+        B._elimination  # M_0's factor, made once and kept for solve, is not counted
         factor, calls = blockop._factor, []
 
         def flipped(M):
@@ -678,9 +749,10 @@ class TestReducedH:
     def test_stiff_h_reaches_tol_as_the_bisection_did(self, coupling):
         # S spectrum from 1 up to 1e7..1e12, so ||H||_inf is about max(s)
         # while M_alpha stays moderate.  The selection is only as accurate
-        # as ulp ||H||; one Newton step on the margin brings the errors
-        # above tol down to the count of a plain bisection of the margin
-        # (at seed 5: S^1/2 W 12 -> 10, bisection 10; W 17 -> 8, bisection 8)
+        # as ulp ||H||; bisecting its certified bracket by factorizations
+        # brings the errors above tol down to the count of a plain
+        # bisection of the margin (at seed 5: S^1/2 W 12 -> 5, bisection 5;
+        # W 17 -> 3, bisection 3)
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40

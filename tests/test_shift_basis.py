@@ -1,7 +1,7 @@
-"""Dense margins from one shift basis per operator: M_0 formed once and
-read-only, each M_alpha one syrk and one add from the basis, agreement
-with a 40-digit reference also for an ill-conditioned S, and overflowed
-forms refused on both routes."""
+"""Dense margins without an eigendecomposition of S: M_0 formed once per
+operator and read-only, each M_alpha with alpha > 0 formed through one
+Cholesky factor of S + alpha I, agreement with a 40-digit reference also
+for an ill-conditioned S, and overflowed forms refused on both routes."""
 
 import dataclasses
 import sys
@@ -141,28 +141,41 @@ def test_m0_is_one_read_only_array_per_operator(rng):
     assert np.array_equal(schur_form_matrix(B, 0.0).toarray(), M0)
 
 
-def test_one_eigh_serves_c2_embedding_and_form_report(rng, monkeypatch):
+def test_c2_embedding_and_form_report_take_no_eigh(rng, monkeypatch):
     B = random_block_operator(rng, 15, margin_target=0.8)
+    S = B.S.toarray()
     rhs = RhsPair(np.ones(15), np.zeros(15))
     eigh = mock.Mock(wraps=np.linalg.eigh)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     solve(dataclasses.replace(B), rhs)
-    assert eigh.call_count == 0
     find_c2(B)
     embedding_delta(B)
-    form_report(B, 0.3)
-    assert eigh.call_count == 1
+    factored, dpotrf = [], blockop.dpotrf
+
+    def recording(a, **kwargs):
+        factored.append(np.array(a))  # before dpotrf overwrites it
+        return dpotrf(a, **kwargs)
+
+    with mock.patch.object(blockop, "dpotrf", recording):
+        form_report(B, 0.3)
+    # the form at alpha = 0.3 is one factorization of S + 0.3 I, then eigvalsh
+    assert [np.array_equal(a, S + 0.3 * np.eye(15)) for a in factored] == [True]
     solve(dataclasses.replace(B), rhs)
-    assert eigh.call_count == 1
+    assert eigh.call_count == 0
 
 
 def test_diagonal_s_needs_no_eigh(rng, monkeypatch):
     B = diagonal_s_operator(rng, 10)
     monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh")))
-    P, s, Z = B._shift_basis
-    assert np.array_equal(P, B.P.toarray())
-    assert np.array_equal(s, B.S.diagonal())
-    assert np.array_equal(Z, B.T.toarray())
+    # a diagonal S + alpha I is divided by exactly, never factored or solved with
+    monkeypatch.setattr(blockop, "dtrtrs", mock.Mock(side_effect=AssertionError("dtrtrs")))
+    P, T, s = B.P.toarray(), B.T.toarray(), B.S.diagonal()
+    for alpha in ALPHAS:
+        X = blockop._shifted_x(B, alpha)
+        assert np.array_equal(X, T / np.sqrt(s + alpha)[:, None])
+        M = P + X.T @ X
+        M[np.diag_indices(10)] -= alpha
+        assert np.array_equal(blockop._schur_form(B, alpha), M)
     find_c2(B)
 
 
@@ -182,9 +195,9 @@ def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     symmetry_identity_check(B, w, w)
     of_s = [c for c in factor.call_args_list if np.array_equal(c.args[0], S)]
     assert len(of_s) == 1
-    # a copy starts without any of the three facts, and makes its own
+    # a copy starts without any of the four lazy facts, and makes its own
     C = dataclasses.replace(B)
-    assert not {"_s_solve", "_M0", "_shift_basis"} & set(vars(C))
+    assert not {"_s_solve", "_M0", "_elimination", "_H_reduced"} & set(vars(C))
     solve(C, rhs)
     assert len([c for c in factor.call_args_list if np.array_equal(c.args[0], S)]) == 2
 
