@@ -50,8 +50,6 @@ from .errors import (
 
 # Default cap on 2N for the dense inertia oracle.
 DENSE_ORACLE_CAP = 1000
-# Relative coefficient of the positive-semidefinite acceptance tolerance.
-PSD_COEFF = 1e-9
 
 __all__ = [
     "BlockOperator",
@@ -67,7 +65,6 @@ __all__ = [
     "inertia_c2_oracle",
     "embedding_delta",
     "resolvent_difference_check",
-    "psd_tolerance",
     "matrix_to_text",
     "matrix_from_text",
     "operator_to_text",
@@ -186,20 +183,9 @@ def _extreme_eigenvalues(m, both: bool = True) -> tuple[float, ...]:
     return (float(w[0]), float(w[-1]))[: 2 if both else 1]
 
 
-def psd_tolerance(m, coeff: float = PSD_COEFF) -> float:
-    """Acceptance tolerance for 'positive semidefinite to rounding'.
-
-    A symmetric matrix is accepted as >= 0 when its smallest eigenvalue
-    is >= -coeff * (1 + ||m||_inf); exact semidefinite matrices perturb
-    slightly negative in floating point.
-    """
-    if isinstance(m, _Tridiagonal):
-        m = m.tocsr()
-    if sp.issparse(m):
-        norm = float(np.max(np.asarray(abs(m).sum(axis=1)).ravel(), initial=0.0))
-    else:
-        norm = float(np.max(np.abs(np.asarray(m)).sum(axis=1), initial=0.0))
-    return coeff * (1.0 + norm)
+def _lambda_min_s(S: sp.csr_matrix, diagonal: bool) -> float:
+    """lambda_min(S): the least entry of a diagonal S, else one dense eigvalsh."""
+    return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, both=False)[0]
 
 
 def _check_finite(*named: tuple[str, np.ndarray]) -> None:
@@ -297,7 +283,7 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Four facts are lazy: each is made on first use and cached on this
+    Five facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  None is made at assembly, and
     dataclasses.replace starts without them.  Threads that race to make
     one compute equal values, and one is kept.
@@ -312,7 +298,12 @@ class BlockOperator:
     _elimination
         What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
         and _factor's factor of M_0, which the expert driver takes and
-        the dense find_c2 reads as margin(0) > 0, or why it has none.
+        the dense find_c2 reads as margin(0) > 0, or LAPACK's pivot info
+        where there is none.
+    _solve_refusal
+        Why solve refuses an operator whose M_0 has no factor, worded by
+        _refusal from that info and lambda_min(M_0), which is computed
+        only here: once per operator, and only when solve raises.
     _H_reduced
         The dense H of an operator without H_tridiagonal, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
@@ -384,9 +375,11 @@ class BlockOperator:
         M0 = _schur_form(self, 0.0)
         if isinstance(M0, _Tridiagonal):
             _check_finite_form(M0.d, M0.e)  # dpttrf does not check its input
-        factor, info = _factor(M0)
-        refusal = None if factor is not None else _refusal(M0, info)
-        return _Elimination(_s_inverse(self), M0, factor, refusal)
+        return _Elimination(_s_inverse(self), M0, *_factor(M0))
+
+    @cached_property
+    def _solve_refusal(self) -> str:
+        return _refusal(self._elimination.M0, self._elimination.info)
 
 
 class _Reduction(NamedTuple):
@@ -455,10 +448,7 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     if not _is_symmetric_exact(Sc):
         raise ValidationError("S", "block must be exactly symmetric")
 
-    if _within_band(Sc, 0, 0):
-        smin = float(np.min(Sc.diagonal()))
-    else:
-        smin = _extreme_eigenvalues(Sc, both=False)[0]
+    smin = _lambda_min_s(Sc, _within_band(Sc, 0, 0))
     c1 = smin if c1_policy == "compute" else float(c1_policy)
     _check_c1(smin, c1)
     return BlockOperator(
@@ -603,12 +593,12 @@ def _factor(M) -> tuple[tuple | np.ndarray | None, int]:
 
 
 class _Elimination(NamedTuple):
-    """B._elimination: S^{-1}, M_0, and _factor's factor of M_0 or why it has none."""
+    """B._elimination: S^{-1}, M_0, and _factor's (factor, info) of M_0."""
 
     s_solve: Callable
     M0: _Tridiagonal | np.ndarray
     factor: tuple | np.ndarray | None
-    refusal: str | None
+    info: int
 
 
 def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
@@ -630,7 +620,7 @@ def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
 def _refusal(M0, info: int) -> str:
     """Why M_0 has no factor, from _factor's pivot info in 1..n (the driver's info alike).
 
-    lambda_min is computed only here.
+    lambda_min is computed only here, for B._solve_refusal.
     """
     lam = _extreme_eigenvalues(M0, both=False)[0]
     if lam <= 0.0:
@@ -675,7 +665,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
       law of inertia): M_{c2-t} must be positive definite and M_{c2+t}
       must not, each formed by _shifted_x.  The factor of M_0 that
       B._elimination keeps for solve shows margin(0) > 0; lambda_min(M_0)
-      is computed only without one (the refusal, or 0.0 at an exactly
+      is computed only without one (HypothesisFailed, or 0.0 at an exactly
       singular M_0) or where c2 - t <= 0, to keep c2 in [0, margin(0)].
       A side outside that bracket is settled by it.  t is tol/2, or the
       sum of the two _rounding_floors when larger: at a tol below
@@ -728,16 +718,21 @@ def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
     m0 = _base_margin(B)
     if m0 == 0.0:
         return 0.0, m0
-    lo, hi = 0.0, m0
+    # positivity_margin is looked up at each call, so a wrapper of it sees every step
+    return _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0), m0
+
+
+def _bisect(lo: float, hi: float, tol: float, holds: Callable[[float], bool]) -> float:
+    """Midpoint of [lo, hi], where holds flips from true to false, bisected to width <= tol.
+
+    Bisection stops early at adjacent floats, when tol is below their spacing.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if positivity_margin(B, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), m0
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _selected_c2(B: BlockOperator, tol: float) -> float:
@@ -769,13 +764,9 @@ def _selected_c2(B: BlockOperator, tol: float) -> float:
     if not forms <= 0.5 * tol < selection:
         return c2
     # a stiff H: the factorizations, which never read H, reach tol where the selection cannot
-    lo, hi = max(c2 - t, 0.0), min(c2 + t, m0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        lo, hi = (mid, hi) if _factor(_schur_form(B, mid))[0] is not None else (lo, mid)
-    return 0.5 * (lo + hi)
+    return _bisect(
+        max(c2 - t, 0.0), min(c2 + t, m0), tol, lambda a: _factor(_schur_form(B, a))[0] is not None
+    )
 
 
 def _rounding_floors(B: BlockOperator, c2: float, X=None) -> tuple[float, float]:
@@ -828,15 +819,19 @@ def _s_inverse(B: BlockOperator):
 def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     """Scale-of-spaces constant delta = c1*c2/(c1+c2) and its certificate.
 
-    Certifies M_0 - delta*(I + K^t K) >= 0 with K = S^{-1} T, i.e. the
-    base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2), to the
-    tolerance psd_tolerance gives with its default coefficient PSD_COEFF.
+    Certifies G = M_0 - delta*(I + K^t K) > 0 with K = S^{-1} T, i.e. the
+    base form dominates delta*(||u||^2 + ||S^{-1}Tu||^2), by whether
+    _factor factors G, as find_c2 certifies c2: success shows the
+    computed G positive definite (Sylvester's law of inertia; backward
+    stability of L D L^t and Cholesky, Higham, Accuracy and Stability of
+    Numerical Algorithms, chs. 9 and 10).  No tolerance is added.
     Returns (delta, certified).  c2 is find_c2(B, tol): bisection when
     B.H_tridiagonal is set, one certified selection otherwise.  When
-    B.H_tridiagonal is set, K is bidiagonal and the form is built from
-    its diagonals, O(N); otherwise K is dense, applied with the
-    operator's one factor of S, M_0 is its cached array, and K^t K costs
-    O(N^3).
+    B.H_tridiagonal is set, K is bidiagonal and G is built from its
+    diagonals and factored by dpttrf, O(N); otherwise K is dense, applied
+    with the operator's one factor of S, M_0 is its cached array, K^t K
+    costs O(N^3), and dpotrf reads G's lower triangle.  A non-finite G
+    (an overflow) raises ValueError.
     """
     c2 = find_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
@@ -846,30 +841,33 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
         s = -H.d[1::2]
         KtK = _bidiagonal_gram(H.e[0::2] / s, H.e[1::2] / s[:-1], np.ones(B.N))
         G = _Tridiagonal(d=M0.d - delta * (1.0 + KtK.d), e=M0.e - delta * KtK.e)
+        # dpttrf does not check its input: a NaN pivot would pass as positive
+        _check_finite_form(G.d, G.e)
     else:
         K = _s_inverse(B)(B.T.toarray())
         G = M0 - delta * (np.eye(B.N) + K.T @ K)
-        G = (G + G.T) * 0.5
-    lam = _extreme_eigenvalues(G, both=False)[0]
-    return delta, bool(lam >= -psd_tolerance(G))
+        _check_finite_form(G)
+    return delta, _factor(G)[0] is not None
 
 
 def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> bool:
-    """Check S^{-1} - (S+alpha)^{-1} >= delta*S^{-2} spectrally.
+    """Check S^{-1} - (S+alpha)^{-1} >= delta*S^{-2} spectrally, exactly.
 
     All three terms are functions of S, so the smallest eigenvalue of
     the difference is min over the spectrum of S of
 
-        f(s) = 1/s - 1/(s + alpha) - delta/s**2,
+        f(s) = 1/s - 1/(s + alpha) - delta/s**2
+             = ((alpha - delta) s - delta alpha) / (s**2 (s + alpha)).
 
-    evaluated without forming or inverting any matrix.  The spectrum is
-    the diagonal of a diagonal S (B.S_diagonal) and one dense eigvalsh
-    of any other S, at every N: the same eigvalsh assemble runs to
-    certify c1.  Valid deltas satisfy 0 < delta <= c1*alpha/(c1+alpha);
-    at that boundary f is nonnegative on [c1, inf) with equality at
-    s = c1.
+    Valid deltas satisfy 0 < delta <= c1*alpha/(c1+alpha) < alpha, so
+    the numerator increases in s and min f >= 0 exactly when delta <=
+    smin*alpha/(smin + alpha), smin = lambda_min(S).  smin is the least
+    diagonal entry of a diagonal S (B.S_diagonal) and, for any other S,
+    the one dense eigvalsh assemble runs to certify c1, so at the
+    boundary delta = c1*alpha/(c1+alpha) both sides are equal floats.
+    No matrix is formed or inverted, at any N.
 
-    Returns True iff min f(s) >= -PSD_COEFF * (1 + max |f(s)|).
+    Returns True iff delta <= smin*alpha/(smin + alpha).
     """
     alpha = _check_shift("alpha", alpha)
     delta = float(delta)
@@ -880,10 +878,8 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
         raise DeltaOutOfRange(
             f"delta = {delta:.6g} outside (0, c1*alpha/(c1+alpha) = {bound:.6g}]"
         )
-    s = B.S.diagonal() if B.S_diagonal else np.linalg.eigvalsh(B.S.toarray())
-    vals = 1.0 / s - 1.0 / (s + alpha) - delta / s**2
-    scale = float(np.max(np.abs(vals), initial=0.0))
-    return bool(np.min(vals) >= -PSD_COEFF * (1.0 + scale))
+    smin = _lambda_min_s(B.S, B.S_diagonal)
+    return delta <= smin * alpha / (smin + alpha)
 
 
 def matrix_to_text(A) -> str:

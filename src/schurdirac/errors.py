@@ -34,7 +34,7 @@ class HypothesisFailed(SchurDiracError):
 
 
 class TooLarge(SchurDiracError):
-    """Problem dimension exceeds the configured dense-solve cap."""
+    """2N exceeds inertia_c2_oracle's dense cap (DENSE_ORACLE_CAP by default)."""
 
 
 class DeltaOutOfRange(SchurDiracError):

@@ -118,8 +118,8 @@ def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     """
     _check_length(B, "rhs", rhs.F1)
     rec = B._elimination
-    if rec.refusal is not None:
-        raise HypothesisFailed(rec.refusal)
+    if rec.factor is None:
+        raise HypothesisFailed(B._solve_refusal)
     with np.errstate(all="ignore"):  # an overflow is refused by its residual, below
         x, rcond = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
         u = x[:, 0]

@@ -45,7 +45,6 @@ from schurdirac import (
     operator_from_text,
     operator_to_text,
     positivity_margin,
-    psd_tolerance,
     resolvent_difference_check,
     schur_form_matrix,
     solve,
@@ -602,6 +601,22 @@ class TestDenseC2:
         dsytrd.assert_not_called()
         dstebz.assert_not_called()
         assert "_H_reduced" not in vars(B)
+
+    def test_indefinite_base_form_takes_one_eigvalsh(self, monkeypatch):
+        # M_0 has no factor; the refusal's lambda_min is computed once, by
+        # the margin gate, not also when the elimination record is made
+        B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
+        eigvalsh = mock.Mock(side_effect=np.linalg.eigvalsh)
+        monkeypatch.setattr(blockop.np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(HypothesisFailed):
+            find_c2(B)
+        assert eigvalsh.call_count == 1
+        assert B._elimination.factor is None and B._elimination.info > 0
+        # solve words its refusal once per operator, when it first raises
+        for _ in range(2):
+            with pytest.raises(HypothesisFailed, match="lambda_min"):
+                solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
+        assert eigvalsh.call_count == 2
 
     def test_no_size_cap(self):
         # 2N = 1040 is above DENSE_ORACLE_CAP, which find_c2 does not apply
@@ -1183,9 +1198,9 @@ class TestInertiaProperties:
         h=st.floats(0.0, 10.0),
     )
     def test_margin_slope_bound(self, B, a, h):
-        # d/dalpha M_alpha = -I - T^t (S + alpha)^{-2} T <= -I; the slack is
-        # the package's rounding tolerance for each of the two forms
-        slack = psd_tolerance(schur_form_matrix(B, a)) + psd_tolerance(
-            schur_form_matrix(B, a + h)
+        # d/dalpha M_alpha = -I - T^t (S + alpha)^{-2} T <= -I; the slack
+        # allows 1e-9 (1 + ||M||_inf) of rounding for each of the two forms
+        slack = sum(
+            1e-9 * (1.0 + float(abs(schur_form_matrix(B, x)).sum(axis=1).max())) for x in (a, a + h)
         )
         assert positivity_margin(B, a + h) <= positivity_margin(B, a) - h + slack

@@ -195,9 +195,9 @@ def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     symmetry_identity_check(B, w, w)
     of_s = [c for c in factor.call_args_list if np.array_equal(c.args[0], S)]
     assert len(of_s) == 1
-    # a copy starts without any of the four lazy facts, and makes its own
+    # a copy starts without any of the five lazy facts, and makes its own
     C = dataclasses.replace(B)
-    assert not {"_s_solve", "_M0", "_elimination", "_H_reduced"} & set(vars(C))
+    assert not {"_s_solve", "_M0", "_elimination", "_solve_refusal", "_H_reduced"} & set(vars(C))
     solve(C, rhs)
     assert len([c for c in factor.call_args_list if np.array_equal(c.args[0], S)]) == 2
 

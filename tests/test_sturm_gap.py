@@ -261,33 +261,65 @@ class TestKAgainstDimension:
         assert [lam for lam, _ in pairs] == pytest.approx(dense_eigh(B)[0].tolist(), abs=1e-8)
 
 
-def test_embedding_delta_uses_the_dense_cholesky(rng):
-    from scipy.linalg import cho_factor, cho_solve
+def positive_definite(G: np.ndarray) -> bool:
+    """Whether numpy's Cholesky factors the dense symmetric G."""
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
+
+def embedding_form(B, delta):
+    """G = M_0 - delta (I + K^t K) from a dense K = S^{-1} T, made apart from the package."""
+    P, T, S = (m.toarray() for m in (B.P, B.T, B.S))
+    K = np.linalg.solve(S, T)
+    G = P + T.T @ K - delta * (np.eye(B.N) + K.T @ K)
+    return (G + G.T) * 0.5
+
+
+def test_embedding_delta_uses_the_dense_cholesky(rng):
     for n in (5, 40, 100):
         B = random_block_operator(rng, n, margin_target=0.8)
         delta, certified = embedding_delta(B)
         c2 = blockop.find_c2(B)
         assert delta == B.c1 * c2 / (B.c1 + c2)
-        K = cho_solve(cho_factor(B.S.toarray(), lower=True), B.T.toarray())
-        G = blockop.schur_form_matrix(B, 0.0) - delta * (
-            sp.identity(n, format="csr") + sp.csr_matrix(K.T @ K)
-        )
-        G = ((G + G.T) * 0.5).tocsr()
-        lam = blockop._extreme_eigenvalues(G, both=False)[0]
-        assert certified == bool(lam >= -blockop.psd_tolerance(G))
+        assert certified == positive_definite(embedding_form(B, delta))
+
+
+@pytest.mark.parametrize("n, target", [(5, 0.05), (30, 0.05), (60, 0.3)])
+def test_embedding_certificate_flips_at_the_sharp_delta(n, target):
+    # delta*, the largest delta with G(delta) >= 0, by bisection on the
+    # dense eigvalsh of the test's own G; the certificate must refuse
+    # delta* (1 + 1e-7) and accept delta* (1 - 1e-8)
+    B = random_block_operator(np.random.default_rng(7), n, margin_target=target)
+    lo, hi = 0.0, B.c1
+    assert np.linalg.eigvalsh(embedding_form(B, hi))[0] < 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if np.linalg.eigvalsh(embedding_form(B, mid))[0] >= 0.0 else (lo, mid)
+    for factor, want in ((1.0 + 1e-7, False), (1.0 - 1e-8, True)):
+        delta = lo * factor
+        # find_c2 returns the c2 at which c1 c2 / (c1 + c2) is that delta
+        c2 = B.c1 * delta / (B.c1 - delta)
+        with mock.patch.object(blockop, "find_c2", lambda B, tol: c2):
+            got, certified = embedding_delta(B)
+        assert got == pytest.approx(delta, rel=1e-14)
+        assert certified is want, (factor, delta)
 
 
 def test_embedding_delta_on_a_channel_takes_the_banded_route():
     # G = M_0 - delta (I + K^t K) is tridiagonal for a channel, so it is
-    # built from two diagonals and its margin is one Sturm bisection; the
-    # reference is the dense K = S^{-1} T, K^t K and eigvalsh
+    # built from two diagonals and certified by one dpttrf; the reference
+    # is the dense K = S^{-1} T, K^t K, eigvalsh and Cholesky
     for N in (40, 1000):
         B = channel(-1, 0.5, N)
         seen = []
-        real = blockop._extreme_eigenvalues
+        real = blockop._factor
         with mock.patch.object(
-            blockop, "_extreme_eigenvalues", lambda m, both=True: seen.append(m) or real(m, both)
+            blockop, "_factor", lambda m: seen.append(m) or real(m)
         ), mock.patch.object(
             blockop.np.linalg, "eigvalsh", side_effect=AssertionError("dense")
         ):
@@ -298,10 +330,12 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
         want = blockop.schur_form_matrix(B, 0.0) - delta * (
             sp.identity(N, format="csr") + sp.csr_matrix(K.T @ K)
         )
-        want = ((want + want.T) * 0.5).tocsr()
-        lam_want = np.linalg.eigvalsh(want.toarray())[0]
-        assert abs(real(G, both=False)[0] - lam_want) <= 1e-12 * blockop.psd_tolerance(want, 1.0)
-        assert certified == bool(lam_want >= -blockop.psd_tolerance(want))
+        want = ((want + want.T) * 0.5).toarray()
+        lam_want = np.linalg.eigvalsh(want)[0]
+        norm = float(np.max(np.abs(want).sum(axis=1)))
+        lam = blockop._extreme_eigenvalues(G, both=False)[0]
+        assert abs(lam - lam_want) <= 1e-12 * (1.0 + norm)
+        assert certified == positive_definite(want)
 
 
 def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
