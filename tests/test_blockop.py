@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import signal
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -133,6 +134,25 @@ class TestAssemble:
     def test_rejects_nan_asserted_c1(self):
         with pytest.raises(NonPositiveS):
             assemble([[2.0]], [[1.0]], [[1.0]], c1_policy=math.nan)
+
+    @pytest.mark.parametrize("name", ["P", "T", "S"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rejects_complex_block(self, name, sparse):
+        # a cast to float64 would keep P = 2I of (2 + 5j) I, with only a warning
+        blocks = {"P": np.eye(2), "T": np.eye(2), "S": np.eye(2)}
+        blocks[name] = blocks[name] * (2.0 + 5.0j)
+        if sparse:
+            blocks[name] = sp.csr_matrix(blocks[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                assemble(blocks["P"], blocks["T"], blocks["S"])
+        assert info.value.key == name
+        assert "complex" in str(info.value)
+
+    def test_rejects_complex_dtype_with_zero_imaginary_part(self):
+        with pytest.raises(ValidationError, match="complex"):
+            assemble(np.eye(2), np.eye(2), np.eye(2, dtype=np.complex64))
 
     def test_diagonal_s_c1_is_smallest_diagonal_entry(self):
         d = np.array([3.0, 0.1 + 0.2, 7.5])
@@ -895,6 +915,11 @@ class TestSerialization:
     def test_matrix_from_empty_text(self, text):
         with pytest.raises(ValueError, match="empty text"):
             matrix_from_text(text)
+
+    @pytest.mark.parametrize("header", ["2 2 3", "2", "2 x", "2.0 2"])
+    def test_matrix_from_text_names_a_bad_header(self, header):
+        with pytest.raises(ValueError, match=f"expected a 'rows cols' header, found '{header}'"):
+            matrix_from_text(f"{header}\n1 2\n3 4\n")
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
     def test_matrix_from_text_refuses_non_finite(self, entry):
