@@ -4,122 +4,16 @@ The package computes the critical positivity constant c2 of the reduced
 quadratic forms of H = [[P, T^t], [T, -S]], certifies the associated
 scale-of-spaces inequalities, solves H(u, v) = (F1, F2) by explicit
 elimination, and applies the machinery to discretized radial
-Dirac-Coulomb operators up to the optimal coupling.
+Dirac-Coulomb operators up to the optimal coupling.  The public API is
+each layer's __all__, re-exported here; the command line is not.
 """
 
 __version__ = "0.1.0"
 
-from .blockop import (
-    BlockOperator,
-    FormReport,
-    StateVector,
-    apply,
-    assemble,
-    embedding_delta,
-    find_c2,
-    form_report,
-    full_matrix,
-    inertia_c2_oracle,
-    matrix_from_text,
-    matrix_to_text,
-    operator_from_text,
-    operator_to_text,
-    positivity_margin,
-    resolvent_difference_check,
-    schur_form_matrix,
-)
-from .dirac import (
-    CSV_COLUMNS,
-    AdmissibilityReport,
-    DiracChannelSpec,
-    RadialGrid,
-    SweepCell,
-    SweepReport,
-    build_channel,
-    build_grid,
-    c2_consistency,
-    channel_spectrum,
-    check_admissibility,
-    hardy_sweep,
-    sommerfeld_energy,
-)
-from .errors import (
-    BadRange,
-    CheckFailed,
-    DeltaOutOfRange,
-    DimensionMismatch,
-    HypothesisFailed,
-    IllConditioned,
-    InvalidQuantumNumbers,
-    NegativeAlpha,
-    NegativeShiftUnsupported,
-    NoConvergence,
-    NonPositiveS,
-    ParseError,
-    SchurDiracError,
-    TooLarge,
-    ValidationError,
-)
-from .solver import (
-    RhsPair,
-    SolveReport,
-    gap_eigenvalues,
-    shifted_operator,
-    solve,
-    symmetry_identity_check,
-)
+from . import blockop, dirac, errors, solver
+from .blockop import *
+from .dirac import *
+from .errors import *
+from .solver import *
 
-__all__ = [
-    "__version__",
-    "BlockOperator",
-    "StateVector",
-    "FormReport",
-    "RhsPair",
-    "SolveReport",
-    "RadialGrid",
-    "DiracChannelSpec",
-    "AdmissibilityReport",
-    "SweepCell",
-    "SweepReport",
-    "CSV_COLUMNS",
-    "assemble",
-    "apply",
-    "full_matrix",
-    "schur_form_matrix",
-    "form_report",
-    "positivity_margin",
-    "find_c2",
-    "inertia_c2_oracle",
-    "embedding_delta",
-    "resolvent_difference_check",
-    "matrix_to_text",
-    "matrix_from_text",
-    "operator_to_text",
-    "operator_from_text",
-    "solve",
-    "symmetry_identity_check",
-    "shifted_operator",
-    "gap_eigenvalues",
-    "build_grid",
-    "build_channel",
-    "check_admissibility",
-    "sommerfeld_energy",
-    "channel_spectrum",
-    "hardy_sweep",
-    "c2_consistency",
-    "SchurDiracError",
-    "DimensionMismatch",
-    "NonPositiveS",
-    "NegativeAlpha",
-    "HypothesisFailed",
-    "TooLarge",
-    "DeltaOutOfRange",
-    "NegativeShiftUnsupported",
-    "NoConvergence",
-    "CheckFailed",
-    "InvalidQuantumNumbers",
-    "BadRange",
-    "ParseError",
-    "ValidationError",
-    "IllConditioned",
-]
+__all__ = ["__version__", *blockop.__all__, *dirac.__all__, *errors.__all__, *solver.__all__]

@@ -518,6 +518,11 @@ def _dense_H(B: BlockOperator) -> np.ndarray:
     return H
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, but not a bool (which Python counts as an int)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_shift(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -919,9 +924,12 @@ def matrix_to_text(A) -> str:
 
     Entries use %.17g so float64 values round-trip exactly; the format
     is plain ASCII and locale-independent.  Raises ValueError for a
-    non-finite entry, which matrix_from_text would refuse.
+    zero dimension or a non-finite entry, which matrix_from_text would
+    refuse.
     """
     arr = np.atleast_2d(A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64))
+    if 0 in arr.shape:
+        raise ValueError(f"matrix has a zero dimension, shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has a non-finite entry")
     out = io.StringIO()
@@ -989,11 +997,15 @@ def operator_to_text(B: BlockOperator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _keyed_value(line: str, key: str) -> str:
+def _keyed_value(line: str, key: str, parse: type, what: str):
+    """The value of a '<key> <value>' line, parsed; ValueError naming what if unfit."""
     tokens = line.split()
     if len(tokens) != 2 or tokens[0] != key:
         raise ValueError(f"expected a '{key} <value>' line, found {line[:40]!r}")
-    return tokens[1]
+    try:
+        return parse(tokens[1])
+    except ValueError:
+        raise ValueError(f"{what}: expected {parse.__name__}, found {tokens[1][:40]!r}") from None
 
 
 def _words(line: str, dtype: str, count: int, what: str) -> np.ndarray:
@@ -1026,14 +1038,14 @@ def operator_from_text(text: str) -> BlockOperator:
     expected = 3 + 4 * len(_BLOCK_NAMES)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")
-    n = int(_keyed_value(lines[1], "N"))
+    n = _keyed_value(lines[1], "N", int, "N")
     if n < 0:
         raise ValueError(f"N = {n} is negative")
-    c1 = float(_keyed_value(lines[2], "c1"))
+    c1 = _keyed_value(lines[2], "c1", float, "c1")
     blocks = {}
     for k, name in enumerate(_BLOCK_NAMES):
         head, ptr_line, idx_line, data_line = lines[3 + 4 * k : 7 + 4 * k]
-        nnz = int(_keyed_value(head, name))
+        nnz = _keyed_value(head, name, int, f"{name} nnz")
         indptr = _words(ptr_line, "<i8", n + 1, f"{name} indptr")
         # compared, not differenced: a difference of int64 words can wrap
         if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):

@@ -27,6 +27,7 @@ from .blockop import (
     DENSE_ORACLE_CAP,
     BlockOperator,
     _find_c2,
+    _is_integer,
     assemble,
     find_c2,
     inertia_c2_oracle,
@@ -78,7 +79,7 @@ NU_MAX = 1.2
 
 
 def _check_grid_size(N) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 2:
+    if not _is_integer(N) or N < 2:
         raise BadRange(f"N = {N!r} must be an integer >= 2")
 
 
@@ -139,7 +140,7 @@ class DiracChannelSpec:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.kappa, (int, np.integer)) or self.kappa == 0:
+        if not _is_integer(self.kappa) or self.kappa == 0:
             raise InvalidQuantumNumbers(
                 f"kappa must be a nonzero integer, got {self.kappa!r}"
             )
@@ -329,7 +330,7 @@ def sommerfeld_energy(n: int, kappa: int, nu: float) -> float:
     valid for 0 <= nu < |kappa| with n >= |kappa| for kappa < 0 and
     n >= kappa + 1 for kappa > 0.
     """
-    if not isinstance(n, (int, np.integer)) or not isinstance(kappa, (int, np.integer)):
+    if not (_is_integer(n) and _is_integer(kappa)):
         raise InvalidQuantumNumbers(f"n and kappa must be integers, got {n!r}, {kappa!r}")
     if kappa == 0:
         raise InvalidQuantumNumbers("kappa must be nonzero")
@@ -381,8 +382,8 @@ def _spectrum_of(
     B: BlockOperator, spec: DiracChannelSpec, k: int, tol: float
 ) -> list[float]:
     """channel_spectrum on the already built channel operator B."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not _is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     # bounds the work when the filter keeps discarding: at most 2(k + 4)
     # pairs are examined, and never more than the 2N that H has
     limit = min(2 * (k + 4), 2 * B.N)

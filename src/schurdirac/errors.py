@@ -7,6 +7,24 @@ code logic) can distinguish "the math says no" from "the software broke".
 
 from __future__ import annotations
 
+__all__ = [
+    "SchurDiracError",
+    "DimensionMismatch",
+    "NonPositiveS",
+    "NegativeAlpha",
+    "HypothesisFailed",
+    "TooLarge",
+    "DeltaOutOfRange",
+    "NegativeShiftUnsupported",
+    "NoConvergence",
+    "CheckFailed",
+    "InvalidQuantumNumbers",
+    "BadRange",
+    "ParseError",
+    "ValidationError",
+    "IllConditioned",
+]
+
 
 class SchurDiracError(Exception):
     """Base class for all package-specific errors."""
@@ -46,7 +64,7 @@ class NegativeShiftUnsupported(SchurDiracError):
 
 
 class NoConvergence(SchurDiracError):
-    """An iterative eigenvalue or linear solve failed to converge."""
+    """An eigenvalue routine or an eigenpair residual failed, or too few eigenvalues exist."""
 
 
 class CheckFailed(SchurDiracError):
@@ -54,7 +72,9 @@ class CheckFailed(SchurDiracError):
 
     Raised where two independent computations of one quantity must agree
     (bisection against the inertia oracle, an identity against its
-    swapped form); the result is not returned.
+    swapped form), where the dense find_c2's eigenvalue fails its
+    factorization certificate, or where solve's residual is not finite;
+    the result is not returned.
     """
 
 
@@ -97,7 +117,7 @@ class ValidationError(SchurDiracError):
 
 
 class IllConditioned(UserWarning):
-    """Condition estimate of the reduced system exceeds the configured cap.
+    """Condition estimate of the reduced system exceeds the fixed cap COND_CAP.
 
     Issued as a warning; the solve result is still returned, flagged.
     """

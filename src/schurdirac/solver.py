@@ -38,6 +38,7 @@ from .blockop import (
     _check_shift,
     _expert_solve,
     _finite_pair,
+    _is_integer,
     _stacked_apply,
     _tridiagonal_eigenvalues,
     apply,
@@ -250,7 +251,7 @@ def gap_eigenvalues(
     if which not in ("nearest", "above"):
         raise ValueError(f"which must be 'nearest' or 'above', got {which!r}")
     n2 = 2 * B.N
-    if not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n2:
         raise ValueError(f"k must be in [1, 2N = {n2}], got {k}")

@@ -934,6 +934,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite"):
             matrix_to_text(sp.csr_matrix(np.array([[0.0, entry]])))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_matrix_to_text_refuses_a_zero_dimension(self, shape):
+        # the reader could not parse what the writer wrote for these shapes
+        with pytest.raises(ValueError, match=re.escape(f"zero dimension, shape {shape}")):
+            matrix_to_text(np.zeros(shape))
+        with pytest.raises(ValueError, match="zero dimension"):
+            matrix_to_text(sp.csr_matrix(shape))
+
     def test_matrix_roundtrip_is_bitwise_at_the_edges(self):
         tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
         a = np.array([[-0.0, tiny, -2.5e-310], [np.finfo(float).max, 1.0 / 3.0, 0.0]])
@@ -1097,6 +1105,24 @@ class TestTextFormat:
         text = "\n".join(edit(operator_to_text(B).splitlines())) + "\n"
         with pytest.raises(ValueError, match=re.escape(message)):
             operator_from_text(text)
+
+    @pytest.mark.parametrize(
+        "index, line, message",
+        [
+            (1, "N 1.5", "N: expected int, found '1.5'"),
+            (1, "N x", "N: expected int, found 'x'"),
+            (2, "c1 one", "c1: expected float, found 'one'"),
+            (3, "P 2.0", "P nnz: expected int, found '2.0'"),
+            (7, "T x", "T nnz: expected int, found 'x'"),
+            (11, "S 2e0", "S nnz: expected int, found '2e0'"),
+        ],
+    )
+    def test_names_the_key_whose_value_does_not_parse(self, index, line, message):
+        B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))
+        lines = operator_to_text(B).splitlines()
+        lines[index] = line
+        with pytest.raises(ValueError, match=re.escape(message)):
+            operator_from_text("\n".join(lines))
 
     def test_indptr_whose_differences_wrap_is_not_monotone(self):
         # (-3*2**61) - 3*2**61 = -3*2**62 wraps to +2**62 in int64, so np.diff

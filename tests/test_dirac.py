@@ -105,6 +105,12 @@ class TestChannelSpec:
         with pytest.raises(InvalidQuantumNumbers):
             DiracChannelSpec(kappa=1.5, nu=0.5, gamma=0.5)
 
+    @pytest.mark.parametrize("kappa", [True, False])
+    def test_kappa_bool(self, kappa):
+        # a bool is an int to isinstance, but no quantum number
+        with pytest.raises(InvalidQuantumNumbers, match="nonzero integer"):
+            DiracChannelSpec(kappa=kappa, nu=0.5, gamma=0.5)
+
     def test_nu_band(self):
         with pytest.raises(HypothesisFailed):
             DiracChannelSpec(kappa=-1, nu=0.0, gamma=0.5)
@@ -295,6 +301,13 @@ class TestSommerfeld:
         with pytest.raises(InvalidQuantumNumbers):
             sommerfeld_energy(1.5, -1, 0.5)
 
+    def test_bool_quantum_numbers(self):
+        # sommerfeld_energy(True, -1, 0.5) returned 0.866 when a bool passed as n
+        with pytest.raises(InvalidQuantumNumbers, match="must be integers"):
+            sommerfeld_energy(True, -1, 0.5)
+        with pytest.raises(InvalidQuantumNumbers, match="must be integers"):
+            sommerfeld_energy(2, True, 0.5)
+
 
 class TestChannelSpectrum:
     def test_ground_and_excited(self):
@@ -332,6 +345,11 @@ class TestChannelSpectrum:
         # k above 2N asks for more eigenvalues than exist: refused, not a ValueError
         with pytest.raises(NoConvergence, match="at most 2 eigenvalues lie above"):
             channel_spectrum(GROUND, build_grid("logarithmic", 2, 1e-2, 10.0), k=5)
+
+    def test_k_bool(self):
+        g = build_grid("logarithmic", 100, 1e-2, 10.0)
+        with pytest.raises(ValueError, match="k must be an integer >= 1, got True"):
+            channel_spectrum(GROUND, g, True)
 
     @pytest.mark.parametrize(
         "N, nu, spurious, want",

@@ -501,3 +501,8 @@ class TestGapEigenvalues:
             with pytest.raises(ValueError, match="integer"):
                 gap_eigenvalues(scalar_operator(), 0.0, k)
         assert len(gap_eigenvalues(scalar_operator(), 0.0, np.int64(1))) == 1
+
+    def test_k_bool(self):
+        # True is an int to isinstance; k = True once returned one pair
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            gap_eigenvalues(scalar_operator(), 0.0, True)
