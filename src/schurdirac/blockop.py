@@ -184,6 +184,14 @@ def _extreme_eigenvalues(m, both: bool = True) -> tuple[float, ...]:
     return (float(w[0]), float(w[-1]))[: 2 if both else 1]
 
 
+def _h_norm(B: BlockOperator) -> float:
+    """A bound on ||H||_inf: max|d| + 2 max|e| of B.H_tridiagonal, else B._H_reduced's norm."""
+    if B.H_tridiagonal is None:
+        return B._H_reduced.norm
+    d, e = B.H_tridiagonal
+    return float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+
+
 def _lambda_min_s(S: sp.csr_matrix | np.ndarray, diagonal: bool) -> float:
     """lambda_min(S), S sparse or dense: the least entry of a diagonal S, else one eigvalsh."""
     return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, both=False)[0]
@@ -303,18 +311,18 @@ class BlockOperator:
         routine scipy's cho_solve calls), used by every S^{-1} the
         package applies (_s_inverse).
     _M0
-        M_0 = P + T^t S^{-1} T of an operator without H_tridiagonal,
-        formed through that S^{-1}, symmetrized and checked finite.
-        Every read of the dense M_0 takes this one array.
+        M_0 = P + T^t S^{-1} T in the layout of _schur_form, checked
+        finite: the _Tridiagonal pair read from H_tridiagonal, or else
+        the dense array formed through that S^{-1} and symmetrized.
+        Every read of M_0 on either layout takes this one value.
+    _margin0
+        lambda_min(M_0), one dstebz or eigvalsh of _M0: what
+        positivity_margin(B, 0.0) returns, what find_c2 gates on where
+        M_0 has no factor, and what solve's refusal names.
     _elimination
-        What every solve reuses: S^{-1}, M_0 as _schur_form lays it out,
-        and _factor's factor of M_0, which the expert driver takes and
-        the dense find_c2 reads as margin(0) > 0, or LAPACK's pivot info
-        where there is none.
-    _solve_refusal
-        Why solve refuses an operator whose M_0 has no factor, worded by
-        _refusal from that info and lambda_min(M_0), which is computed
-        only here: once per operator, and only when solve raises.
+        What every solve reuses: S^{-1}, _M0, and _factor's factor of
+        M_0, which the expert driver takes and the dense find_c2 reads
+        as margin(0) > 0, or LAPACK's pivot info where there is none.
     _H_reduced
         The dense H of an operator without H_tridiagonal, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
@@ -363,13 +371,21 @@ class BlockOperator:
         return lambda x: dpotrs(factor, x, lower=1)[0]
 
     @cached_property
-    def _M0(self) -> np.ndarray:
+    def _M0(self) -> _Tridiagonal | np.ndarray:
+        if self.H_tridiagonal is not None:
+            M = _tridiagonal_form(self.H_tridiagonal, 0.0)
+            _check_finite_form(M.d, M.e)  # dpttrf does not check its input
+            return M
         P, T, _ = self._dense
         with np.errstate(all="ignore"):
             M = P + T.T @ _s_inverse(self)(T)
             M = (M + M.T) * 0.5
         _check_finite_form(M)
         return _freeze(M)
+
+    @cached_property
+    def _margin0(self) -> float:
+        return _extreme_eigenvalues(self._M0, both=False)[0]
 
     @cached_property
     def _H_reduced(self) -> _Reduction:
@@ -388,13 +404,7 @@ class BlockOperator:
     @cached_property
     def _elimination(self) -> _Elimination:
         M0 = _schur_form(self, 0.0)
-        if isinstance(M0, _Tridiagonal):
-            _check_finite_form(M0.d, M0.e)  # dpttrf does not check its input
         return _Elimination(_s_inverse(self), M0, *_factor(M0))
-
-    @cached_property
-    def _solve_refusal(self) -> str:
-        return _refusal(self._elimination.M0, self._elimination.info)
 
 
 class _Blocks(NamedTuple):
@@ -542,29 +552,34 @@ def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagona
     return _Tridiagonal(d=d, e=(aw[:-1] * b + bw * a[:-1]) * 0.5)
 
 
+def _tridiagonal_form(H: _Tridiagonal, alpha: float) -> _Tridiagonal:
+    """M_alpha of the interleaved tridiagonal H, read-only, formed without warnings."""
+    with np.errstate(all="ignore"):
+        # H.d holds -s, so alpha - H.d[1::2] is s + alpha
+        d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
+        return _Tridiagonal(d=_freeze((H.d[0::2] - alpha) + d), e=_freeze(e))
+
+
 def _schur_form(B: BlockOperator, alpha: float, X: np.ndarray | None = None):
     """M_alpha in the layout the eigensolver takes, exactly symmetric.
 
-    One of two layouts.  When B.H_tridiagonal is set, the read-only
-    _Tridiagonal pair of M_alpha's diagonal and off-diagonal, read from
-    the interleaved H in O(N) NumPy arithmetic; the eigensolver refuses
-    a non-finite pair.  Otherwise a dense ndarray: B._M0 at alpha = 0,
-    read-only and formed once per operator, and at alpha > 0
+    At alpha = 0 on either layout, B._M0, read-only and formed once per
+    operator.  When B.H_tridiagonal is set, the read-only _Tridiagonal
+    pair of M_alpha's diagonal and off-diagonal, read from the
+    interleaved H in O(N) NumPy arithmetic; the eigensolver refuses a
+    non-finite pair.  Otherwise a dense ndarray, at alpha > 0
     (P - alpha I) + X^t X, one syrk of _shifted_x's X (or the X given).
     Either layout is formed without floating-point warnings; a
-    non-finite dense form (an overflow) raises ValueError.
+    non-finite M_0, or a non-finite dense form (an overflow), raises
+    ValueError.
     """
     alpha = _check_shift("alpha", alpha)
     if alpha < 0.0:
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
-    H = B.H_tridiagonal
-    if H is not None:
-        with np.errstate(all="ignore"):
-            # H.d holds -s, so alpha - H.d[1::2] is s + alpha
-            d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
-            return _Tridiagonal(d=_freeze((H.d[0::2] - alpha) + d), e=_freeze(e))
     if alpha == 0.0:
         return B._M0
+    if B.H_tridiagonal is not None:
+        return _tridiagonal_form(B.H_tridiagonal, alpha)
     X = _shifted_x(B, alpha) if X is None else X
     with np.errstate(all="ignore"):
         # X.T @ X of one buffer goes to syrk, which fills both triangles alike
@@ -654,29 +669,28 @@ def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
     return x, rcond
 
 
-def _refusal(M0, info: int) -> str:
-    """Why M_0 has no factor, from _factor's pivot info in 1..n (the driver's info alike).
-
-    lambda_min is computed only here, for B._solve_refusal.
-    """
-    lam = _extreme_eigenvalues(M0, both=False)[0]
+def _refusal(B: BlockOperator) -> str:
+    """Why M_0 has no factor: B._margin0, or _factor's pivot info in 1..n (the driver's alike)."""
+    lam, info = B._margin0, B._elimination.info
     if lam <= 0.0:
         return (
             f"reduced matrix M_0 is not positive definite (lambda_min = {lam:.6g}); "
             "the elimination requires a positive base form"
         )
-    kind, driver = ("L D L^t", "dptsvx") if isinstance(M0, _Tridiagonal) else ("Cholesky", "dposvx")
+    kind, driver = ("Cholesky", "dposvx") if B.H_tridiagonal is None else ("L D L^t", "dptsvx")
     return f"M_0 is not positive definite ({kind} pivot {info} <= 0, {driver} info = {info})"
 
 
 def positivity_margin(B: BlockOperator, alpha: float) -> float:
     """lambda_min(M_alpha); nonnegative certifies the inequality at level alpha.
 
-    With B.H_tridiagonal set, one dstebz Sturm bisection, O(N);
-    otherwise one dense eigvalsh, O(N^3), of B._M0 at alpha = 0 and of
-    the Cholesky-formed M_alpha of _schur_form at alpha > 0.
+    At alpha = 0, B._margin0: lambda_min(M_0), computed once per
+    operator.  At alpha > 0 with B.H_tridiagonal set, one dstebz Sturm
+    bisection, O(N); otherwise one dense eigvalsh, O(N^3), of the
+    Cholesky-formed M_alpha of _schur_form.
     """
-    return _extreme_eigenvalues(_schur_form(B, alpha), both=False)[0]
+    alpha = _check_shift("alpha", alpha)
+    return B._margin0 if alpha == 0.0 else _extreme_eigenvalues(_schur_form(B, alpha), False)[0]
 
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
@@ -692,6 +706,8 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
 
     The margin decreases in alpha with slope <= -1, so the root lies in
     [0, margin(0)]; by inertia additivity it is eigenvalue N+1 of H.
+    M_0 and margin(0) are the operator's B._M0 and B._margin0, made
+    once per operator on both layouts and shared with solve.
 
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
@@ -701,8 +717,8 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
       result), certified by Cholesky factorizations alone (Sylvester's
       law of inertia): M_{c2-t} must be positive definite and M_{c2+t}
       must not, each formed by _shifted_x.  The factor of M_0 that
-      B._elimination keeps for solve shows margin(0) > 0; lambda_min(M_0)
-      is computed only without one (HypothesisFailed, or 0.0 at an exactly
+      B._elimination keeps for solve shows margin(0) > 0; B._margin0
+      is read only without one (HypothesisFailed, or 0.0 at an exactly
       singular M_0) or where c2 - t <= 0, to keep c2 in [0, margin(0)].
       A side outside that bracket is settled by it.  t is tol/2, or the
       sum of the two _rounding_floors when larger: at a tol below
@@ -727,9 +743,14 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
         If a certificate contradicts the selected value; no dense c2 is
         returned unchecked.
     """
+    tol = _checked_tol(tol)
     if B.H_tridiagonal is None:
-        return _selected_c2(B, _checked_tol(tol))
-    return _find_c2(B, tol)[0]
+        return _selected_c2(B, tol)
+    m0 = _base_margin(B)
+    if m0 == 0.0:
+        return 0.0
+    # positivity_margin is looked up at each call, so a wrapper of it sees every step
+    return _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0)
 
 
 def _checked_tol(tol: float) -> float:
@@ -747,16 +768,6 @@ def _base_margin(B: BlockOperator) -> float:
             "positive semidefinite"
         )
     return m0
-
-
-def _find_c2(B: BlockOperator, tol: float) -> tuple[float, float]:
-    """find_c2's bisection plus the margin at alpha = 0 that gates it."""
-    _checked_tol(tol)
-    m0 = _base_margin(B)
-    if m0 == 0.0:
-        return 0.0, m0
-    # positivity_margin is looked up at each call, so a wrapper of it sees every step
-    return _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0), m0
 
 
 def _bisect(lo: float, hi: float, tol: float, holds: Callable[[float], bool]) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .blockop import _extreme_eigenvalues, positivity_margin
+from .blockop import positivity_margin
 from .dirac import (
     CSV_COLUMNS,
     DiracChannelSpec,
@@ -314,20 +314,18 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         B = build_channel(spec, grid)
         r = grid.nodes
         rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
-        # positivity_margin(B, 0.0), from the M_0 the solve cached instead of a second one
-        margin = _extreme_eigenvalues(B._elimination.M0, both=False)[0]
         meta = {
             "rhs": "F1=exp(-r), F2=r*exp(-r)",
             "residual_norm": rep.residual_norm,
             "schur_condition_estimate": rep.schur_condition_estimate,
             "ill_conditioned": rep.ill_conditioned,
         }
-        return [SweepCell(margin=margin, **base)], meta
+        return [SweepCell(margin=positivity_margin(B, 0.0), **base)], meta
 
     if config.command == "c2":
         B = build_channel(spec, grid)
-        c2n, c2a, diff, margin = _c2_of(B, spec, config.bisection_tol)
-        cell = SweepCell(margin=margin, c2_numeric=c2n, c2_analytic=c2a, **base)
+        c2n, c2a, diff = _c2_of(B, spec, config.bisection_tol)
+        cell = SweepCell(margin=positivity_margin(B, 0.0), c2_numeric=c2n, c2_analytic=c2a, **base)
         return [cell], {"c2_diff": diff}
 
     if config.command == "spectrum":
@@ -351,7 +349,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         e1a = _sommerfeld_or_none(_n_min(spec.kappa), spec.kappa, spec.nu)
         for g in _ladder(config):
             B = build_channel(spec, g)
-            c2n, c2a, _, margin = _c2_of(B, spec, config.bisection_tol)
+            c2n, c2a, _ = _c2_of(B, spec, config.bisection_tol)
             energy = _spectrum_of(B, spec, 1, config.eigen_tol)[0]
             rows.append(
                 SweepCell(
@@ -359,7 +357,7 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
                     grid_N=g.N,
                     grid_scheme=g.scheme,
                     grid_r_min=g.r_min,
-                    margin=margin,
+                    margin=positivity_margin(B, 0.0),
                     c2_numeric=c2n,
                     c2_analytic=c2a,
                     e1_numeric=energy,

@@ -38,7 +38,9 @@ from .blockop import (
     _check_shift,
     _expert_solve,
     _finite_pair,
+    _h_norm,
     _is_integer,
+    _refusal,
     _stacked_apply,
     _tridiagonal_eigenvalues,
     apply,
@@ -120,7 +122,7 @@ def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
     _check_length(B, "rhs", rhs.F1)
     rec = B._elimination
     if rec.factor is None:
-        raise HypothesisFailed(B._solve_refusal)
+        raise HypothesisFailed(_refusal(B))
     with np.errstate(all="ignore"):  # an overflow is refused by its residual, below
         x, rcond = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
         u = x[:, 0]
@@ -330,15 +332,15 @@ def _window(B: BlockOperator) -> tuple[Callable, float]:
     through dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies
     them for uplo = "L"), the values through 1 / scale, as dsyevx does.
     """
+    norm = _h_norm(B)
     if B.H_tridiagonal is not None:
         (d, e), scale, whole = B.H_tridiagonal, 1.0, False
-        norm = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
 
         def back(z):
             return np.concatenate([z[0::2], z[1::2]])
 
     else:
-        d, e, A, tau, norm, scale = B._H_reduced
+        d, e, A, tau, _, scale = B._H_reduced
         whole = True
 
         def back(z):

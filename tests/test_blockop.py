@@ -52,7 +52,7 @@ from schurdirac import (
 )
 from schurdirac.errors import DeltaOutOfRange
 
-from conftest import random_block_operator, symmetrize
+from conftest import random_block_operator, spy_on_m0, symmetrize
 
 C2_SCALAR = (1.0 + math.sqrt(13.0)) / 2.0  # root of 2 - a + 1/(1+a) = 0
 
@@ -322,6 +322,27 @@ class TestMargin:
         rep = form_report(scalar_operator(), 0.0)
         assert rep.margin == pytest.approx(3.0)
         assert rep.form_matrix_condition == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
+    def test_lambda_min_of_m0_is_computed_once_per_operator(self, route, monkeypatch):
+        # an indefinite M_0, so find_c2 gates on lambda_min(M_0) and solve names it
+        if route == "tridiagonal":
+            grid = build_grid("logarithmic", 200, 1e-4, 100.0)
+            B, routine = build_channel(DiracChannelSpec(1, 0.5, 0.5), grid), "dstebz"
+        else:
+            B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
+            routine = "eigvalsh"
+        formed, reads = spy_on_m0(monkeypatch)
+        lam = positivity_margin(B, 0.0)
+        assert positivity_margin(B, 0.0) == lam < 0.0
+        with pytest.raises(HypothesisFailed, match=f"margin at alpha=0 is {lam:.6g} "):
+            find_c2(B)
+        for _ in range(2):
+            with pytest.raises(HypothesisFailed, match=re.escape(f"(lambda_min = {lam:.6g})")):
+                solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
+        assert len(formed) == 1 and formed[0] is B._M0 is blockop._schur_form(B, 0.0)
+        assert reads == [routine]
+        assert lam == blockop._extreme_eigenvalues(B._M0, both=False)[0]
 
 
 class TestFindC2:
@@ -632,11 +653,11 @@ class TestDenseC2:
             find_c2(B)
         assert eigvalsh.call_count == 1
         assert B._elimination.factor is None and B._elimination.info > 0
-        # solve words its refusal once per operator, when it first raises
+        # solve words its refusal from the same lambda_min, computed once per operator
         for _ in range(2):
             with pytest.raises(HypothesisFailed, match="lambda_min"):
                 solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
-        assert eigvalsh.call_count == 2
+        assert eigvalsh.call_count == 1
 
     def test_no_size_cap(self):
         # 2N = 1040 is above DENSE_ORACLE_CAP, which find_c2 does not apply

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import schurdirac.blockop as blockop
 import schurdirac.cli as cli
 import schurdirac.dirac as dirac
 from schurdirac import ParseError, ValidationError, sommerfeld_energy
 from schurdirac.cli import COMMANDS, main, parse_config, run
+
+from conftest import spy_on_m0
 
 MINIMAL = "command=c2\nkappa=-1\nnu=0.5\n"
 
@@ -426,21 +427,22 @@ class TestRunAndMain:
         ],
     )
     def test_base_form_formed_once_per_grid(self, tmp_path, monkeypatch, command, extra, grids):
-        # M_0 is formed by every margin at alpha = 0 and by the operator's
-        # elimination record, whose M_0 the solve report's margin reads
-        shifts = []
-        original = blockop._schur_form
-
-        def recording(B, alpha):
-            shifts.append(alpha)
-            return original(B, alpha)
-
-        monkeypatch.setattr(blockop, "_schur_form", recording)
+        # each grid's operator forms M_0 once, for its margin at alpha = 0,
+        # find_c2 and solve alike, and computes lambda_min(M_0) once
+        formed, reads = spy_on_m0(monkeypatch)
         cfg = write_config(
             tmp_path, f"command={command}\nkappa=-1\nnu=0.5\ngrid.N=400\n" + extra
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-        assert shifts.count(0.0) == grids
+        assert len(formed) == grids
+        assert reads == ["dstebz"] * grids
+
+    def test_grid_out_of_float_range_is_an_error_not_a_crash(self, tmp_path, capsys):
+        # h_j h_{j+1} underflows to 0; under the suite's error::RuntimeWarning
+        # a leaked warning would be reported as an internal error
+        cfg = write_config(tmp_path, "kappa=-1\nnu=0.5\ngrid.N=200\ngrid.r_min=1e-200\n")
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: T: has a non-finite entry\n"
 
     def test_hardy_sweep_report(self, tmp_path):
         cfg = write_config(

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
 
 import schurdirac
 import schurdirac.dirac as dirac
@@ -18,6 +19,7 @@ from schurdirac import (
     InvalidQuantumNumbers,
     NoConvergence,
     RadialGrid,
+    ValidationError,
     assemble,
     build_channel,
     build_grid,
@@ -25,9 +27,11 @@ from schurdirac import (
     channel_spectrum,
     check_admissibility,
     embedding_delta,
+    find_c2,
     full_matrix,
     gap_eigenvalues,
     hardy_sweep,
+    inertia_c2_oracle,
     positivity_margin,
     sommerfeld_energy,
 )
@@ -199,6 +203,14 @@ class TestBuildChannel:
         g = build_grid("uniform", 4, 1.0, 4.0)
         with pytest.raises(BadRange):
             build_channel(GROUND, g, potential=np.zeros(5))
+
+    @pytest.mark.parametrize("r_min, block", [(1e-200, "T"), (1e-310, "P")])
+    def test_a_block_out_of_float_range_is_refused_by_name(self, r_min, block):
+        # at 1e-200 h_j h_{j+1} underflows to 0, at 1e-310 nu / r overflows;
+        # no RuntimeWarning escapes (the suite raises it as an error)
+        g = build_grid("logarithmic", 200, r_min, 100.0)
+        with pytest.raises(ValidationError, match=f"^{block}: has a non-finite entry$"):
+            build_channel(GROUND, g)
 
 
 class TestAdmissibility:
@@ -451,6 +463,20 @@ class TestC2Consistency:
         assert c2a == pytest.approx(sommerfeld_energy(2, -2, 0.5) + 0.5, abs=1e-15)
         assert c2a == pytest.approx(1.46825, abs=1e-5)
         assert abs(diff) < 1e-3
+
+    def test_oracle_is_allowed_its_own_rounding(self):
+        # at r_min = 1e-20, ||H||_inf is about 9e20: the dense oracle is off
+        # by about 1e-6, far beyond 10 * tol, while c2 itself is within tol of
+        # eigenvalue N+1 of the interleaved tridiagonal H
+        g = build_grid("logarithmic", 200, 1e-20, 100.0)
+        B = build_channel(GROUND, g)
+        c2n, _, _ = c2_consistency(GROUND, g)
+        assert c2n == find_c2(B)
+        assert abs(c2n - inertia_c2_oracle(B)) > 10 * 1e-8
+        # Sturm bisection to the underflow threshold; its default tolerance is ulp ||H||
+        d, e, tiny = *B.H_tridiagonal, np.finfo(float).tiny
+        reference = eigvalsh_tridiagonal(d, e, select="i", select_range=(B.N, B.N), tol=2 * tiny)[0]
+        assert c2n == pytest.approx(reference, abs=1e-8)
 
     def test_supercritical_rejected(self):
         g = build_grid("logarithmic", 100, 1e-3, 50.0)

@@ -4,6 +4,7 @@ Cholesky factor of S + alpha I, agreement with a 40-digit reference also
 for an ill-conditioned S, and overflowed forms refused on both routes."""
 
 import dataclasses
+import functools
 import sys
 import threading
 import warnings
@@ -195,9 +196,12 @@ def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     symmetry_identity_check(B, w, w)
     of_s = [c for c in factor.call_args_list if np.array_equal(c.args[0], S)]
     assert len(of_s) == 1
-    # a copy starts without any of the five lazy facts, and makes its own
+    # a copy starts without any of the six lazy facts, and makes its own
     C = dataclasses.replace(B)
-    assert not {"_s_solve", "_M0", "_elimination", "_solve_refusal", "_H_reduced"} & set(vars(C))
+    lazy = {"_dense", "_s_solve", "_M0", "_margin0", "_elimination", "_H_reduced"}
+    cached = vars(blockop.BlockOperator).items()
+    assert lazy == {name for name, v in cached if isinstance(v, functools.cached_property)}
+    assert not lazy & set(vars(C))
     solve(C, rhs)
     assert len([c for c in factor.call_args_list if np.array_equal(c.args[0], S)]) == 2
 
