@@ -27,7 +27,7 @@ from __future__ import annotations
 import base64
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -169,8 +169,8 @@ def _check_finite_form(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _extreme_eigenvalues(m, both: bool = True) -> tuple[float, ...]:
-    """(lambda_min, lambda_max) of a symmetric matrix, or (lambda_min,) when not both.
+def _extreme_eigenvalues(m, low: bool = True, high: bool = True) -> tuple[float, ...]:
+    """(lambda_min, lambda_max) of a symmetric matrix, or the one of them asked for.
 
     m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
     _schur_form returns when B.H_tridiagonal is set.  A _Tridiagonal
@@ -178,10 +178,10 @@ def _extreme_eigenvalues(m, both: bool = True) -> tuple[float, ...]:
     n; every other form takes one dense eigvalsh for both, O(n^3).
     """
     if isinstance(m, _Tridiagonal):
-        ends = (1, m.d.shape[0]) if both else (1,)
+        ends = (1,) * low + (m.d.shape[0],) * high
         return tuple(float(_tridiagonal_eigenvalues(m.d, m.e, i, i)[0][0]) for i in ends)
     w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
-    return (float(w[0]), float(w[-1]))[: 2 if both else 1]
+    return (float(w[0]),) * low + (float(w[-1]),) * high
 
 
 def _h_norm(B: BlockOperator) -> float:
@@ -194,7 +194,7 @@ def _h_norm(B: BlockOperator) -> float:
 
 def _lambda_min_s(S: sp.csr_matrix | np.ndarray, diagonal: bool) -> float:
     """lambda_min(S), S sparse or dense: the least entry of a diagonal S, else one eigvalsh."""
-    return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, both=False)[0]
+    return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, high=False)[0]
 
 
 def _check_finite(*named: tuple[str, np.ndarray]) -> None:
@@ -269,13 +269,21 @@ class BlockOperator:
     is not symmetric.  Guarantees established at assembly and preserved
     by the read-only storage: P and S are exactly symmetric, and
     lambda_min(S) >= c1 > 0.  For a diagonal S that bound is checked
-    here, in O(N), so dataclasses.replace(B, S=X) with a diagonal X
-    raises NonPositiveS as assemble would; a replaced S that is not
-    diagonal is trusted to keep it.
+    here, in O(N), and only here, so dataclasses.replace(B, S=X) with a
+    diagonal X raises NonPositiveS as assemble would; assemble checks
+    the c1 of any other S, and a replaced S that is not diagonal is
+    trusted to keep it.
 
     Four fields are derived from the blocks in __post_init__, O(nnz) in
     all (explicit stored zeros are ignored); they cannot be passed in and
-    dataclasses.replace recomputes them:
+    dataclasses.replace recomputes them.  Each block's band is tested
+    at most once per operator: assemble tests whether S and P are
+    diagonal (P only for a diagonal S or one storing at most N
+    entries), skips the exact symmetry test of a diagonal block, and
+    hands both answers to __post_init__ through the private _diagonal;
+    every other construction, dataclasses.replace included, tests S
+    here, and P only for a diagonal S.  T is tested for its upper
+    bidiagonal band only when P and S are diagonal.
 
     N
         The common size of the blocks, P.shape[0].
@@ -292,7 +300,7 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Six facts are lazy: each is made on first use and cached on this
+    Seven facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  None is made at assembly, and
     dataclasses.replace starts without them.  Threads that race to make
     one compute equal values, and one is kept.
@@ -317,8 +325,13 @@ class BlockOperator:
         Every read of M_0 on either layout takes this one value.
     _margin0
         lambda_min(M_0), one dstebz or eigvalsh of _M0: what
-        positivity_margin(B, 0.0) returns, what find_c2 gates on where
-        M_0 has no factor, and what solve's refusal names.
+        positivity_margin(B, 0.0) and form_report(B, 0.0) return, what
+        find_c2 gates on where M_0 has no factor, and what solve's
+        refusal names.
+    _s_min
+        lambda_min(S), the value c1 is certified against: the least
+        diagonal entry of a diagonal S, else one eigvalsh of _dense.S.
+        resolvent_difference_check reads it.
     _elimination
         What every solve reuses: S^{-1}, _M0, and _factor's factor of
         M_0, which the expert driver takes and the dense find_c2 reads
@@ -342,18 +355,23 @@ class BlockOperator:
     Tt: sp.csc_matrix = field(init=False, repr=False)
     S_diagonal: bool = field(init=False)
     H_tridiagonal: _Tridiagonal | None = field(init=False, repr=False)
+    _diagonal: InitVar[tuple[bool, bool] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _diagonal: tuple[bool, bool] | None):
         object.__setattr__(self, "N", self.P.shape[0])
         object.__setattr__(self, "Tt", self.T.T)
-        s_diagonal = _within_band(self.S, 0, 0)
+        if _diagonal is None:
+            s_diagonal = _within_band(self.S, 0, 0)
+            _diagonal = (s_diagonal and _within_band(self.P, 0, 0), s_diagonal)
+        p_diagonal, s_diagonal = _diagonal
         object.__setattr__(self, "S_diagonal", s_diagonal)
         if s_diagonal:
-            _check_c1(float(np.min(self.S.diagonal())), self.c1)
+            s = self.S.diagonal()
+            _check_c1(float(np.min(s)), self.c1)
         H = None
-        if s_diagonal and _within_band(self.P, 0, 0) and _within_band(self.T, 0, 1):
+        if s_diagonal and p_diagonal and _within_band(self.T, 0, 1):
             d, e = np.empty(2 * self.N), np.empty(2 * self.N - 1)
-            d[0::2], d[1::2] = self.P.diagonal(), -self.S.diagonal()
+            d[0::2], d[1::2] = self.P.diagonal(), -s
             e[0::2], e[1::2] = self.T.diagonal(), self.T.diagonal(1)
             H = _Tridiagonal(d=_freeze(d), e=_freeze(e))
         object.__setattr__(self, "H_tridiagonal", H)
@@ -385,7 +403,11 @@ class BlockOperator:
 
     @cached_property
     def _margin0(self) -> float:
-        return _extreme_eigenvalues(self._M0, both=False)[0]
+        return _extreme_eigenvalues(self._M0, high=False)[0]
+
+    @cached_property
+    def _s_min(self) -> float:
+        return _lambda_min_s(self.S if self.S_diagonal else self._dense.S, self.S_diagonal)
 
     @cached_property
     def _H_reduced(self) -> _Reduction:
@@ -476,16 +498,25 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
         if m.shape != (n, n):
             raise DimensionMismatch(f"block {name} has shape {m.shape}, expected {(n, n)}")
         _check_finite((name, m.data))
-    if not _is_symmetric_exact(Pc):
-        raise ValidationError("P", "block must be exactly symmetric")
-    if not _is_symmetric_exact(Sc):
-        raise ValidationError("S", "block must be exactly symmetric")
+    s_diagonal = _within_band(Sc, 0, 0)
+    # H_tridiagonal reads P's band when S is diagonal; a P of at most n
+    # entries is tested too, as the test is then cheaper than the symmetry test
+    p_diagonal = (s_diagonal or Pc.nnz <= n) and _within_band(Pc, 0, 0)
+    # a block with no nonzero off the diagonal is exactly symmetric
+    for name, m, diagonal in (("P", Pc, p_diagonal), ("S", Sc, s_diagonal)):
+        if not (diagonal or _is_symmetric_exact(m)):
+            raise ValidationError(name, "block must be exactly symmetric")
 
-    smin = _lambda_min_s(Sc, _within_band(Sc, 0, 0))
+    smin = _lambda_min_s(Sc, s_diagonal)
     c1 = smin if c1_policy == "compute" else float(c1_policy)
-    _check_c1(smin, c1)
+    if not s_diagonal:  # BlockOperator checks the c1 of a diagonal S
+        _check_c1(smin, c1)
     return BlockOperator(
-        P=_freeze_csr(Pc), T=_freeze_csr(Tc), S=_freeze_csr(Sc), c1=c1
+        P=_freeze_csr(Pc),
+        T=_freeze_csr(Tc),
+        S=_freeze_csr(Sc),
+        c1=c1,
+        _diagonal=(p_diagonal, s_diagonal),
     )
 
 
@@ -690,12 +721,22 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
     Cholesky-formed M_alpha of _schur_form.
     """
     alpha = _check_shift("alpha", alpha)
-    return B._margin0 if alpha == 0.0 else _extreme_eigenvalues(_schur_form(B, alpha), False)[0]
+    if alpha == 0.0:
+        return B._margin0
+    return _extreme_eigenvalues(_schur_form(B, alpha), high=False)[0]
 
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
-    """Margin and conditioning of the reduced form at one alpha."""
-    lo, hi = _extreme_eigenvalues(_schur_form(B, alpha))
+    """Margin and conditioning of the reduced form at one alpha.
+
+    At alpha = 0 the margin is B._margin0, positivity_margin's, and only
+    lambda_max(M_0) is computed.
+    """
+    M = _schur_form(B, alpha)
+    if alpha == 0.0:
+        lo, (hi,) = B._margin0, _extreme_eigenvalues(M, low=False)
+    else:
+        lo, hi = _extreme_eigenvalues(M)
     mags = sorted((abs(lo), abs(hi)))
     cond = float("inf") if mags[0] == 0.0 else mags[1] / mags[0]
     return FormReport(alpha=alpha, margin=lo, form_matrix_condition=cond)
@@ -909,11 +950,12 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
 
     Valid deltas satisfy 0 < delta <= c1*alpha/(c1+alpha) < alpha, so
     the numerator increases in s and min f >= 0 exactly when delta <=
-    smin*alpha/(smin + alpha), smin = lambda_min(S).  smin is the least
-    diagonal entry of a diagonal S (B.S_diagonal) and, for any other S,
-    the eigvalsh assemble runs to certify c1, here of B._dense.S, so at
-    the boundary delta = c1*alpha/(c1+alpha) both sides are equal floats.
-    No matrix is inverted, at any N.
+    smin*alpha/(smin + alpha), smin = lambda_min(S).  smin is B._s_min,
+    made once per operator: the least diagonal entry of a diagonal S
+    (B.S_diagonal) and, for any other S, the eigvalsh assemble runs to
+    certify c1, here of B._dense.S, so at the boundary delta =
+    c1*alpha/(c1+alpha) both sides are equal floats.  No matrix is
+    inverted, at any N.
 
     Returns True iff delta <= smin*alpha/(smin + alpha).
     """
@@ -926,7 +968,7 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
         raise DeltaOutOfRange(
             f"delta = {delta:.6g} outside (0, c1*alpha/(c1+alpha) = {bound:.6g}]"
         )
-    smin = _lambda_min_s(B.S if B.S_diagonal else B._dense.S, B.S_diagonal)
+    smin = B._s_min
     return delta <= smin * alpha / (smin + alpha)
 
 

@@ -244,6 +244,28 @@ def _sample_potential(spec: DiracChannelSpec, grid: RadialGrid, potential) -> np
     return v
 
 
+def _banded_csr(n: int, diagonals, offsets) -> sp.csr_matrix:
+    """The n x n CSR matrix with diagonals[j] at offset offsets[j], offsets ascending.
+
+    Diagonal k >= 0 starts in row 0 and k < 0 in row -k.  Row by row,
+    columns ascending, exact zeros (-0.0 too) dropped: the arrays
+    scipy.sparse.diags(diagonals, offsets).tocsr() stores, written
+    directly.
+    """
+    k = len(offsets)
+    values = np.zeros((n, k))
+    columns = np.empty((n, k), dtype=np.int32)
+    rows = np.arange(n, dtype=np.int32)
+    for j, (offset, diagonal) in enumerate(zip(offsets, diagonals)):
+        values[max(-offset, 0) : n - max(offset, 0), j] = diagonal
+        np.add(rows, offset, out=columns[:, j])
+    # slots past the end of a diagonal hold 0.0 and are dropped with the zeros
+    keep = (values != 0.0).ravel()
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[k - 1 :: k]
+    return sp.csr_matrix((values.ravel()[keep], columns.ravel()[keep], indptr), shape=(n, n))
+
+
 def build_channel(
     spec: DiracChannelSpec, grid: RadialGrid, potential=None
 ) -> BlockOperator:
@@ -253,26 +275,24 @@ def build_channel(
     operators; T = D + kappa*diag(1/r) with the weighted one-sided
     difference D (diagonal -1/h_j, superdiagonal 1/sqrt(h_j h_{j+1})),
     truncating homogeneously at both ends.  The upper right block of H
-    is T^t by definition, never an approximation.  For the built-in
-    Coulomb potential c1 = gamma is certified; a sampled potential must
-    keep gamma - V positive and gets c1 computed from the samples.
+    is T^t by definition, never an approximation.  Each block's CSR
+    arrays are written from its diagonals, exact zeros dropped.  For
+    the built-in Coulomb potential c1 = gamma is certified; a sampled
+    potential must keep gamma - V positive and gets c1 computed from
+    the samples.
     """
     r = grid.nodes
     # below about 1e-162 h_j h_{j+1} underflows to 0, below about 1e-308 nu/r and
     # 1/h overflow: assemble refuses the infinite entry by the name of its block
     with np.errstate(all="ignore"):
         v = _sample_potential(spec, grid, potential)
-        p_diag = v + 2.0 - spec.gamma
-        s_diag = spec.gamma - v
-
         h = grid.forward_spacings()
-        main = -1.0 / h
-        upper = 1.0 / np.sqrt(h[:-1] * h[1:])
-        D = sp.diags([main, upper], [0, 1], shape=(grid.N, grid.N))
-        T = (D + sp.diags(spec.kappa / r)).tocsr()
+        P = _banded_csr(grid.N, [v + 2.0 - spec.gamma], [0])
+        T = _banded_csr(grid.N, [-1.0 / h + spec.kappa / r, 1.0 / np.sqrt(h[:-1] * h[1:])], [0, 1])
+        S = _banded_csr(grid.N, [spec.gamma - v], [0])
 
     c1_policy = spec.gamma if potential is None else "compute"
-    return assemble(sp.diags(p_diag), T, sp.diags(s_diag), c1_policy=c1_policy)
+    return assemble(P, T, S, c1_policy=c1_policy)
 
 
 def check_admissibility(
@@ -287,10 +307,14 @@ def check_admissibility(
     the exact closed form (nu/3) [(1/(gamma + nu))^3 - (a/(gamma a + nu))^3]
     with no numerical quadrature.  integral_bounded compares the last
     estimate with the exact limit (nu/3)/(gamma + nu)^3 (report-only,
-    nothing is asserted).
+    nothing is asserted).  BadRange if r |V| overflows at a node, as
+    the built-in -nu/r does below r of about 1e-308.
     """
-    v = _sample_potential(spec, grid, potential)
-    sup = float(np.max(np.abs(grid.nodes * v)))
+    with np.errstate(over="ignore"):
+        v = _sample_potential(spec, grid, potential)
+        sup = float(np.max(np.abs(grid.nodes * v)))
+    if not math.isfinite(sup):
+        raise BadRange(f"r |V| overflows on the grid (r_min = {grid.r_min:.6g})")
     ok = bool(sup <= 1.0 + 1e-12)
     if potential is not None:
         return AdmissibilityReport(coupling_sup=sup, coupling_ok=ok)

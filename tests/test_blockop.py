@@ -205,6 +205,45 @@ class TestAssemble:
         )
         assert C.N == n and B.N == 4
 
+    def test_each_block_band_is_tested_once_and_c1_certified_once(self, rng, monkeypatch):
+        band = mock.Mock(wraps=blockop._within_band)
+        certify = mock.Mock(wraps=blockop._check_c1)
+        monkeypatch.setattr(blockop, "_within_band", band)
+        monkeypatch.setattr(blockop, "_check_c1", certify)
+        grid = build_grid("logarithmic", 50, 1e-3, 10.0)
+        for kappa in (-1, 1):
+            band.reset_mock()
+            certify.reset_mock()
+            B = build_channel(DiracChannelSpec(kappa, 0.5, 0.5), grid)
+            assert B.H_tridiagonal is not None
+            # S and P by assemble, T by __post_init__ once both are diagonal
+            assert [id(c.args[0]) for c in band.call_args_list] == [id(B.S), id(B.P), id(B.T)]
+            assert certify.call_count == 1
+        # a dense operator's S is tested once, its P and T never
+        band.reset_mock()
+        certify.reset_mock()
+        B = random_block_operator(rng, 12)
+        assert [id(c.args[0]) for c in band.call_args_list] == [id(B.S)]
+        assert certify.call_count == 1
+        # replace tests the blocks again, and trusts the c1 of a dense S
+        dataclasses.replace(B)
+        assert [id(c.args[0]) for c in band.call_args_list] == [id(B.S)] * 2
+        assert certify.call_count == 1
+
+    def test_a_diagonal_block_skips_the_exact_symmetry_test(self, rng, monkeypatch):
+        exact = mock.Mock(wraps=blockop._is_symmetric_exact)
+        monkeypatch.setattr(blockop, "_is_symmetric_exact", exact)
+        build_channel(DiracChannelSpec(-1, 0.5, 0.5), build_grid("uniform", 30, 0.1, 10.0))
+        assert exact.call_count == 0
+        # a diagonal P beside a dense S: only S pays the test
+        a = rng.standard_normal((4, 4))
+        B = assemble(np.diag([1.0, 2.0, 3.0, 4.0]), a, symmetrize(a @ a.T + np.eye(4)))
+        assert [id(c.args[0]) for c in exact.call_args_list] == [id(B.S)]
+        with pytest.raises(ValidationError, match="^P: block must be exactly symmetric$") as info:
+            assemble(np.triu(np.ones((4, 4))), a, np.eye(4))
+        assert info.value.key == "P"
+        assert exact.call_count == 2
+
     def test_replaced_t_keeps_h_symmetric(self):
         # H's upper right block is T^t by definition, so replacing T cannot
         # leave a stale copy of the old T behind
@@ -323,6 +362,19 @@ class TestMargin:
         assert rep.margin == pytest.approx(3.0)
         assert rep.form_matrix_condition == pytest.approx(1.0)
 
+    def test_form_report_at_zero_reads_the_operators_margin(self, monkeypatch):
+        grid = build_grid("logarithmic", 200, 1e-4, 100.0)
+        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        lam = positivity_margin(B, 0.0)
+        stebz = mock.Mock(wraps=blockop.dstebz)
+        monkeypatch.setattr(blockop, "dstebz", stebz)
+        reports = [form_report(B, 0.0) for _ in range(2)]
+        # one dstebz a call, for eigenvalue N of M_0: lambda_max
+        assert [c.args[5:7] for c in stebz.call_args_list] == [(B.N, B.N)] * 2
+        hi = blockop._extreme_eigenvalues(B._M0, low=False)[0]
+        for rep in reports:
+            assert rep.margin == lam and rep.form_matrix_condition == hi / lam
+
     @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
     def test_lambda_min_of_m0_is_computed_once_per_operator(self, route, monkeypatch):
         # an indefinite M_0, so find_c2 gates on lambda_min(M_0) and solve names it
@@ -342,7 +394,7 @@ class TestMargin:
                 solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
         assert len(formed) == 1 and formed[0] is B._M0 is blockop._schur_form(B, 0.0)
         assert reads == [routine]
-        assert lam == blockop._extreme_eigenvalues(B._M0, both=False)[0]
+        assert lam == blockop._extreme_eigenvalues(B._M0, high=False)[0]
 
 
 class TestFindC2:
@@ -904,6 +956,17 @@ class TestResolventDifference:
     def test_alpha_must_be_positive(self):
         with pytest.raises(NegativeAlpha):
             resolvent_difference_check(scalar_operator(), 0.0, 0.1)
+
+    def test_lambda_min_of_s_is_computed_once_per_operator(self, rng, monkeypatch):
+        B = random_block_operator(rng, 40, margin_target=1.0)
+        eig = mock.Mock(wraps=np.linalg.eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+        # lazy: a cold solve on a copy computes no eigenvalue of S
+        solve(dataclasses.replace(B), RhsPair(np.ones(40), np.ones(40)))
+        assert eig.call_count == 0
+        bound = B.c1 * 1.0 / (B.c1 + 1.0)
+        assert all(resolvent_difference_check(B, 1.0, bound) for _ in range(3))
+        assert eig.call_count == 1 and eig.call_args.args[0] is B._dense.S
 
     def test_monotone_on_random_spd(self, rng):
         for _ in range(5):

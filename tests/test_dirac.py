@@ -39,6 +39,29 @@ from schurdirac import (
 GROUND = DiracChannelSpec(kappa=-1, nu=0.5, gamma=0.5)
 
 
+def channel_by_diags_sums(spec, grid, potential=None):
+    """build_channel's operator assembled from scipy.sparse.diags sums, a reference."""
+    r = grid.nodes
+    with np.errstate(all="ignore"):
+        v = dirac._sample_potential(spec, grid, potential)
+        h = grid.forward_spacings()
+        D = sp.diags([-1.0 / h, 1.0 / np.sqrt(h[:-1] * h[1:])], [0, 1], shape=(grid.N, grid.N))
+        T = (D + sp.diags(spec.kappa / r)).tocsr()
+        P, S = sp.diags(v + 2.0 - spec.gamma), sp.diags(spec.gamma - v)
+    c1_policy = spec.gamma if potential is None else "compute"
+    return assemble(P, T, S, c1_policy=c1_policy)
+
+
+def assert_bitwise_same_operator(B, C):
+    for name in ("P", "T", "S"):
+        m, ref = getattr(B, name), getattr(C, name)
+        for array in ("indptr", "indices", "data"):
+            got, want = getattr(m, array), getattr(ref, array)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, array)
+    assert B.c1 == C.c1
+    assert schurdirac.operator_to_text(B) == schurdirac.operator_to_text(C)
+
+
 class TestBuildGrid:
     def test_uniform_five_nodes(self):
         g = build_grid("uniform", 5, 1.0, 5.0)
@@ -154,6 +177,31 @@ class TestBuildChannel:
         h = 1.0
         expect = (np.diag(-np.ones(6)) + np.diag(np.ones(5), 1)) / h
         assert D == pytest.approx(expect)
+
+    @pytest.mark.parametrize("scheme, r_min", [("uniform", 0.05), ("logarithmic", 1e-6)])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.2])
+    @pytest.mark.parametrize("potential", [None, "callable", "array"])
+    def test_blocks_are_bitwise_those_of_diags_sums(self, scheme, r_min, kappa, nu, potential):
+        grid = build_grid(scheme, 60, r_min, 30.0)
+        spec = DiracChannelSpec(kappa=kappa, nu=nu, gamma=0.5)
+        if potential == "callable":
+            potential = lambda r: -nu * np.exp(-r) / r
+        elif potential == "array":
+            # V = gamma - 2 at node 7 makes P's entry there an exact zero
+            potential = -nu / grid.nodes
+            potential[7] = spec.gamma - 2.0
+        B = build_channel(spec, grid, potential)
+        assert_bitwise_same_operator(B, channel_by_diags_sums(spec, grid, potential))
+        assert B.P.nnz == (59 if isinstance(potential, np.ndarray) else 60)
+
+    def test_an_exact_zero_of_t_is_not_stored(self):
+        # h = 1 and kappa / r = 1 at r = 1: T[0, 0] = -1 + 1 is exactly 0
+        grid = build_grid("uniform", 6, 1.0, 6.0)
+        spec = DiracChannelSpec(kappa=1, nu=0.5, gamma=0.5)
+        B = build_channel(spec, grid)
+        assert B.T.nnz == 10 and B.T.indptr[1] == 1 and B.T.indices[0] == 1
+        assert_bitwise_same_operator(B, channel_by_diags_sums(spec, grid))
 
     @pytest.mark.parametrize("kappa", [-2, -1, 1])
     def test_s_is_recorded_diagonal(self, kappa):
@@ -273,6 +321,18 @@ class TestAdmissibility:
             for entry in (check_admissibility, build_channel):
                 with pytest.raises(BadRange, match="non-finite"):
                     entry(GROUND, g, potential=potential)
+
+    def test_a_grid_below_the_float_range_is_refused(self):
+        # nu / r overflows at r = 1e-310: a package error, and no RuntimeWarning
+        # escapes (the suite raises it as an error); build_channel names its block
+        g = build_grid("logarithmic", 200, 1e-310, 100.0)
+        with pytest.raises(BadRange, match=r"^r \|V\| overflows on the grid"):
+            check_admissibility(GROUND, g)
+        with pytest.raises(ValidationError, match="^P: has a non-finite entry$"):
+            build_channel(GROUND, g)
+        # so is a finite sampled potential whose r V overflows
+        with pytest.raises(BadRange, match="overflows"):
+            check_admissibility(GROUND, build_grid("uniform", 4, 1.0, 100.0), np.full(4, -1e307))
 
     def test_sampled_reports_sup_only(self):
         g = build_grid("uniform", 4, 1.0, 4.0)

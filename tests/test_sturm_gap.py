@@ -333,7 +333,7 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
         want = ((want + want.T) * 0.5).toarray()
         lam_want = np.linalg.eigvalsh(want)[0]
         norm = float(np.max(np.abs(want).sum(axis=1)))
-        lam = blockop._extreme_eigenvalues(G, both=False)[0]
+        lam = blockop._extreme_eigenvalues(G, high=False)[0]
         assert abs(lam - lam_want) <= 1e-12 * (1.0 + norm)
         assert certified == positive_definite(want)
 
