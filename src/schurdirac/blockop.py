@@ -308,10 +308,12 @@ class BlockOperator:
     _dense
         Dense copies of P, T and S, a _Blocks triple, one toarray each.
         Every dense reader takes its blocks from it (_M0, _s_solve,
-        _shifted_x, _schur_form, _dense_H, embedding_delta and
-        resolvent_difference_check), so each block is densified once
-        per operator.  It keeps 3N^2 doubles beside _H_reduced's 4N^2:
-        measured 0.24 MB at 2N = 200 and 6.0 MB at 2N = 1000.  An
+        _shifted_x, _schur_form, _dense_H, embedding_delta,
+        resolvent_difference_check and the BLAS products of
+        gap_eigenvalues' residuals), so each block is densified once per
+        operator; apply and solve's residual stay on the CSR blocks.  It
+        keeps 3N^2 doubles beside _H_reduced's 4N^2: measured 0.24 MB at
+        2N = 200 and 6.0 MB at 2N = 1000.  An
         operator with H_tridiagonal never keeps one; inertia_c2_oracle
         densifies its blocks for the one call.
     _s_solve
@@ -326,16 +328,16 @@ class BlockOperator:
     _margin0
         lambda_min(M_0), one dstebz or eigvalsh of _M0: what
         positivity_margin(B, 0.0) and form_report(B, 0.0) return, what
-        find_c2 gates on where M_0 has no factor, and what solve's
-        refusal names.
+        find_c2 reads where its bracket or a refusal needs it, and what
+        solve's refusal names.
     _s_min
         lambda_min(S), the value c1 is certified against: the least
         diagonal entry of a diagonal S, else one eigvalsh of _dense.S.
         resolvent_difference_check reads it.
     _elimination
         What every solve reuses: S^{-1}, _M0, and _factor's factor of
-        M_0, which the expert driver takes and the dense find_c2 reads
-        as margin(0) > 0, or LAPACK's pivot info where there is none.
+        M_0, which the expert driver takes, or LAPACK's pivot info where
+        there is none.
     _H_reduced
         The dense H of an operator without H_tridiagonal, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
@@ -730,13 +732,17 @@ def form_report(B: BlockOperator, alpha: float) -> FormReport:
     """Margin and conditioning of the reduced form at one alpha.
 
     At alpha = 0 the margin is B._margin0, positivity_margin's, and only
-    lambda_max(M_0) is computed.
+    lambda_max(M_0) is computed, except on a dense M_0 whose margin is
+    not yet made: its one eigvalsh gives both ends and B._margin0.
     """
     M = _schur_form(B, alpha)
-    if alpha == 0.0:
+    if alpha == 0.0 and ("_margin0" in vars(B) or isinstance(M, _Tridiagonal)):
         lo, (hi,) = B._margin0, _extreme_eigenvalues(M, low=False)
     else:
         lo, hi = _extreme_eigenvalues(M)
+        if alpha == 0.0:
+            # lo is the w[0] of the eigvalsh that B._margin0 would make
+            vars(B).setdefault("_margin0", lo)
     mags = sorted((abs(lo), abs(hi)))
     cond = float("inf") if mags[0] == 0.0 else mags[1] / mags[0]
     return FormReport(alpha=alpha, margin=lo, form_matrix_condition=cond)
@@ -747,7 +753,7 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
 
     The margin decreases in alpha with slope <= -1, so the root lies in
     [0, margin(0)]; by inertia additivity it is eigenvalue N+1 of H.
-    M_0 and margin(0) are the operator's B._M0 and B._margin0, made
+    margin(0) is the operator's B._margin0, lambda_min of B._M0, made
     once per operator on both layouts and shared with solve.
 
     * B.H_tridiagonal set (every Dirac channel): bisection of that
@@ -757,17 +763,20 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
       on B._H_reduced (the steps of a values-only dsyevx, bitwise its
       result), certified by Cholesky factorizations alone (Sylvester's
       law of inertia): M_{c2-t} must be positive definite and M_{c2+t}
-      must not, each formed by _shifted_x.  The factor of M_0 that
-      B._elimination keeps for solve shows margin(0) > 0; B._margin0
-      is read only without one (HypothesisFailed, or 0.0 at an exactly
-      singular M_0) or where c2 - t <= 0, to keep c2 in [0, margin(0)].
-      A side outside that bracket is settled by it.  t is tol/2, or the
-      sum of the two _rounding_floors when larger: at a tol below
-      rounding, or for a stiff H (||H||_inf above about 1e6/sqrt(N) at
-      the default tol), whose dense eigenvalues are only as accurate as
-      ulp ||H||.  When that ||H|| term alone exceeds tol/2 and the
-      factorizations' own rounding does not, factorizations bisect the
-      certified [c2 - t, c2 + t] to width <= tol; the midpoint is returned.
+      must not, each formed by _shifted_x.  No M_0 is formed: by the
+      slope bound a factor of M_{c2-t} at c2 - t > 0 shows margin(0) >
+      c2 - t > 0.  B._margin0 is read only where c2 - t <= 0, to keep
+      c2 in [0, margin(0)] (HypothesisFailed for a negative one, 0.0
+      at an exactly singular M_0), and where the lower certificate
+      fails, so that a negative margin(0) raises HypothesisFailed
+      there too.  A side outside that bracket is settled by it.  t is
+      tol/2, or the sum of the two _rounding_floors when larger: at a
+      tol below rounding, or for a stiff H (||H||_inf above about
+      1e6/sqrt(N) at the default tol), whose dense eigenvalues are only
+      as accurate as ulp ||H||.  When that ||H|| term alone exceeds
+      tol/2 and the factorizations' own rounding does not,
+      factorizations bisect the certified [c2 - t, c2 + t] to width
+      <= tol; the midpoint is returned.
 
     Either way the root lies within max(tol/2, rounding) of the result.
 
@@ -825,27 +834,34 @@ def _bisect(lo: float, hi: float, tol: float, holds: Callable[[float], bool]) ->
 
 
 def _selected_c2(B: BlockOperator, tol: float) -> float:
-    """Eigenvalue N+1 of the dense H, certified at c2 -+ t by factorizations; see find_c2."""
-    # a factor of M_0 shows margin(0) > 0; m0 stays inf unless lambda_min(M_0) is needed
-    m0 = math.inf if B._elimination.factor is not None else _base_margin(B)
-    if m0 == 0.0:
-        return 0.0
+    """Eigenvalue N+1 of the dense H, certified at c2 -+ t by factorizations; see find_c2.
+
+    Forms no M_0: margin(0) is read only where c2 - t <= 0, or where
+    the lower certificate fails, to refuse a negative one as
+    HypothesisFailed.
+    """
     R = B._H_reduced
     w = _tridiagonal_eigenvalues(R.d, R.e, B.N + 1, B.N + 1, _STEBZ_ABSTOL * R.scale)[0]
-    c2 = min(max(float(w[0] * (1.0 / R.scale)), 0.0), m0)
+    c2 = max(float(w[0] * (1.0 / R.scale)), 0.0)
     # the lower side at the least t, formed first: its X bounds the floor at c2
     below = c2 - 0.5 * tol
     X = _shifted_x(B, below if below > 0.0 else c2)
     selection, forms = _rounding_floors(B, c2, X)
     t = max(0.5 * tol, selection + forms)
-    if c2 - t <= 0.0 and m0 == math.inf:
+    # a factor of M_{c2-t} at c2 - t > 0 shows margin(0) >= margin(c2 - t) + c2 - t > 0
+    m0 = math.inf
+    if c2 - t <= 0.0:
         m0 = _base_margin(B)
+        if m0 == 0.0:
+            return 0.0
         c2 = min(c2, m0)
     # one _factor a side, the lower first; margin(0) > 0 settles alpha <= 0,
     # and margin(alpha) <= m0 - alpha < 0 above m0
     for alpha, definite in ((c2 - t, True), (c2 + t, False)):
         M = _schur_form(B, alpha, X if alpha == below else None) if 0.0 < alpha <= m0 else None
         if M is not None and (_factor(M)[0] is not None) != definite:
+            if definite:
+                _base_margin(B)  # a negative margin(0) is the hypothesis, not the check, failing
             raise CheckFailed(
                 f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
                 f"{'is not' if definite else 'is'} positive definite at alpha = {alpha!r}"

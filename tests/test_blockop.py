@@ -300,6 +300,28 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             StateVector([1.0], [1.0, 2.0])
 
+    def test_sparse_operator_is_applied_by_its_csr_blocks(self, rng):
+        # a non-channel operator (S is tridiagonal), stored sparse: apply
+        # never densifies it, and stays the CSR product once _dense exists
+        n = 2000
+        P = sp.diags([rng.uniform(1.0, 2.0, n)], [0])
+        T = sp.diags([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)], [0, -1])
+        S = sp.diags([np.full(n - 1, 0.1), np.full(n, 1.0), np.full(n - 1, 0.1)], [-1, 0, 1])
+        B = assemble(P, T, S)
+        assert B.H_tridiagonal is None
+        w = StateVector(rng.standard_normal(n), rng.standard_normal(n))
+        out = apply(B, w)
+        assert "_dense" not in vars(B)
+        want = (B.P @ w.u + B.T.T @ w.v, B.T @ w.u - B.S @ w.v)
+        assert np.array_equal(out.u, want[0]) and np.array_equal(out.v, want[1])
+        small = assemble(*(m.toarray()[:60, :60] for m in (P, T, S)))
+        w = StateVector(w.u[:60], w.v[:60])
+        before = apply(small, w)
+        gap_eigenvalues(small, 0.0, 2, which="above")  # makes _dense
+        assert "_dense" in vars(small)
+        after = apply(small, w)
+        assert np.array_equal(before.u, after.u) and np.array_equal(before.v, after.v)
+
 
 class TestSchurForm:
     def test_scalar_alpha_zero(self):
@@ -374,6 +396,18 @@ class TestMargin:
         hi = blockop._extreme_eigenvalues(B._M0, low=False)[0]
         for rep in reports:
             assert rep.margin == lam and rep.form_matrix_condition == hi / lam
+
+    def test_form_report_at_zero_on_a_fresh_dense_m0_takes_one_eigvalsh(self, monkeypatch):
+        # lambda_min and lambda_max of a dense M_0 come from one eigvalsh,
+        # which also sets B._margin0; a later call computes lambda_max alone
+        B = random_block_operator(np.random.default_rng(6), 12, margin_target=0.4)
+        lam = positivity_margin(dataclasses.replace(B), 0.0)
+        formed, reads = spy_on_m0(monkeypatch)
+        first, second = form_report(B, 0.0), form_report(B, 0.0)
+        assert len(formed) == 1
+        assert B._margin0 == lam and positivity_margin(B, 0.0) == lam
+        assert first == second and first.margin == lam
+        assert reads == ["eigvalsh"] * 2
 
     @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
     def test_lambda_min_of_m0_is_computed_once_per_operator(self, route, monkeypatch):
@@ -455,10 +489,10 @@ class TestFindC2:
     @settings(deadline=2000, max_examples=40)
     @given(tol=st.floats(min_value=1e-15, max_value=4.0))
     def test_dense_sequence_is_one_selection_and_two_factorizations(self, tol):
-        # S is not diagonal, so the dense route: one factorization of M_0,
-        # one reduction of H, one dstebz selection on it, and _factor
-        # exactly at c2 - t and c2 + t where those lie in the bracket.
-        # margin(0) is computed only where c2 - t <= 0 settles that side
+        # S is not diagonal, so the dense route: one reduction of H, one
+        # dstebz selection on it, and _factor exactly at c2 - t and c2 + t
+        # where those lie in the bracket; M_0 is never factored.  margin(0)
+        # is computed only where c2 - t <= 0 settles that side
         B = wide_operator()
         assert B.H_tridiagonal is None
         m0 = positivity_margin(B, 0.0)  # S's own Cholesky factor, made once, is not counted
@@ -514,9 +548,9 @@ class TestFindC2:
         assert margins == ([0.0] if settled else [])
         top = m0 if settled else math.inf
         want = [a for a in (c2 - t, c2 + t) if 0.0 < a <= top]
-        assert len(factored) == 1 + len(want)
-        assert np.array_equal(factored[0], blockop._schur_form(B, 0.0))
-        for M, alpha in zip(factored[1:], want):
+        assert len(factored) == len(want)
+        assert not any(np.array_equal(M, B._M0) for M in factored)
+        for M, alpha in zip(factored, want):
             assert np.array_equal(M, blockop._schur_form(B, alpha))
 
     def test_slope_bound(self, rng):
@@ -625,8 +659,8 @@ class TestDenseC2:
                 assert sign * np.linalg.eigvalsh(symmetrize(M))[0] > 0.0, (B.N, alpha)
 
     def test_success_takes_no_eigendecomposition(self, monkeypatch):
-        # a fresh operator: S's factor and M_0's for the gate, one reduction
-        # of H and one selection, then S + alpha I and M_alpha on each side
+        # a fresh operator: one reduction of H and one selection, then
+        # S + alpha I and M_alpha on each side; neither S nor M_0 is factored
         for B in itertools.islice(dense_family(), 10):
             S = B.S.toarray()
             for name in ("eigh", "eigvalsh"):
@@ -650,11 +684,10 @@ class TestDenseC2:
             ):
                 c2 = find_c2(B)
             monkeypatch.undo()
-            assert calls == ["dpotrf", "dpotrf", "dsytrd", "dstebz"] + ["dpotrf"] * 4
+            assert calls == ["dsytrd", "dstebz"] + ["dpotrf"] * 4
             t = 0.5e-8
-            want = [S, B._M0, S + (c2 - t) * np.eye(B.N)]
-            want += [blockop._schur_form(B, c2 - t), S + (c2 + t) * np.eye(B.N)]
-            want += [blockop._schur_form(B, c2 + t)]
+            want = [S + (c2 - t) * np.eye(B.N), blockop._schur_form(B, c2 - t)]
+            want += [S + (c2 + t) * np.eye(B.N), blockop._schur_form(B, c2 + t)]
             assert all(np.array_equal(a, b) for a, b in zip(factored, want)), B.N
 
     def test_result_stays_in_the_bracket(self):
@@ -684,16 +717,53 @@ class TestDenseC2:
             find_c2(B)
         assert len(calls) == side + 1
 
-    def test_negative_base_margin_is_refused_before_selection(self, monkeypatch):
-        dsytrd, dstebz = mock.Mock(), mock.Mock()
+    def test_negative_base_margin_is_refused_after_one_reduction(self, monkeypatch):
+        # eigenvalue N+1 of H is negative, so c2 - t <= 0 reads margin(0)
+        B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
+        lam = positivity_margin(dataclasses.replace(B), 0.0)
+        dsytrd = mock.Mock(wraps=blockop.dsytrd)
+        dstebz = mock.Mock(wraps=blockop.dstebz)
         monkeypatch.setattr(blockop, "dsytrd", dsytrd)
         monkeypatch.setattr(blockop, "dstebz", dstebz)
-        B = random_block_operator(np.random.default_rng(4), 10, margin_target=-0.5)
-        with pytest.raises(HypothesisFailed):
+        message = (
+            f"margin at alpha=0 is {lam:.6g} < 0; the base form q_0 is not positive semidefinite"
+        )
+        with pytest.raises(HypothesisFailed, match=re.escape(message)):
             find_c2(B)
-        dsytrd.assert_not_called()
-        dstebz.assert_not_called()
-        assert "_H_reduced" not in vars(B)
+        assert dsytrd.call_count == dstebz.call_count == 1
+
+    def test_success_forms_no_m0(self, monkeypatch):
+        # a factor of M_{c2-t} at c2 - t > 0 already shows margin(0) > 0
+        family = list(itertools.islice(dense_family(), 10))
+        formed, reads = spy_on_m0(monkeypatch)
+        for B in family:
+            assert find_c2(B) > 0.0
+            assert "_M0" not in vars(B) and "_margin0" not in vars(B)
+        assert formed == [] and reads == []
+
+    @pytest.mark.parametrize(
+        "margin, error, match",
+        [
+            (-0.5, HypothesisFailed, "margin at alpha=0 is"),
+            (0.5, CheckFailed, "M_alpha is not positive definite"),
+        ],
+        ids=["indefinite", "definite"],
+    )
+    def test_failed_lower_certificate_reads_margin0(self, margin, error, match, monkeypatch):
+        # a selection moved up to 1.0 puts c2 - t > 0 above the root, so
+        # M_{c2-t} has no factor: a negative margin(0) is the hypothesis
+        # failing, a positive one the certificate
+        B = random_block_operator(np.random.default_rng(4), 10, margin_target=margin)
+        dstebz = blockop.dstebz
+
+        def moved(*args):
+            m, w, *rest = dstebz(*args)
+            return (m, np.concatenate([[1.0], w[1:]]), *rest)
+
+        monkeypatch.setattr(blockop, "dstebz", moved)
+        with pytest.raises(error, match=match):
+            find_c2(B)
+        assert "_margin0" in vars(B)
 
     def test_indefinite_base_form_takes_one_eigvalsh(self, monkeypatch):
         # M_0 has no factor; the refusal's lambda_min is computed once, by
