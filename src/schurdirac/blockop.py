@@ -317,9 +317,11 @@ class BlockOperator:
         operator with H_tridiagonal never keeps one; inertia_c2_oracle
         densifies its blocks for the one call.
     _s_solve
-        S^{-1} of a non-diagonal S by _factor's Cholesky and dpotrs (the
-        routine scipy's cho_solve calls), used by every S^{-1} the
-        package applies (_s_inverse).
+        S^{-1}, applied to a vector or the columns of a matrix: exact
+        division for a diagonal S, whose closure keeps the diagonal and
+        not the operator; else _factor's Cholesky of S and dpotrs (the
+        routine scipy's cho_solve calls).  Every S^{-1} the package
+        applies is this one.
     _M0
         M_0 = P + T^t S^{-1} T in the layout of _schur_form, checked
         finite: the _Tridiagonal pair read from H_tridiagonal, or else
@@ -335,9 +337,8 @@ class BlockOperator:
         diagonal entry of a diagonal S, else one eigvalsh of _dense.S.
         resolvent_difference_check reads it.
     _elimination
-        What every solve reuses: S^{-1}, _M0, and _factor's factor of
-        M_0, which the expert driver takes, or LAPACK's pivot info where
-        there is none.
+        _factor's (factor, info) of _M0: the factor every solve hands
+        the expert driver, or None with LAPACK's pivot info.
     _H_reduced
         The dense H of an operator without H_tridiagonal, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
@@ -384,6 +385,9 @@ class BlockOperator:
 
     @cached_property
     def _s_solve(self) -> Callable:
+        if self.S_diagonal:
+            d = self.S.diagonal()  # the closure keeps this array, not the operator
+            return lambda x: x / d if x.ndim == 1 else x / d[:, None]
         factor, _ = _factor(self._dense.S)
         if factor is None:
             raise NonPositiveS("S + 0 I is not positive definite")
@@ -394,11 +398,11 @@ class BlockOperator:
     def _M0(self) -> _Tridiagonal | np.ndarray:
         if self.H_tridiagonal is not None:
             M = _tridiagonal_form(self.H_tridiagonal, 0.0)
-            _check_finite_form(M.d, M.e)  # dpttrf does not check its input
+            _check_finite_form(M.d, M.e)
             return M
         P, T, _ = self._dense
         with np.errstate(all="ignore"):
-            M = P + T.T @ _s_inverse(self)(T)
+            M = P + T.T @ self._s_solve(T)
             M = (M + M.T) * 0.5
         _check_finite_form(M)
         return _freeze(M)
@@ -426,9 +430,8 @@ class BlockOperator:
         return _Reduction(*map(_freeze, (d, e, A, tau)), norm=norm, scale=scale)
 
     @cached_property
-    def _elimination(self) -> _Elimination:
-        M0 = _schur_form(self, 0.0)
-        return _Elimination(_s_inverse(self), M0, *_factor(M0))
+    def _elimination(self) -> tuple[tuple | np.ndarray | None, int]:
+        return _factor(self._M0)
 
 
 class _Blocks(NamedTuple):
@@ -671,19 +674,12 @@ def _factor(M) -> tuple[tuple | np.ndarray | None, int]:
     non-diagonal S's.
     """
     if isinstance(M, _Tridiagonal):
+        # dpttrf does not check its input: a NaN pivot would pass as positive
+        _check_finite_form(M.d, M.e)
         d, e, info = dpttrf(M.d, _lapack_offdiagonal(M.e))
         return (None, info) if info else ((_freeze(d), _freeze(e)), 0)
     c, info = dpotrf(M, lower=1, clean=0)
     return (None, info) if info else (_freeze(c), 0)
-
-
-class _Elimination(NamedTuple):
-    """B._elimination: S^{-1}, M_0, and _factor's (factor, info) of M_0."""
-
-    s_solve: Callable
-    M0: _Tridiagonal | np.ndarray
-    factor: tuple | np.ndarray | None
-    info: int
 
 
 def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
@@ -704,7 +700,7 @@ def _expert_solve(M, b: np.ndarray, factor) -> tuple[np.ndarray, float]:
 
 def _refusal(B: BlockOperator) -> str:
     """Why M_0 has no factor: B._margin0, or _factor's pivot info in 1..n (the driver's alike)."""
-    lam, info = B._margin0, B._elimination.info
+    lam, info = B._margin0, B._elimination[1]
     if lam <= 0.0:
         return (
             f"reduced matrix M_0 is not positive definite (lambda_min = {lam:.6g}); "
@@ -855,23 +851,35 @@ def _selected_c2(B: BlockOperator, tol: float) -> float:
         if m0 == 0.0:
             return 0.0
         c2 = min(c2, m0)
-    # one _factor a side, the lower first; margin(0) > 0 settles alpha <= 0,
-    # and margin(alpha) <= m0 - alpha < 0 above m0
-    for alpha, definite in ((c2 - t, True), (c2 + t, False)):
-        M = _schur_form(B, alpha, X if alpha == below else None) if 0.0 < alpha <= m0 else None
-        if M is not None and (_factor(M)[0] is not None) != definite:
-            if definite:
-                _base_margin(B)  # a negative margin(0) is the hypothesis, not the check, failing
-            raise CheckFailed(
-                f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
-                f"{'is not' if definite else 'is'} positive definite at alpha = {alpha!r}"
-            )
+    _certify_c2(B, c2, t, m0, X if c2 - t == below else None)
     if not forms <= 0.5 * tol < selection:
         return c2
     # a stiff H: the factorizations, which never read H, reach tol where the selection cannot
     return _bisect(
         max(c2 - t, 0.0), min(c2 + t, m0), tol, lambda a: _factor(_schur_form(B, a))[0] is not None
     )
+
+
+def _certify_c2(B: BlockOperator, c2: float, t: float, m0: float, X=None) -> None:
+    """CheckFailed unless M_{c2-t} is positive definite and M_{c2+t} is not.
+
+    By Sylvester's law of inertia, eigenvalue N+1 of H then lies within
+    t of c2.  One _factor a side, the lower first (formed from X when
+    given), on either layout.  margin(0) > 0 settles a side at alpha <=
+    0, and margin(alpha) <= m0 - alpha < 0 one above m0 = margin(0), so
+    neither is formed.  A failed lower side reads margin(0) first: a
+    negative one is the hypothesis, not the check, failing.
+    """
+    for alpha, definite, X in ((c2 - t, True, X), (c2 + t, False, None)):
+        if not 0.0 < alpha <= m0:
+            continue
+        if (_factor(_schur_form(B, alpha, X))[0] is not None) != definite:
+            if definite:
+                _base_margin(B)
+            raise CheckFailed(
+                f"eigenvalue N+1 of H, {c2!r}, fails its certificate: M_alpha "
+                f"{'is not' if definite else 'is'} positive definite at alpha = {alpha!r}"
+            )
 
 
 def _rounding_floors(B: BlockOperator, c2: float, X=None) -> tuple[float, float]:
@@ -909,18 +917,6 @@ def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> fl
     return float(w[B.N])
 
 
-def _s_inverse(B: BlockOperator):
-    """Callable applying S^{-1} to a vector or the columns of a matrix.
-
-    Exact division for a diagonal S; otherwise B._s_solve, which raises
-    NonPositiveS if S has no Cholesky factor.
-    """
-    if B.S_diagonal:
-        d = B.S.diagonal()
-        return lambda x: x / d if x.ndim == 1 else x / d[:, None]
-    return B._s_solve
-
-
 def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     """Scale-of-spaces constant delta = c1*c2/(c1+c2) and its certificate.
 
@@ -946,10 +942,8 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
         s = -H.d[1::2]
         KtK = _bidiagonal_gram(H.e[0::2] / s, H.e[1::2] / s[:-1], np.ones(B.N))
         G = _Tridiagonal(d=M0.d - delta * (1.0 + KtK.d), e=M0.e - delta * KtK.e)
-        # dpttrf does not check its input: a NaN pivot would pass as positive
-        _check_finite_form(G.d, G.e)
     else:
-        K = _s_inverse(B)(B._dense.T)
+        K = B._s_solve(B._dense.T)
         G = M0 - delta * (np.eye(B.N) + K.T @ K)
         _check_finite_form(G)
     return delta, _factor(G)[0] is not None

@@ -25,18 +25,16 @@ import scipy.sparse as sp
 
 from .blockop import (
     _ULP,
-    DENSE_ORACLE_CAP,
     BlockOperator,
+    _certify_c2,
     _h_norm,
     _is_integer,
     assemble,
     find_c2,
-    inertia_c2_oracle,
     positivity_margin,
 )
 from .errors import (
     BadRange,
-    CheckFailed,
     HypothesisFailed,
     InvalidQuantumNumbers,
     NoConvergence,
@@ -474,10 +472,13 @@ def c2_consistency(
     shifted convention: E_{n_min} is the Sommerfeld energy of the lowest
     level, n_min = |kappa| for kappa < 0 and kappa + 1 for kappa > 0
     (c2* = 1 + sqrt(1 - nu^2) - gamma for kappa = -1), and diff =
-    c2_numeric - c2_analytic.  Up to 2N = DENSE_ORACLE_CAP, the size the
-    dense inertia oracle accepts, the numeric value is cross-checked
-    against it; CheckFailed is raised if they disagree by more than 10*tol
-    plus the oracle's rounding, 10 sqrt(2N) ulp ||H||_inf as in gap_eigenvalues.
+    c2_numeric - c2_analytic.  At every N the numeric value is certified
+    as the dense find_c2's is, by two O(N) L D L^t factorizations
+    (Sylvester's law of inertia): M_{c2-t} must be positive definite and
+    M_{c2+t} must not, else CheckFailed.  t is 10*tol plus 10 sqrt(2N)
+    ulp ||H||_inf, the rounding gap_eigenvalues allows; on small-r_min
+    grids that term exceeds c2 itself, so neither side is formed there
+    and the certificate checks nothing.
     """
     return _c2_of(build_channel(spec, grid), spec, tol)
 
@@ -497,9 +498,7 @@ def _c2_of(B: BlockOperator, spec: DiracChannelSpec, tol: float) -> tuple[float,
     else:
         e_min = sommerfeld_energy(_n_min(kappa), kappa, nu)
     c2a = e_min + 1.0 - spec.gamma
-    if 2 * B.N <= DENSE_ORACLE_CAP:
-        oracle = inertia_c2_oracle(B)
-        rounding = 10.0 * math.sqrt(2 * B.N) * _ULP * _h_norm(B)
-        if not abs(c2n - oracle) <= 10.0 * tol + rounding:
-            raise CheckFailed(f"bisection {c2n!r} disagrees with inertia oracle {oracle!r}")
+    # the bisection's c2 must pass find_c2's dense certificate, at every N
+    t = 10.0 * tol + 10.0 * math.sqrt(2 * B.N) * _ULP * _h_norm(B)
+    _certify_c2(B, c2n, t, B._margin0)
     return c2n, c2a, c2n - c2a

@@ -70,11 +70,11 @@ class NoConvergence(SchurDiracError):
 class CheckFailed(SchurDiracError):
     """An internal cross-check of a computed result disagreed.
 
-    Raised where two independent computations of one quantity must agree
-    (bisection against the inertia oracle, an identity against its
-    swapped form), where the dense find_c2's eigenvalue fails its
-    factorization certificate, or where solve's residual is not finite;
-    the result is not returned.
+    Raised where a c2 fails its factorization certificate (find_c2's
+    dense selection, or a channel's bisection in c2_consistency: M_{c2-t}
+    must be positive definite and M_{c2+t} must not), where an identity
+    disagrees with its swapped form, or where solve's residual is not
+    finite; the result is not returned.
     """
 
 

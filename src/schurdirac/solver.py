@@ -6,7 +6,7 @@ splits into a reduced positive-definite solve and a back-substitution:
     R u = F1 + T^t S^{-1} F2,      v = S^{-1} (T u - F2).
 
 The reduced solve is one call of LAPACK's expert driver on the factor
-of M_0 cached in B._elimination: dptsvx when B.H_tridiagonal is set
+of B._M0 cached in B._elimination: dptsvx when B.H_tridiagonal is set
 (every Dirac channel, whose M_0 is tridiagonal), dposvx on the dense
 M_0 of every other operator.  Eigenvalues of H in the spectral gap come
 from the same identity through inertia additivity: when M_sigma >= 0
@@ -120,13 +120,13 @@ def solve(B: BlockOperator, rhs: RhsPair) -> SolveReport:
         If the recomputed residual has a non-finite entry (an overflow).
     """
     _check_length(B, "rhs", rhs.F1)
-    rec = B._elimination
-    if rec.factor is None:
+    factor, _ = B._elimination
+    if factor is None:
         raise HypothesisFailed(_refusal(B))
     with np.errstate(all="ignore"):  # an overflow is refused by its residual, below
-        x, rcond = _expert_solve(rec.M0, rhs.F1 + B.Tt @ rec.s_solve(rhs.F2), rec.factor)
+        x, rcond = _expert_solve(B._M0, rhs.F1 + B.Tt @ B._s_solve(rhs.F2), factor)
         u = x[:, 0]
-        v = rec.s_solve(B.T @ u - rhs.F2)
+        v = B._s_solve(B.T @ u - rhs.F2)
         r = _stacked_apply(B, u, v) - rhs.stacked()
         residual = float(dnrm2(r))  # scaled: no overflow where ||r|| is finite
     if not np.isfinite(r).all():
@@ -158,15 +158,15 @@ def symmetry_identity_check(
     """
     _check_length(B, "w", w.u)
     _check_length(B, "wt", wt.u)
-    rec = B._elimination
+    M0, s_solve = B._M0, B._s_solve
 
     hw = apply(B, w)
     lhs = float(hw.u @ wt.u + hw.v @ wt.v)
 
     def expansion(a: StateVector, b: StateVector) -> float:
-        ka = rec.s_solve(B.T @ a.u)
-        kb = rec.s_solve(B.T @ b.u)
-        return float((rec.M0 @ a.u) @ b.u - (B.S @ (a.v - ka)) @ (b.v - kb))
+        ka = s_solve(B.T @ a.u)
+        kb = s_solve(B.T @ b.u)
+        return float((M0 @ a.u) @ b.u - (B.S @ (a.v - ka)) @ (b.v - kb))
 
     rhs = expansion(w, wt)
     swapped = expansion(wt, w)

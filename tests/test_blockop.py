@@ -774,7 +774,8 @@ class TestDenseC2:
         with pytest.raises(HypothesisFailed):
             find_c2(B)
         assert eigvalsh.call_count == 1
-        assert B._elimination.factor is None and B._elimination.info > 0
+        factor, info = B._elimination
+        assert factor is None and info > 0
         # solve words its refusal from the same lambda_min, computed once per operator
         for _ in range(2):
             with pytest.raises(HypothesisFailed, match="lambda_min"):

@@ -128,4 +128,4 @@ def test_s_inverse_is_bitwise_scipys_cho_solve(rng):
     S = B.S.toarray()
     for x in (np.arange(13.0), B.T.toarray()):
         want = cho_solve(cho_factor(S, lower=True), x)
-        assert blockop._s_inverse(B)(x).tobytes() == want.tobytes()
+        assert B._s_solve(x).tobytes() == want.tobytes()

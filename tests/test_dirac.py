@@ -3,17 +3,20 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal
 
 import schurdirac
+import schurdirac.blockop as blockop
 import schurdirac.dirac as dirac
+from conftest import exact_eigenvalue
 from schurdirac import (
     CSV_COLUMNS,
     BadRange,
+    CheckFailed,
     DiracChannelSpec,
     HypothesisFailed,
     InvalidQuantumNumbers,
@@ -525,18 +528,43 @@ class TestC2Consistency:
         assert abs(diff) < 1e-3
 
     def test_oracle_is_allowed_its_own_rounding(self):
-        # at r_min = 1e-20, ||H||_inf is about 9e20: the dense oracle is off
-        # by about 1e-6, far beyond 10 * tol, while c2 itself is within tol of
-        # eigenvalue N+1 of the interleaved tridiagonal H
+        # at r_min = 1e-20, ||H||_inf is about 9e20: a dense eigvalsh of H is
+        # off by about 1e-6, far beyond 10 * tol, and the certificate's
+        # rounding allowance, 10 sqrt(2N) ulp ||H||_inf, exceeds c2 itself.
+        # c2 is within tol/2 of eigenvalue N+1 of the stored H, by the exact
+        # reference
         g = build_grid("logarithmic", 200, 1e-20, 100.0)
         B = build_channel(GROUND, g)
         c2n, _, _ = c2_consistency(GROUND, g)
         assert c2n == find_c2(B)
         assert abs(c2n - inertia_c2_oracle(B)) > 10 * 1e-8
-        # Sturm bisection to the underflow threshold; its default tolerance is ulp ||H||
-        d, e, tiny = *B.H_tridiagonal, np.finfo(float).tiny
-        reference = eigvalsh_tridiagonal(d, e, select="i", select_range=(B.N, B.N), tol=2 * tiny)[0]
-        assert c2n == pytest.approx(reference, abs=1e-8)
+        assert abs(c2n - exact_eigenvalue(B.H_tridiagonal, B.N + 1)) <= 0.5e-8
+
+    @pytest.mark.parametrize("r_min", [1e-4, 1e-20, 1e-60, 1e-100])
+    def test_c2_matches_the_exact_reference_on_small_r_min_grids(self, r_min):
+        # measured within 1.3e-9 to 2.3e-9, where the entries of H reach 1e100
+        g = build_grid("logarithmic", 200, r_min, 100.0)
+        B = build_channel(GROUND, g)
+        c2n, _, _ = c2_consistency(GROUND, g)
+        assert abs(c2n - exact_eigenvalue(B.H_tridiagonal, B.N + 1)) <= 0.5e-8
+
+    @pytest.mark.parametrize("N", [200, 600])
+    def test_no_dense_eigensolver_checks_a_channel(self, N, monkeypatch):
+        # the certificate is two L D L^t factorizations at every N; no dense
+        # H and no eigvalsh, below or above the dense oracle's old cap
+        for module, name in ((blockop, "_dense_H"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+        c2n, _, _ = c2_consistency(GROUND, build_grid("logarithmic", N, 1e-4, 100.0))
+        assert c2n > 0.0
+
+    @pytest.mark.parametrize("N", [120, 2000])
+    @pytest.mark.parametrize("error", [-1e-6, 1e-6])
+    def test_a_c2_off_by_1e_6_fails_its_certificate(self, N, error, monkeypatch):
+        g = build_grid("logarithmic", N, 1e-4, 100.0)
+        monkeypatch.setattr(dirac, "find_c2", lambda B, tol: find_c2(B, tol) + error)
+        side = "is not" if error > 0 else "is"
+        with pytest.raises(CheckFailed, match=f"M_alpha {side} positive definite"):
+            c2_consistency(GROUND, g)
 
     def test_supercritical_rejected(self):
         g = build_grid("logarithmic", 100, 1e-3, 50.0)
@@ -544,13 +572,14 @@ class TestC2Consistency:
             c2_consistency(DiracChannelSpec(kappa=-1, nu=1.05, gamma=0.5), g)
 
     def test_oracle_disagreement_is_reported_under_optimize(self, tmp_path):
-        # python -O strips assert statements; the cross-check must survive it
+        # python -O strips assert statements; the certificate must survive it
         cfg = tmp_path / "run.cfg"
         cfg.write_text("command=c2\nkappa=-1\nnu=0.5\ngrid.N=120\ngrid.r_min=1e-3\ngrid.r_max=50\n")
         script = (
             "import sys\n"
-            "import schurdirac.dirac\n"
-            "schurdirac.dirac.inertia_c2_oracle = lambda B: 99.0\n"
+            "import schurdirac.dirac as dirac\n"
+            "find_c2 = dirac.find_c2\n"
+            "dirac.find_c2 = lambda B, tol: find_c2(B, tol) + 1e-3\n"
             "from schurdirac.cli import main\n"
             "sys.exit(main(['c2', '--config', sys.argv[1]]))\n"
         )
@@ -563,8 +592,30 @@ class TestC2Consistency:
             timeout=120,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: bisection"), proc.stderr
-        assert "disagrees with inertia oracle 99.0" in proc.stderr
+        assert proc.stderr.startswith("error: eigenvalue N+1 of H"), proc.stderr
+        assert "fails its certificate: M_alpha is not positive definite" in proc.stderr
+
+
+class TestDistinguishedExtension:
+    """Near the origin the computed state behaves like r^g, g = sqrt(kappa^2 - nu^2):
+    the regular branch, the distinguished extension's, never r^{-g}."""
+
+    GRID = build_grid("logarithmic", 8000, 1e-8, 100.0)
+
+    @pytest.mark.parametrize("kappa", [-1, -2])
+    @pytest.mark.parametrize("nu", [0.5, 0.9])
+    def test_local_exponent_of_the_lowest_gap_state(self, kappa, nu):
+        g = self.GRID
+        B = build_channel(DiracChannelSpec(kappa, nu, 0.5), g)
+        ((_, state),) = gap_eigenvalues(B, 0.0, 1, which="above")  # eigenvalue N+1
+        # the samples carry quadrature weights: u_j ~ sqrt(h_j) u(r_j)
+        u = np.abs(state.u) / np.sqrt(g.forward_spacings())
+        exponent = math.sqrt(kappa * kappa - nu * nu)
+        for low in (1e-6, 1e-5, 1e-4, 1e-3):
+            # measured within 0.0042 in every decade of this range
+            inside = (g.nodes >= low) & (g.nodes <= 10.0 * low)
+            slope = np.polyfit(np.log(g.nodes[inside]), np.log(u[inside]), 1)[0]
+            assert abs(slope - exponent) <= 0.01, (low, slope)
 
 
 class TestStructure:

@@ -137,8 +137,10 @@ def test_m0_is_one_read_only_array_per_operator(rng):
     assert not M0.flags.writeable
     find_c2(B)
     embedding_delta(B)
-    assert blockop._schur_form(B, 0.0) is M0
-    assert B._elimination.M0 is M0
+    assert blockop._schur_form(B, 0.0) is M0 is B._M0
+    # the elimination keeps only M_0's factor; solve reads M_0 itself
+    solve(B, RhsPair(np.ones(12), np.zeros(12)))
+    assert B._M0 is M0 and isinstance(B._elimination[0], np.ndarray)
     assert np.array_equal(schur_form_matrix(B, 0.0).toarray(), M0)
 
 

@@ -265,8 +265,8 @@ class TestEliminationRecord:
     def test_one_record_serves_solve_check_and_cli(self, monkeypatch):
         grid = build_grid("logarithmic", 40, 1e-4, 100.0)
         B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
-        forms = mock.Mock(wraps=blockop._schur_form)
-        monkeypatch.setattr(blockop, "_schur_form", forms)
+        forms = mock.Mock(wraps=blockop.BlockOperator._M0.func)
+        monkeypatch.setattr(blockop.BlockOperator._M0, "func", forms)
         rhs = RhsPair(np.ones(40), np.zeros(40))
         with monkeypatch.context() as m:
             facts = spy_on_lapack(m)
@@ -279,7 +279,8 @@ class TestEliminationRecord:
         monkeypatch.setattr(cli, "build_channel", lambda spec, grid: B)
         config = cli.parse_config("command=solve\nkappa=-1\nnu=0.5\ngrid.N=40\n")
         rows, _ = cli._execute(config)
-        assert forms.call_args_list == [mock.call(B, 0.0)]
+        # M_0 is formed once: solve, the check and the CLI margin read B._M0
+        assert forms.call_args_list == [mock.call(B)]
         assert rows[0].margin == positivity_margin(B, 0.0) > 0.0
 
     def test_dense_operators_are_factored_once(self, rng, monkeypatch):
@@ -307,14 +308,14 @@ class TestEliminationRecord:
             facts = spy_on_lapack(m)
             rep = solve(B, rhs)
         assert [f for f in facts if f[0] == driver] == [(driver, "F")]
-        rec = B._elimination
-        b = rhs.F1 + B.Tt @ rec.s_solve(rhs.F2)
+        factor, _ = B._elimination
+        b = rhs.F1 + B.Tt @ B._s_solve(rhs.F2)
         if route == "tridiagonal":
-            df, ef, x, rcond, _, _, info = lapack.dptsvx(rec.M0.d, rec.M0.e, b)
-            assert np.array_equal(rec.factor[0], df) and np.array_equal(rec.factor[1], ef)
+            df, ef, x, rcond, _, _, info = lapack.dptsvx(B._M0.d, B._M0.e, b)
+            assert np.array_equal(factor[0], df) and np.array_equal(factor[1], ef)
         else:
-            _, af, _, _, _, x, rcond, _, _, info = lapack.dposvx(rec.M0, b, fact="N", lower=1)
-            assert np.array_equal(np.tril(rec.factor), np.tril(af))
+            _, af, _, _, _, x, rcond, _, _, info = lapack.dposvx(B._M0, b, fact="N", lower=1)
+            assert np.array_equal(np.tril(factor), np.tril(af))
         assert info == 0
         assert np.array_equal(rep.solution.u, x[:, 0])
         assert rep.schur_condition_estimate == 1.0 / rcond
@@ -354,7 +355,7 @@ class TestSymmetryIdentity:
     def test_asymmetric_expansion_raises(self, rng):
         B = random_block_operator(rng, 4, margin_target=1.0)
         skew = sp.csr_matrix(np.triu(np.ones((4, 4)), 1))
-        vars(B)["_elimination"] = B._elimination._replace(M0=skew)
+        vars(B)["_M0"] = skew
         w = StateVector(np.ones(4), np.zeros(4))
         wt = StateVector(np.arange(4.0), np.zeros(4))
         with pytest.raises(CheckFailed, match="not symmetric under swap"):

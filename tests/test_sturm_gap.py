@@ -236,8 +236,9 @@ def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, whic
 
 
 def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
-    # the name is kept from when 2N > DENSE_ORACLE_CAP was refused; the
-    # dense gap pairs now have no cap, as find_c2 has none
+    # the name is kept from when the dense gap pairs refused 2N >
+    # DENSE_ORACLE_CAP; no route of the package has a size cap now, and
+    # only inertia_c2_oracle, a verification helper, keeps that one
     B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
     assert B.H_tridiagonal is None and 2 * B.N > blockop.DENSE_ORACLE_CAP
     for which in ("above", "nearest"):
@@ -368,7 +369,7 @@ def test_s_inverse_above_the_dense_cap_agrees(rng):
     B = assemble(sp.identity(n), sp.identity(n), sp.diags([off, np.full(n, 2.0), off], [-1, 0, 1]))
     assert not B.S_diagonal
     X = rng.standard_normal((n, 3))
-    np.testing.assert_allclose(B.S @ blockop._s_inverse(B)(X), X, atol=1e-12)
+    np.testing.assert_allclose(B.S @ B._s_solve(X), X, atol=1e-12)
 
 
 def test_import_loads_no_superlu_or_arpack():

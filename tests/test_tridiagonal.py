@@ -241,9 +241,8 @@ class TestBitwiseReference:
         for N in (300, 2000):
             B = channel(N=N)
             M0 = reference_form(B, 0.0)
-            rec = B._elimination
-            assert np.array_equal(rec.M0.d, M0.diagonal())
-            assert np.array_equal(rec.M0.e, M0.diagonal(1))
+            assert np.array_equal(B._M0.d, M0.diagonal())
+            assert np.array_equal(B._M0.e, M0.diagonal(1))
             rep = solve(B, RhsPair(np.ones(N), np.zeros(N)))
             if N == 300:
                 want = np.linalg.cond(M0.toarray(), 1)
@@ -333,9 +332,15 @@ class TestMatmul:
 
 
 def test_elimination_keeps_m0_in_its_form_layout(rng):
-    assert isinstance(channel(N=40)._elimination.M0, blockop._Tridiagonal)
-    rec = random_block_operator(rng, 20, margin_target=0.5)._elimination
-    assert type(rec.M0) is np.ndarray
+    # the factor solve hands its driver: dpttrf's (d, e) of a tridiagonal M_0,
+    # Cholesky's array of a dense one
+    B = channel(N=40)
+    assert isinstance(B._M0, blockop._Tridiagonal)
+    (d, e), info = B._elimination
+    assert info == 0 and d.shape == (40,) and e.shape == (39,)
+    C = random_block_operator(rng, 20, margin_target=0.5)
+    factor, info = C._elimination
+    assert type(C._M0) is np.ndarray and type(factor) is np.ndarray and info == 0
 
 
 class TestFactorCertifiesC2:
@@ -354,11 +359,8 @@ class TestFactorCertifiesC2:
     )
     def test_channel(self, kappa, nu, N):
         B = channel(kappa, nu, N)
-        if 2 * N <= blockop.DENSE_ORACLE_CAP:
-            c2 = inertia_c2_oracle(B)
-        else:
-            H = B.H_tridiagonal
-            c2 = float(blockop._tridiagonal_eigenvalues(H.d, H.e, N + 1, N + 1)[0][0])
+        H = B.H_tridiagonal
+        c2 = float(blockop._tridiagonal_eigenvalues(H.d, H.e, N + 1, N + 1)[0][0])
         assert c2 > 0.0
         self.assert_separates(B, c2)
 
