@@ -192,6 +192,11 @@ def _h_norm(B: BlockOperator) -> float:
     return float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
 
 
+def _rounding(N: int, norm: float) -> float:
+    """10 sqrt(2N) ulp times norm: the rounding allowed a backward-stable result on H."""
+    return 10.0 * math.sqrt(2 * N) * _ULP * norm
+
+
 def _lambda_min_s(S: sp.csr_matrix | np.ndarray, diagonal: bool) -> float:
     """lambda_min(S), S sparse or dense: the least entry of a diagonal S, else one eigvalsh."""
     return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, high=False)[0]
@@ -745,36 +750,38 @@ def form_report(B: BlockOperator, alpha: float) -> FormReport:
 
 
 def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
-    """Largest c2 >= 0 with positivity_margin(B, c2) >= 0.
+    """Largest c2 >= 0 with positivity_margin(B, c2) >= 0, certified.
 
     The margin decreases in alpha with slope <= -1, so the root lies in
     [0, margin(0)]; by inertia additivity it is eigenvalue N+1 of H.
     margin(0) is the operator's B._margin0, lambda_min of B._M0, made
-    once per operator on both layouts and shared with solve.
+    once per operator on both layouts and shared with solve.  Both
+    routes certify their result by factorizations alone (_certify_c2,
+    Sylvester's law of inertia): M_{c2-t} must be positive definite and
+    M_{c2+t} must not, so the root lies within t of c2.
 
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
       their spacing; the midpoint is returned.  One O(N) margin a step.
+      Two O(N) L D L^t factorizations certify it at t = 10 tol +
+      _rounding(||H||_inf), as gap_eigenvalues allows; on small-r_min
+      grids that term exceeds c2, so no side is formed there.
     * Otherwise eigenvalue N+1 of the dense H by one dstebz selection
       on B._H_reduced (the steps of a values-only dsyevx, bitwise its
-      result), certified by Cholesky factorizations alone (Sylvester's
-      law of inertia): M_{c2-t} must be positive definite and M_{c2+t}
-      must not, each formed by _shifted_x.  No M_0 is formed: by the
-      slope bound a factor of M_{c2-t} at c2 - t > 0 shows margin(0) >
-      c2 - t > 0.  B._margin0 is read only where c2 - t <= 0, to keep
-      c2 in [0, margin(0)] (HypothesisFailed for a negative one, 0.0
-      at an exactly singular M_0), and where the lower certificate
-      fails, so that a negative margin(0) raises HypothesisFailed
-      there too.  A side outside that bracket is settled by it.  t is
-      tol/2, or the sum of the two _rounding_floors when larger: at a
-      tol below rounding, or for a stiff H (||H||_inf above about
-      1e6/sqrt(N) at the default tol), whose dense eigenvalues are only
-      as accurate as ulp ||H||.  When that ||H|| term alone exceeds
-      tol/2 and the factorizations' own rounding does not,
-      factorizations bisect the certified [c2 - t, c2 + t] to width
-      <= tol; the midpoint is returned.
-
-    Either way the root lies within max(tol/2, rounding) of the result.
+      result), certified by two Cholesky factorizations, each formed by
+      _shifted_x.  No M_0 is formed: by the slope bound a factor of
+      M_{c2-t} at c2 - t > 0 shows margin(0) > c2 - t > 0.  B._margin0
+      is read only where c2 - t <= 0, to keep c2 in [0, margin(0)]
+      (HypothesisFailed for a negative one, 0.0 at an exactly singular
+      M_0), and where the lower certificate fails, so that a negative
+      margin(0) raises HypothesisFailed there too.  t is tol/2, or the
+      sum of the two _rounding_floors when larger: at a tol below
+      rounding, or for a stiff H (||H||_inf above about 1e6/sqrt(N) at
+      the default tol), whose dense eigenvalues are only as accurate as
+      ulp ||H||.  When that ||H|| term alone exceeds tol/2 and the
+      factorizations' own rounding does not, factorizations bisect the
+      certified [c2 - t, c2 + t] to width <= tol; the midpoint is
+      returned.
 
     Raises
     ------
@@ -786,8 +793,8 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     NoConvergence
         If dstebz fails.
     CheckFailed
-        If a certificate contradicts the selected value; no dense c2 is
-        returned unchecked.
+        If a certificate contradicts the bisected or selected value; no
+        c2 is returned unchecked.
     """
     tol = _checked_tol(tol)
     if B.H_tridiagonal is None:
@@ -796,7 +803,9 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     if m0 == 0.0:
         return 0.0
     # positivity_margin is looked up at each call, so a wrapper of it sees every step
-    return _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0)
+    c2 = _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0)
+    _certify_c2(B, c2, 10.0 * tol + _rounding(B.N, _h_norm(B)), m0)
+    return c2
 
 
 def _checked_tol(tol: float) -> float:
@@ -885,18 +894,17 @@ def _certify_c2(B: BlockOperator, c2: float, t: float, m0: float, X=None) -> Non
 def _rounding_floors(B: BlockOperator, c2: float, X=None) -> tuple[float, float]:
     """The rounding of the selection and of a factorization near M_c2.
 
-    10 sqrt(2N) ulp times ||H||_inf (cached with B._H_reduced), as
-    gap_eigenvalues bounds a dense pair's, and times ||P||_F + c2 +
+    _rounding of ||H||_inf (cached with B._H_reduced), as
+    gap_eigenvalues bounds a dense pair's, and of ||P||_F + c2 +
     ||X||_F^2 >= ||M_c2||_2, X from _shifted_x at c2 or the X given, made
     at an alpha <= c2: ||X_alpha||_F^2 = tr T^t (S + alpha I)^{-1} T
     shrinks as alpha grows.  t = max(tol/2, their sum).  M_0 is not
     used: its T^t S^{-1} T grows like 1/lambda_min(S).
     """
     X = _shifted_x(B, c2) if X is None else X
-    unit = 10.0 * math.sqrt(2 * B.N) * _ULP
     with np.errstate(all="ignore"):
         form_norm = float(np.linalg.norm(B.P.data)) + c2 + float(np.einsum("ij,ij->", X, X))
-    return unit * B._H_reduced.norm, unit * form_norm
+    return _rounding(B.N, B._H_reduced.norm), _rounding(B.N, form_norm)
 
 
 def inertia_c2_oracle(B: BlockOperator, dense_cap: int = DENSE_ORACLE_CAP) -> float:
@@ -926,8 +934,8 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     computed G positive definite (Sylvester's law of inertia; backward
     stability of L D L^t and Cholesky, Higham, Accuracy and Stability of
     Numerical Algorithms, chs. 9 and 10).  No tolerance is added.
-    Returns (delta, certified).  c2 is find_c2(B, tol): bisection when
-    B.H_tridiagonal is set, one certified selection otherwise.  When
+    Returns (delta, certified).  c2 is find_c2(B, tol), certified by
+    its factorizations on both layouts (CheckFailed otherwise).  When
     B.H_tridiagonal is set, K is bidiagonal and G is built from its
     diagonals and factored by dpttrf, O(N); otherwise K is dense, applied
     with the operator's one factor of S, M_0 is its cached array, K^t K

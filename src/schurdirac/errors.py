@@ -70,9 +70,9 @@ class NoConvergence(SchurDiracError):
 class CheckFailed(SchurDiracError):
     """An internal cross-check of a computed result disagreed.
 
-    Raised where a c2 fails its factorization certificate (find_c2's
-    dense selection, or a channel's bisection in c2_consistency: M_{c2-t}
-    must be positive definite and M_{c2+t} must not), where an identity
+    Raised where a c2 fails find_c2's factorization certificate, on
+    either layout (M_{c2-t} must be positive definite and M_{c2+t} must
+    not; find_c2, c2_consistency and embedding_delta), where an identity
     disagrees with its swapped form, or where solve's residual is not
     finite; the result is not returned.
     """

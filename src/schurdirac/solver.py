@@ -41,6 +41,7 @@ from .blockop import (
     _h_norm,
     _is_integer,
     _refusal,
+    _rounding,
     _stacked_apply,
     _tridiagonal_eigenvalues,
     apply,
@@ -262,7 +263,7 @@ def gap_eigenvalues(
     sigma = _nonnegative_shift(sigma)
     raw, norm = _gap_pairs(B, sigma, k, which)
 
-    rounding = 10.0 * math.sqrt(n2) * _ULP * norm
+    rounding = _rounding(B.N, norm)
     pairs = []
     for lam, x in sorted(raw, key=lambda p: p[0]):
         x = math.copysign(1.0, x[np.argmax(np.abs(x))]) * x

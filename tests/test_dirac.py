@@ -116,6 +116,14 @@ class TestBuildGrid:
         with pytest.raises(BadRange, match="finite"):
             RadialGrid("uniform", 3, 1.0, 3.0, [1.0, bad, 3.0])
 
+    @pytest.mark.parametrize("scheme", ["uniform", "logarithmic"])
+    @pytest.mark.parametrize("r_min, r_max", [(1e-4, math.inf), (1e-4, math.nan), (math.nan, 100.0)])
+    def test_non_finite_ends_are_refused_before_numpy_sees_them(self, scheme, r_min, r_max):
+        # an infinite end made numpy warn (invalid value in multiply), which the
+        # suite turns into an error in place of BadRange; NaN passes the comparisons
+        with pytest.raises(BadRange, match="must be finite"):
+            build_grid(scheme, 16, r_min, r_max)
+
     def test_grid_refuses_a_float_size(self):
         # build_grid's integer check, applied to a grid built directly
         with pytest.raises(BadRange, match="must be an integer"):
@@ -560,11 +568,16 @@ class TestC2Consistency:
     @pytest.mark.parametrize("N", [120, 2000])
     @pytest.mark.parametrize("error", [-1e-6, 1e-6])
     def test_a_c2_off_by_1e_6_fails_its_certificate(self, N, error, monkeypatch):
+        # the channel bisection's result moved by error: find_c2 certifies it
+        # where it is made, so every entry point that reads c2 refuses it
         g = build_grid("logarithmic", N, 1e-4, 100.0)
-        monkeypatch.setattr(dirac, "find_c2", lambda B, tol: find_c2(B, tol) + error)
+        B = build_channel(GROUND, g)
+        bisect = blockop._bisect
+        monkeypatch.setattr(blockop, "_bisect", lambda *args: bisect(*args) + error)
         side = "is not" if error > 0 else "is"
-        with pytest.raises(CheckFailed, match=f"M_alpha {side} positive definite"):
-            c2_consistency(GROUND, g)
+        for call in (lambda: find_c2(B), lambda: embedding_delta(B), lambda: c2_consistency(GROUND, g)):
+            with pytest.raises(CheckFailed, match=f"M_alpha {side} positive definite"):
+                call()
 
     def test_supercritical_rejected(self):
         g = build_grid("logarithmic", 100, 1e-3, 50.0)
@@ -577,9 +590,9 @@ class TestC2Consistency:
         cfg.write_text("command=c2\nkappa=-1\nnu=0.5\ngrid.N=120\ngrid.r_min=1e-3\ngrid.r_max=50\n")
         script = (
             "import sys\n"
-            "import schurdirac.dirac as dirac\n"
-            "find_c2 = dirac.find_c2\n"
-            "dirac.find_c2 = lambda B, tol: find_c2(B, tol) + 1e-3\n"
+            "import schurdirac.blockop as blockop\n"
+            "bisect = blockop._bisect\n"
+            "blockop._bisect = lambda *args: bisect(*args) + 1e-3\n"
             "from schurdirac.cli import main\n"
             "sys.exit(main(['c2', '--config', sys.argv[1]]))\n"
         )
