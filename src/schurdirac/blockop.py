@@ -95,7 +95,18 @@ def _as_csr(name: str, a) -> sp.csr_matrix:
 
 
 def _is_symmetric_exact(m: sp.csr_matrix) -> bool:
-    d = (m - m.T).tocsr()
+    """m - m^t has no nonzero entry, for a canonical CSR m (sorted, no duplicates).
+
+    When m^t, as canonical CSR, stores the same structure as m, its data
+    is compared entry by entry, as the subtraction would (inf - inf is
+    NaN, not zero); the subtraction itself runs only where the stored
+    structures differ, as with an explicit zero stored on one side.
+    """
+    t = m.T.tocsr()
+    if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
+        with np.errstate(all="ignore"):  # scipy's subtraction overflows silently too
+            return not np.any(m.data - t.data)
+    d = (m - t).tocsr()
     d.eliminate_zeros()
     return d.nnz == 0
 
@@ -305,10 +316,10 @@ class BlockOperator:
         pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
         O(N) route reads it.  None for every other structure.
 
-    Seven facts are lazy: each is made on first use and cached on this
-    operator, arrays read-only.  None is made at assembly, and
-    dataclasses.replace starts without them.  Threads that race to make
-    one compute equal values, and one is kept.
+    Eight facts are lazy: each is made on first use and cached on this
+    operator, arrays read-only.  Only _s_min is made at assembly, by
+    assemble, and dataclasses.replace starts without any of them.  Threads that race
+    to make one compute equal values, and one is kept.
 
     _dense
         Dense copies of P, T and S, a _Blocks triple, one toarray each.
@@ -339,7 +350,9 @@ class BlockOperator:
         solve's refusal names.
     _s_min
         lambda_min(S), the value c1 is certified against: the least
-        diagonal entry of a diagonal S, else one eigvalsh of _dense.S.
+        diagonal entry of a diagonal S, else one eigvalsh of S.  assemble
+        keeps the value it certified c1 with; any other construction
+        makes it from _dense.S on first use, bitwise alike.
         resolvent_difference_check reads it.
     _elimination
         _factor's (factor, info) of _M0: the factor every solve hands
@@ -353,6 +366,10 @@ class BlockOperator:
         dense H is reduced once, not once per call.  It keeps about
         (2N)^2 doubles, H's own buffer: measured 0.33 MB at 2N = 200
         and 8.0 MB at 2N = 1000 (16 MB at the peak while it is made).
+    _c2
+        The certified c2 of find_c2, one entry per tol it was asked at:
+        find_c2 and embedding_delta read it, so each tol's c2 is
+        computed once per operator.  A refusal is not kept.
     """
 
     P: sp.csr_matrix
@@ -438,6 +455,10 @@ class BlockOperator:
     def _elimination(self) -> tuple[tuple | np.ndarray | None, int]:
         return _factor(self._M0)
 
+    @cached_property
+    def _c2(self) -> dict[float, float]:
+        return {}
+
 
 class _Blocks(NamedTuple):
     """B._dense: read-only dense copies of the blocks P, T and S."""
@@ -500,7 +521,15 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
         If a block has a complex dtype or a non-finite entry, or P or S
         is not exactly symmetric; its key names the block.
     """
-    Pc, Tc, Sc = _as_csr("P", P), _as_csr("T", T), _as_csr("S", S)
+    return _validated(_as_csr("P", P), _as_csr("T", T), _as_csr("S", S), c1_policy)
+
+
+def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
+    """assemble's checks on canonical float64 CSR blocks, which the operator then holds.
+
+    The one validation of every assembled or read operator: assemble
+    hands it _as_csr's copies, operator_from_text its decoded blocks.
+    """
     n = Pc.shape[0]
     if n == 0:
         raise DimensionMismatch("blocks are empty")
@@ -521,13 +550,16 @@ def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
     c1 = smin if c1_policy == "compute" else float(c1_policy)
     if not s_diagonal:  # BlockOperator checks the c1 of a diagonal S
         _check_c1(smin, c1)
-    return BlockOperator(
+    B = BlockOperator(
         P=_freeze_csr(Pc),
         T=_freeze_csr(Tc),
         S=_freeze_csr(Sc),
         c1=c1,
         _diagonal=(p_diagonal, s_diagonal),
     )
+    # the lazy B._s_min would repeat this eigvalsh of the same array
+    vars(B)["_s_min"] = smin
+    return B
 
 
 def _check_length(B: BlockOperator, name: str, x: np.ndarray) -> None:
@@ -758,7 +790,9 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     once per operator on both layouts and shared with solve.  Both
     routes certify their result by factorizations alone (_certify_c2,
     Sylvester's law of inertia): M_{c2-t} must be positive definite and
-    M_{c2+t} must not, so the root lies within t of c2.
+    M_{c2+t} must not, so the root lies within t of c2.  The certified
+    value is kept in B._c2 by tol, for later calls and embedding_delta;
+    a refusal is not kept, so every call raises it again.
 
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
@@ -796,7 +830,21 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
         If a certificate contradicts the bisected or selected value; no
         c2 is returned unchecked.
     """
-    tol = _checked_tol(tol)
+    return _certified_c2(B, tol)
+
+
+def _certified_c2(B: BlockOperator, tol: float) -> float:
+    """find_c2(B, tol), kept in B._c2 once computed; nothing is kept when it raises."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    c2s = B._c2
+    if tol not in c2s:
+        c2s[tol] = _uncached_c2(B, tol)
+    return c2s[tol]
+
+
+def _uncached_c2(B: BlockOperator, tol: float) -> float:
+    """The c2 of find_c2 at a checked tol, computed afresh; see find_c2."""
     if B.H_tridiagonal is None:
         return _selected_c2(B, tol)
     m0 = _base_margin(B)
@@ -806,12 +854,6 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
     c2 = _bisect(0.0, m0, tol, lambda alpha: positivity_margin(B, alpha) >= 0.0)
     _certify_c2(B, c2, 10.0 * tol + _rounding(B.N, _h_norm(B)), m0)
     return c2
-
-
-def _checked_tol(tol: float) -> float:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    return tol
 
 
 def _base_margin(B: BlockOperator) -> float:
@@ -935,14 +977,15 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     stability of L D L^t and Cholesky, Higham, Accuracy and Stability of
     Numerical Algorithms, chs. 9 and 10).  No tolerance is added.
     Returns (delta, certified).  c2 is find_c2(B, tol), certified by
-    its factorizations on both layouts (CheckFailed otherwise).  When
+    its factorizations on both layouts (CheckFailed otherwise), read
+    from B._c2 when find_c2 already made it at this tol.  When
     B.H_tridiagonal is set, K is bidiagonal and G is built from its
     diagonals and factored by dpttrf, O(N); otherwise K is dense, applied
     with the operator's one factor of S, M_0 is its cached array, K^t K
     costs O(N^3), and dpotrf reads G's lower triangle.  A non-finite G
     (an overflow) raises ValueError.
     """
-    c2 = find_c2(B, tol)
+    c2 = _certified_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
     M0 = _schur_form(B, 0.0)
     H = B.H_tridiagonal
@@ -971,7 +1014,7 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
     smin*alpha/(smin + alpha), smin = lambda_min(S).  smin is B._s_min,
     made once per operator: the least diagonal entry of a diagonal S
     (B.S_diagonal) and, for any other S, the eigvalsh assemble runs to
-    certify c1, here of B._dense.S, so at the boundary delta =
+    certify c1, kept from assembly, so at the boundary delta =
     c1*alpha/(c1+alpha) both sides are equal floats.  No matrix is
     inverted, at any N.
 
@@ -1065,7 +1108,8 @@ def operator_to_text(B: BlockOperator) -> str:
         for array, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")):
             words = np.asarray(array, dtype=dtype).tobytes()
             lines.append(base64.b64encode(words).decode("ascii"))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _keyed_value(line: str, key: str, parse: type, what: str):
@@ -1099,9 +1143,10 @@ def operator_from_text(text: str) -> BlockOperator:
     8-byte words or holds the wrong number of them, an indptr that is
     not monotone from 0 to nnz, a column index outside [0, N), or
     column indices that are not strictly increasing within a row (a
-    repeated entry would otherwise be summed); the blocks then pass
-    through assemble, so non-finite, non-symmetric or non-positive
-    blocks raise its package errors.
+    repeated entry would otherwise be summed).  The decoded blocks are
+    then canonical float64 CSR, and pass once, without a copy, through
+    assemble's checks, so non-finite, non-symmetric or non-positive
+    blocks raise its package errors, with its messages.
     """
     lines = text.splitlines()
     if not lines or lines[0].split() != ["blockoperator", "3"]:
@@ -1124,8 +1169,10 @@ def operator_from_text(text: str) -> BlockOperator:
         indices = _words(idx_line, "<i8", nnz, f"{name} indices")
         if nnz and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"{name} has a column index outside [0, {n})")
-        data = _words(data_line, "<f8", nnz, f"{name} data")
+        # native float64, as _as_csr would make it: no copy on a little-endian machine
+        data = _words(data_line, "<f8", nnz, f"{name} data").astype(np.float64, copy=False)
         blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         if not blocks[name].has_canonical_format:
             raise ValueError(f"{name} column indices are not increasing within a row")
-    return assemble(blocks["P"], blocks["T"], blocks["S"], c1_policy=c1)
+    # canonical float64 CSR already, so validated without _as_csr's copy
+    return _validated(blocks["P"], blocks["T"], blocks["S"], c1)

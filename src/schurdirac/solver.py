@@ -296,7 +296,10 @@ def _gap_pairs(
     ascending, and a map from positions in them to (lambda, x) pairs, x
     in the (u, v) layout.  Returns the pairs and a bound on ||H||_inf.
     An eigenvalue within rounding of sigma (ulp times that bound) is not
-    strictly above it, so for "above" the window moves up past it.
+    strictly above it, so for "above" the window moves up past it: by
+    the count it skipped, or, when the whole window lies in that band
+    (a stiff H, where it may hold nearly all of H's upper half), to
+    twice its size, so that the selections stay O(log N).
     """
     N = B.N
     window, norm = _window(B)
@@ -311,7 +314,8 @@ def _gap_pairs(
             # S + sigma > 0 puts N eigenvalues of H below sigma
             raise NoConvergence(
                 f"at most {N - skipped} eigenvalues lie above sigma = {sigma:.6g}, "
-                f"fewer than k = {k}"
+                f"fewer than k = {k} ({skipped} more lie within ulp ||H||_inf = "
+                f"{rounding:.3g} of sigma, not above it)"
             )
         w, pairs_at = window(il, iu)
         floor = w[N + 1 - il]
@@ -327,7 +331,11 @@ def _gap_pairs(
         if iu - il + 1 - skipped >= k:
             chosen = np.arange(skipped, skipped + k)
             break
-        iu = N + k + skipped
+        if skipped < iu - N or N - skipped < k:
+            # past 2N exactly when too few eigenvalues are left above the band
+            iu = N + k + skipped
+        else:  # the whole window lies in the band: double it, up to H's upper half
+            iu = min(2 * iu - N, 2 * N)
     return pairs_at(chosen), norm
 
 

@@ -50,6 +50,7 @@ from schurdirac import (
     schur_form_matrix,
     solve,
 )
+from schurdirac.dirac import _c2_of
 from schurdirac.errors import DeltaOutOfRange
 
 from conftest import random_block_operator, spy_on_m0, symmetrize
@@ -1007,6 +1008,52 @@ class TestEmbedding:
             assert certified
 
 
+class TestC2Once:
+    """find_c2's c2 is computed once per operator and tol, and kept on the operator."""
+
+    @pytest.fixture
+    def computations(self, monkeypatch):
+        counter = mock.Mock(wraps=blockop._uncached_c2)
+        monkeypatch.setattr(blockop, "_uncached_c2", counter)
+        return counter
+
+    @pytest.mark.parametrize("route", ["dense", "channel"])
+    def test_one_computation_per_operator_and_tol(self, route, rng, computations):
+        spec = DiracChannelSpec(-1, 0.5, 0.5)
+        if route == "dense":
+            B = random_block_operator(rng, 30, margin_target=0.5)
+        else:
+            B = build_channel(spec, build_grid("logarithmic", 400, 1e-4, 100.0))
+        c2 = find_c2(B)
+        delta, certified = embedding_delta(B)
+        assert find_c2(B) == c2 and _c2_of(B, spec, 1e-8)[0] == c2
+        assert computations.call_count == 1
+        assert delta == B.c1 * c2 / (B.c1 + c2) and certified
+        # a second tol is a second computation, kept beside the first
+        c2_coarse = find_c2(B, 1e-6)
+        assert embedding_delta(B, 1e-6)[0] == B.c1 * c2_coarse / (B.c1 + c2_coarse)
+        assert computations.call_count == 2 and B._c2 == {1e-8: c2, 1e-6: c2_coarse}
+        # a copy starts empty, and computes the same value afresh
+        C = dataclasses.replace(B)
+        assert "_c2" not in vars(C)
+        assert find_c2(C) == c2 and computations.call_count == 3
+
+    def test_a_refusal_is_not_kept(self, computations):
+        B = build_channel(DiracChannelSpec(1, 0.5, 0.5), build_grid("logarithmic", 400, 1e-4, 100.0))
+        for call in (find_c2, embedding_delta, find_c2):
+            with pytest.raises(HypothesisFailed, match="margin at alpha=0"):
+                call(B)
+        assert computations.call_count == 3 and B._c2 == {}
+
+    def test_a_bad_tol_is_refused_before_the_cache(self, computations):
+        B = scalar_operator()
+        for call in (find_c2, embedding_delta):
+            for tol in (0.0, -1e-8, math.nan, math.inf):
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    call(B, tol)
+        assert computations.call_count == 0 and "_c2" not in vars(B)
+
+
 class TestResolventDifference:
     def test_scalar_boundary(self):
         B = scalar_operator()
@@ -1029,15 +1076,23 @@ class TestResolventDifference:
             resolvent_difference_check(scalar_operator(), 0.0, 0.1)
 
     def test_lambda_min_of_s_is_computed_once_per_operator(self, rng, monkeypatch):
-        B = random_block_operator(rng, 40, margin_target=1.0)
+        A = random_block_operator(rng, 40, margin_target=1.0)
         eig = mock.Mock(wraps=np.linalg.eigvalsh)
         monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+        # assemble certifies c1 by one eigvalsh of S, and keeps its value
+        B = assemble(A.P, A.T, A.S)
+        assert eig.call_count == 1 and "_s_min" in vars(B)
         # lazy: a cold solve on a copy computes no eigenvalue of S
         solve(dataclasses.replace(B), RhsPair(np.ones(40), np.ones(40)))
-        assert eig.call_count == 0
+        assert eig.call_count == 1
         bound = B.c1 * 1.0 / (B.c1 + 1.0)
         assert all(resolvent_difference_check(B, 1.0, bound) for _ in range(3))
-        assert eig.call_count == 1 and eig.call_args.args[0] is B._dense.S
+        assert eig.call_count == 1
+        # a copy makes its own, once, from its dense S, bitwise the kept value
+        C = dataclasses.replace(B)
+        assert all(resolvent_difference_check(C, 1.0, bound) for _ in range(3))
+        assert eig.call_count == 2 and eig.call_args.args[0] is C._dense.S
+        assert C._s_min == B._s_min
 
     def test_monotone_on_random_spd(self, rng):
         for _ in range(5):
@@ -1174,6 +1229,76 @@ def words(dtype: str, values) -> str:
     return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
 
 
+def text_of(P: sp.csr_matrix, T: sp.csr_matrix, S: sp.csr_matrix, c1: float) -> str:
+    """Text format 3 of the blocks as given, written without assembling them."""
+    lines = ["blockoperator 3", f"N {P.shape[0]}", f"c1 {c1!r}"]
+    for name, m in zip("PTS", (P, T, S)):
+        lines += [f"{name} {m.nnz}", words("<i8", m.indptr), words("<i8", m.indices)]
+        lines.append(words("<f8", m.data))
+    return "\n".join(lines) + "\n"
+
+
+def refusal(call) -> tuple[type, str, str | None]:
+    """The type, message and key of the package error call raises."""
+    with pytest.raises(SchurDiracError) as info:
+        call()
+    return type(info.value), str(info.value), getattr(info.value, "key", None)
+
+
+class TestExactSymmetry:
+    @staticmethod
+    def by_subtraction(m: sp.csr_matrix) -> bool:
+        """The definition: m - m^t stores no nonzero entry."""
+        d = (m - m.T).tocsr()
+        d.eliminate_zeros()
+        return d.nnz == 0
+
+    @settings(deadline=2000, max_examples=300)
+    @given(data=st.data())
+    def test_equals_the_subtraction(self, data):
+        # symmetric values, -0.0 mirrored against 0.0 among them, stored in a
+        # mask that may hold explicit zeros on one side only, and at most
+        # one stored value moved to the next float
+        n = data.draw(st.integers(1, 6))
+
+        def draw_list(elements):
+            return np.array(data.draw(st.lists(elements, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+        vals = draw_list(ENTRIES)
+        upper = np.triu(np.ones((n, n), bool))
+        vals = np.where(upper, vals, vals.T)
+        vals = np.where(draw_list(st.booleans()) & (vals == 0.0), -vals, vals)
+        mask = draw_list(st.booleans()) | (vals != 0.0)
+        if data.draw(st.booleans()):
+            mask = mask | mask.T
+        m = sp.csr_matrix((vals[mask], np.nonzero(mask)), shape=(n, n))
+        m.sum_duplicates()
+        if m.nnz and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, m.nnz - 1))
+            m.data[k] = np.nextafter(m.data[k], math.inf if m.data[k] < 1e308 else 0.0)
+        assert blockop._is_symmetric_exact(m) == self.by_subtraction(m)
+
+    @pytest.mark.parametrize(
+        "dense, stored, symmetric",
+        [
+            ([[1.0, 2.0], [2.0, 3.0]], [[1, 1], [1, 1]], True),
+            ([[1.0, 2.0], [np.nextafter(2.0, 3.0), 3.0]], [[1, 1], [1, 1]], False),
+            ([[0.0, -0.0], [0.0, 1.0]], [[1, 1], [1, 1]], True),
+            ([[1e308, -1e308], [1e308, 1.0]], [[1, 1], [1, 1]], False),
+            # inf - inf is NaN, which the subtraction keeps as a nonzero
+            ([[1.0, math.inf], [math.inf, 1.0]], [[1, 1], [1, 1]], False),
+            # a zero stored above the diagonal only: the structures differ
+            ([[1.0, 0.0], [0.0, 1.0]], [[1, 1], [0, 1]], True),
+            ([[1.0, 0.0], [2.0, 1.0]], [[1, 0], [1, 1]], False),
+        ],
+    )
+    def test_same_and_differing_structures(self, dense, stored, symmetric):
+        mask = np.array(stored, bool)
+        m = sp.csr_matrix((np.array(dense)[mask], np.nonzero(mask)), shape=(2, 2))
+        assert m.nnz == mask.sum()
+        assert blockop._is_symmetric_exact(m) is symmetric is self.by_subtraction(m)
+
+
 class TestTextFormat:
     def test_layout(self):
         text = operator_to_text(assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2)))
@@ -1302,6 +1427,30 @@ class TestTextFormat:
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert _same_bits(a.data, b.data)
+
+    @pytest.mark.parametrize(
+        "P, T, S, c1",
+        [
+            # P or S not symmetric, in the stored structure or in a value
+            ([[1.0, 2.0], [0.0, 1.0]], np.eye(2), np.eye(2), 1.0),
+            ([[1.0, 2.0], [3.0, 1.0]], np.eye(2), np.eye(2), 1.0),
+            (np.eye(2), np.eye(2), [[2.0, 0.5], [0.25, 2.0]], 1.0),
+            (np.eye(2), np.eye(2), [[2.0, 0.5], [0.0, 2.0]], 1.0),
+            # a non-finite entry in each block
+            ([[math.nan, 0.0], [0.0, 1.0]], np.eye(2), np.eye(2), 1.0),
+            (np.eye(2), [[1.0, math.inf], [0.0, 1.0]], np.eye(2), 1.0),
+            (np.eye(2), np.eye(2), [[-math.inf, 0.0], [0.0, 1.0]], 1.0),
+            # c1 above lambda_min(S), diagonal and not; and no positive S
+            (np.eye(2), np.eye(2), np.diag([1.0, 2.0]), 1.5),
+            (np.eye(2), np.eye(2), [[2.0, 1.0], [1.0, 2.0]], 1.5),
+            (np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 0.5),
+            (np.eye(2), np.eye(2), np.eye(2), -1.0),
+        ],
+    )
+    def test_reading_refuses_as_assemble_does(self, P, T, S, c1):
+        blocks = [sp.csr_matrix(np.array(m, dtype=np.float64)) for m in (P, T, S)]
+        want = refusal(lambda: assemble(*blocks, c1_policy=c1))
+        assert refusal(lambda: operator_from_text(text_of(*blocks, c1))) == want
 
     def test_non_finite_data_is_a_validation_error(self):
         B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))

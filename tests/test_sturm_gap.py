@@ -159,6 +159,22 @@ class TestGate:
             gap_eigenvalues(B, 1.0, 1, which="above")
         assert [lam for lam, _ in gap_eigenvalues(B, 1.0, 2)] == [1.0, 1.0]
 
+    def test_a_stiff_window_grows_geometrically(self, monkeypatch):
+        # ||H||_inf is about 2.5e20 on a uniform grid from 1e-20, so the band
+        # ulp ||H||_inf holds all but the largest eigenvalue above 0: the
+        # "above" window doubles while it lies wholly in the band, instead
+        # of growing by k a selection (150 selections and 5.6 s before)
+        N = 300
+        grid = build_grid("uniform", N, 1e-20, 100.0)
+        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        selections = mock.Mock(wraps=solver._tridiagonal_eigenvalues)
+        monkeypatch.setattr(solver, "_tridiagonal_eigenvalues", selections)
+        band = r"\(299 more lie within ulp \|\|H\|\|_inf = 5\.5\de\+04 of sigma, not above it\)$"
+        with pytest.raises(NoConvergence, match=r"^at most 1 eigenvalues lie above sigma = 0, "
+                           r"fewer than k = 2 " + band):
+            gap_eigenvalues(B, 0.0, 2, which="above")
+        assert selections.call_count <= math.ceil(math.log2(N)) + 2
+
 
 class TestOneShiftCheck:
     def test_negative_shift_on_every_path(self, rng):
@@ -303,10 +319,10 @@ def test_embedding_certificate_flips_at_the_sharp_delta(n, target):
         lo, hi = (mid, hi) if np.linalg.eigvalsh(embedding_form(B, mid))[0] >= 0.0 else (lo, mid)
     for factor, want in ((1.0 + 1e-7, False), (1.0 - 1e-8, True)):
         delta = lo * factor
-        # find_c2 returns the c2 at which c1 c2 / (c1 + c2) is that delta
-        c2 = B.c1 * delta / (B.c1 - delta)
-        with mock.patch.object(blockop, "find_c2", lambda B, tol: c2):
-            got, certified = embedding_delta(B)
+        # the operator's certified c2 at the default tol is the one at
+        # which c1 c2 / (c1 + c2) is that delta
+        B._c2[1e-8] = B.c1 * delta / (B.c1 - delta)
+        got, certified = embedding_delta(B)
         assert got == pytest.approx(delta, rel=1e-14)
         assert certified is want, (factor, delta)
 
