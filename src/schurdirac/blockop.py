@@ -528,7 +528,8 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
     """assemble's checks on canonical float64 CSR blocks, which the operator then holds.
 
     The one validation of every assembled or read operator: assemble
-    hands it _as_csr's copies, operator_from_text its decoded blocks.
+    hands it _as_csr's copies, operator_from_text its decoded blocks,
+    whose full-pattern structures it rebuilt rather than read.
     """
     n = Pc.shape[0]
     if n == 0:
@@ -1082,30 +1083,35 @@ _BLOCK_NAMES = ("P", "T", "S")
 
 
 def operator_to_text(B: BlockOperator) -> str:
-    """Serialize a BlockOperator in text format version 3: O(nnz), not O(N^2).
+    """Serialize a BlockOperator in text format version 4: O(nnz), not O(N^2).
 
     Lines, in order:
 
-        blockoperator 3
+        blockoperator 4
         N <n>
         c1 <c1>
         then for each block of P, T, S, four lines:
         <name> <nnz>
-        <indptr: n + 1 words>
-        <indices: nnz words>
+        <indptr: n + 1 words, or empty when nnz = n*n>
+        <indices: nnz words, or empty when nnz = n*n>
         <data: nnz words>
 
     The last three lines of a block are its CSR arrays as stored, explicit
     zeros included, each as the standard base64 (no line breaks) of its
     entries as little-endian 8-byte words: signed integers for indptr and
     indices, IEEE binary64 for data.  They are empty lines when nnz = 0.
-    c1 is written with repr; both round-trip every float64 exactly.
+    A block of nnz = n*n stored entries, which in canonical CSR can only
+    be every (row, column) pair in order, writes empty indptr and indices
+    lines: the reader rebuilds that one structure.  c1 is written with
+    repr; both round-trip every float64 exactly.
     """
-    lines = ["blockoperator 3", f"N {B.N}", f"c1 {float(B.c1)!r}"]
+    n = B.N
+    lines = ["blockoperator 4", f"N {n}", f"c1 {float(B.c1)!r}"]
     for name in _BLOCK_NAMES:
         m = getattr(B, name)
         lines.append(f"{name} {m.nnz}")
-        for array, dtype in ((m.indptr, "<i8"), (m.indices, "<i8"), (m.data, "<f8")):
+        arrays = ((), (), m.data) if m.nnz == n * n else (m.indptr, m.indices, m.data)
+        for array, dtype in zip(arrays, ("<i8", "<i8", "<f8")):
             words = np.asarray(array, dtype=dtype).tobytes()
             lines.append(base64.b64encode(words).decode("ascii"))
     lines.append("")  # the final newline, without a second copy of the text
@@ -1138,19 +1144,22 @@ def _words(line: str, dtype: str, count: int, what: str) -> np.ndarray:
 def operator_from_text(text: str) -> BlockOperator:
     """Parse operator_to_text output and re-assemble it (c1 is verified).
 
-    Raises ValueError naming the defect for any other header (version 2
-    included), a wrong line count, a line that is not base64 of whole
-    8-byte words or holds the wrong number of them, an indptr that is
-    not monotone from 0 to nnz, a column index outside [0, N), or
-    column indices that are not strictly increasing within a row (a
-    repeated entry would otherwise be summed).  The decoded blocks are
-    then canonical float64 CSR, and pass once, without a copy, through
+    Raises ValueError naming the defect for any other header (versions 2
+    and 3 included), a wrong line count, a line that is not base64 of
+    whole 8-byte words or holds the wrong number of them, an indptr that
+    is not monotone from 0 to nnz, a column index outside [0, N), column
+    indices that are not strictly increasing within a row (a repeated
+    entry would otherwise be summed), or a block of nnz = N*N whose
+    indptr or indices line is not empty, so that each operator has one
+    text.  Such a full block's data line is decoded and counted before
+    its N*N column indices are built.  The decoded blocks are then
+    canonical float64 CSR, and pass once, without a copy, through
     assemble's checks, so non-finite, non-symmetric or non-positive
     blocks raise its package errors, with its messages.
     """
     lines = text.splitlines()
-    if not lines or lines[0].split() != ["blockoperator", "3"]:
-        raise ValueError("not a blockoperator version 3 serialization")
+    if not lines or lines[0].split() != ["blockoperator", "4"]:
+        raise ValueError("not a blockoperator version 4 serialization")
     expected = 3 + 4 * len(_BLOCK_NAMES)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")
@@ -1162,15 +1171,25 @@ def operator_from_text(text: str) -> BlockOperator:
     for k, name in enumerate(_BLOCK_NAMES):
         head, ptr_line, idx_line, data_line = lines[3 + 4 * k : 7 + 4 * k]
         nnz = _keyed_value(head, name, int, f"{name} nnz")
-        indptr = _words(ptr_line, "<i8", n + 1, f"{name} indptr")
-        # compared, not differenced: a difference of int64 words can wrap
-        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
-            raise ValueError(f"{name} indptr is not monotone from 0 to nnz = {nnz}")
-        indices = _words(idx_line, "<i8", nnz, f"{name} indices")
-        if nnz and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError(f"{name} has a column index outside [0, {n})")
+        if nnz == n * n:
+            if ptr_line or idx_line:
+                raise ValueError(f"{name} is full (nnz = N*N), so its index lines must be empty")
+            data = _words(data_line, "<f8", nnz, f"{name} data")
+            # the full pattern, in the index dtype scipy would pick for it
+            idx = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+            indptr = np.arange(n + 1, dtype=idx) * n
+            indices = np.tile(np.arange(n, dtype=idx), n)
+        else:
+            indptr = _words(ptr_line, "<i8", n + 1, f"{name} indptr")
+            # compared, not differenced: a difference of int64 words can wrap
+            if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
+                raise ValueError(f"{name} indptr is not monotone from 0 to nnz = {nnz}")
+            indices = _words(idx_line, "<i8", nnz, f"{name} indices")
+            if nnz and (indices.min() < 0 or indices.max() >= n):
+                raise ValueError(f"{name} has a column index outside [0, {n})")
+            data = _words(data_line, "<f8", nnz, f"{name} data")
         # native float64, as _as_csr would make it: no copy on a little-endian machine
-        data = _words(data_line, "<f8", nnz, f"{name} data").astype(np.float64, copy=False)
+        data = data.astype(np.float64, copy=False)
         blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         if not blocks[name].has_canonical_format:
             raise ValueError(f"{name} column indices are not increasing within a row")

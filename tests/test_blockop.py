@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import signal
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -1225,15 +1226,23 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def words(dtype: str, values) -> str:
-    """A CSR array line of text format 3: base64 of little-endian 8-byte words."""
+    """A CSR array line of text format 4: base64 of little-endian 8-byte words."""
     return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode("ascii")
 
 
 def text_of(P: sp.csr_matrix, T: sp.csr_matrix, S: sp.csr_matrix, c1: float) -> str:
-    """Text format 3 of the blocks as given, written without assembling them."""
-    lines = ["blockoperator 3", f"N {P.shape[0]}", f"c1 {c1!r}"]
+    """Text format 4 of the blocks as given, written without assembling them.
+
+    A full block (nnz = N*N) gets empty indptr and indices lines.
+    """
+    n = P.shape[0]
+    lines = ["blockoperator 4", f"N {n}", f"c1 {c1!r}"]
     for name, m in zip("PTS", (P, T, S)):
-        lines += [f"{name} {m.nnz}", words("<i8", m.indptr), words("<i8", m.indices)]
+        lines.append(f"{name} {m.nnz}")
+        if m.nnz == n * n:
+            lines += ["", ""]
+        else:
+            lines += [words("<i8", m.indptr), words("<i8", m.indices)]
         lines.append(words("<f8", m.data))
     return "\n".join(lines) + "\n"
 
@@ -1305,7 +1314,7 @@ class TestTextFormat:
         lines = text.splitlines()
         i8, f8 = (lambda vals: words("<i8", vals)), (lambda vals: words("<f8", vals))
         assert lines == [
-            "blockoperator 3",
+            "blockoperator 4",
             "N 2",
             "c1 1.0",
             "P 2",
@@ -1324,6 +1333,20 @@ class TestTextFormat:
         # byte order pinned: 2.0 = 0x4000000000000000, -1.0 = 0xBFF0000000000000
         assert lines[6] == "AAAAAAAAAEAAAAAAAADwvw=="
         assert base64.b64decode(lines[6]) == bytes(7) + b"\x40" + bytes(6) + b"\xf0\xbf"
+
+    def test_layout_of_a_full_block(self):
+        # T stores all four entries, an explicit zero among them, so its
+        # structure is implied and only its data is written
+        T = sp.csr_matrix(([0.5, 0.0, 1.0, 2.0], ([0, 0, 1, 1], [0, 1, 0, 1])))
+        B = assemble(np.eye(2), T, np.eye(2))
+        assert B.T.nnz == 4
+        lines = operator_to_text(B).splitlines()
+        i8, f8 = (lambda vals: words("<i8", vals)), (lambda vals: words("<f8", vals))
+        assert lines[7:11] == ["T 4", "", "", f8([0.5, 0.0, 1.0, 2.0])]
+        assert lines[3:7] == ["P 2", i8([0, 1, 2]), i8([0, 1]), f8([1.0, 1.0])]
+        C = operator_from_text("\n".join(lines))
+        assert C.T.indptr.tolist() == [0, 2, 4] and C.T.indices.tolist() == [0, 1, 0, 1]
+        assert C.T.indptr.dtype == C.T.indices.dtype == B.T.indices.dtype == np.int32
 
     def test_channel_text_is_linear_in_n(self):
         spec = DiracChannelSpec(kappa=-1, nu=0.5, gamma=0.5)
@@ -1349,8 +1372,9 @@ class TestTextFormat:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda ls: ["blockoperator 1"] + ls[1:], "version 3"),
-            (lambda ls: ["blockoperator 2"] + ls[1:], "not a blockoperator version 3"),
+            (lambda ls: ["blockoperator 1"] + ls[1:], "version 4"),
+            (lambda ls: ["blockoperator 2"] + ls[1:], "not a blockoperator version 4"),
+            (lambda ls: ["blockoperator 3"] + ls[1:], "not a blockoperator version 4 serialization"),
             (lambda ls: ls[:-1], "expected 15 lines"),
             (lambda ls: ls + [""], "expected 15 lines"),
             (lambda ls: ls[:1] + ["N -1"] + ls[2:], "negative"),
@@ -1360,6 +1384,9 @@ class TestTextFormat:
             (lambda ls: ls[:4] + [words("<i8", [0, 2, 1])] + ls[5:], "not monotone"),
             (lambda ls: ls[:4] + [words("<i8", [1, 1, 2])] + ls[5:], "not monotone"),
             (lambda ls: ls[:4] + [words("<i8", [0, 1])] + ls[5:], "P indptr: expected 3 entries"),
+            # empty index lines on a block that is not full
+            (lambda ls: ls[:4] + ["", ""] + ls[6:], "P indptr: expected 3 entries, found 0"),
+            (lambda ls: ls[:5] + [""] + ls[6:], "P indices: expected 2 entries, found 0"),
             (lambda ls: ls[:5] + [words("<i8", [0, 2])] + ls[6:], "outside [0, 2)"),
             (lambda ls: ls[:5] + [words("<i8", [-1, 1])] + ls[6:], "outside [0, 2)"),
             (lambda ls: ls[:5] + [words("<i8", [0, 2**63 - 1])] + ls[6:], "outside [0, 2)"),
@@ -1411,6 +1438,96 @@ class TestTextFormat:
         lines[4] = words("<i8", [0, 3 * 2**61, -3 * 2**61, 3])
         with pytest.raises(ValueError, match="P indptr is not monotone"):
             operator_from_text("\n".join(lines))
+
+    def test_full_block_with_written_structure_is_refused(self):
+        # the implied structure written out is format 3's text of the same
+        # operator: refused, so that each operator has exactly one text
+        B = assemble(np.eye(2), np.ones((2, 2)), np.eye(2))
+        lines = operator_to_text(B).splitlines()
+        assert lines[7:10] == ["T 4", "", ""]
+        for ptr, idx in (
+            (words("<i8", [0, 2, 4]), words("<i8", [0, 1, 0, 1])),
+            (words("<i8", [0, 2, 4]), ""),
+            ("", words("<i8", [0, 1, 0, 1])),
+            (" ", ""),
+        ):
+            lines[8:10] = [ptr, idx]
+            with pytest.raises(ValueError, match=re.escape("T is full (nnz = N*N)")):
+                operator_from_text("\n".join(lines))
+
+    def test_huge_full_block_is_refused_before_its_structure_is_built(self):
+        # N*N = 1e10 entries declared, one data word given: its column
+        # indices alone would take 40 GB
+        text = text_of(sp.csr_matrix(np.eye(1)), *[sp.csr_matrix(np.eye(1))] * 2, 1.0)
+        lines = text.splitlines()
+        lines[1], lines[3] = "N 100000", "P 10000000000"
+        assert lines[4:7] == ["", "", words("<f8", [1.0])]
+        tracemalloc.start()
+        try:
+            message = "P data: expected 10000000000 entries, found 1"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                operator_from_text("\n".join(lines))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_full_block_with_zeros_and_subnormals_is_bitwise(self):
+        # every entry stored: explicit +-0.0 and subnormals, in P's mirrored pairs too
+        odd = [0.0, -0.0, 5e-324, -2.225073858507201e-308, np.nextafter(0.0, -1.0), 1e300]
+        P = np.array([[2.0, -0.0, 5e-324], [-0.0, 0.0, 1e300], [5e-324, 1e300, -1.0]])
+        T = np.array(odd + [3.0, 0.0, -0.0]).reshape(3, 3)
+        S = np.array([[2.0, 0.0, -0.0], [0.0, 3.0, 5e-324], [-0.0, 5e-324, 4.0]])
+        every = np.nonzero(np.ones((3, 3)))
+        B = assemble(*(sp.csr_matrix((m.ravel(), every), shape=(3, 3)) for m in (P, T, S)))
+        text = operator_to_text(B)
+        for k, name in enumerate("PTS"):
+            assert getattr(B, name).nnz == 9
+            assert text.splitlines()[3 + 4 * k : 6 + 4 * k] == [f"{name} 9", "", ""]
+        C = operator_from_text(text)
+        assert _same_bits(np.float64(C.c1), np.float64(B.c1))
+        for name, m in zip("PTS", (P, T, S)):
+            a, b = getattr(B, name), getattr(C, name)
+            assert _same_bits(a.indptr, b.indptr)
+            assert _same_bits(a.indices, b.indices)
+            assert _same_bits(a.data, b.data)
+            assert _same_bits(b.data, m.ravel())
+
+    def test_one_by_one(self):
+        # N = 1: a stored entry is the full pattern, no entry is not
+        B = assemble([[2.0]], sp.csr_matrix((1, 1)), [[3.0]])
+        i8, f8 = (lambda vals: words("<i8", vals)), (lambda vals: words("<f8", vals))
+        text = operator_to_text(B)
+        assert text.splitlines() == [
+            "blockoperator 4",
+            "N 1",
+            "c1 3.0",
+            "P 1",
+            "",
+            "",
+            f8([2.0]),
+            "T 0",
+            i8([0, 0]),
+            "",
+            "",
+            "S 1",
+            "",
+            "",
+            f8([3.0]),
+        ]
+        C = operator_from_text(text)
+        for name in "PTS":
+            a, b = getattr(B, name), getattr(C, name)
+            assert _same_bits(a.indptr, b.indptr) and _same_bits(a.indices, b.indices)
+            assert _same_bits(a.data, b.data)
+        assert operator_to_text(C) == text
+
+    @settings(deadline=2000, max_examples=150)
+    @given(B=operators())
+    def test_text_roundtrip_is_identity(self, B):
+        # each operator has one text: reading and writing it back changes no byte
+        text = operator_to_text(B)
+        assert operator_to_text(operator_from_text(text)) == text
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_workload_family_roundtrip_is_bitwise(self, seed):
