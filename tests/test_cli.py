@@ -207,6 +207,73 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "output.format=xml\n")
 
+    @pytest.mark.parametrize(
+        "text, error, key, message",
+        [
+            ("kappa=-1\nnu=0.5\n", ValidationError, "command", "required"),
+            (
+                "command=fish\nkappa=-1\nnu=0.5\n", ValidationError, "command",
+                "must be one of validate, solve, c2, spectrum, hardy-sweep, convergence",
+            ),
+            ("command=c2\nnu=0.5\n", ValidationError, "kappa", "required"),
+            ("command=c2\nkappa=0\nnu=0.5\n", ValidationError, "kappa", "must be nonzero"),
+            ("command=c2\nkappa=x\nnu=0.5\n", ParseError, None, "line 2, col 7: invalid integer for kappa: 'x'"),
+            ("command=c2\nkappa=-1\n", ValidationError, "nu", "required for this command"),
+            ("command=c2\nkappa=-1\nnu=0\n", ValidationError, "nu", "must be positive"),
+            ("command=c2\nkappa=-1\nnu=inf\n", ValidationError, "nu", "must be finite"),
+            ("command=c2\nkappa=-1\nnu= half\n", ParseError, None, "line 3, col 4: invalid number for nu: 'half'"),
+            (MINIMAL + "gamma=0\n", ValidationError, "gamma", "must be positive"),
+            (MINIMAL + "grid.scheme=spiral\n", ValidationError, "grid.scheme", "must be one of uniform, logarithmic"),
+            (MINIMAL + "grid.N=1\n", ValidationError, "grid.N", "must be >= 2"),
+            (MINIMAL + "grid.r_min=0\n", ValidationError, "grid.r_min", "must be positive"),
+            (MINIMAL + "grid.r_min=5\ngrid.r_max=5\n", ValidationError, "grid.r_max", "must exceed grid.r_min"),
+            (
+                "command=hardy-sweep\nkappa=-1\nsweep.grid_sizes=50\n", ValidationError,
+                "sweep.nu_values", "required for hardy-sweep",
+            ),
+            (
+                "command=hardy-sweep\nkappa=-1\nsweep.nu_values=0.5\n", ValidationError,
+                "sweep.grid_sizes", "required for hardy-sweep",
+            ),
+            (
+                "command=convergence\nkappa=-1\nnu=0.5\n", ValidationError,
+                "sweep.grid_sizes", "required for convergence",
+            ),
+            (MINIMAL + "sweep.nu_values=0.5,0\n", ValidationError, "sweep.nu_values", "entries must be positive"),
+            (MINIMAL + "sweep.nu_values= , \n", ValidationError, "sweep.nu_values", "empty list"),
+            (MINIMAL + "sweep.grid_sizes=50,1\n", ValidationError, "sweep.grid_sizes", "entries must be >= 2"),
+            (
+                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3\n", ValidationError,
+                "sweep.r_mins", "length must match sweep.grid_sizes",
+            ),
+            (
+                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,0\n", ValidationError,
+                "sweep.r_mins", "entries must be positive",
+            ),
+            (
+                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,100\n", ValidationError,
+                "sweep.r_mins", "entries must stay below grid.r_max",
+            ),
+            (MINIMAL + "bisection_tol=0\n", ValidationError, "bisection_tol", "must be positive"),
+            (MINIMAL + "eigen_tol=-1e-8\n", ValidationError, "eigen_tol", "must be positive"),
+            (MINIMAL + "k=0\n", ValidationError, "k", "must be >= 1"),
+            (MINIMAL + "output.format=xml\n", ValidationError, "output.format", "must be one of csv, json"),
+            (MINIMAL + "colour=red\n", ValidationError, "colour", "unknown key"),
+            (MINIMAL + "kappa=-2\n", ValidationError, "kappa", "duplicate key"),
+            (MINIMAL + "grid.N\n", ParseError, None, "line 4, col 1: expected key=value"),
+            (MINIMAL + " =2\n", ParseError, None, "line 4, col 1: empty key"),
+        ],
+    )
+    def test_each_check_names_its_key_and_message(self, text, error, key, message):
+        # one invalid value per config: the exception class, the key and
+        # the whole message are those of the check that refuses it
+        with pytest.raises(error) as err:
+            parse_config(text)
+        assert type(err.value) is error
+        assert str(err.value) == (message if key is None else f"{key}: {message}")
+        if key is not None:
+            assert err.value.key == key
+
     def test_canonical_round_trip_simple(self):
         cfg = parse_config(MINIMAL)
         assert parse_config(cfg.canonical_text()) == cfg
