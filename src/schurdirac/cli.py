@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class RunConfig:
     def canonical_text(self) -> str:
         """Config text that re-parses to an equal RunConfig."""
         lines = []
-        for key, (field, _, _) in _KEYS.items():
-            value = getattr(self, field)
+        for key, entry in _KEYS.items():
+            value = getattr(self, entry.field)
             if value is None or value == ():
                 continue
             if isinstance(value, tuple):
@@ -129,35 +130,77 @@ def _list_of(convert):
     return to_list
 
 
-# Each config key once: key -> (RunConfig field, converter, default), in
-# the order canonical_text echoes them.
+def _positive(x: float) -> str | None:
+    return None if x > 0.0 else "must be positive"
+
+
+def _at_least(low: int):
+    return lambda n: None if n >= low else f"must be >= {low}"
+
+
+def _one_of(choices: tuple[str, ...]):
+    return lambda x: None if x in choices else f"must be one of {', '.join(choices)}"
+
+
+def _echoable(path: str) -> str | None:
+    # the report echoes the path on one config line, which must re-parse to it
+    if "#" in path or "".join(path.splitlines()) != path or path != path.strip():
+        return "must hold no '#' or line break, and no blank at either end"
+    return None
+
+
+class _Key(NamedTuple):
+    field: str  # of RunConfig
+    convert: Callable
+    default: object = None
+    check: Callable = lambda value: None  # complaint about a value (a list's entry), or None
+    needed_by: tuple[str, ...] | None = ()  # commands that need a value; None: all
+    missing: str = "required for {command}"  # complaint when a needed value is missing
+
+
+# Each config key once, in the order canonical_text echoes them.
 _KEYS = {
-    "command": ("command", _to_str, None),
-    "kappa": ("kappa", _to_int, None),
-    "nu": ("nu", _to_float, None),
-    "gamma": ("gamma", _to_float, 0.5),
-    "grid.scheme": ("grid_scheme", _to_str, "logarithmic"),
-    "grid.N": ("grid_N", _to_int, 2000),
-    "grid.r_min": ("grid_r_min", _to_float, 1e-4),
-    "grid.r_max": ("grid_r_max", _to_float, 100.0),
-    "sweep.nu_values": ("sweep_nu_values", _list_of(_to_float), ()),
-    "sweep.grid_sizes": ("sweep_grid_sizes", _list_of(_to_int), ()),
-    "sweep.r_mins": ("sweep_r_mins", _list_of(_to_float), ()),
-    "bisection_tol": ("bisection_tol", _to_float, 1e-8),
-    "eigen_tol": ("eigen_tol", _to_float, 1e-8),
-    "k": ("k", _to_int, 2),
-    "output.path": ("output_path", _to_str, None),
-    "output.format": ("output_format", _to_str, "csv"),
+    "command": _Key("command", _to_str, None, _one_of(COMMANDS), None, "required"),
+    "kappa": _Key(
+        "kappa", _to_int, None, lambda k: None if k else "must be nonzero", None, "required"
+    ),
+    "nu": _Key("nu", _to_float, None, _positive, _CHANNEL_COMMANDS, "required for this command"),
+    "gamma": _Key("gamma", _to_float, 0.5, _positive),
+    "grid.scheme": _Key("grid_scheme", _to_str, "logarithmic", _one_of(_SCHEMES)),
+    "grid.N": _Key("grid_N", _to_int, 2000, _at_least(2)),
+    "grid.r_min": _Key("grid_r_min", _to_float, 1e-4, _positive),
+    "grid.r_max": _Key("grid_r_max", _to_float, 100.0),
+    "sweep.nu_values": _Key(
+        "sweep_nu_values", _list_of(_to_float), (), _positive, ("hardy-sweep",)
+    ),
+    "sweep.grid_sizes": _Key(
+        "sweep_grid_sizes", _list_of(_to_int), (), _at_least(2), _LADDER_COMMANDS
+    ),
+    "sweep.r_mins": _Key("sweep_r_mins", _list_of(_to_float), (), _positive),
+    "bisection_tol": _Key("bisection_tol", _to_float, 1e-8, _positive),
+    "eigen_tol": _Key("eigen_tol", _to_float, 1e-8, _positive),
+    "k": _Key("k", _to_int, 2, _at_least(1)),
+    "output.path": _Key("output_path", _to_str, None, _echoable),
+    "output.format": _Key("output_format", _to_str, "csv", _one_of(_FORMATS)),
 }
-_KNOWN_KEYS = tuple(_KEYS)
+
+
+def _checked(key: str, value):
+    """value, once _KEYS[key]'s check passes it (each entry of a list)."""
+    is_list = isinstance(value, tuple)
+    for item in value if is_list else (value,):
+        complaint = _KEYS[key].check(item)
+        if complaint:
+            raise ValidationError(key, f"entries {complaint}" if is_list else complaint)
+    return value
 
 
 def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     """Parse flat key=value configuration text into a validated RunConfig.
 
     Lines hold one `key=value` pair each; `#` starts a comment; blank
-    lines are skipped; keys and their defaults are those of _KEYS.
-    Raises ParseError with line/column for malformed text and
+    lines are skipped; keys, their defaults and checks are those of
+    _KEYS.  Raises ParseError with line/column for malformed text and
     ValidationError naming the key for semantically invalid values,
     unknown and duplicate keys included.
     """
@@ -169,111 +212,49 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
         if "=" not in stripped:
             raise ParseError("expected key=value", lineno, 1)
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         col = full_line.find("=") + 2
         if not key:
             raise ParseError("empty key", lineno, 1)
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(key, "unknown key")
         if key in raw:
             raise ValidationError(key, "duplicate key")
         raw[key] = (value, lineno, col)
+    if command_override is not None:  # stands in for the text's command
+        raw["command"] = (command_override, 0, 1)
 
-    values = {}  # RunConfig field -> value, filled by fetch
+    values = {}  # RunConfig field -> value
+    for key, entry in _KEYS.items():
+        value = entry.convert(key, *raw[key]) if key in raw else entry.default
+        if value is None or value == ():
+            # command comes first, so every later key knows it
+            if entry.needed_by is None or values["command"] in entry.needed_by:
+                raise ValidationError(key, entry.missing.format(command=values.get("command")))
+        else:
+            _checked(key, value)
+        values[entry.field] = value
 
-    def fetch(key: str):
-        field, convert, value = _KEYS[key]
-        if key in raw:
-            text, line, col = raw[key]
-            value = convert(key, text, line, col)
-        values[field] = value
-        return value
-
-    command = fetch("command")
-    if command_override is not None:
-        command = values["command"] = command_override
-    if command is None:
-        raise ValidationError("command", "required")
-    if command not in COMMANDS:
-        raise ValidationError("command", f"must be one of {', '.join(COMMANDS)}")
-
-    kappa = fetch("kappa")
-    if kappa is None:
-        raise ValidationError("kappa", "required")
-    if kappa == 0:
-        raise ValidationError("kappa", "must be nonzero")
-
-    nu = fetch("nu")
-    if nu is None and command in _CHANNEL_COMMANDS:
-        raise ValidationError("nu", "required for this command")
-    if nu is not None and nu <= 0.0:
-        raise ValidationError("nu", "must be positive")
-
-    gamma = fetch("gamma")
-    if gamma <= 0.0:
-        raise ValidationError("gamma", "must be positive")
-
-    scheme = fetch("grid.scheme")
-    if scheme not in _SCHEMES:
-        raise ValidationError("grid.scheme", f"must be one of {', '.join(_SCHEMES)}")
-    grid_n = fetch("grid.N")
-    if grid_n < 2:
-        raise ValidationError("grid.N", "must be >= 2")
-    r_min = fetch("grid.r_min")
-    r_max = fetch("grid.r_max")
-    if r_min <= 0.0:
-        raise ValidationError("grid.r_min", "must be positive")
-    if r_max <= r_min:
+    config = RunConfig(**values)
+    if config.grid_r_max <= config.grid_r_min:
         raise ValidationError("grid.r_max", "must exceed grid.r_min")
-
-    nu_values = fetch("sweep.nu_values")
-    grid_sizes = fetch("sweep.grid_sizes")
-    r_mins = fetch("sweep.r_mins")
-    if command == "hardy-sweep" and not nu_values:
-        raise ValidationError("sweep.nu_values", "required for hardy-sweep")
-    if command in _LADDER_COMMANDS and not grid_sizes:
-        raise ValidationError("sweep.grid_sizes", f"required for {command}")
-    if any(x <= 0.0 for x in nu_values):
-        raise ValidationError("sweep.nu_values", "entries must be positive")
-    if any(n < 2 for n in grid_sizes):
-        raise ValidationError("sweep.grid_sizes", "entries must be >= 2")
-    if r_mins:
-        if len(r_mins) != len(grid_sizes):
-            raise ValidationError("sweep.r_mins", "length must match sweep.grid_sizes")
-        if any(x <= 0.0 for x in r_mins):
-            raise ValidationError("sweep.r_mins", "entries must be positive")
-        if any(x >= r_max for x in r_mins):
-            raise ValidationError("sweep.r_mins", "entries must stay below grid.r_max")
-
-    tolerances = {key: fetch(key) for key in ("bisection_tol", "eigen_tol")}
-    for key, val in tolerances.items():
-        if val <= 0.0:
-            raise ValidationError(key, "must be positive")
-
-    k = fetch("k")
-    if k < 1:
-        raise ValidationError("k", "must be >= 1")
-
-    fetch("output.path")
-    out_format = fetch("output.format")
-    if out_format not in _FORMATS:
-        raise ValidationError("output.format", f"must be one of {', '.join(_FORMATS)}")
-
-    return RunConfig(**values)
+    r_mins = config.sweep_r_mins
+    if r_mins and len(r_mins) != len(config.sweep_grid_sizes):
+        raise ValidationError("sweep.r_mins", "length must match sweep.grid_sizes")
+    if any(x >= config.grid_r_max for x in r_mins):
+        raise ValidationError("sweep.r_mins", "entries must stay below grid.r_max")
+    return config
 
 
-def _sommerfeld_or_none(n: int, kappa: int, nu: float) -> float | None:
+def _sommerfeld_or_none(n: int, spec: DiracChannelSpec) -> float | None:
     try:
-        return sommerfeld_energy(n, kappa, nu)
+        return sommerfeld_energy(n, spec.kappa, spec.nu)
     except InvalidQuantumNumbers:
         return None
 
 
 def _ladder(config: RunConfig) -> list:
-    r_mins = config.sweep_r_mins or tuple(
-        config.grid_r_min for _ in config.sweep_grid_sizes
-    )
+    r_mins = config.sweep_r_mins or (config.grid_r_min,) * len(config.sweep_grid_sizes)
     return [
         build_grid(config.grid_scheme, n, rm, config.grid_r_max)
         for n, rm in zip(config.sweep_grid_sizes, r_mins)
@@ -281,92 +262,61 @@ def _ladder(config: RunConfig) -> list:
 
 
 def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
-    grid = build_grid(
-        config.grid_scheme, config.grid_N, config.grid_r_min, config.grid_r_max
-    )
-
+    grid = build_grid(config.grid_scheme, config.grid_N, config.grid_r_min, config.grid_r_max)
     if config.command == "hardy-sweep":
         report = hardy_sweep(
             config.kappa, list(config.sweep_nu_values), config.gamma, _ladder(config)
         )
         return list(report.cells), {"nu_star": report.nu_star}
 
+    command = config.command
     spec = DiracChannelSpec(kappa=config.kappa, nu=config.nu, gamma=config.gamma)
-    base = dict(
-        nu=spec.nu, grid_N=grid.N, grid_scheme=grid.scheme, grid_r_min=grid.r_min
-    )
-
-    if config.command == "validate":
+    n_min = _n_min(spec.kappa)
+    grids = [grid]
+    if command == "convergence":
+        grids, e1a = _ladder(config), _sommerfeld_or_none(n_min, spec)
+    rows, meta = [], {}
+    for grid in grids:
         B = build_channel(spec, grid)
-        margin = positivity_margin(B, 0.0)
-        rep = check_admissibility(spec, grid)
-        meta = {
-            "c1": B.c1,
-            "q0_positive": margin >= 0.0,
-            "coupling_sup": rep.coupling_sup,
-            "coupling_ok": rep.coupling_ok,
-            "integral_bounded": rep.integral_bounded,
-            "integral_estimates": rep.integral_estimates,
-        }
-        return [SweepCell(margin=margin, **base)], meta
-
-    if config.command == "solve":
-        B = build_channel(spec, grid)
-        r = grid.nodes
-        rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
-        meta = {
-            "rhs": "F1=exp(-r), F2=r*exp(-r)",
-            "residual_norm": rep.residual_norm,
-            "schur_condition_estimate": rep.schur_condition_estimate,
-            "ill_conditioned": rep.ill_conditioned,
-        }
-        return [SweepCell(margin=positivity_margin(B, 0.0), **base)], meta
-
-    if config.command == "c2":
-        B = build_channel(spec, grid)
-        c2n, c2a, diff = _c2_of(B, spec, config.bisection_tol)
-        cell = SweepCell(margin=positivity_margin(B, 0.0), c2_numeric=c2n, c2_analytic=c2a, **base)
-        return [cell], {"c2_diff": diff}
-
-    if config.command == "spectrum":
-        B = build_channel(spec, grid)
-        energies = _spectrum_of(B, spec, config.k, config.eigen_tol)
-        margin = positivity_margin(B, 0.0)
-        rows = []
-        for n, energy in enumerate(energies, start=_n_min(spec.kappa)):
-            rows.append(
-                SweepCell(
-                    margin=margin,
-                    e1_numeric=energy,
-                    e1_analytic=_sommerfeld_or_none(n, spec.kappa, spec.nu),
-                    **base,
-                )
-            )
-        return rows, {"states": len(energies)}
-
-    if config.command == "convergence":
-        rows = []
-        e1a = _sommerfeld_or_none(_n_min(spec.kappa), spec.kappa, spec.nu)
-        for g in _ladder(config):
-            B = build_channel(spec, g)
+        cells = [{}]  # the command's own columns of each row
+        if command == "validate":
+            rep = check_admissibility(spec, grid)
+            meta = {
+                "c1": B.c1,
+                "coupling_sup": rep.coupling_sup,
+                "coupling_ok": rep.coupling_ok,
+                "integral_bounded": rep.integral_bounded,
+                "integral_estimates": rep.integral_estimates,
+            }
+        elif command == "solve":
+            r = grid.nodes
+            rep = solve(B, RhsPair(np.exp(-r), r * np.exp(-r)))
+            meta = {
+                "rhs": "F1=exp(-r), F2=r*exp(-r)",
+                "residual_norm": rep.residual_norm,
+                "schur_condition_estimate": rep.schur_condition_estimate,
+                "ill_conditioned": rep.ill_conditioned,
+            }
+        elif command == "c2":
+            c2n, c2a, diff = _c2_of(B, spec, config.bisection_tol)
+            cells, meta = [dict(c2_numeric=c2n, c2_analytic=c2a)], {"c2_diff": diff}
+        elif command == "spectrum":
+            energies = _spectrum_of(B, spec, config.k, config.eigen_tol)
+            cells = [
+                dict(e1_numeric=e, e1_analytic=_sommerfeld_or_none(n, spec))
+                for n, e in enumerate(energies, start=n_min)
+            ]
+            meta = {"states": len(energies)}
+        else:  # convergence
             c2n, c2a, _ = _c2_of(B, spec, config.bisection_tol)
             energy = _spectrum_of(B, spec, 1, config.eigen_tol)[0]
-            rows.append(
-                SweepCell(
-                    nu=spec.nu,
-                    grid_N=g.N,
-                    grid_scheme=g.scheme,
-                    grid_r_min=g.r_min,
-                    margin=positivity_margin(B, 0.0),
-                    c2_numeric=c2n,
-                    c2_analytic=c2a,
-                    e1_numeric=energy,
-                    e1_analytic=e1a,
-                )
-            )
-        return rows, {}
-
-    raise ValidationError("command", f"unhandled command {config.command!r}")
+            cells = [dict(c2_numeric=c2n, c2_analytic=c2a, e1_numeric=energy, e1_analytic=e1a)]
+        margin = positivity_margin(B, 0.0)
+        if command == "validate":
+            meta["q0_positive"] = margin >= 0.0
+        base = dict(nu=spec.nu, grid_N=grid.N, grid_scheme=grid.scheme, grid_r_min=grid.r_min)
+        rows += [SweepCell(margin=margin, **base, **cell) for cell in cells]
+    return rows, meta
 
 
 def _fmt(value) -> str:
@@ -458,12 +408,8 @@ def run(config: RunConfig) -> int:
     t0 = time.perf_counter()
     try:
         rows, meta = _execute(config)
-        text = (
-            _render_json(config, rows, meta)
-            if config.output_format == "json"
-            else _render_csv(config, rows, meta)
-        )
-        _write_atomic(config.output_path, text)
+        render = _render_json if config.output_format == "json" else _render_csv
+        _write_atomic(config.output_path, render(config, rows, meta))
     except HypothesisFailed as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 2
@@ -499,11 +445,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = parse_config(text, command_override=args.command)
+        if args.out is not None:
+            config = replace(config, output_path=_checked("output.path", args.out))
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        config = replace(config, output_path=args.out)
     if args.format is not None:
         config = replace(config, output_format=args.format)
     return run(config)

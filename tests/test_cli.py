@@ -84,7 +84,7 @@ class TestParseConfig:
         lines=st.lists(
             st.one_of(
                 st.tuples(
-                    st.sampled_from(cli._KNOWN_KEYS + ("", " nu ", "colour")),
+                    st.sampled_from(tuple(cli._KEYS) + ("", " nu ", "colour")),
                     st.one_of(
                         st.sampled_from(
                             ["", "-1", "0", "2", "0.5", "1e-3", "nan", "inf", "-0.0", "1e999",
@@ -296,7 +296,7 @@ class TestParseConfig:
             "sweep.nu_values=0.5,1.05\ngrid.r_max=50\ngrid.r_min=1e-3\ngrid.N=300\n"
             "grid.scheme=uniform\ngamma=0.25\nnu=0.9\nkappa=-2\ncommand=convergence\n"
         )
-        assert len(text.splitlines()) == len(cli._KNOWN_KEYS) == 16
+        assert len(text.splitlines()) == len(cli._KEYS) == 16
         assert parse_config(text).canonical_text() == (
             "command=convergence\n"
             "kappa=-2\n"
@@ -383,6 +383,35 @@ class TestRunAndMain:
         assert reparsed.command == "c2"
         assert reparsed.grid_N == 220
         assert reparsed.output_path == out
+
+    @pytest.mark.parametrize(
+        "name", ["run#1.csv", "run\n1.csv", "run\r1.csv", " run.csv", "run.csv\t"],
+        ids=["comment mark", "line feed", "carriage return", "leading blank", "trailing blank"],
+    )
+    def test_path_the_echo_cannot_carry_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        # the echo's output.path line would re-parse to another path, or fail
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, MINIMAL + SMALL_GRID)
+        assert main(["c2", "--config", cfg, "--out", name]) == 1
+        assert capsys.readouterr().err == (
+            "config error: output.path: "
+            "must hold no '#' or line break, and no blank at either end\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        with pytest.raises(ValidationError, match="no '#' or line break") as err:
+            cli._checked("output.path", name)
+        assert err.value.key == "output.path"
+
+    def test_unusual_path_is_echoed_exactly(self, tmp_path):
+        cfg_path = write_config(tmp_path, MINIMAL + SMALL_GRID)
+        out = str(tmp_path / "a=b c;d.csv")
+        assert main(["c2", "--config", cfg_path, "--out", out]) == 0
+        echo = "".join(
+            ln[len("# config: "):] + "\n"
+            for ln in open(out).read().splitlines()
+            if ln.startswith("# config: ")
+        )
+        assert parse_config(echo).output_path == out
 
     def test_spectrum_rows_and_analytic_column(self, tmp_path):
         cfg = write_config(
