@@ -19,7 +19,8 @@ eigenvalue of H.  This module builds the operators, evaluates the forms,
 locates c2, and certifies the associated scale-of-spaces inequalities.
 
 All matrices are real; blocks are stored in CSR form with read-only
-buffers and every operation is a pure function of its inputs.
+buffers, and a full block (all N*N entries stored) is read densely as a
+view of those buffers.  Every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -94,17 +95,44 @@ def _as_csr(name: str, a) -> sp.csr_matrix:
     return m
 
 
+def _full(m: sp.csr_matrix) -> np.ndarray | None:
+    """The entries of a full block m as an N x N view of m.data, no copy; else None.
+
+    Full: canonical CSR (sorted, no duplicates) storing all N*N entries,
+    which it can hold only as every (row, column) pair in row-major
+    order; a CSC block would read as its transpose.  The view is
+    read-only exactly when m.data is.
+    """
+    n = m.shape[0]
+    if m.format != "csr" or m.shape != (n, n) or m.nnz != n * n or not m.has_canonical_format:
+        return None
+    return m.data.reshape(n, n)
+
+
+def _dense_block(m: sp.csr_matrix) -> np.ndarray:
+    """m as a read-only dense array: _full's view when m.data is read-only, else a copy."""
+    a = _full(m)
+    # a view of arrays the caller can still write would change with them
+    return a if a is not None and not a.flags.writeable else _freeze(m.toarray())
+
+
 def _is_symmetric_exact(m: sp.csr_matrix) -> bool:
     """m - m^t has no nonzero entry, for a canonical CSR m (sorted, no duplicates).
 
-    When m^t, as canonical CSR, stores the same structure as m, its data
-    is compared entry by entry, as the subtraction would (inf - inf is
-    NaN, not zero); the subtraction itself runs only where the stored
-    structures differ, as with an explicit zero stored on one side.
+    A full m is compared with its transpose as _full's view; otherwise,
+    when m^t, as canonical CSR, stores the same structure as m, its data
+    is compared entry by entry.  Either way as the subtraction would
+    (inf - inf is NaN, not zero); the subtraction itself runs only where
+    the stored structures differ, as with an explicit zero stored on one
+    side.
     """
+    a = _full(m)
+    if a is not None:
+        with np.errstate(all="ignore"):  # scipy's subtraction overflows silently too
+            return not np.any(a - a.T)
     t = m.T.tocsr()
     if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
-        with np.errstate(all="ignore"):  # scipy's subtraction overflows silently too
+        with np.errstate(all="ignore"):
             return not np.any(m.data - t.data)
     d = (m - t).tocsr()
     d.eliminate_zeros()
@@ -114,8 +142,14 @@ def _is_symmetric_exact(m: sp.csr_matrix) -> bool:
 def _within_band(m: sp.csr_matrix, lower: int, upper: int) -> bool:
     """True when every nonzero entry m[i, j] has lower <= j - i <= upper.
 
-    One O(nnz) pass over the CSR arrays; explicit stored zeros are ignored.
+    Explicit stored zeros are ignored.  A full m counts the nonzeros of
+    _full's view and of its diagonals in the band; any other m takes one
+    O(nnz) pass over its CSR arrays.
     """
+    a = _full(m)
+    if a is not None:
+        inside = sum(np.count_nonzero(np.diagonal(a, k)) for k in range(lower, upper + 1))
+        return inside == np.count_nonzero(a)
     offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     return not np.any(m.data[(offsets < lower) | (offsets > upper)])
 
@@ -322,16 +356,20 @@ class BlockOperator:
     to make one compute equal values, and one is kept.
 
     _dense
-        Dense copies of P, T and S, a _Blocks triple, one toarray each.
-        Every dense reader takes its blocks from it (_M0, _s_solve,
-        _shifted_x, _schur_form, _dense_H, embedding_delta,
-        resolvent_difference_check and the BLAS products of
-        gap_eigenvalues' residuals), so each block is densified once per
-        operator; apply and solve's residual stay on the CSR blocks.  It
-        keeps 3N^2 doubles beside _H_reduced's 4N^2: measured 0.24 MB at
-        2N = 200 and 6.0 MB at 2N = 1000.  An
-        operator with H_tridiagonal never keeps one; inertia_c2_oracle
-        densifies its blocks for the one call.
+        The read-only dense P, T and S, a _Blocks triple.  A full block
+        (_full: all N*N entries stored, canonical) whose CSR arrays are
+        read-only, as assemble, operator_from_text and
+        dataclasses.replace of them leave them, is the view of its data
+        and keeps no doubles; any other block is one toarray copy, N^2
+        doubles (0.08 MB at 2N = 200), so a caller that still holds
+        writable arrays never writes through it.  Every dense reader
+        takes its blocks from it (_M0, _s_solve, _shifted_x,
+        _schur_form, _dense_H, embedding_delta and
+        resolvent_difference_check), and so does _stacked_apply, the
+        product of apply, solve's residual and gap_eigenvalues'
+        residuals, when all three blocks are full; otherwise it stays on
+        the CSR blocks.  An operator with H_tridiagonal never keeps one;
+        inertia_c2_oracle densifies its blocks for the one call.
     _s_solve
         S^{-1}, applied to a vector or the columns of a matrix: exact
         division for a diagonal S, whose closure keeps the diagonal and
@@ -351,8 +389,9 @@ class BlockOperator:
     _s_min
         lambda_min(S), the value c1 is certified against: the least
         diagonal entry of a diagonal S, else one eigvalsh of S.  assemble
-        keeps the value it certified c1 with; any other construction
-        makes it from _dense.S on first use, bitwise alike.
+        keeps the value it certified c1 with, read from _dense's form of
+        S; any other construction makes it from _dense.S on first use,
+        bitwise alike.
         resolvent_difference_check reads it.
     _elimination
         _factor's (factor, info) of _M0: the factor every solve hands
@@ -403,7 +442,7 @@ class BlockOperator:
 
     @cached_property
     def _dense(self) -> _Blocks:
-        return _Blocks(*(_freeze(m.toarray()) for m in (self.P, self.T, self.S)))
+        return _Blocks(*map(_dense_block, (self.P, self.T, self.S)))
 
     @cached_property
     def _s_solve(self) -> Callable:
@@ -529,7 +568,9 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
 
     The one validation of every assembled or read operator: assemble
     hands it _as_csr's copies, operator_from_text its decoded blocks,
-    whose full-pattern structures it rebuilt rather than read.
+    whose full-pattern structures it rebuilt rather than read.  Each
+    block is frozen first, so lambda_min(S) of a full S reads the view
+    B._dense keeps.
     """
     n = Pc.shape[0]
     if n == 0:
@@ -538,6 +579,7 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
         if m.shape != (n, n):
             raise DimensionMismatch(f"block {name} has shape {m.shape}, expected {(n, n)}")
         _check_finite((name, m.data))
+        _freeze_csr(m)
     s_diagonal = _within_band(Sc, 0, 0)
     # H_tridiagonal reads P's band when S is diagonal; a P of at most n
     # entries is tested too, as the test is then cheaper than the symmetry test
@@ -547,17 +589,11 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
         if not (diagonal or _is_symmetric_exact(m)):
             raise ValidationError(name, "block must be exactly symmetric")
 
-    smin = _lambda_min_s(Sc, s_diagonal)
+    smin = _lambda_min_s(Sc if s_diagonal else _dense_block(Sc), s_diagonal)
     c1 = smin if c1_policy == "compute" else float(c1_policy)
     if not s_diagonal:  # BlockOperator checks the c1 of a diagonal S
         _check_c1(smin, c1)
-    B = BlockOperator(
-        P=_freeze_csr(Pc),
-        T=_freeze_csr(Tc),
-        S=_freeze_csr(Sc),
-        c1=c1,
-        _diagonal=(p_diagonal, s_diagonal),
-    )
+    B = BlockOperator(P=Pc, T=Tc, S=Sc, c1=c1, _diagonal=(p_diagonal, s_diagonal))
     # the lazy B._s_min would repeat this eigvalsh of the same array
     vars(B)["_s_min"] = smin
     return B
@@ -571,7 +607,16 @@ def _check_length(B: BlockOperator, name: str, x: np.ndarray) -> None:
 
 
 def _stacked_apply(B: BlockOperator, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H (u, v) as one length-2N vector, unchecked: for the residuals of computed results."""
+    """H (u, v) as one length-2N vector, unchecked: apply's, and computed results' residuals.
+
+    BLAS on B._dense when all three blocks store N*N entries, whose
+    dense forms are then views of them; CSR products otherwise.  The
+    stored counts are read as data.size, about 1 us a call cheaper than
+    scipy's nnz.
+    """
+    if B.P.data.size == B.T.data.size == B.S.data.size == B.N * B.N:
+        P, T, S = B._dense
+        return np.concatenate([P @ u + T.T @ v, T @ u - S @ v])
     return np.concatenate([B.P @ u + B.Tt @ v, B.T @ u - B.S @ v])
 
 
@@ -1190,8 +1235,10 @@ def operator_from_text(text: str) -> BlockOperator:
             data = _words(data_line, "<f8", nnz, f"{name} data")
         # native float64, as _as_csr would make it: no copy on a little-endian machine
         data = data.astype(np.float64, copy=False)
-        blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        if not blocks[name].has_canonical_format:
+        m = blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        if nnz == n * n:
+            m.has_canonical_format = True  # the one full structure, built above
+        elif not m.has_canonical_format:
             raise ValueError(f"{name} column indices are not increasing within a row")
     # canonical float64 CSR already, so validated without _as_csr's copy
     return _validated(blocks["P"], blocks["T"], blocks["S"], c1)

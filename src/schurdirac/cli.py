@@ -262,7 +262,6 @@ def _ladder(config: RunConfig) -> list:
 
 
 def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
-    grid = build_grid(config.grid_scheme, config.grid_N, config.grid_r_min, config.grid_r_max)
     if config.command == "hardy-sweep":
         report = hardy_sweep(
             config.kappa, list(config.sweep_nu_values), config.gamma, _ladder(config)
@@ -270,9 +269,11 @@ def _execute(config: RunConfig) -> tuple[list[SweepCell], dict]:
         return list(report.cells), {"nu_star": report.nu_star}
 
     command = config.command
+    if command != "convergence":  # a ladder command reads no configured grid
+        grid = build_grid(config.grid_scheme, config.grid_N, config.grid_r_min, config.grid_r_max)
+        grids = [grid]
     spec = DiracChannelSpec(kappa=config.kappa, nu=config.nu, gamma=config.gamma)
     n_min = _n_min(spec.kappa)
-    grids = [grid]
     if command == "convergence":
         grids, e1a = _ladder(config), _sommerfeld_or_none(n_min, spec)
     rows, meta = [], {}

@@ -1308,6 +1308,46 @@ class TestExactSymmetry:
         assert blockop._is_symmetric_exact(m) is symmetric is self.by_subtraction(m)
 
 
+class TestFullBlockChecks:
+    """_is_symmetric_exact and _within_band on a full block read _full's view, not its CSR."""
+
+    @staticmethod
+    def by_offsets(m: sp.csr_matrix, lower: int, upper: int) -> bool:
+        """The CSR algorithm: no stored nonzero at an offset j - i outside [lower, upper]."""
+        offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return not np.any(m.data[(offsets < lower) | (offsets > upper)])
+
+    BANDS = ((0, 0), (0, 1), (-1, 0), (-1, 1), (1, 2), (-3, 2))
+
+    @settings(deadline=2000, max_examples=300)
+    @given(data=st.data())
+    def test_agree_with_the_csr_algorithms(self, data):
+        # random, symmetric, symmetric but for one entry moved to the next
+        # float, or banded with explicit zeros stored outside the band;
+        # zeros of either sign are among the entries everywhere
+        n = data.draw(st.integers(1, 6))
+        a = np.array(data.draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        kind = data.draw(st.sampled_from(["random", "symmetric", "off by one", "banded"]))
+        if kind != "random":
+            a = np.where(np.triu(np.ones((n, n), bool)), a, a.T)
+        if kind == "off by one" and n > 1:
+            off = [(i, j) for i in range(n) for j in range(n) if i != j]
+            i, j = data.draw(st.sampled_from(off))
+            a[i, j] = np.nextafter(a[i, j], math.inf if a[i, j] < 1e308 else 0.0)
+        if kind == "banded":
+            lower, upper = data.draw(st.sampled_from(self.BANDS))
+            offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
+            zero = data.draw(st.sampled_from([0.0, -0.0]))
+            a = np.where((offsets >= lower) & (offsets <= upper), a, zero)
+        every = (np.tile(np.arange(n), n), np.arange(n + 1) * n)
+        m = sp.csr_matrix((a.ravel(), *every), shape=(n, n))
+        assert m.nnz == n * n and blockop._full(m) is not None
+        assert blockop._is_symmetric_exact(m) == TestExactSymmetry.by_subtraction(m)
+        for lower, upper in self.BANDS:
+            want = self.by_offsets(m, lower, upper)
+            assert blockop._within_band(m, lower, upper) == want, (lower, upper)
+
+
 class TestTextFormat:
     def test_layout(self):
         text = operator_to_text(assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2)))

@@ -540,6 +540,23 @@ class TestRunAndMain:
         assert main(["validate", "--config", cfg]) == 1
         assert capsys.readouterr().err == "error: T: has a non-finite entry\n"
 
+    @pytest.mark.parametrize("command, rows", [("hardy-sweep", 4), ("convergence", 2)])
+    def test_a_ladder_command_never_builds_the_configured_grid(self, tmp_path, command, rows):
+        # build_grid refuses grid.r_min = 5e-324 (its 2000 logarithmic nodes
+        # are not strictly increasing), which the ladder's own r_mins never read
+        cfg = write_config(
+            tmp_path,
+            "kappa=-1\nnu=0.5\ngrid.r_min=5e-324\nsweep.grid_sizes=100,200\n"
+            "sweep.nu_values=0.5,1.05\nsweep.r_mins=1e-3,1e-3\n",
+        )
+        with pytest.raises(dirac.BadRange, match="^nodes must be strictly increasing$"):
+            dirac.build_grid("logarithmic", 2000, 5e-324, 100.0)
+        out = str(tmp_path / "ladder.csv")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        data = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        assert len(data) == 1 + rows
+        assert main(["validate", "--config", cfg]) == 1
+
     def test_hardy_sweep_report(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,7 +1,13 @@
-"""B._dense: each block of a dense operator is densified once, read-only,
-and every dense reader takes its blocks from that one copy; a channel
-keeps no copy."""
+"""B._dense: the one read-only dense form of each block of a dense operator.
 
+A full block (nnz = N*N) is a view of its CSR data, never of arrays a
+caller can still write; any other block is densified once.  Every dense
+reader takes its blocks from it; a channel keeps none.
+"""
+
+import base64
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,9 +17,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 import schurdirac.blockop as blockop
 from schurdirac import (
+    BlockOperator,
     DiracChannelSpec,
     RhsPair,
     StateVector,
+    ValidationError,
     assemble,
     build_channel,
     build_grid,
@@ -23,6 +31,8 @@ from schurdirac import (
     form_report,
     gap_eigenvalues,
     inertia_c2_oracle,
+    operator_from_text,
+    operator_to_text,
     positivity_margin,
     resolvent_difference_check,
     schur_form_matrix,
@@ -80,12 +90,68 @@ def dense_operators(rng):
     ]
 
 
-def test_a_fresh_dense_operator_densifies_each_block_once(rng, toarray_calls):
-    for B in dense_operators(rng):
+def test_a_fresh_dense_operator_densifies_only_its_blocks_that_are_not_full(rng, toarray_calls):
+    # a full block is read as a view of its CSR data, no copy; any other
+    # block once: diagonal_s_operator's S is the one such block here
+    for B, densified in zip(dense_operators(rng), ([], [], [], ["S"])):
         assert isinstance(B.P, sp.csr_matrix) and B.H_tridiagonal is None
+        assert [name for name in "PTS" if getattr(B, name).nnz != B.N**2] == densified
         del toarray_calls[:]
         every_reader(B)
-        assert toarray_calls == [(B.N, B.N)] * 3, B.N
+        assert toarray_calls == [(B.N, B.N)] * len(densified), B.N
+        assert np.shares_memory(B._dense.P, B.P.data)
+
+
+def test_full_blocks_are_views_only_of_arrays_no_caller_can_write(rng):
+    A = random_block_operator(rng, 7, margin_target=0.5)
+    # assemble, the text reader and replace of them hold read-only blocks
+    for B in (A, dataclasses.replace(A), operator_from_text(operator_to_text(A))):
+        for name, dense in zip("PTS", B._dense):
+            m = getattr(B, name)
+            assert not dense.flags.writeable and np.shares_memory(dense, m.data), name
+            assert dense.tobytes() == m.toarray().tobytes(), name
+    want = [m.toarray() for m in (A.P, A.T, A.S)]
+    # a full CSC block stores its entries column-major: never viewed
+    X = A.T.tocsc()
+    for buf in (X.data, X.indices, X.indptr):
+        buf.setflags(write=False)
+    assert dataclasses.replace(A, T=X)._dense.T.tobytes() == want[1].tobytes()
+    # blocks built directly from arrays their caller can still write: each
+    # dense block is a read-only copy, unchanged when the caller writes them
+    arrays = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (A.P, A.T, A.S)]
+    blocks = [sp.csr_matrix(a, shape=(7, 7)) for a in arrays]
+    B = BlockOperator(*blocks, c1=A.c1)
+    for name, dense, m, (data, _, _) in zip("PTS", B._dense, blocks, arrays):
+        assert np.shares_memory(m.data, data) and data.flags.writeable, name
+        assert not dense.flags.writeable and not np.shares_memory(dense, data), name
+        data[:] = 1.0
+    # and assemble copies the arrays it is given, so writing them after changes nothing
+    given = [a.copy() for a in want]
+    C = assemble(*given)
+    for a in given:
+        a[:] = 1.0
+    for D in (B, C):
+        for name, dense, a in zip("PTS", D._dense, want):
+            assert not dense.flags.writeable and dense.tobytes() == a.tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["P", "S"])
+def test_an_asymmetric_full_block_is_refused_by_name(rng, name):
+    B = random_block_operator(rng, 5, margin_target=0.5)
+    blocks = {k: getattr(B, k).toarray() for k in "PTS"}
+    blocks[name][0, 1] = np.nextafter(blocks[name][0, 1], math.inf)
+    message = f"^{name}: block must be exactly symmetric$"
+    with pytest.raises(ValidationError, match=message) as info:
+        assemble(blocks["P"], blocks["T"], blocks["S"])
+    assert info.value.key == name
+    # the same block in the text of B: the reader refuses it alike
+    lines = operator_to_text(B).splitlines()
+    k = 3 + 4 * "PTS".index(name)
+    assert lines[k : k + 3] == [f"{name} 25", "", ""]
+    lines[k + 3] = base64.b64encode(blocks[name].astype("<f8").tobytes()).decode("ascii")
+    with pytest.raises(ValidationError, match=message) as info:
+        operator_from_text("\n".join(lines))
+    assert info.value.key == name
 
 
 def test_a_channel_never_densifies(toarray_calls):
