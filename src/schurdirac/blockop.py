@@ -171,6 +171,34 @@ class _Tridiagonal(NamedTuple):
         return y
 
 
+class _Layout(NamedTuple):
+    """B._layout: the diagonals p of P and s of S, and T = diag(a) + b off its diagonal.
+
+    b is T's superdiagonal (b_j = T_{j,j+1}), or its subdiagonal (b_j =
+    T_{j+1,j}) when lower.  H interleaves as (u_1, v_1, u_2, ...), or as
+    (v_1, u_1, v_2, ...) when lower; either way its off-diagonal is
+    (a_1, b_1, a_2, ...).  The one place that order is written.
+    """
+
+    p: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lower: bool
+
+    def interleaved(self) -> _Tridiagonal:
+        """H in the interleaved order, read-only."""
+        d, e = np.empty(2 * self.p.shape[0]), np.empty(2 * self.p.shape[0] - 1)
+        d[0::2], d[1::2] = (-self.s, self.p) if self.lower else (self.p, -self.s)
+        e[0::2], e[1::2] = self.a, self.b
+        return _Tridiagonal(d=_freeze(d), e=_freeze(e))
+
+    def stacked(self, z: np.ndarray) -> np.ndarray:
+        """The rows of z, in the interleaved order, put in the (u, v) order."""
+        u, v = (z[1::2], z[0::2]) if self.lower else (z[0::2], z[1::2])
+        return np.concatenate([u, v])
+
+
 # Absolute tolerance of the Sturm bisection: twice the underflow
 # threshold, the value at which LAPACK computes eigenvalues most accurately.
 _STEBZ_ABSTOL = 2.0 * dlamch("S")
@@ -326,14 +354,15 @@ class BlockOperator:
 
     Four fields are derived from the blocks in __post_init__, O(nnz) in
     all (explicit stored zeros are ignored); they cannot be passed in and
-    dataclasses.replace recomputes them.  Each block's band is tested
-    at most once per operator: assemble tests whether S and P are
+    dataclasses.replace recomputes them.  The bands of P and S are
+    tested at most once per operator: assemble tests whether S and P are
     diagonal (P only for a diagonal S or one storing at most N
     entries), skips the exact symmetry test of a diagonal block, and
     hands both answers to __post_init__ through the private _diagonal;
     every other construction, dataclasses.replace included, tests S
-    here, and P only for a diagonal S.  T is tested for its upper
-    bidiagonal band only when P and S are diagonal.
+    here, and P only for a diagonal S.  T is tested only when P and S
+    are diagonal: for the upper bidiagonal band, and, only if that
+    fails, for the lower one.
 
     N
         The common size of the blocks, P.shape[0].
@@ -343,17 +372,30 @@ class BlockOperator:
         which apply would otherwise pay on each call.
     S_diagonal
         S has no nonzero off-diagonal entry.
-    H_tridiagonal
-        When P and S are diagonal and T is upper bidiagonal (every Dirac
-        channel), H interleaved as (u_1, v_1, u_2, v_2, ...), which is
-        tridiagonal, and so is every M_alpha: the read-only _Tridiagonal
-        pair (p_1, -s_1, p_2, ...), (t_11, t_12, t_22, ...).  Every
-        O(N) route reads it.  None for every other structure.
+    _layout
+        When P and S are diagonal and T is bidiagonal, as in every Dirac
+        channel, the layout that makes H and every M_alpha tridiagonal,
+        recorded once: the read-only diagonals p of P and s of S, T's
+        diagonal a and off-diagonal b, and T's orientation, a _Layout.
+        Upper (offsets {0, 1}) wins whenever it holds, so a diagonal or
+        1 x 1 T is upper; lower means offsets {-1, 0}.  Every O(N) route
+        reads it, not H's strides: the forms M_alpha, embedding_delta's
+        K = S^{-1} T, and the map of gap eigenvectors back to (u, v).
+        None for every other structure, which takes the dense route.
 
-    Eight facts are lazy: each is made on first use and cached on this
+    Nine facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  Only _s_min is made at assembly, by
     assemble, and dataclasses.replace starts without any of them.  Threads that race
     to make one compute equal values, and one is kept.
+
+    H_tridiagonal
+        H interleaved from _layout, which makes it tridiagonal: as (u_1,
+        v_1, u_2, ...) for an upper T, as (v_1, u_1, v_2, ...) for a
+        lower one.  The read-only _Tridiagonal pair (p_1, -s_1, p_2,
+        ...), or (-s_1, p_1, -s_2, ...) when lower, and (a_1, b_1, a_2,
+        ...) either way: what _h_norm and gap_eigenvalues' Sturm
+        selections read.  None exactly when _layout is; a solve never
+        makes it.
 
     _dense
         The read-only dense P, T and S, a _Blocks triple.  A full block
@@ -368,7 +410,7 @@ class BlockOperator:
         resolvent_difference_check), and so does _stacked_apply, the
         product of apply, solve's residual and gap_eigenvalues'
         residuals, when all three blocks are full; otherwise it stays on
-        the CSR blocks.  An operator with H_tridiagonal never keeps one;
+        the CSR blocks.  An operator with a _layout never keeps one;
         inertia_c2_oracle densifies its blocks for the one call.
     _s_solve
         S^{-1}, applied to a vector or the columns of a matrix: exact
@@ -378,7 +420,7 @@ class BlockOperator:
         applies is this one.
     _M0
         M_0 = P + T^t S^{-1} T in the layout of _schur_form, checked
-        finite: the _Tridiagonal pair read from H_tridiagonal, or else
+        finite: the _Tridiagonal pair formed from _layout, or else
         the dense array formed through that S^{-1} and symmetrized.
         Every read of M_0 on either layout takes this one value.
     _margin0
@@ -397,7 +439,7 @@ class BlockOperator:
         _factor's (factor, info) of _M0: the factor every solve hands
         the expert driver, or None with LAPACK's pivot info.
     _H_reduced
-        The dense H of an operator without H_tridiagonal, reduced to a
+        The dense H of an operator without a _layout, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
         reduces it (scaled first when max|H_ij| is out of range), with
         the reflectors, ||H||_inf and the scale: a _Reduction.  find_c2's
@@ -418,7 +460,7 @@ class BlockOperator:
     N: int = field(init=False)
     Tt: sp.csc_matrix = field(init=False, repr=False)
     S_diagonal: bool = field(init=False)
-    H_tridiagonal: _Tridiagonal | None = field(init=False, repr=False)
+    _layout: _Layout | None = field(init=False, repr=False)
     _diagonal: InitVar[tuple[bool, bool] | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _diagonal: tuple[bool, bool] | None):
@@ -432,13 +474,19 @@ class BlockOperator:
         if s_diagonal:
             s = self.S.diagonal()
             _check_c1(float(np.min(s)), self.c1)
-        H = None
-        if s_diagonal and p_diagonal and _within_band(self.T, 0, 1):
-            d, e = np.empty(2 * self.N), np.empty(2 * self.N - 1)
-            d[0::2], d[1::2] = self.P.diagonal(), -s
-            e[0::2], e[1::2] = self.T.diagonal(), self.T.diagonal(1)
-            H = _Tridiagonal(d=_freeze(d), e=_freeze(e))
-        object.__setattr__(self, "H_tridiagonal", H)
+        layout = None
+        if s_diagonal and p_diagonal:
+            # upper wins whenever it holds, so a diagonal T is upper
+            lower = not _within_band(self.T, 0, 1)
+            if not lower or _within_band(self.T, -1, 0):
+                b = self.T.diagonal(-1 if lower else 1)
+                diagonals = (self.P.diagonal(), s, self.T.diagonal(), b)
+                layout = _Layout(*map(_freeze, diagonals), lower=lower)
+        object.__setattr__(self, "_layout", layout)
+
+    @cached_property
+    def H_tridiagonal(self) -> _Tridiagonal | None:
+        return None if self._layout is None else self._layout.interleaved()
 
     @cached_property
     def _dense(self) -> _Blocks:
@@ -457,8 +505,8 @@ class BlockOperator:
 
     @cached_property
     def _M0(self) -> _Tridiagonal | np.ndarray:
-        if self.H_tridiagonal is not None:
-            M = _tridiagonal_form(self.H_tridiagonal, 0.0)
+        if self._layout is not None:
+            M = _tridiagonal_form(self._layout, 0.0)
             _check_finite_form(M.d, M.e)
             return M
         P, T, _ = self._dense
@@ -639,7 +687,7 @@ def _dense_H(B: BlockOperator) -> np.ndarray:
     B._H_reduced reduces in place, filled from B._dense, or from blocks
     densified for this call alone when B.H_tridiagonal is set.
     """
-    P, T, S = B._dense if B.H_tridiagonal is None else (m.toarray() for m in (B.P, B.T, B.S))
+    P, T, S = B._dense if B._layout is None else (m.toarray() for m in (B.P, B.T, B.S))
     N = B.N
     H = np.empty((2 * N, 2 * N))
     H[:N, :N], H[:N, N:], H[N:, :N] = P, T.T, T
@@ -659,24 +707,31 @@ def _check_shift(name: str, value: float) -> float:
     return value
 
 
-def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> _Tridiagonal:
-    """T^t diag(w) T for T = diag(a) + superdiag(b), symmetrized.
+def _offdiagonal(lower: bool) -> tuple[slice, slice]:
+    """The rows and the columns of T that b_1 .. b_{N-1}, T's off-diagonal, sit in."""
+    return (slice(1, None), slice(None, -1)) if lower else (slice(None, -1), slice(1, None))
 
-    The entries of the sparse product, in its operation order, so the
-    values are bitwise equal to it.
+
+def _bidiagonal_gram(a: np.ndarray, b: np.ndarray, w: np.ndarray, lower: bool) -> _Tridiagonal:
+    """T^t diag(w) T for T = diag(a) + b on the superdiagonal, or the subdiagonal when lower.
+
+    Symmetrized, the entries of the sparse product in its operation
+    order, so the values are bitwise equal to it: upper, d_j = a_j^2 w_j
+    + b_{j-1}^2 w_{j-1} and e_j = a_j w_j b_j; lower, d_j = a_j^2 w_j +
+    b_j^2 w_{j+1} and e_j = a_{j+1} w_{j+1} b_j.
     """
-    aw, bw = a * w, b * w[:-1]
+    rows, cols = _offdiagonal(lower)
+    aw, bw = a * w, b * w[rows]
     d = aw * a
-    d[1:] += bw * b
-    return _Tridiagonal(d=d, e=(aw[:-1] * b + bw * a[:-1]) * 0.5)
+    d[cols] += bw * b
+    return _Tridiagonal(d=d, e=(aw[rows] * b + bw * a[rows]) * 0.5)
 
 
-def _tridiagonal_form(H: _Tridiagonal, alpha: float) -> _Tridiagonal:
-    """M_alpha of the interleaved tridiagonal H, read-only, formed without warnings."""
+def _tridiagonal_form(L: _Layout, alpha: float) -> _Tridiagonal:
+    """M_alpha of the recorded layout L, read-only, formed without warnings."""
     with np.errstate(all="ignore"):
-        # H.d holds -s, so alpha - H.d[1::2] is s + alpha
-        d, e = _bidiagonal_gram(H.e[0::2], H.e[1::2], 1.0 / (alpha - H.d[1::2]))
-        return _Tridiagonal(d=_freeze((H.d[0::2] - alpha) + d), e=_freeze(e))
+        d, e = _bidiagonal_gram(L.a, L.b, 1.0 / (alpha + L.s), L.lower)
+        return _Tridiagonal(d=_freeze((L.p - alpha) + d), e=_freeze(e))
 
 
 def _schur_form(B: BlockOperator, alpha: float, X: np.ndarray | None = None):
@@ -684,9 +739,9 @@ def _schur_form(B: BlockOperator, alpha: float, X: np.ndarray | None = None):
 
     At alpha = 0 on either layout, B._M0, read-only and formed once per
     operator.  When B.H_tridiagonal is set, the read-only _Tridiagonal
-    pair of M_alpha's diagonal and off-diagonal, read from the
-    interleaved H in O(N) NumPy arithmetic; the eigensolver refuses a
-    non-finite pair.  Otherwise a dense ndarray, at alpha > 0
+    pair of M_alpha's diagonal and off-diagonal, formed from the
+    recorded B._layout in O(N) NumPy arithmetic; the eigensolver refuses
+    a non-finite pair.  Otherwise a dense ndarray, at alpha > 0
     (P - alpha I) + X^t X, one syrk of _shifted_x's X (or the X given).
     Either layout is formed without floating-point warnings; a
     non-finite M_0, or a non-finite dense form (an overflow), raises
@@ -697,8 +752,8 @@ def _schur_form(B: BlockOperator, alpha: float, X: np.ndarray | None = None):
         raise NegativeAlpha(f"alpha = {alpha:.6g} < 0")
     if alpha == 0.0:
         return B._M0
-    if B.H_tridiagonal is not None:
-        return _tridiagonal_form(B.H_tridiagonal, alpha)
+    if B._layout is not None:
+        return _tridiagonal_form(B._layout, alpha)
     X = _shifted_x(B, alpha) if X is None else X
     with np.errstate(all="ignore"):
         # X.T @ X of one buffer goes to syrk, which fills both triangles alike
@@ -789,7 +844,7 @@ def _refusal(B: BlockOperator) -> str:
             f"reduced matrix M_0 is not positive definite (lambda_min = {lam:.6g}); "
             "the elimination requires a positive base form"
         )
-    kind, driver = ("Cholesky", "dposvx") if B.H_tridiagonal is None else ("L D L^t", "dptsvx")
+    kind, driver = ("Cholesky", "dposvx") if B._layout is None else ("L D L^t", "dptsvx")
     return f"M_0 is not positive definite ({kind} pivot {info} <= 0, {driver} info = {info})"
 
 
@@ -891,7 +946,7 @@ def _certified_c2(B: BlockOperator, tol: float) -> float:
 
 def _uncached_c2(B: BlockOperator, tol: float) -> float:
     """The c2 of find_c2 at a checked tol, computed afresh; see find_c2."""
-    if B.H_tridiagonal is None:
+    if B._layout is None:
         return _selected_c2(B, tol)
     m0 = _base_margin(B)
     if m0 == 0.0:
@@ -1034,10 +1089,10 @@ def embedding_delta(B: BlockOperator, tol: float = 1e-8) -> tuple[float, bool]:
     c2 = _certified_c2(B, tol)
     delta = B.c1 * c2 / (B.c1 + c2)
     M0 = _schur_form(B, 0.0)
-    H = B.H_tridiagonal
-    if H is not None:
-        s = -H.d[1::2]
-        KtK = _bidiagonal_gram(H.e[0::2] / s, H.e[1::2] / s[:-1], np.ones(B.N))
+    L = B._layout
+    if L is not None:
+        rows, _ = _offdiagonal(L.lower)
+        KtK = _bidiagonal_gram(L.a / L.s, L.b / L.s[rows], np.ones(B.N), L.lower)
         G = _Tridiagonal(d=M0.d - delta * (1.0 + KtK.d), e=M0.e - delta * KtK.e)
     else:
         K = B._s_solve(B._dense.T)

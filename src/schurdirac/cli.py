@@ -63,7 +63,12 @@ _LADDER_COMMANDS = ("hardy-sweep", "convergence")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters (defaults applied, values validated)."""
+    """Fully resolved run parameters (defaults applied, values validated).
+
+    Every construction, parse_config's, a direct one or
+    dataclasses.replace, runs each _KEYS check, the needed-value check
+    and the checks that read two keys: ValidationError named by the key.
+    """
 
     command: str
     kappa: int
@@ -81,6 +86,23 @@ class RunConfig:
     k: int
     output_path: str | None
     output_format: str
+
+    def __post_init__(self):
+        for key, entry in _KEYS.items():
+            value = getattr(self, entry.field)
+            if value is None or value == ():
+                # command comes first, so every later key knows it
+                if entry.needed_by is None or self.command in entry.needed_by:
+                    raise ValidationError(key, entry.missing.format(command=self.command))
+            else:
+                _checked(key, value)
+        if self.grid_r_max <= self.grid_r_min:
+            raise ValidationError("grid.r_max", "must exceed grid.r_min")
+        r_mins = self.sweep_r_mins
+        if r_mins and len(r_mins) != len(self.sweep_grid_sizes):
+            raise ValidationError("sweep.r_mins", "length must match sweep.grid_sizes")
+        if any(x >= self.grid_r_max for x in r_mins):
+            raise ValidationError("sweep.r_mins", "entries must stay below grid.r_max")
 
     def canonical_text(self) -> str:
         """Config text that re-parses to an equal RunConfig."""
@@ -103,12 +125,9 @@ def _to_str(key: str, value: str, line: int, col: int) -> str:
 
 def _to_float(key: str, value: str, line: int, col: int) -> float:
     try:
-        x = float(value)
+        return float(value)
     except ValueError:
         raise ParseError(f"invalid number for {key}: {value!r}", line, col) from None
-    if not math.isfinite(x):
-        raise ValidationError(key, "must be finite")
-    return x
 
 
 def _to_int(key: str, value: str, line: int, col: int) -> int:
@@ -130,8 +149,12 @@ def _list_of(convert):
     return to_list
 
 
+def _finite(x: float) -> str | None:
+    return None if math.isfinite(x) else "must be finite"
+
+
 def _positive(x: float) -> str | None:
-    return None if x > 0.0 else "must be positive"
+    return _finite(x) or (None if x > 0.0 else "must be positive")
 
 
 def _at_least(low: int):
@@ -169,7 +192,7 @@ _KEYS = {
     "grid.scheme": _Key("grid_scheme", _to_str, "logarithmic", _one_of(_SCHEMES)),
     "grid.N": _Key("grid_N", _to_int, 2000, _at_least(2)),
     "grid.r_min": _Key("grid_r_min", _to_float, 1e-4, _positive),
-    "grid.r_max": _Key("grid_r_max", _to_float, 100.0),
+    "grid.r_max": _Key("grid_r_max", _to_float, 100.0, _finite),
     "sweep.nu_values": _Key(
         "sweep_nu_values", _list_of(_to_float), (), _positive, ("hardy-sweep",)
     ),
@@ -185,24 +208,24 @@ _KEYS = {
 }
 
 
-def _checked(key: str, value):
-    """value, once _KEYS[key]'s check passes it (each entry of a list)."""
+def _checked(key: str, value) -> None:
+    """ValidationError unless _KEYS[key]'s check passes value (each entry of a list)."""
     is_list = isinstance(value, tuple)
     for item in value if is_list else (value,):
         complaint = _KEYS[key].check(item)
         if complaint:
             raise ValidationError(key, f"entries {complaint}" if is_list else complaint)
-    return value
 
 
 def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     """Parse flat key=value configuration text into a validated RunConfig.
 
     Lines hold one `key=value` pair each; `#` starts a comment; blank
-    lines are skipped; keys, their defaults and checks are those of
-    _KEYS.  Raises ParseError with line/column for malformed text and
-    ValidationError naming the key for semantically invalid values,
-    unknown and duplicate keys included.
+    lines are skipped; keys, their defaults and converters are those of
+    _KEYS.  Raises ParseError with line/column for malformed text or a
+    value that does not convert, ValidationError naming the key for an
+    unknown or duplicate key or an empty list, and RunConfig's own
+    ValidationError for a semantically invalid value.
     """
     raw: dict[str, tuple[str, int, int]] = {}
     for lineno, full_line in enumerate(text.splitlines(), 1):
@@ -224,26 +247,11 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     if command_override is not None:  # stands in for the text's command
         raw["command"] = (command_override, 0, 1)
 
-    values = {}  # RunConfig field -> value
-    for key, entry in _KEYS.items():
-        value = entry.convert(key, *raw[key]) if key in raw else entry.default
-        if value is None or value == ():
-            # command comes first, so every later key knows it
-            if entry.needed_by is None or values["command"] in entry.needed_by:
-                raise ValidationError(key, entry.missing.format(command=values.get("command")))
-        else:
-            _checked(key, value)
-        values[entry.field] = value
-
-    config = RunConfig(**values)
-    if config.grid_r_max <= config.grid_r_min:
-        raise ValidationError("grid.r_max", "must exceed grid.r_min")
-    r_mins = config.sweep_r_mins
-    if r_mins and len(r_mins) != len(config.sweep_grid_sizes):
-        raise ValidationError("sweep.r_mins", "length must match sweep.grid_sizes")
-    if any(x >= config.grid_r_max for x in r_mins):
-        raise ValidationError("sweep.r_mins", "entries must stay below grid.r_max")
-    return config
+    values = {  # RunConfig field -> value
+        entry.field: entry.convert(key, *raw[key]) if key in raw else entry.default
+        for key, entry in _KEYS.items()
+    }
+    return RunConfig(**values)
 
 
 def _sommerfeld_or_none(n: int, spec: DiracChannelSpec) -> float | None:
@@ -447,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text, command_override=args.command)
         if args.out is not None:
-            config = replace(config, output_path=_checked("output.path", args.out))
+            config = replace(config, output_path=args.out)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -221,8 +221,8 @@ def gap_eigenvalues(
     selection takes eigenvalues N+1, N+2, ... by index ("above";
     N-k+1 .. N+k for "nearest"), and structure picks only the LAPACK
     tridiagonal form of H they run on: Sturm bisection (dstebz) and
-    inverse iteration (dstein), on the interleaved H (u_1, v_1, u_2, ...)
-    when B.H_tridiagonal is set (every Dirac channel, at every N), and
+    inverse iteration (dstein), on the interleaved H when
+    B.H_tridiagonal is set (every Dirac channel, at every N), and
     for every other operator on B._H_reduced, the dense H's one
     Householder reduction, shared with find_c2 and made at the first of
     them (O((2N)^3) time, (2N)^2 doubles, at every N), whose reflectors
@@ -336,18 +336,15 @@ def _window(B: BlockOperator) -> tuple[Callable, float]:
     dstebz selects the values and dstein the vectors of (d, e) on every
     route; the form and the map back to H are what differ.  A channel's
     form is B.H_tridiagonal: only the chosen eigenvalues are inverted,
-    and their vectors de-interleaved.  Every other operator's is
-    B._H_reduced: the whole window is inverted, and the vectors go back
-    through dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies
-    them for uplo = "L"), the values through 1 / scale, as dsyevx does.
+    and their vectors de-interleaved in the order B._layout records.
+    Every other operator's is B._H_reduced: the whole window is
+    inverted, and the vectors go back through dsytrd's reflectors
+    (dormqr on rows 2..2N, as dormtr applies them for uplo = "L"), the
+    values through 1 / scale, as dsyevx does.
     """
     norm = _h_norm(B)
     if B.H_tridiagonal is not None:
-        (d, e), scale, whole = B.H_tridiagonal, 1.0, False
-
-        def back(z):
-            return np.concatenate([z[0::2], z[1::2]])
-
+        (d, e), scale, whole, back = B.H_tridiagonal, 1.0, False, B._layout.stacked
     else:
         d, e, A, tau, _, scale = B._H_reduced
         whole = True

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import schurdirac.cli as cli
 import schurdirac.dirac as dirac
 from schurdirac import ParseError, ValidationError, sommerfeld_energy
-from schurdirac.cli import COMMANDS, main, parse_config, run
+from schurdirac.cli import COMMANDS, RunConfig, main, parse_config, run
 
 from conftest import spy_on_m0
 
@@ -19,6 +20,79 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# one invalid value per config, with the exception class, key and message
+# of the check that refuses it
+CHECK_CASES = [
+    ("kappa=-1\nnu=0.5\n", ValidationError, "command", "required"),
+    (
+        "command=fish\nkappa=-1\nnu=0.5\n", ValidationError, "command",
+        "must be one of validate, solve, c2, spectrum, hardy-sweep, convergence",
+    ),
+    ("command=c2\nnu=0.5\n", ValidationError, "kappa", "required"),
+    ("command=c2\nkappa=0\nnu=0.5\n", ValidationError, "kappa", "must be nonzero"),
+    ("command=c2\nkappa=x\nnu=0.5\n", ParseError, None, "line 2, col 7: invalid integer for kappa: 'x'"),
+    ("command=c2\nkappa=-1\n", ValidationError, "nu", "required for this command"),
+    ("command=c2\nkappa=-1\nnu=0\n", ValidationError, "nu", "must be positive"),
+    ("command=c2\nkappa=-1\nnu=inf\n", ValidationError, "nu", "must be finite"),
+    ("command=c2\nkappa=-1\nnu= half\n", ParseError, None, "line 3, col 4: invalid number for nu: 'half'"),
+    (MINIMAL + "gamma=0\n", ValidationError, "gamma", "must be positive"),
+    (MINIMAL + "grid.scheme=spiral\n", ValidationError, "grid.scheme", "must be one of uniform, logarithmic"),
+    (MINIMAL + "grid.N=1\n", ValidationError, "grid.N", "must be >= 2"),
+    (MINIMAL + "grid.r_min=0\n", ValidationError, "grid.r_min", "must be positive"),
+    (MINIMAL + "grid.r_min=5\ngrid.r_max=5\n", ValidationError, "grid.r_max", "must exceed grid.r_min"),
+    (
+        "command=hardy-sweep\nkappa=-1\nsweep.grid_sizes=50\n", ValidationError,
+        "sweep.nu_values", "required for hardy-sweep",
+    ),
+    (
+        "command=hardy-sweep\nkappa=-1\nsweep.nu_values=0.5\n", ValidationError,
+        "sweep.grid_sizes", "required for hardy-sweep",
+    ),
+    (
+        "command=convergence\nkappa=-1\nnu=0.5\n", ValidationError,
+        "sweep.grid_sizes", "required for convergence",
+    ),
+    (MINIMAL + "sweep.nu_values=0.5,0\n", ValidationError, "sweep.nu_values", "entries must be positive"),
+    (MINIMAL + "sweep.nu_values= , \n", ValidationError, "sweep.nu_values", "empty list"),
+    (MINIMAL + "sweep.grid_sizes=50,1\n", ValidationError, "sweep.grid_sizes", "entries must be >= 2"),
+    (
+        MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3\n", ValidationError,
+        "sweep.r_mins", "length must match sweep.grid_sizes",
+    ),
+    (
+        MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,0\n", ValidationError,
+        "sweep.r_mins", "entries must be positive",
+    ),
+    (
+        MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,100\n", ValidationError,
+        "sweep.r_mins", "entries must stay below grid.r_max",
+    ),
+    (MINIMAL + "bisection_tol=0\n", ValidationError, "bisection_tol", "must be positive"),
+    (MINIMAL + "eigen_tol=-1e-8\n", ValidationError, "eigen_tol", "must be positive"),
+    (MINIMAL + "k=0\n", ValidationError, "k", "must be >= 1"),
+    (MINIMAL + "output.format=xml\n", ValidationError, "output.format", "must be one of csv, json"),
+    (MINIMAL + "colour=red\n", ValidationError, "colour", "unknown key"),
+    (MINIMAL + "kappa=-2\n", ValidationError, "kappa", "duplicate key"),
+    (MINIMAL + "grid.N\n", ParseError, None, "line 4, col 1: expected key=value"),
+    (MINIMAL + " =2\n", ParseError, None, "line 4, col 1: empty key"),
+]
+
+# the cases a RunConfig refuses itself: all but tokenizing and conversion
+CONSTRUCTION_CASES = [
+    case for case in CHECK_CASES
+    if case[1] is ValidationError and case[3] not in ("unknown key", "duplicate key", "empty list")
+]
+
+
+def unchecked_fields(text):
+    """RunConfig's fields for text: _KEYS' defaults, and text's values converted, unchecked."""
+    fields = {entry.field: entry.default for entry in cli._KEYS.values()}
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        fields[cli._KEYS[key].field] = cli._KEYS[key].convert(key, value.strip(), 0, 0)
+    return fields
 
 
 class TestParseConfig:
@@ -207,63 +281,7 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "output.format=xml\n")
 
-    @pytest.mark.parametrize(
-        "text, error, key, message",
-        [
-            ("kappa=-1\nnu=0.5\n", ValidationError, "command", "required"),
-            (
-                "command=fish\nkappa=-1\nnu=0.5\n", ValidationError, "command",
-                "must be one of validate, solve, c2, spectrum, hardy-sweep, convergence",
-            ),
-            ("command=c2\nnu=0.5\n", ValidationError, "kappa", "required"),
-            ("command=c2\nkappa=0\nnu=0.5\n", ValidationError, "kappa", "must be nonzero"),
-            ("command=c2\nkappa=x\nnu=0.5\n", ParseError, None, "line 2, col 7: invalid integer for kappa: 'x'"),
-            ("command=c2\nkappa=-1\n", ValidationError, "nu", "required for this command"),
-            ("command=c2\nkappa=-1\nnu=0\n", ValidationError, "nu", "must be positive"),
-            ("command=c2\nkappa=-1\nnu=inf\n", ValidationError, "nu", "must be finite"),
-            ("command=c2\nkappa=-1\nnu= half\n", ParseError, None, "line 3, col 4: invalid number for nu: 'half'"),
-            (MINIMAL + "gamma=0\n", ValidationError, "gamma", "must be positive"),
-            (MINIMAL + "grid.scheme=spiral\n", ValidationError, "grid.scheme", "must be one of uniform, logarithmic"),
-            (MINIMAL + "grid.N=1\n", ValidationError, "grid.N", "must be >= 2"),
-            (MINIMAL + "grid.r_min=0\n", ValidationError, "grid.r_min", "must be positive"),
-            (MINIMAL + "grid.r_min=5\ngrid.r_max=5\n", ValidationError, "grid.r_max", "must exceed grid.r_min"),
-            (
-                "command=hardy-sweep\nkappa=-1\nsweep.grid_sizes=50\n", ValidationError,
-                "sweep.nu_values", "required for hardy-sweep",
-            ),
-            (
-                "command=hardy-sweep\nkappa=-1\nsweep.nu_values=0.5\n", ValidationError,
-                "sweep.grid_sizes", "required for hardy-sweep",
-            ),
-            (
-                "command=convergence\nkappa=-1\nnu=0.5\n", ValidationError,
-                "sweep.grid_sizes", "required for convergence",
-            ),
-            (MINIMAL + "sweep.nu_values=0.5,0\n", ValidationError, "sweep.nu_values", "entries must be positive"),
-            (MINIMAL + "sweep.nu_values= , \n", ValidationError, "sweep.nu_values", "empty list"),
-            (MINIMAL + "sweep.grid_sizes=50,1\n", ValidationError, "sweep.grid_sizes", "entries must be >= 2"),
-            (
-                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3\n", ValidationError,
-                "sweep.r_mins", "length must match sweep.grid_sizes",
-            ),
-            (
-                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,0\n", ValidationError,
-                "sweep.r_mins", "entries must be positive",
-            ),
-            (
-                MINIMAL + "sweep.grid_sizes=50,100\nsweep.r_mins=1e-3,100\n", ValidationError,
-                "sweep.r_mins", "entries must stay below grid.r_max",
-            ),
-            (MINIMAL + "bisection_tol=0\n", ValidationError, "bisection_tol", "must be positive"),
-            (MINIMAL + "eigen_tol=-1e-8\n", ValidationError, "eigen_tol", "must be positive"),
-            (MINIMAL + "k=0\n", ValidationError, "k", "must be >= 1"),
-            (MINIMAL + "output.format=xml\n", ValidationError, "output.format", "must be one of csv, json"),
-            (MINIMAL + "colour=red\n", ValidationError, "colour", "unknown key"),
-            (MINIMAL + "kappa=-2\n", ValidationError, "kappa", "duplicate key"),
-            (MINIMAL + "grid.N\n", ParseError, None, "line 4, col 1: expected key=value"),
-            (MINIMAL + " =2\n", ParseError, None, "line 4, col 1: empty key"),
-        ],
-    )
+    @pytest.mark.parametrize("text, error, key, message", CHECK_CASES)
     def test_each_check_names_its_key_and_message(self, text, error, key, message):
         # one invalid value per config: the exception class, the key and
         # the whole message are those of the check that refuses it
@@ -273,6 +291,33 @@ class TestParseConfig:
         assert str(err.value) == (message if key is None else f"{key}: {message}")
         if key is not None:
             assert err.value.key == key
+
+    @pytest.mark.parametrize("text, error, key, message", CONSTRUCTION_CASES)
+    def test_direct_construction_runs_the_same_checks(self, text, error, key, message):
+        # a RunConfig built in code refuses what parse_config refuses, alike
+        with pytest.raises(error) as err:
+            RunConfig(**unchecked_fields(text))
+        assert type(err.value) is error
+        assert str(err.value) == f"{key}: {message}"
+        assert err.value.key == key
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("output_path", "run#1.csv", "output.path"),
+            ("grid_N", 1, "grid.N"),
+            ("nu", math.nan, "nu"),
+            ("grid_r_max", math.inf, "grid.r_max"),
+            ("sweep_r_mins", (1e-3, -1.0), "sweep.r_mins"),
+            ("command", None, "command"),
+        ],
+    )
+    def test_replace_runs_the_same_checks(self, field, value, key):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(cfg, **{field: value})
+        assert err.value.key == key
+        assert dataclasses.replace(cfg, grid_N=3, output_path="r.csv").grid_N == 3
 
     def test_canonical_round_trip_simple(self):
         cfg = parse_config(MINIMAL)

@@ -198,9 +198,12 @@ def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     symmetry_identity_check(B, w, w)
     of_s = [c for c in factor.call_args_list if np.array_equal(c.args[0], S)]
     assert len(of_s) == 1
-    # a copy starts without any of the eight lazy facts, and makes its own
+    # a copy starts without any of the nine lazy facts, and makes its own
     C = dataclasses.replace(B)
-    lazy = {"_dense", "_s_solve", "_M0", "_margin0", "_s_min", "_elimination", "_H_reduced", "_c2"}
+    lazy = {
+        "H_tridiagonal", "_dense", "_s_solve", "_M0", "_margin0", "_s_min", "_elimination",
+        "_H_reduced", "_c2",
+    }
     cached = vars(blockop.BlockOperator).items()
     assert lazy == {name for name, v in cached if isinstance(v, functools.cached_property)}
     assert not lazy & set(vars(C))

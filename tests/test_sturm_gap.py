@@ -183,8 +183,9 @@ class TestOneShiftCheck:
             random_block_operator(rng, 20),
             channel(-1, 0.5, 400),
             assemble(sp.identity(350), lower_t, 2.0 * sp.identity(350)),
+            tridiagonal_t(rng, 350),
         ]
-        assert [B.H_tridiagonal is not None for B in operators] == [False, True, False]
+        assert [B.H_tridiagonal is not None for B in operators] == [False, True, True, False]
         for B in operators:
             with pytest.raises(NegativeShiftUnsupported):
                 gap_eigenvalues(B, -0.1, 1)
@@ -235,27 +236,26 @@ def test_small_channels_keep_the_dense_pairs(kappa, N, which):
             assert_matches_dense(B, 0.6, min(3, N), which)
 
 
-def lower_bidiagonal(rng, n):
-    T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, -1])
+def tridiagonal_t(rng, n):
+    """Diagonal P and S with a tridiagonal T: H is not tridiagonal, so the dense route."""
+    T = sp.diags([rng.standard_normal(n - abs(k)) for k in (-1, 0, 1)], [-1, 0, 1])
     return assemble(sp.diags(rng.uniform(1.0, 3.0, n)), T, sp.diags(rng.uniform(0.5, 2.0, n)))
 
 
 @pytest.mark.parametrize("which", ["above", "nearest"])
-@pytest.mark.parametrize("structure", ["random", "lower-bidiagonal"])
+@pytest.mark.parametrize("structure", ["random", "tridiagonal-T"])
 def test_other_operators_take_the_dense_pairs_above_the_cap(rng, structure, which):
     if structure == "random":
         B = random_block_operator(rng, 400, margin_target=1.0)
     else:
-        B = lower_bidiagonal(rng, 350)
+        B = tridiagonal_t(rng, 350)
     assert B.H_tridiagonal is None
     assert_matches_dense(B, 0.6, 3, which)
 
 
-def test_other_operators_past_the_dense_cap_are_refused_before_densifying(rng):
-    # the name is kept from when the dense gap pairs refused 2N >
-    # DENSE_ORACLE_CAP; no route of the package has a size cap now, and
-    # only inertia_c2_oracle, a verification helper, keeps that one
-    B = lower_bidiagonal(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
+def test_dense_pairs_have_no_size_cap(rng):
+    # only inertia_c2_oracle, a verification helper, keeps DENSE_ORACLE_CAP
+    B = tridiagonal_t(rng, blockop.DENSE_ORACLE_CAP // 2 + 1)
     assert B.H_tridiagonal is None and 2 * B.N > blockop.DENSE_ORACLE_CAP
     for which in ("above", "nearest"):
         assert_matches_dense(B, 0.0, 2, which)

@@ -22,6 +22,7 @@ from schurdirac import (
     assemble,
     build_channel,
     build_grid,
+    embedding_delta,
     find_c2,
     form_report,
     full_matrix,
@@ -34,7 +35,7 @@ from schurdirac import (
     solve,
 )
 
-from conftest import random_block_operator
+from conftest import exact_eigenvalue, random_block_operator
 
 
 def reference_form(B, alpha):
@@ -66,10 +67,15 @@ def assert_bitwise_reference(B, alpha):
     assert np.array_equal(schur_form_matrix(B, alpha).toarray(), M.toarray())
 
 
-def assert_interleaves_full_matrix(B):
-    """H_tridiagonal, permuted back to the (u, v) order, is full_matrix(B) exactly."""
+def assert_interleaves_full_matrix(B, lower=False):
+    """H_tridiagonal, permuted back to the (u, v) order, is full_matrix(B) exactly.
+
+    u_j sits at row 2j of it (0-based), v_j at 2j + 1; the other way
+    round when T is lower bidiagonal.
+    """
     H = B.H_tridiagonal.tocsr()
-    order = np.concatenate([np.arange(0, 2 * B.N, 2), np.arange(1, 2 * B.N, 2)])
+    order = np.arange(2 * B.N).reshape(B.N, 2)
+    order = np.concatenate([order[:, 1], order[:, 0]] if lower else [order[:, 0], order[:, 1]])
     diff = (H[order][:, order] - full_matrix(B)).tocsr()
     diff.eliminate_zeros()
     assert diff.nnz == 0
@@ -135,13 +141,18 @@ class TestTridiagonalField:
         assert_interleaves_full_matrix(channel(kappa=kappa, N=N))
 
     @settings(deadline=None, max_examples=25)
-    @given(n=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1))
-    def test_interleaved_h_of_random_bidiagonal_operators(self, n, seed):
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(0, 2**32 - 1),
+        lower=st.booleans(),
+    )
+    def test_interleaved_h_of_random_bidiagonal_operators(self, n, seed, lower):
         rng = np.random.default_rng(seed)
-        T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, 1])
-        assert_interleaves_full_matrix(
-            assemble(sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n)))
-        )
+        T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, -1 if lower else 1])
+        B = assemble(sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n)))
+        # a 1 x 1 T is upper bidiagonal too, and upper wins
+        assert B._layout.lower == (lower and n > 1)
+        assert_interleaves_full_matrix(B, B._layout.lower)
 
     def test_interleaved_h_is_read_only(self):
         for B in (assemble([[2.0]], [[1.0]], [[1.0]]), channel(N=40)):
@@ -159,7 +170,7 @@ class TestTridiagonalField:
             dict(p_offsets=(0, 1)),
             dict(s_offsets=(0, 1)),
         ],
-        ids=["T-lower", "T-offset-2", "T-offset-5", "P-offdiag", "S-offdiag"],
+        ids=["T-tridiagonal", "T-offset-2", "T-offset-5", "P-offdiag", "S-offdiag"],
     )
     @pytest.mark.parametrize("n", [40, 700])
     def test_false_off_structure_and_old_path_agrees(self, structure, n):
@@ -221,12 +232,13 @@ class TestBitwiseReference:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         t_scale=st.floats(min_value=1e-3, max_value=1e3),
         alpha=st.floats(min_value=0.0, max_value=10.0),
+        lower=st.booleans(),
     )
-    def test_random_bidiagonal(self, n, seed, t_scale, alpha):
+    def test_random_bidiagonal(self, n, seed, t_scale, alpha, lower):
         rng = np.random.default_rng(seed)
         T = sp.diags(
             [t_scale * rng.standard_normal(n), t_scale * rng.standard_normal(n - 1)],
-            [0, 1],
+            [0, -1 if lower else 1],
         )
         B = assemble(
             sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n))
@@ -247,6 +259,99 @@ class TestBitwiseReference:
             if N == 300:
                 want = np.linalg.cond(M0.toarray(), 1)
                 assert rep.schur_condition_estimate == pytest.approx(want, rel=1e-6)
+
+
+def lower_bidiagonal(rng, n):
+    """Diagonal P and S, T with offsets {-1, 0}; M_0 >= P >= I."""
+    T = sp.diags([rng.standard_normal(n), rng.standard_normal(n - 1)], [0, -1])
+    return assemble(sp.diags(rng.uniform(1.0, 3.0, n)), T, sp.diags(rng.uniform(0.5, 2.0, n)))
+
+
+def on_the_dense_route(B):
+    """A copy of B with its recorded layout cleared: the same H, on the dense route."""
+    C = dataclasses.replace(B)
+    object.__setattr__(C, "_layout", None)
+    object.__setattr__(C, "H_tridiagonal", None)
+    return C
+
+
+class TestLowerBidiagonal:
+    """A lower bidiagonal T: H interleaves as (v_1, u_1, v_2, ...), stays on
+    the tridiagonal route, and gives the dense route's values."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(0, 2**32 - 1),
+        lower=st.booleans(),
+    )
+    def test_gram_is_the_sparse_product_bitwise(self, n, seed, lower):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=3)
+        a, b = scale[0] * rng.standard_normal(n), scale[1] * rng.standard_normal(n - 1)
+        w = scale[2] * rng.uniform(0.01, 5.0, n)
+        T = sp.diags([a, b], [0, -1 if lower else 1], shape=(n, n), format="csr")
+        M = T.T @ sp.diags(w) @ T
+        M = ((M + M.T) * 0.5).tocsr()
+        G = blockop._bidiagonal_gram(a, b, w, lower)
+        assert np.array_equal(G.d, M.diagonal())
+        assert np.array_equal(G.e, M.diagonal(1))
+
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    def test_agrees_with_the_dense_route(self, n):
+        rng = np.random.default_rng(n)
+        B = lower_bidiagonal(rng, n)
+        assert B._layout.lower
+        assert_interleaves_full_matrix(B, lower=True)
+        C = on_the_dense_route(B)
+        c2 = find_c2(B)
+        assert abs(c2 - find_c2(C)) <= 1e-8
+        assert abs(c2 - exact_eigenvalue(B.H_tridiagonal, n + 1)) <= 0.5e-8
+        for which in ("above", "nearest"):
+            pairs = [gap_eigenvalues(D, 0.3, min(3, n), which=which) for D in (B, C)]
+            for (lam, x), (mu, y) in zip(*pairs):
+                assert lam == pytest.approx(mu, abs=1e-12)
+                assert np.allclose(x.stacked(), y.stacked(), atol=1e-8)
+        rhs = RhsPair(rng.standard_normal(n), rng.standard_normal(n))
+        x, y = solve(B, rhs).solution.stacked(), solve(C, rhs).solution.stacked()
+        assert np.allclose(x, y, rtol=1e-10, atol=1e-12)
+        factored, factor = [], blockop._factor
+        # each c2 is kept from find_c2 above, so G is the one form factored
+        with mock.patch.object(blockop, "_factor", lambda M: factored.append(M) or factor(M)):
+            (delta, certified), (dense_delta, dense_certified) = map(embedding_delta, (B, C))
+        assert abs(delta - dense_delta) <= 1e-8 and certified == dense_certified
+        G, dense_G = factored
+        assert np.allclose(G.d, np.diag(dense_G), rtol=1e-7)
+        assert np.allclose(G.e, np.diag(dense_G, 1), rtol=1e-7)
+
+    def test_large_n_never_densifies(self):
+        # the lower orientation has the O(N) route of the upper one
+        B = lower_bidiagonal(np.random.default_rng(5), 2000)
+        boom = mock.Mock(side_effect=AssertionError("dense route"))
+        with mock.patch.object(blockop, "dsytrd", boom), mock.patch.object(
+            blockop, "dpotrf", boom
+        ), mock.patch.object(blockop.np.linalg, "eigvalsh", boom):
+            solve(B, RhsPair(np.ones(2000), np.zeros(2000)))
+            assert "H_tridiagonal" not in vars(B)  # a solve reads only the layout
+            c2 = find_c2(B)
+            pairs = gap_eigenvalues(B, 0.0, 3, which="above")
+            embedding_delta(B)
+        assert "_dense" not in vars(B)
+        assert pairs[0][0] == pytest.approx(c2, abs=1e-8)
+
+    def test_replace_records_the_orientation_again(self, rng):
+        B = channel(N=40)
+        assert not B._layout.lower
+        a, b = rng.standard_normal(40), rng.standard_normal(39)
+        C = dataclasses.replace(B, T=sp.diags([a, b], [0, -1], format="csr"))
+        assert C._layout.lower
+        assert np.array_equal(C._layout.b, b)
+        assert_interleaves_full_matrix(C, lower=True)
+        D = dataclasses.replace(C, T=sp.diags([a], [0], format="csr"))
+        assert not D._layout.lower  # a diagonal T is upper, as before
+        assert_interleaves_full_matrix(D)
+        E = dataclasses.replace(C, T=sp.diags([b, a, b], [-1, 0, 1], format="csr"))
+        assert E._layout is None and E.H_tridiagonal is None
 
 
 class TestOrderOne:
