@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dpotrs, dptsvx, dpttrf
-from scipy.linalg.lapack import dstebz, dsytrd, dtrtrs
+from scipy.linalg.lapack import dstebz, dstein, dsytrd, dtrtrs
 
 from .errors import (
     CheckFailed,
@@ -85,13 +85,32 @@ def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _as_csr(name: str, a) -> sp.csr_matrix:
-    """Block a as float64 CSR; ValidationError keyed by name for a complex dtype."""
+    """Block a as float64 CSR; ValidationError keyed by name for a complex dtype.
+
+    An array with no zero entry is stored whole by _full_csr, without
+    scipy's search for its nonzeros.
+    """
     a = a if sp.issparse(a) else np.atleast_2d(np.asarray(a))
     if np.iscomplexobj(a):
         # a cast to float64 would drop the imaginary part with only a warning
         raise ValidationError(name, f"has complex dtype {a.dtype}; blocks must be real")
-    m = a.tocsr().astype(np.float64) if sp.issparse(a) else sp.csr_matrix(a.astype(np.float64))
+    if sp.issparse(a):
+        m = a.tocsr().astype(np.float64)
+    else:
+        a = a.astype(np.float64)
+        m = _full_csr(a.ravel(), *a.shape) if a.ndim == 2 and a.all() else sp.csr_matrix(a)
     m.sum_duplicates()
+    return m
+
+
+def _full_csr(data: np.ndarray, rows: int, cols: int) -> sp.csr_matrix:
+    """The canonical CSR block storing all rows * cols entries, data in row-major order."""
+    # the index dtype scipy picks for this structure
+    idx = np.int32 if data.shape[0] <= np.iinfo(np.int32).max else np.int64
+    indptr = np.arange(rows + 1, dtype=idx) * cols
+    indices = np.tile(np.arange(cols, dtype=idx), rows)
+    m = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+    m.has_canonical_format = True
     return m
 
 
@@ -225,11 +244,16 @@ def _tridiagonal_eigenvalues(
     the block of each, isplit the block ends.  abstol scales with a
     scaled form, as B._H_reduced's is.
     """
+    # range 2 selects the eigenvalues with indices il..iu
+    return _sturm_selection(d, e, 2, 0.0, il, iu, abstol)
+
+
+def _sturm_selection(d, e, irange: int, vu: float, il: int, iu: int, abstol: float):
+    """(w, iblock, isplit) of one dstebz call: range 1 selects (-inf, vu], range 2 il..iu."""
     # dstebz does not check its input; an overflowed form is refused here
     _check_finite_form(d, e)
-    # range 2 selects the eigenvalues with indices il..iu
     m, w, iblock, isplit, info = dstebz(
-        d, _lapack_offdiagonal(e), 2, 0.0, 0.0, il, iu, abstol, "B"
+        d, _lapack_offdiagonal(e), irange, -math.inf, vu, il, iu, abstol, "B"
     )
     if info != 0:
         raise NoConvergence(f"tridiagonal bisection failed (dstebz info = {info})")
@@ -255,6 +279,44 @@ def _extreme_eigenvalues(m, low: bool = True, high: bool = True) -> tuple[float,
         return tuple(float(_tridiagonal_eigenvalues(m.d, m.e, i, i)[0][0]) for i in ends)
     w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
     return (float(w[0]),) * low + (float(w[-1]),) * high
+
+
+def _rayleigh_bound(M: _Tridiagonal, x: np.ndarray) -> float:
+    """An upper bound on lambda_1 of the tridiagonal M: x^t M x / x^t x, rounded up, O(n).
+
+    By Courant-Fischer, lambda_1 <= x^t M x / x^t x for every x != 0.
+    With mag = sum |d_i| x_i^2 + 2 sum |e_i x_i x_{i+1}|, the rounding
+    of the two sums, of x^t x and of the quotient is below (n + 3) ulp
+    times mag / x^t x, barring underflow (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1); (n + 8) ulp bounds it
+    with the rounding of the bound itself.  inf or NaN, never a
+    warning, when a sum overflows.
+    """
+    with np.errstate(all="ignore"):
+        dx, ex = M.d * x * x, M.e * x[:-1] * x[1:]
+        den = float(x @ x)
+        rho = float(np.sum(dx) + 2.0 * np.sum(ex)) / den
+        mag = float(np.sum(np.abs(dx)) + 2.0 * np.sum(np.abs(ex))) / den
+        return rho + (x.shape[0] + 8) * _ULP * mag
+
+
+def _lowest_eigenvalue(M: _Tridiagonal, x: np.ndarray | None) -> float:
+    """lambda_1 of the tridiagonal M: the least eigenvalue one dstebz finds in (-inf, hi].
+
+    hi = _rayleigh_bound(M, x) >= lambda_1, so this skips the search of
+    Gershgorin's whole interval that the range-'I' call starts with.  A
+    poor x only lets more eigenvalues in, each bisected to _STEBZ_ABSTOL
+    as lambda_1 alone would be.  The range-'I' call is taken instead
+    when x is None, hi is not finite, or the bracket comes back empty (a
+    Sturm count at hi rounded below 1, or a hi that underflow put below
+    lambda_1), so no bracket gives a wrong value.
+    """
+    hi = math.nan if x is None else _rayleigh_bound(M, x)
+    if math.isfinite(hi):
+        w = _sturm_selection(M.d, M.e, 1, hi, 0, 0, _STEBZ_ABSTOL)[0]
+        if w.shape[0]:
+            return float(np.min(w))
+    return float(_tridiagonal_eigenvalues(M.d, M.e, 1, 1)[0][0])
 
 
 def _h_norm(B: BlockOperator) -> float:
@@ -383,7 +445,7 @@ class BlockOperator:
         K = S^{-1} T, and the map of gap eigenvectors back to (u, v).
         None for every other structure, which takes the dense route.
 
-    Nine facts are lazy: each is made on first use and cached on this
+    Ten facts are lazy: each is made on first use and cached on this
     operator, arrays read-only.  Only _s_min is made at assembly, by
     assemble, and dataclasses.replace starts without any of them.  Threads that race
     to make one compute equal values, and one is kept.
@@ -428,6 +490,16 @@ class BlockOperator:
         positivity_margin(B, 0.0) and form_report(B, 0.0) return, what
         find_c2 reads where its bracket or a refusal needs it, and what
         solve's refusal names.
+    _ground
+        With a _layout: the read-only unit eigenvector x of
+        lambda_1(M_0), by one dstein at _margin0's value, M_0 taken as
+        one block, so M_0 is still read by one dstebz.  Every margin at
+        alpha > 0 brackets lambda_1(M_alpha) in (-inf, hi], hi the
+        Rayleigh quotient of M_alpha at x rounded up
+        (_lowest_eigenvalue); by Courant-Fischer any nonzero x bounds
+        it, so the block split does not matter.  None when M_0 is not
+        finite or dstein fails; the margins then take the range-'I'
+        selection.
     _s_min
         lambda_min(S), the value c1 is certified against: the least
         diagonal entry of a diagonal S, else one eigvalsh of S.  assemble
@@ -519,6 +591,17 @@ class BlockOperator:
     @cached_property
     def _margin0(self) -> float:
         return _extreme_eigenvalues(self._M0, high=False)[0]
+
+    @cached_property
+    def _ground(self) -> np.ndarray | None:
+        try:
+            M, lam = self._M0, self._margin0
+        except ValueError:  # a non-finite M_0, which has no eigenvector to read
+            return None
+        # one block, as any nonzero x bounds lambda_1 from above
+        block, ends = np.ones(self.N, np.int32), np.full(self.N, self.N, np.int32)
+        z, info = dstein(M.d, _lapack_offdiagonal(M.e), np.array([lam]), block, ends)
+        return None if info else _freeze(z[:, 0])
 
     @cached_property
     def _s_min(self) -> float:
@@ -853,25 +936,40 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
 
     At alpha = 0, B._margin0: lambda_min(M_0), computed once per
     operator.  At alpha > 0 with B.H_tridiagonal set, one dstebz Sturm
-    bisection, O(N); otherwise one dense eigvalsh, O(N^3), of the
-    Cholesky-formed M_alpha of _schur_form.
+    bisection, O(N), on the bracket (-inf, hi]: hi is the Rayleigh
+    quotient of M_alpha at B._ground, M_0's ground state, rounded up,
+    so by Courant-Fischer the bracket holds lambda_min(M_alpha), and
+    the least eigenvalue in it is returned (_lowest_eigenvalue).  An
+    empty bracket, a hi that is not finite, or no B._ground falls back
+    to dstebz's selection of eigenvalue 1 by index.  Otherwise one dense
+    eigvalsh, O(N^3), of the Cholesky-formed M_alpha of _schur_form.
     """
     alpha = _check_shift("alpha", alpha)
+    return _margin(B, alpha, _schur_form(B, alpha))
+
+
+def _margin(B: BlockOperator, alpha: float, M) -> float:
+    """lambda_min of M = _schur_form(B, alpha): B._margin0 at alpha = 0."""
     if alpha == 0.0:
         return B._margin0
-    return _extreme_eigenvalues(_schur_form(B, alpha), high=False)[0]
+    if isinstance(M, _Tridiagonal):
+        return _lowest_eigenvalue(M, B._ground)
+    return _extreme_eigenvalues(M, high=False)[0]
 
 
 def form_report(B: BlockOperator, alpha: float) -> FormReport:
     """Margin and conditioning of the reduced form at one alpha.
 
-    At alpha = 0 the margin is B._margin0, positivity_margin's, and only
-    lambda_max(M_0) is computed, except on a dense M_0 whose margin is
-    not yet made: its one eigvalsh gives both ends and B._margin0.
+    The margin is positivity_margin's, bitwise: at alpha = 0
+    B._margin0, and on a tridiagonal form at alpha > 0 the one dstebz
+    on its Courant-Fischer bracket; only lambda_max is then computed
+    here, by one dstebz selection by index.  A dense form takes one
+    eigvalsh for both ends, which at alpha = 0, on a dense M_0 whose
+    margin is not yet made, also gives B._margin0.
     """
     M = _schur_form(B, alpha)
-    if alpha == 0.0 and ("_margin0" in vars(B) or isinstance(M, _Tridiagonal)):
-        lo, (hi,) = B._margin0, _extreme_eigenvalues(M, low=False)
+    if isinstance(M, _Tridiagonal) or (alpha == 0.0 and "_margin0" in vars(B)):
+        lo, (hi,) = _margin(B, alpha, M), _extreme_eigenvalues(M, low=False)
     else:
         lo, hi = _extreme_eigenvalues(M)
         if alpha == 0.0:
@@ -897,7 +995,9 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
 
     * B.H_tridiagonal set (every Dirac channel): bisection of that
       bracket to width <= tol, or to adjacent floats when tol is below
-      their spacing; the midpoint is returned.  One O(N) margin a step.
+      their spacing; the midpoint is returned.  One O(N) margin a step,
+      each one dstebz on its Courant-Fischer bracket (see
+      positivity_margin).
       Two O(N) L D L^t factorizations certify it at t = 10 tol +
       _rounding(||H||_inf), as gap_eigenvalues allows; on small-r_min
       grids that term exceeds c2, so no side is formed there.
@@ -1275,10 +1375,6 @@ def operator_from_text(text: str) -> BlockOperator:
             if ptr_line or idx_line:
                 raise ValueError(f"{name} is full (nnz = N*N), so its index lines must be empty")
             data = _words(data_line, "<f8", nnz, f"{name} data")
-            # the full pattern, in the index dtype scipy would pick for it
-            idx = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-            indptr = np.arange(n + 1, dtype=idx) * n
-            indices = np.tile(np.arange(n, dtype=idx), n)
         else:
             indptr = _words(ptr_line, "<i8", n + 1, f"{name} indptr")
             # compared, not differenced: a difference of int64 words can wrap
@@ -1290,10 +1386,12 @@ def operator_from_text(text: str) -> BlockOperator:
             data = _words(data_line, "<f8", nnz, f"{name} data")
         # native float64, as _as_csr would make it: no copy on a little-endian machine
         data = data.astype(np.float64, copy=False)
-        m = blocks[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        if nnz == n * n:
-            m.has_canonical_format = True  # the one full structure, built above
-        elif not m.has_canonical_format:
+        m = blocks[name] = (
+            _full_csr(data, n, n)  # the one full structure, rebuilt
+            if nnz == n * n
+            else sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        )
+        if not m.has_canonical_format:
             raise ValueError(f"{name} column indices are not increasing within a row")
     # canonical float64 CSR already, so validated without _as_csr's copy
     return _validated(blocks["P"], blocks["T"], blocks["S"], c1)

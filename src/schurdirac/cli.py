@@ -90,7 +90,7 @@ class RunConfig:
     def __post_init__(self):
         for key, entry in _KEYS.items():
             value = getattr(self, entry.field)
-            if value is None or value == ():
+            if value is None or (type(value) is tuple and not value):
                 # command comes first, so every later key knows it
                 if entry.needed_by is None or self.command in entry.needed_by:
                     raise ValidationError(key, entry.missing.format(command=self.command))
@@ -146,6 +146,7 @@ def _list_of(convert):
             raise ValidationError(key, "empty list")
         return tuple(convert(key, t, line, col) for t in toks)
 
+    to_list.entry = convert  # what _checked reads an entry's type from
     return to_list
 
 
@@ -208,13 +209,29 @@ _KEYS = {
 }
 
 
+# The one type each converter returns.  Exact: a bool is not taken for an int,
+# nor an int or a NumPy float for a float, whose echo would not re-parse alike.
+_TYPES = {_to_str: str, _to_int: int, _to_float: float}
+
+
 def _checked(key: str, value) -> None:
-    """ValidationError unless _KEYS[key]'s check passes value (each entry of a list)."""
-    is_list = isinstance(value, tuple)
-    for item in value if is_list else (value,):
-        complaint = _KEYS[key].check(item)
+    """ValidationError unless value has _KEYS[key]'s type and its check passes value.
+
+    A list key takes a tuple, and its type and check apply to each entry.
+    """
+    convert = _KEYS[key].convert
+    entry = getattr(convert, "entry", None)
+    if entry is not None and type(value) is not tuple:
+        raise ValidationError(key, f"must be a tuple, not {type(value).__name__}")
+    kind, prefix = (_TYPES[entry], "entries ") if entry else (_TYPES[convert], "")
+    for item in value if entry else (value,):
+        complaint = (
+            f"must be {kind.__name__}, not {type(item).__name__}"
+            if type(item) is not kind
+            else _KEYS[key].check(item)
+        )
         if complaint:
-            raise ValidationError(key, f"entries {complaint}" if is_list else complaint)
+            raise ValidationError(key, prefix + complaint)
 
 
 def parse_config(text: str, command_override: str | None = None) -> RunConfig:

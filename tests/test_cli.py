@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,6 +311,14 @@ class TestParseConfig:
             ("grid_r_max", math.inf, "grid.r_max"),
             ("sweep_r_mins", (1e-3, -1.0), "sweep.r_mins"),
             ("command", None, "command"),
+            # a value of the wrong type, whose echo would not re-parse to it
+            ("grid_N", 2.5, "grid.N"),
+            ("kappa", True, "kappa"),
+            ("k", 3.0, "k"),
+            ("nu", "0.5", "nu"),
+            ("nu", np.float64(0.5), "nu"),
+            ("sweep_nu_values", [0.5], "sweep.nu_values"),
+            ("sweep_grid_sizes", (100, True), "sweep.grid_sizes"),
         ],
     )
     def test_replace_runs_the_same_checks(self, field, value, key):
@@ -318,6 +327,15 @@ class TestParseConfig:
             dataclasses.replace(cfg, **{field: value})
         assert err.value.key == key
         assert dataclasses.replace(cfg, grid_N=3, output_path="r.csv").grid_N == 3
+
+    @pytest.mark.parametrize("key", list(cli._KEYS))
+    def test_every_key_refuses_a_wrong_type_by_name(self, key):
+        # a bool is a value of no key: not an int, a float, a str or a tuple
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(cfg, **{cli._KEYS[key].field: True})
+        assert err.value.key == key
+        assert str(err.value).endswith(", not bool")
 
     def test_canonical_round_trip_simple(self):
         cfg = parse_config(MINIMAL)

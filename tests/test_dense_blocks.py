@@ -195,3 +195,31 @@ def test_s_inverse_is_bitwise_scipys_cho_solve(rng):
     for x in (np.arange(13.0), B.T.toarray()):
         want = cho_solve(cho_factor(S, lower=True), x)
         assert B._s_solve(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: rng.standard_normal((100, 100)),
+        lambda rng: rng.standard_normal((3, 5)),
+        lambda rng: np.asfortranarray(rng.standard_normal((7, 7))),
+        lambda rng: rng.integers(1, 9, (6, 6)),
+        lambda rng: rng.standard_normal((6, 6)).astype(np.float32),
+        lambda rng: np.ones((4, 4), bool),
+        lambda rng: np.array([[2.5]]),
+        lambda rng: np.array([1.0, -2.0, 3.0]),
+        lambda rng: np.zeros((1, 0)),
+        lambda rng: np.where(np.eye(5) > 0, 0.0, 1.0),  # a zero on the diagonal: not full
+    ],
+)
+def test_a_full_array_is_stored_as_scipys_nonzero_search_stores_it(rng, make):
+    # an array with no zero entry skips scipy's COO path, and gets its arrays exactly
+    a = make(rng)
+    old = sp.csr_matrix(np.atleast_2d(a).astype(np.float64))
+    old.sum_duplicates()
+    new = blockop._as_csr("P", a)
+    for name in ("data", "indices", "indptr"):
+        want, got = getattr(old, name), getattr(new, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert new.shape == old.shape and new.has_canonical_format

@@ -3,6 +3,7 @@ equal to the sparse product it replaces, and non-finite shifts rejected."""
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -45,26 +46,50 @@ def reference_form(B, alpha):
     return ((M + M.T) * 0.5).tocsr()
 
 
+def upper_band(M):
+    """The upper band storage of the sparse symmetric M, as scipy's banded solver takes it."""
+    coo = M.tocoo()
+    bw = int(np.max(np.abs(coo.row - coo.col)))
+    band = np.zeros((bw + 1, M.shape[0]))
+    up = coo.row <= coo.col
+    band[bw + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
+    return band
+
+
 def reference_extremes(M):
     """(lambda_min, lambda_max) by scipy's banded solver, at every size."""
     n = M.shape[0]
-    coo = M.tocoo()
-    bw = int(np.max(np.abs(coo.row - coo.col)))
-    band = np.zeros((bw + 1, n))
-    up = coo.row <= coo.col
-    band[bw + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
+    band = upper_band(M)
     lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
     hi = eigvals_banded(band, select="i", select_range=(n - 1, n - 1))[0]
     return lo, hi
 
 
+def reference_bracketed(M, top):
+    """The least eigenvalue of M in (-inf, top] by scipy's banded solver; None if none is."""
+    w = eigvals_banded(upper_band(M), select="v", select_range=(-np.inf, top))
+    return float(np.min(w)) if w.size else None
+
+
 def assert_bitwise_reference(B, alpha):
+    """The form, lambda_max and, at alpha = 0, the margin are the banded solver's range-'I'
+    values bitwise; at alpha > 0 the margin is its range-'V' value on the package's bracket
+    (-inf, top] bitwise, and within 2 ulp of the range-'I' one."""
     M = reference_form(B, alpha)
     lo, hi = reference_extremes(M)
-    assert positivity_margin(B, alpha) == lo
-    assert blockop._extreme_eigenvalues(blockop._schur_form(B, alpha)) == (lo, hi)
-    assert form_report(B, alpha).margin == lo
+    margin = positivity_margin(B, alpha)
+    form = blockop._schur_form(B, alpha)
+    assert blockop._extreme_eigenvalues(form) == (lo, hi)
+    assert form_report(B, alpha).margin == margin
     assert np.array_equal(schur_form_matrix(B, alpha).toarray(), M.toarray())
+    if alpha == 0.0:
+        assert margin == lo
+        return
+    top = blockop._rayleigh_bound(form, B._ground)
+    bracketed = reference_bracketed(M, top) if math.isfinite(top) else None
+    # an empty bracket falls back to the range-'I' selection
+    assert margin == (lo if bracketed is None else bracketed)
+    assert abs(margin - lo) <= 2.0 * blockop._ULP * abs(lo)
 
 
 def assert_interleaves_full_matrix(B, lower=False):
@@ -259,6 +284,90 @@ class TestBitwiseReference:
             if N == 300:
                 want = np.linalg.cond(M0.toarray(), 1)
                 assert rep.schur_condition_estimate == pytest.approx(want, rel=1e-6)
+
+
+def random_bidiagonal(seed, n, lower):
+    """Diagonal P and S, and a bidiagonal T of either orientation, at random scales."""
+    rng = np.random.default_rng(seed)
+    t_scale = 10.0 ** rng.uniform(-3, 3)
+    T = sp.diags(
+        [t_scale * rng.standard_normal(n), t_scale * rng.standard_normal(n - 1)],
+        [0, -1 if lower else 1],
+        shape=(n, n),
+    )
+    return assemble(sp.diags(rng.standard_normal(n)), T, sp.diags(rng.uniform(0.01, 5.0, n)))
+
+
+class TestBracket:
+    """A margin at alpha > 0 is one range-'V' dstebz on (-inf, hi], hi the Rayleigh
+    quotient of M_alpha at M_0's ground state rounded up: by Courant-Fischer it
+    holds lambda_1, and an empty bracket falls back to the range-'I' selection."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=120),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+        lower=st.booleans(),
+    )
+    def test_bound_holds_lambda_1(self, n, seed, alpha, lower):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            B = random_bidiagonal(seed, n, lower)
+            M = blockop._schur_form(B, alpha)
+            assert B._ground is not None
+            hi = blockop._rayleigh_bound(M, B._ground)
+            got = blockop._lowest_eigenvalue(M, B._ground)
+            if alpha > 0.0:
+                assert positivity_margin(B, alpha) == got
+        assert hi >= exact_eigenvalue(M, 1)
+        lo = blockop._extreme_eigenvalues(M, high=False)[0]
+        assert abs(got - lo) <= 2.0 * blockop._ULP * abs(lo)
+
+    @pytest.mark.parametrize("bound", ["below", math.inf, math.nan])
+    def test_fallback_is_the_range_i_selection(self, bound, monkeypatch):
+        # a bracket that holds no eigenvalue (m == 0), or a bound that is not
+        # finite, takes today's range-'I' call, whose value it returns bitwise
+        B = channel(N=300)
+        alpha = 0.7
+        M = blockop._schur_form(B, alpha)
+        lo = blockop._extreme_eigenvalues(M, high=False)[0]
+        assert B._ground is not None  # made before the spy: one range-'I' call on M_0
+        top = lo - 1.0 if bound == "below" else bound
+        monkeypatch.setattr(blockop, "_rayleigh_bound", lambda M, x: top)
+        selections = mock.Mock(wraps=blockop._sturm_selection)
+        monkeypatch.setattr(blockop, "_sturm_selection", selections)
+        assert positivity_margin(B, alpha) == lo
+        ranges = [c.args[2] for c in selections.call_args_list]
+        assert ranges == ([1, 2] if bound == "below" else [2])
+
+    def test_no_ground_state_takes_the_range_i_selection(self):
+        # 1 / s overflows for a subnormal s, so M_0 is not finite and has no
+        # eigenvector to read; M_alpha at alpha > 0 is, and keeps its margin
+        n = 20
+        rng = np.random.default_rng(3)
+        s = np.full(n, 1.0)
+        s[4] = 5e-324
+        T = sp.diags([np.ones(n), np.ones(n - 1)], [0, 1])
+        B = assemble(sp.diags(rng.uniform(1.0, 2.0, n)), T, sp.diags(s))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            positivity_margin(B, 0.0)
+        assert B._ground is None
+        M = blockop._schur_form(B, 1.0)
+        assert positivity_margin(B, 1.0) == blockop._extreme_eigenvalues(M, high=False)[0]
+
+    def test_channel_margin_against_a_40_digit_sturm_count(self):
+        # the bracket changes which interval dstebz bisects, not how far
+        # the margin lies from the eigenvalue, nor its sign next to c2
+        B = channel(N=300)
+        c2 = find_c2(B)
+        for alpha in (0.5, c2 - 1e-7, c2 + 1e-7, 2.0):
+            M = blockop._schur_form(B, alpha)
+            exact = exact_eigenvalue(M, 1)
+            margin = positivity_margin(B, alpha)
+            lo = blockop._extreme_eigenvalues(M, high=False)[0]
+            assert (margin >= 0.0) == (exact >= 0.0) == (alpha <= c2)
+            assert abs(margin - exact) <= abs(lo - exact) + 2.0 * blockop._ULP * abs(exact)
 
 
 def lower_bidiagonal(rng, n):
