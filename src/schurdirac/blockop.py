@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dlamch, dposvx, dpotrf, dpotrs, dptsvx, dpttrf
-from scipy.linalg.lapack import dstebz, dstein, dsytrd, dtrtrs
+from scipy.linalg.lapack import dormqr, dstebz, dstein, dsytrd, dtrtrs
 
 from .errors import (
     CheckFailed,
@@ -76,12 +76,6 @@ __all__ = [
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _freeze_csr(m: sp.csr_matrix) -> sp.csr_matrix:
-    for buf in (m.data, m.indices, m.indptr):
-        buf.setflags(write=False)
-    return m
 
 
 def _as_csr(name: str, a) -> sp.csr_matrix:
@@ -234,22 +228,14 @@ def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
     return e if e.shape[0] else np.zeros(1)
 
 
-def _tridiagonal_eigenvalues(
-    d: np.ndarray, e: np.ndarray, il: int, iu: int, abstol: float = _STEBZ_ABSTOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues il..iu (1-based) of the tridiagonal (d, e) by one dstebz call.
+def _sturm_selection(d, e, irange: int, vu: float, il: int, iu: int, abstol: float = _STEBZ_ABSTOL):
+    """The package's one dstebz: range 1 selects (-inf, vu] of (d, e), range 2 il..iu (1-based).
 
     Returns (w, iblock, isplit) as dstein takes them: w in block order
     (ascending within each split-off block, not overall), iblock[:w.size]
     the block of each, isplit the block ends.  abstol scales with a
     scaled form, as B._H_reduced's is.
     """
-    # range 2 selects the eigenvalues with indices il..iu
-    return _sturm_selection(d, e, 2, 0.0, il, iu, abstol)
-
-
-def _sturm_selection(d, e, irange: int, vu: float, il: int, iu: int, abstol: float):
-    """(w, iblock, isplit) of one dstebz call: range 1 selects (-inf, vu], range 2 il..iu."""
     # dstebz does not check its input; an overflowed form is refused here
     _check_finite_form(d, e)
     m, w, iblock, isplit, info = dstebz(
@@ -276,7 +262,7 @@ def _extreme_eigenvalues(m, low: bool = True, high: bool = True) -> tuple[float,
     """
     if isinstance(m, _Tridiagonal):
         ends = (1,) * low + (m.d.shape[0],) * high
-        return tuple(float(_tridiagonal_eigenvalues(m.d, m.e, i, i)[0][0]) for i in ends)
+        return tuple(float(_sturm_selection(m.d, m.e, 2, 0.0, i, i)[0][0]) for i in ends)
     w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
     return (float(w[0]),) * low + (float(w[-1]),) * high
 
@@ -313,10 +299,10 @@ def _lowest_eigenvalue(M: _Tridiagonal, x: np.ndarray | None) -> float:
     """
     hi = math.nan if x is None else _rayleigh_bound(M, x)
     if math.isfinite(hi):
-        w = _sturm_selection(M.d, M.e, 1, hi, 0, 0, _STEBZ_ABSTOL)[0]
+        w = _sturm_selection(M.d, M.e, 1, hi, 0, 0)[0]
         if w.shape[0]:
             return float(np.min(w))
-    return float(_tridiagonal_eigenvalues(M.d, M.e, 1, 1)[0][0])
+    return float(_sturm_selection(M.d, M.e, 2, 0.0, 1, 1)[0][0])
 
 
 def _h_norm(B: BlockOperator) -> float:
@@ -446,8 +432,8 @@ class BlockOperator:
         None for every other structure, which takes the dense route.
 
     Ten facts are lazy: each is made on first use and cached on this
-    operator, arrays read-only.  Only _s_min is made at assembly, by
-    assemble, and dataclasses.replace starts without any of them.  Threads that race
+    operator, arrays read-only.  Only _s_min may be made at assembly,
+    by assemble, and dataclasses.replace starts without any of them.  Threads that race
     to make one compute equal values, and one is kept.
 
     H_tridiagonal
@@ -455,7 +441,7 @@ class BlockOperator:
         v_1, u_2, ...) for an upper T, as (v_1, u_1, v_2, ...) for a
         lower one.  The read-only _Tridiagonal pair (p_1, -s_1, p_2,
         ...), or (-s_1, p_1, -s_2, ...) when lower, and (a_1, b_1, a_2,
-        ...) either way: what _h_norm and gap_eigenvalues' Sturm
+        ...) either way: what _h_norm and _window's Sturm
         selections read.  None exactly when _layout is; a solve never
         makes it.
 
@@ -503,8 +489,9 @@ class BlockOperator:
     _s_min
         lambda_min(S), the value c1 is certified against: the least
         diagonal entry of a diagonal S, else one eigvalsh of S.  assemble
-        keeps the value it certified c1 with, read from _dense's form of
-        S; any other construction makes it from _dense.S on first use,
+        keeps the value when it computes one, read from _dense's form of
+        S; a given c1 that one factorization certifies (_factor_shows_c1)
+        and every other construction make it from _dense.S on first use,
         bitwise alike.
         resolvent_difference_check reads it.
     _elimination
@@ -514,9 +501,9 @@ class BlockOperator:
         The dense H of an operator without a _layout, reduced to a
         tridiagonal (d, e) by one lower dsytrd in place, as dsyevx
         reduces it (scaled first when max|H_ij| is out of range), with
-        the reflectors, ||H||_inf and the scale: a _Reduction.  find_c2's
-        selection and every gap_eigenvalues window read it, so each
-        dense H is reduced once, not once per call.  It keeps about
+        the reflectors, ||H||_inf and the scale: a _Reduction.  _window reads
+        it for find_c2's selection and every gap_eigenvalues window, so
+        each dense H is reduced once, not once per call.  It keeps about
         (2N)^2 doubles, H's own buffer: measured 0.33 MB at 2N = 200
         and 8.0 MB at 2N = 1000 (16 MB at the peak while it is made).
     _c2
@@ -649,6 +636,51 @@ class _Reduction(NamedTuple):
     scale: float
 
 
+def _window(B: BlockOperator) -> tuple[Callable, float]:
+    """window(il, iu) of H from a tridiagonal form (d, e) of it, and a bound on ||H||_inf.
+
+    window(il, iu) gives eigenvalues il..iu (1-based) of H, ascending,
+    and pairs_at, a map from positions in them to (lambda, x) pairs, x
+    in the (u, v) layout: dstebz selects the values and dstein the
+    vectors of (d, e).  A channel's form is B.H_tridiagonal: only the
+    chosen eigenvalues are inverted, and their vectors de-interleaved in
+    the order B._layout records.  Every other operator's is
+    B._H_reduced: the whole window is inverted, and the vectors go back
+    through dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies
+    them for uplo = "L"), the values through 1 / scale, as dsyevx does.
+    """
+    whole = B.H_tridiagonal is None
+    if not whole:
+        (d, e), scale, back = B.H_tridiagonal, 1.0, B._layout.stacked
+    else:
+        d, e, A, tau, _, scale = B._H_reduced
+
+        def back(z):
+            # dormtr's workspace in dsyevx starts at word 2N + 1 of 8 * 2N
+            z[1:] = dormqr("L", "N", A[1:, :-1], tau, z[1:], 7 * d.shape[0])[0]
+            return z
+
+    def window(il, iu):
+        w, iblock, isplit = _sturm_selection(d, e, 2, 0.0, il, iu, _STEBZ_ABSTOL * scale)
+        # w is in block order; rank[i] is the position of the i-th smallest
+        rank = np.argsort(w, kind="stable")
+
+        def pairs_at(chosen):
+            want = rank[chosen]
+            keep = np.arange(w.shape[0]) if whole else np.sort(want)  # dstein takes block order
+            blocks = np.zeros_like(iblock)
+            blocks[: keep.shape[0]] = iblock[keep]
+            z, info = dstein(d, e, w[keep], blocks, isplit)
+            if info != 0:
+                raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
+            x = back(z)[:, np.searchsorted(keep, want)]
+            return [(float(w[i] * (1.0 / scale)), x[:, j]) for j, i in enumerate(want)]
+
+        return w[rank] * (1.0 / scale), pairs_at
+
+    return window, _h_norm(B)
+
+
 @dataclass(frozen=True)
 class FormReport:
     """Margin report for the reduced form at one shift alpha.
@@ -699,9 +731,11 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
 
     The one validation of every assembled or read operator: assemble
     hands it _as_csr's copies, operator_from_text its decoded blocks,
-    whose full-pattern structures it rebuilt rather than read.  Each
+    whose full-pattern structures it rebuilt rather than read, and
+    dirac.build_channel its freshly written banded blocks.  Each
     block is frozen first, so lambda_min(S) of a full S reads the view
-    B._dense keeps.
+    B._dense keeps.  A given c1 of a non-diagonal S is certified by one
+    factor where it can be (_factor_shows_c1).
     """
     n = Pc.shape[0]
     if n == 0:
@@ -710,7 +744,8 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
         if m.shape != (n, n):
             raise DimensionMismatch(f"block {name} has shape {m.shape}, expected {(n, n)}")
         _check_finite((name, m.data))
-        _freeze_csr(m)
+        for buf in (m.data, m.indices, m.indptr):
+            buf.setflags(write=False)
     s_diagonal = _within_band(Sc, 0, 0)
     # H_tridiagonal reads P's band when S is diagonal; a P of at most n
     # entries is tested too, as the test is then cheaper than the symmetry test
@@ -720,14 +755,47 @@ def _validated(Pc, Tc, Sc, c1_policy) -> BlockOperator:
         if not (diagonal or _is_symmetric_exact(m)):
             raise ValidationError(name, "block must be exactly symmetric")
 
-    smin = _lambda_min_s(Sc if s_diagonal else _dense_block(Sc), s_diagonal)
-    c1 = smin if c1_policy == "compute" else float(c1_policy)
-    if not s_diagonal:  # BlockOperator checks the c1 of a diagonal S
-        _check_c1(smin, c1)
+    S = Sc if s_diagonal else _dense_block(Sc)
+    c1 = None if c1_policy == "compute" else float(c1_policy)
+    smin = None
+    if s_diagonal or c1 is None or not _factor_shows_c1(S, c1):
+        smin = _lambda_min_s(S, s_diagonal)
+        c1 = smin if c1 is None else c1
+        if not s_diagonal:  # BlockOperator checks the c1 of a diagonal S
+            _check_c1(smin, c1)
     B = BlockOperator(P=Pc, T=Tc, S=Sc, c1=c1, _diagonal=(p_diagonal, s_diagonal))
-    # the lazy B._s_min would repeat this eigvalsh of the same array
-    vars(B)["_s_min"] = smin
+    if smin is not None:
+        # the lazy B._s_min would repeat this eigvalsh of the same array
+        vars(B)["_s_min"] = smin
     return B
+
+
+def _factor_shows_c1(S: np.ndarray, c1: float) -> bool:
+    """True when one dpotrf shows that lambda_min(S) passes _check_c1 with c1; else False.
+
+    _check_c1 accepts a c1 > 0 when lambda_min(S) > 0 and lambda_min(S)
+    >= floor = (c1 - 1e-12) / (1 + 1e-12).  A factor of S - shift I shows
+    lambda_min(S) > shift - ||E||_2, E the rounding of S - shift I and
+    dpotrf's backward error, which ||L||_F^2 = tr(L L^t) bounds by (n + 2)
+    u tr(S - shift I), u = ulp / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, thm 10.3).  shift = f + (n + 8) u (f + tr(S -
+    f I)), f = max(floor, 0), covers it and the rounding of f and shift,
+    so a factor shows lambda_min(S) > f.  A failed one shows nothing.
+    """
+    floor = max((c1 - 1e-12) / (1.0 + 1e-12), 0.0)
+    with np.errstate(all="ignore"):  # an overflowed shift fails the factor
+        a = S.diagonal() - floor
+        if not (c1 > 0.0 and np.min(a) > 0.0):
+            return False
+        shift = floor + (S.shape[0] + 8) * (0.5 * _ULP) * (floor + float(np.sum(a)))
+        return _shifted_cholesky(S, -shift)[1] == 0
+
+
+def _shifted_cholesky(S: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """dpotrf's (L, info) of S + alpha I, on one copy of the exactly symmetric S."""
+    A = S.copy().T  # S = S^t, so this is the Fortran-ordered array dpotrf overwrites
+    A[np.diag_indices(S.shape[0])] += alpha
+    return dpotrf(A, lower=1, clean=0, overwrite_a=1)
 
 
 def _check_length(B: BlockOperator, name: str, x: np.ndarray) -> None:
@@ -859,11 +927,7 @@ def _shifted_x(B: BlockOperator, alpha: float) -> np.ndarray:
             s = B.S.diagonal() + alpha
             X, info = T / np.sqrt(s)[:, None], int(not np.min(s) > 0.0)
         else:
-            # S is exactly symmetric, so the transposed copy is the
-            # Fortran-ordered array dpotrf overwrites in place
-            A = S.copy().T
-            A[np.diag_indices(B.N)] += alpha
-            L, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+            L, info = _shifted_cholesky(S, alpha)
             # no overwrite_b: f2py would solve in place in a read-only T
             # that is already Fortran-ordered
             X = None if info else dtrtrs(L, T, lower=1)[0]
@@ -936,13 +1000,11 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
 
     At alpha = 0, B._margin0: lambda_min(M_0), computed once per
     operator.  At alpha > 0 with B.H_tridiagonal set, one dstebz Sturm
-    bisection, O(N), on the bracket (-inf, hi]: hi is the Rayleigh
-    quotient of M_alpha at B._ground, M_0's ground state, rounded up,
-    so by Courant-Fischer the bracket holds lambda_min(M_alpha), and
-    the least eigenvalue in it is returned (_lowest_eigenvalue).  An
-    empty bracket, a hi that is not finite, or no B._ground falls back
-    to dstebz's selection of eigenvalue 1 by index.  Otherwise one dense
-    eigvalsh, O(N^3), of the Cholesky-formed M_alpha of _schur_form.
+    bisection, O(N), on a bracket (-inf, hi] that holds it by
+    Courant-Fischer, hi the Rayleigh quotient of M_alpha at B._ground,
+    M_0's ground state, rounded up (_lowest_eigenvalue, with its
+    fallback).  Otherwise one dense eigvalsh, O(N^3), of the
+    Cholesky-formed M_alpha of _schur_form.
     """
     alpha = _check_shift("alpha", alpha)
     return _margin(B, alpha, _schur_form(B, alpha))
@@ -1001,8 +1063,8 @@ def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
       Two O(N) L D L^t factorizations certify it at t = 10 tol +
       _rounding(||H||_inf), as gap_eigenvalues allows; on small-r_min
       grids that term exceeds c2, so no side is formed there.
-    * Otherwise eigenvalue N+1 of the dense H by one dstebz selection
-      on B._H_reduced (the steps of a values-only dsyevx, bitwise its
+    * Otherwise eigenvalue N+1 of the dense H, _window(N + 1, N + 1) on
+      B._H_reduced (the steps of a values-only dsyevx, bitwise its
       result), certified by two Cholesky factorizations, each formed by
       _shifted_x.  No M_0 is formed: by the slope bound a factor of
       M_{c2-t} at c2 - t > 0 shows margin(0) > c2 - t > 0.  B._margin0
@@ -1082,15 +1144,8 @@ def _bisect(lo: float, hi: float, tol: float, holds: Callable[[float], bool]) ->
 
 
 def _selected_c2(B: BlockOperator, tol: float) -> float:
-    """Eigenvalue N+1 of the dense H, certified at c2 -+ t by factorizations; see find_c2.
-
-    Forms no M_0: margin(0) is read only where c2 - t <= 0, or where
-    the lower certificate fails, to refuse a negative one as
-    HypothesisFailed.
-    """
-    R = B._H_reduced
-    w = _tridiagonal_eigenvalues(R.d, R.e, B.N + 1, B.N + 1, _STEBZ_ABSTOL * R.scale)[0]
-    c2 = max(float(w[0] * (1.0 / R.scale)), 0.0)
+    """Eigenvalue N+1 of the dense H, certified at c2 -+ t by factorizations, no M_0; see find_c2."""
+    c2 = max(float(_window(B)[0](B.N + 1, B.N + 1)[0][0]), 0.0)
     # the lower side at the least t, formed first: its X bounds the floor at c2
     below = c2 - 0.5 * tol
     X = _shifted_x(B, below if below > 0.0 else c2)
@@ -1214,8 +1269,8 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
     the numerator increases in s and min f >= 0 exactly when delta <=
     smin*alpha/(smin + alpha), smin = lambda_min(S).  smin is B._s_min,
     made once per operator: the least diagonal entry of a diagonal S
-    (B.S_diagonal) and, for any other S, the eigvalsh assemble runs to
-    certify c1, kept from assembly, so at the boundary delta =
+    (B.S_diagonal) and, for any other S, one eigvalsh, kept from
+    assembly when assemble ran it to certify c1, so at the boundary delta =
     c1*alpha/(c1+alpha) both sides are equal floats.  No matrix is
     inverted, at any N.
 

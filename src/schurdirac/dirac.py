@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .blockop import (
     BlockOperator,
     _is_integer,
-    assemble,
+    _validated,
     find_c2,
     positivity_margin,
 )
@@ -248,7 +248,7 @@ def _banded_csr(n: int, diagonals, offsets) -> sp.csr_matrix:
     Diagonal k >= 0 starts in row 0 and k < 0 in row -k.  Row by row,
     columns ascending, exact zeros (-0.0 too) dropped: the arrays
     scipy.sparse.diags(diagonals, offsets).tocsr() stores, written
-    directly.
+    directly, so canonical float64 CSR as assemble's checks take it.
     """
     k = len(offsets)
     values = np.zeros((n, k))
@@ -281,7 +281,7 @@ def build_channel(
     """
     r = grid.nodes
     # below about 1e-162 h_j h_{j+1} underflows to 0, below about 1e-308 nu/r and
-    # 1/h overflow: assemble refuses the infinite entry by the name of its block
+    # 1/h overflow: _validated refuses the infinite entry by the name of its block
     with np.errstate(all="ignore"):
         v = _sample_potential(spec, grid, potential)
         h = grid.forward_spacings()
@@ -289,8 +289,8 @@ def build_channel(
         T = _banded_csr(grid.N, [-1.0 / h + spec.kappa / r, 1.0 / np.sqrt(h[:-1] * h[1:])], [0, 1])
         S = _banded_csr(grid.N, [spec.gamma - v], [0])
 
-    c1_policy = spec.gamma if potential is None else "compute"
-    return assemble(P, T, S, c1_policy=c1_policy)
+    # fresh canonical float64 CSR, so validated without assemble's copy
+    return _validated(P, T, S, spec.gamma if potential is None else "compute")
 
 
 def check_admissibility(

@@ -10,10 +10,8 @@ of B._M0 cached in B._elimination: dptsvx when B.H_tridiagonal is set
 (every Dirac channel, whose M_0 is tridiagonal), dposvx on the dense
 M_0 of every other operator.  Eigenvalues of H in the spectral gap come
 from the same identity through inertia additivity: when M_sigma >= 0
-they are eigenvalues N+1, N+2, ... of H, selected by index, by Sturm
-bisection and inverse iteration on a tridiagonal form of H: the
-interleaved H of a channel, and B._H_reduced, the one Householder
-reduction of every other operator's dense H.  All operations are pure
+they are eigenvalues N+1, N+2, ... of H, selected by index on a
+tridiagonal form of H (blockop's _window).  All operations are pure
 and safe to run concurrently on shared inputs.
 """
 
@@ -22,15 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dormqr, dstein
 
 from .blockop import (
-    _STEBZ_ABSTOL,
     _ULP,
     BlockOperator,
     StateVector,
@@ -38,12 +33,11 @@ from .blockop import (
     _check_shift,
     _expert_solve,
     _finite_pair,
-    _h_norm,
     _is_integer,
     _refusal,
     _rounding,
     _stacked_apply,
-    _tridiagonal_eigenvalues,
+    _window,
     apply,
     assemble,
 )
@@ -219,15 +213,11 @@ def gap_eigenvalues(
     In(H - sigma) = In(-(S + sigma)) + In(M_sigma), M_sigma >= 0 exactly
     when eigenvalue N+1 of H is >= sigma.  So on every path one gated
     selection takes eigenvalues N+1, N+2, ... by index ("above";
-    N-k+1 .. N+k for "nearest"), and structure picks only the LAPACK
-    tridiagonal form of H they run on: Sturm bisection (dstebz) and
-    inverse iteration (dstein), on the interleaved H when
-    B.H_tridiagonal is set (every Dirac channel, at every N), and
-    for every other operator on B._H_reduced, the dense H's one
-    Householder reduction, shared with find_c2 and made at the first of
-    them (O((2N)^3) time, (2N)^2 doubles, at every N), whose reflectors
-    carry the vectors back (dormqr).  Those are dsyevx's steps, so the
-    dense pairs are bitwise dsyevx's for distinct eigenvalues.
+    N-k+1 .. N+k for "nearest") on a tridiagonal form of H: the
+    interleaved H when B.H_tridiagonal is set (every Dirac channel), else
+    B._H_reduced, the dense H's one Householder reduction, shared with
+    find_c2 (O((2N)^3) time, (2N)^2 doubles), where the pairs are
+    bitwise dsyevx's for distinct eigenvalues.
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
@@ -281,12 +271,9 @@ def gap_eigenvalues(
 def _gap_pairs(
     B: BlockOperator, sigma: float, k: int, which: str
 ) -> tuple[list[tuple[float, np.ndarray]], float]:
-    """Eigenpairs of H selected by index: the window, the gate and the skip.
+    """Eigenpairs of H selected by index: the gap policy on blockop's _window.
 
-    _window gives window(il, iu): eigenvalues il..iu (1-based) of H,
-    ascending, and a map from positions in them to (lambda, x) pairs, x
-    in the (u, v) layout.  Returns the pairs and a bound on ||H||_inf.
-    An eigenvalue within rounding of sigma (ulp times that bound) is not
+    Returns the pairs and _window's bound on ||H||_inf.  An eigenvalue within rounding of sigma (ulp times that bound) is not
     strictly above it, so for "above" the window moves up past it: by
     the count it skipped, or, when the whole window lies in that band
     (a stiff H, where it may hold nearly all of H's upper half), to
@@ -329,47 +316,3 @@ def _gap_pairs(
             iu = min(2 * iu - N, 2 * N)
     return pairs_at(chosen), norm
 
-
-def _window(B: BlockOperator) -> tuple[Callable, float]:
-    """window(il, iu) of H from a tridiagonal form (d, e) of it, and a bound on ||H||_inf.
-
-    dstebz selects the values and dstein the vectors of (d, e) on every
-    route; the form and the map back to H are what differ.  A channel's
-    form is B.H_tridiagonal: only the chosen eigenvalues are inverted,
-    and their vectors de-interleaved in the order B._layout records.
-    Every other operator's is B._H_reduced: the whole window is
-    inverted, and the vectors go back through dsytrd's reflectors
-    (dormqr on rows 2..2N, as dormtr applies them for uplo = "L"), the
-    values through 1 / scale, as dsyevx does.
-    """
-    norm = _h_norm(B)
-    if B.H_tridiagonal is not None:
-        (d, e), scale, whole, back = B.H_tridiagonal, 1.0, False, B._layout.stacked
-    else:
-        d, e, A, tau, _, scale = B._H_reduced
-        whole = True
-
-        def back(z):
-            # dormtr's workspace in dsyevx starts at word 2N + 1 of 8 * 2N
-            z[1:] = dormqr("L", "N", A[1:, :-1], tau, z[1:], 7 * d.shape[0])[0]
-            return z
-
-    def window(il, iu):
-        w, iblock, isplit = _tridiagonal_eigenvalues(d, e, il, iu, _STEBZ_ABSTOL * scale)
-        # w is in block order; rank[i] is the position of the i-th smallest
-        rank = np.argsort(w, kind="stable")
-
-        def pairs_at(chosen):
-            want = rank[chosen]
-            keep = np.arange(w.shape[0]) if whole else np.sort(want)  # dstein takes block order
-            blocks = np.zeros_like(iblock)
-            blocks[: keep.shape[0]] = iblock[keep]
-            z, info = dstein(d, e, w[keep], blocks, isplit)
-            if info != 0:
-                raise NoConvergence(f"inverse iteration failed (dstein info = {info})")
-            x = back(z)[:, np.searchsorted(keep, want)]
-            return [(float(w[i] * (1.0 / scale)), x[:, j]) for j, i in enumerate(want)]
-
-        return w[rank] * (1.0 / scale), pairs_at
-
-    return window, norm

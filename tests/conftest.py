@@ -32,7 +32,7 @@ def exact_eigenvalue(H, index: int, dps: int = 40) -> float:
     interleaved H) on any grid.  It bisects from +-1e-6 around dstebz's
     value, a bracket widened until it holds, to a relative width of 1e-20.
     """
-    w = float(blockop._tridiagonal_eigenvalues(H.d, H.e, index, index)[0][0])
+    w = float(blockop._sturm_selection(H.d, H.e, 2, 0.0, index, index)[0][0])
     with mpmath.workdps(dps):
         d = [mpmath.mpf(float(x)) for x in H.d]
         e2 = [mpmath.mpf(float(x)) ** 2 for x in H.e]

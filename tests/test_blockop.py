@@ -276,6 +276,78 @@ class TestAssemble:
             assert rep.residual_norm <= 1e-12 * (1.0 + np.linalg.norm(rhs.stacked()))
 
 
+class TestGivenC1:
+    """A given c1 of a non-diagonal S: one dpotrf certifies it where it can,
+    else one eigvalsh of S decides, with every refusal and its message."""
+
+    S = np.array([[2.0, 1.0], [1.0, 2.0]])  # lambda_min(S) = 1
+
+    @staticmethod
+    def edge(smin):
+        """The largest c1 that _check_c1 accepts for lambda_min(S) = smin."""
+
+        def accepted(c1):
+            return not smin < c1 - 1e-12 * (1.0 + abs(smin))
+
+        c1 = smin + 1e-12 * (1.0 + abs(smin))
+        while not accepted(c1):
+            c1 = np.nextafter(c1, -np.inf)
+        while accepted(np.nextafter(c1, np.inf)):
+            c1 = np.nextafter(c1, np.inf)
+        return float(c1)
+
+    def test_c1_at_the_allowance_edge_on_both_paths(self, monkeypatch):
+        smin = float(np.linalg.eigvalsh(self.S)[0])
+        edge = self.edge(smin)
+        assert edge > smin
+        eig = mock.Mock(wraps=np.linalg.eigvalsh)
+        factor = mock.Mock(wraps=blockop.dpotrf)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+        monkeypatch.setattr(blockop, "dpotrf", factor)
+
+        def built(c1):
+            return assemble(np.eye(2), np.eye(2), self.S, c1_policy=c1)
+
+        # above smin, inside the allowance: one factor and no eigvalsh
+        B = built(smin + 0.5 * (edge - smin))
+        assert (factor.call_count, eig.call_count) == (1, 0)
+        assert "_s_min" not in vars(B) and B._s_min == smin
+        # at the edge the factor fails, and the eigvalsh accepts and is kept
+        eig.reset_mock()
+        B = built(edge)
+        assert (factor.call_count, eig.call_count) == (2, 1)
+        assert B.c1 == edge and vars(B)["_s_min"] == smin
+        # one float past it, the eigvalsh refuses with _check_c1's message
+        past = float(np.nextafter(edge, np.inf))
+        with pytest.raises(NonPositiveS) as err:
+            built(past)
+        assert str(err.value) == f"asserted c1 = {past:.6g} exceeds lambda_min(S) = {smin:.6g}"
+        assert (factor.call_count, eig.call_count) == (3, 2)
+
+    def test_an_indefinite_s_is_refused_as_before(self):
+        with pytest.raises(NonPositiveS, match=r"^lambda_min\(S\) = -1 <= 0; S >= c1 I > 0 fails$"):
+            assemble(np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]], c1_policy=0.5)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        step=st.floats(min_value=-4.0, max_value=1.5),
+    )
+    def test_a_factor_accepts_only_what_eigvalsh_accepts(self, seed, n, step):
+        # c1 = smin + step allowances: the factor's yes is _check_c1's yes,
+        # and at or below smin it says yes for these well-scaled S
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        S = symmetrize(a @ a.T / n + 0.5 * np.eye(n))
+        smin = float(np.linalg.eigvalsh(S)[0])
+        c1 = smin + step * 1e-12 * (1.0 + smin)
+        shown = blockop._factor_shows_c1(S, c1)
+        if shown:
+            blockop._check_c1(smin, c1)
+        assert shown or step > 0.0
+
+
 class TestApply:
     def test_scalar(self):
         out = apply(scalar_operator(), StateVector([1.0], [1.0]))
@@ -447,6 +519,17 @@ class TestFindC2:
         B = assemble(-5.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
         with pytest.raises(HypothesisFailed):
             find_c2(B)
+
+    def test_exactly_singular_base_form_gives_zero_on_both_routes(self):
+        # margin(0) = 0.0 exactly, so c2 = 0.0, as find_c2 documents: on the
+        # layout route M_0 = -1 + 1 * 1 * 1, and on the dense route M_0 = P,
+        # where eigenvalue N+1 of H (P's 0) is settled by margin(0)
+        layout = assemble([[-1.0]], [[1.0]], [[1.0]])
+        dense = assemble(np.diag([0.0, 1.0]), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 2.0]])
+        assert layout._layout is not None and dense._layout is None
+        for B in (layout, dense):
+            assert find_c2(B) == 0.0
+            assert positivity_margin(B, 0.0) == 0.0
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
     def test_rejects_bad_tolerance(self, tol):
@@ -858,7 +941,7 @@ def dsyevx_c2(B):
 
 def dsyevx_window(B):
     """The dense gap window as one dsyevx call per window: the reference
-    for the window on B._H_reduced, in solver._window's contract."""
+    for the window on B._H_reduced, in blockop._window's contract."""
     H = blockop._dense_H(B)
 
     def window(il, iu):

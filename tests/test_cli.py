@@ -87,6 +87,85 @@ CONSTRUCTION_CASES = [
 ]
 
 
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+# values each float key refuses, that a config text carries as they are
+BAD_FLOAT = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+# values of no choice key: no '#', '=', blank or line break, so the text carries them
+TOKEN = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", max_size=10)
+
+
+@st.composite
+def valid_fields(draw):
+    """RunConfig's fields for a valid config, each key's value drawn from what its checks accept."""
+    command = draw(st.sampled_from(COMMANDS))
+    r_min = draw(POSITIVE)
+    r_max = draw(st.floats(min_value=r_min, exclude_min=True, allow_infinity=False))
+    sizes = draw(st.lists(st.integers(min_value=2), min_size=command in cli._LADDER_COMMANDS, max_size=3))
+    below_r_max = st.floats(min_value=0.0, max_value=r_max, exclude_min=True, exclude_max=True)
+    r_mins = draw(st.just([]) | st.lists(below_r_max, min_size=len(sizes), max_size=len(sizes)))
+    # no line break, '#' or blank at either end: the path the echo can carry
+    path = st.text(st.characters(blacklist_characters="#", blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
+    return dict(
+        command=command,
+        kappa=draw(st.integers().filter(bool)),
+        nu=draw(POSITIVE if command in cli._CHANNEL_COMMANDS else st.none() | POSITIVE),
+        gamma=draw(POSITIVE),
+        grid_scheme=draw(st.sampled_from(["uniform", "logarithmic"])),
+        grid_N=draw(st.integers(min_value=2)),
+        grid_r_min=r_min,
+        grid_r_max=r_max,
+        sweep_nu_values=tuple(draw(st.lists(POSITIVE, min_size=command == "hardy-sweep", max_size=3))),
+        sweep_grid_sizes=tuple(sizes),
+        sweep_r_mins=tuple(r_mins),
+        bisection_tol=draw(POSITIVE),
+        eigen_tol=draw(POSITIVE),
+        k=draw(st.integers(min_value=1)),
+        output_path=draw(st.none() | path.map(str.strip)),
+        output_format=draw(st.sampled_from(["csv", "json"])),
+    )
+
+
+def invalid_values(key, fields):
+    """A strategy for the values of key that its checks refuse, given the other fields.
+
+    output.path has none: each value it refuses is one the text cannot
+    carry, which is why it is refused.
+    """
+    bad_list_of = lambda bad, good: st.lists(good, max_size=2).flatmap(
+        lambda head: bad.map(lambda x: tuple(head) + (x,))
+    )
+    r_max, r_min = fields["grid_r_max"], fields["grid_r_min"]
+    return {
+        "command": st.none() | TOKEN.filter(lambda x: x not in COMMANDS),
+        "kappa": st.sampled_from([None, 0]),
+        "nu": BAD_FLOAT,
+        "gamma": BAD_FLOAT,
+        "grid.scheme": TOKEN.filter(lambda x: x not in ("uniform", "logarithmic")),
+        "grid.N": st.integers(max_value=1),
+        "grid.r_min": BAD_FLOAT | st.floats(min_value=r_max, allow_infinity=False),
+        "grid.r_max": BAD_FLOAT | st.floats(max_value=r_min, allow_infinity=False),
+        "sweep.nu_values": bad_list_of(BAD_FLOAT, POSITIVE),
+        "sweep.grid_sizes": bad_list_of(st.integers(max_value=1), st.integers(min_value=2)),
+        "sweep.r_mins": bad_list_of(BAD_FLOAT | st.floats(min_value=r_max), POSITIVE)
+        | st.lists(POSITIVE, min_size=1, max_size=4)
+        .filter(lambda x: len(x) != len(fields["sweep_grid_sizes"]))
+        .map(tuple),
+        "bisection_tol": BAD_FLOAT,
+        "eigen_tol": BAD_FLOAT,
+        "k": st.integers(max_value=0),
+        "output.format": TOKEN.filter(lambda x: x not in ("csv", "json")),
+    }[key]
+
+
+@st.composite
+def one_invalid_value(draw):
+    """RunConfig's fields for a valid config with the value of one key replaced by one it refuses."""
+    fields = draw(valid_fields())
+    key = draw(st.sampled_from([key for key in cli._KEYS if key != "output.path"]))
+    fields[cli._KEYS[key].field] = draw(invalid_values(key, fields))
+    return fields
+
+
 def unchecked_fields(text):
     """RunConfig's fields for text: _KEYS' defaults, and text's values converted, unchecked."""
     fields = {entry.field: entry.default for entry in cli._KEYS.values()}
@@ -350,6 +429,26 @@ class TestParseConfig:
         )
         cfg = parse_config(text)
         assert parse_config(cfg.canonical_text()) == cfg
+
+    @settings(deadline=None, max_examples=200)
+    @given(fields=valid_fields())
+    def test_every_valid_config_round_trips(self, fields):
+        cfg = RunConfig(**fields)
+        assert parse_config(cfg.canonical_text()) == cfg
+
+    @settings(deadline=None, max_examples=200)
+    @given(fields=one_invalid_value())
+    def test_one_invalid_value_is_refused_alike_built_or_parsed(self, fields):
+        # the text is the echo canonical_text writes of the same fields,
+        # unchecked, so it carries the one invalid value as it is
+        unchecked = object.__new__(RunConfig)
+        vars(unchecked).update(fields)
+        with pytest.raises(ValidationError) as built:
+            RunConfig(**fields)
+        with pytest.raises(ValidationError) as parsed:
+            parse_config(unchecked.canonical_text())
+        assert type(built.value) is type(parsed.value)
+        assert (built.value.key, str(built.value)) == (parsed.value.key, str(parsed.value))
 
     def test_echo_of_every_key(self):
         # pins the echo order and the format of each kind of value

@@ -206,6 +206,19 @@ class TestBuildChannel:
         assert_bitwise_same_operator(B, channel_by_diags_sums(spec, grid, potential))
         assert B.P.nnz == (59 if isinstance(potential, np.ndarray) else 60)
 
+    def test_blocks_go_to_the_validator_without_a_copy(self, monkeypatch):
+        # _banded_csr writes canonical float64 CSR, so the operator holds
+        # the written blocks themselves, frozen, and no _as_csr copy is made
+        monkeypatch.setattr(blockop, "_as_csr", mock.Mock(side_effect=AssertionError("_as_csr")))
+        written, banded = [], dirac._banded_csr
+        monkeypatch.setattr(dirac, "_banded_csr", lambda *args: written.append(banded(*args)) or written[-1])
+        B = build_channel(GROUND, build_grid("logarithmic", 40, 1e-2, 10.0))
+        assert len(written) == 3 and all(m is w for m, w in zip((B.P, B.T, B.S), written))
+        for m in written:
+            assert m.has_canonical_format and m.dtype == np.float64
+            assert not m.data.flags.writeable
+        assert B.c1 == GROUND.gamma
+
     def test_an_exact_zero_of_t_is_not_stored(self):
         # h = 1 and kappa / r = 1 at r = 1: T[0, 0] = -1 + 1 is exactly 0
         grid = build_grid("uniform", 6, 1.0, 6.0)

@@ -167,8 +167,8 @@ class TestGate:
         N = 300
         grid = build_grid("uniform", N, 1e-20, 100.0)
         B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
-        selections = mock.Mock(wraps=solver._tridiagonal_eigenvalues)
-        monkeypatch.setattr(solver, "_tridiagonal_eigenvalues", selections)
+        selections = mock.Mock(wraps=blockop._sturm_selection)
+        monkeypatch.setattr(blockop, "_sturm_selection", selections)
         band = r"\(299 more lie within ulp \|\|H\|\|_inf = 5\.5\de\+04 of sigma, not above it\)$"
         with pytest.raises(NoConvergence, match=r"^at most 1 eigenvalues lie above sigma = 0, "
                            r"fewer than k = 2 " + band):
@@ -401,14 +401,15 @@ def test_bad_residual_raises_under_optimize():
     # python -O strips assert statements; the path's checks must survive it
     script = (
         "import sys\n"
+        "import schurdirac.blockop as blockop\n"
         "import schurdirac.solver as solver\n"
         "from schurdirac import DiracChannelSpec, NoConvergence, build_channel, build_grid\n"
-        "real = solver.dstein\n"
+        "real = blockop.dstein\n"
         "def perturbed(*args):\n"
         "    z, info = real(*args)\n"
         "    z[::7] += 1e-3\n"
         "    return z, info\n"
-        "solver.dstein = perturbed\n"
+        "blockop.dstein = perturbed\n"
         "grid = build_grid('logarithmic', 400, 1e-4, 100.0)\n"
         "B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)\n"
         "try:\n"
@@ -544,13 +545,13 @@ def test_stiff_dense_pairs_pass_the_residual_check():
 
 
 def test_perturbed_dense_pair_is_refused(monkeypatch):
-    real = solver.dormqr
+    real = blockop.dormqr
 
     def perturbed(*args):
         cq, work, info = real(*args)
         return cq + 1e-6, work, info
 
-    monkeypatch.setattr(solver, "dormqr", perturbed)
+    monkeypatch.setattr(blockop, "dormqr", perturbed)
     with pytest.raises(NoConvergence, match="eigenpair residual"):
         gap_eigenvalues(dense_twin(channel(-1, 0.9, 300)), 0.0, 2, which="above")
 
@@ -572,7 +573,7 @@ def test_sturm_pair_off_by_an_eigenvalue_sized_error_is_refused(monkeypatch):
 
 
 def test_failed_inverse_iteration_raises(monkeypatch):
-    real = solver.dstein
-    monkeypatch.setattr(solver, "dstein", lambda *a: (real(*a)[0], 1))
+    real = blockop.dstein
+    monkeypatch.setattr(blockop, "dstein", lambda *a: (real(*a)[0], 1))
     with pytest.raises(NoConvergence, match="dstein info = 1"):
         gap_eigenvalues(channel(-1, 0.5, 400), 0.0, 2, which="above")

@@ -574,7 +574,7 @@ class TestFactorCertifiesC2:
     def test_channel(self, kappa, nu, N):
         B = channel(kappa, nu, N)
         H = B.H_tridiagonal
-        c2 = float(blockop._tridiagonal_eigenvalues(H.d, H.e, N + 1, N + 1)[0][0])
+        c2 = float(blockop._sturm_selection(H.d, H.e, 2, 0.0, N + 1, N + 1)[0][0])
         assert c2 > 0.0
         self.assert_separates(B, c2)
 
