@@ -223,6 +223,20 @@ _RMIN = math.sqrt(dlamch("S") / _ULP)
 _RMAX = min(math.sqrt(_ULP / dlamch("S")), 1.0 / math.sqrt(math.sqrt(dlamch("S"))))
 
 
+def _in_range(M: _Tridiagonal) -> tuple[_Tridiagonal, float]:
+    """A channel form M scaled by 2^-k to max|M_ij| <= _RMAX, and 2^-k; (M, 1.0) in range.
+
+    dstebz bisects on e_i^2 to the floor safmin max(1, max e_i^2): past _RMAX it
+    reaches a graded form's least eigenvalues, past about 1e154 e_i^2 overflows.
+    Keep abstol at _STEBZ_ABSTOL: times 2^-k it underflows to 0, read as ulp ||M||.
+    """
+    big = float(max(np.max(np.abs(M.d)), np.max(np.abs(M.e), initial=0.0)))
+    if not _RMAX < big < math.inf:  # _sturm_selection refuses a non-finite form
+        return M, 1.0
+    scale = math.ldexp(1.0, -math.frexp(big / _RMAX)[1])
+    return _Tridiagonal(M.d * scale, M.e * scale), scale
+
+
 def _lapack_offdiagonal(e: np.ndarray) -> np.ndarray:
     # scipy's wrappers refuse the empty e of a 1x1 matrix; LAPACK reads none of it
     return e if e.shape[0] else np.zeros(1)
@@ -261,8 +275,9 @@ def _extreme_eigenvalues(m, low: bool = True, high: bool = True) -> tuple[float,
     n; every other form takes one dense eigvalsh for both, O(n^3).
     """
     if isinstance(m, _Tridiagonal):
-        ends = (1,) * low + (m.d.shape[0],) * high
-        return tuple(float(_sturm_selection(m.d, m.e, 2, 0.0, i, i)[0][0]) for i in ends)
+        (d, e), scale = _in_range(m)
+        ends = (1,) * low + (d.shape[0],) * high
+        return tuple(float(_sturm_selection(d, e, 2, 0.0, i, i)[0][0]) / scale for i in ends)
     w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
     return (float(w[0]),) * low + (float(w[-1]),) * high
 
@@ -297,12 +312,13 @@ def _lowest_eigenvalue(M: _Tridiagonal, x: np.ndarray | None) -> float:
     Sturm count at hi rounded below 1, or a hi that underflow put below
     lambda_1), so no bracket gives a wrong value.
     """
+    M, scale = _in_range(M)
     hi = math.nan if x is None else _rayleigh_bound(M, x)
     if math.isfinite(hi):
         w = _sturm_selection(M.d, M.e, 1, hi, 0, 0)[0]
         if w.shape[0]:
-            return float(np.min(w))
-    return float(_sturm_selection(M.d, M.e, 2, 0.0, 1, 1)[0][0])
+            return float(np.min(w)) / scale
+    return float(_sturm_selection(M.d, M.e, 2, 0.0, 1, 1)[0][0]) / scale
 
 
 def _h_norm(B: BlockOperator) -> float:
@@ -587,7 +603,8 @@ class BlockOperator:
             return None
         # one block, as any nonzero x bounds lambda_1 from above
         block, ends = np.ones(self.N, np.int32), np.full(self.N, self.N, np.int32)
-        z, info = dstein(M.d, _lapack_offdiagonal(M.e), np.array([lam]), block, ends)
+        (d, e), scale = _in_range(M)
+        z, info = dstein(d, _lapack_offdiagonal(e), np.array([lam * scale]), block, ends)
         return None if info else _freeze(z[:, 0])
 
     @cached_property
@@ -642,18 +659,20 @@ def _window(B: BlockOperator) -> tuple[Callable, float]:
     window(il, iu) gives eigenvalues il..iu (1-based) of H, ascending,
     and pairs_at, a map from positions in them to (lambda, x) pairs, x
     in the (u, v) layout: dstebz selects the values and dstein the
-    vectors of (d, e).  A channel's form is B.H_tridiagonal: only the
-    chosen eigenvalues are inverted, and their vectors de-interleaved in
-    the order B._layout records.  Every other operator's is
-    B._H_reduced: the whole window is inverted, and the vectors go back
-    through dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies
-    them for uplo = "L"), the values through 1 / scale, as dsyevx does.
+    vectors of (d, e), the values go back through 1 / scale.  A channel's
+    form is B.H_tridiagonal scaled by _in_range: only the chosen eigenvalues
+    are inverted, and their vectors de-interleaved in the order B._layout
+    records.  Every other operator's is B._H_reduced, scaled as dsyevx
+    does: the whole window is inverted, and the vectors go back through
+    dsytrd's reflectors (dormqr on rows 2..2N, as dormtr applies them for uplo = "L").
     """
     whole = B.H_tridiagonal is None
     if not whole:
-        (d, e), scale, back = B.H_tridiagonal, 1.0, B._layout.stacked
+        (d, e), scale = _in_range(B.H_tridiagonal)
+        abstol, back = _STEBZ_ABSTOL, B._layout.stacked
     else:
         d, e, A, tau, _, scale = B._H_reduced
+        abstol = _STEBZ_ABSTOL * scale
 
         def back(z):
             # dormtr's workspace in dsyevx starts at word 2N + 1 of 8 * 2N
@@ -661,7 +680,7 @@ def _window(B: BlockOperator) -> tuple[Callable, float]:
             return z
 
     def window(il, iu):
-        w, iblock, isplit = _sturm_selection(d, e, 2, 0.0, il, iu, _STEBZ_ABSTOL * scale)
+        w, iblock, isplit = _sturm_selection(d, e, 2, 0.0, il, iu, abstol)
         # w is in block order; rank[i] is the position of the i-th smallest
         rank = np.argsort(w, kind="stable")
 

@@ -89,7 +89,7 @@ class RunConfig:
 
     def __post_init__(self):
         for key, entry in _KEYS.items():
-            value = getattr(self, entry.field)
+            value = getattr(self, key.replace(".", "_"))
             if value is None or (type(value) is tuple and not value):
                 # command comes first, so every later key knows it
                 if entry.needed_by is None or self.command in entry.needed_by:
@@ -107,8 +107,8 @@ class RunConfig:
     def canonical_text(self) -> str:
         """Config text that re-parses to an equal RunConfig."""
         lines = []
-        for key, entry in _KEYS.items():
-            value = getattr(self, entry.field)
+        for key in _KEYS:
+            value = getattr(self, key.replace(".", "_"))
             if value is None or value == ():
                 continue
             if isinstance(value, tuple):
@@ -117,37 +117,6 @@ class RunConfig:
                 value = repr(value)
             lines.append(f"{key}={value}")
         return "\n".join(lines) + "\n"
-
-
-def _to_str(key: str, value: str, line: int, col: int) -> str:
-    return value
-
-
-def _to_float(key: str, value: str, line: int, col: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"invalid number for {key}: {value!r}", line, col) from None
-
-
-def _to_int(key: str, value: str, line: int, col: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"invalid integer for {key}: {value!r}", line, col) from None
-
-
-def _list_of(convert):
-    """Converter of a comma-separated, non-empty list of convert's values."""
-
-    def to_list(key: str, value: str, line: int, col: int) -> tuple:
-        toks = [t.strip() for t in value.split(",") if t.strip()]
-        if not toks:
-            raise ValidationError(key, "empty list")
-        return tuple(convert(key, t, line, col) for t in toks)
-
-    to_list.entry = convert  # what _checked reads an entry's type from
-    return to_list
 
 
 def _finite(x: float) -> str | None:
@@ -174,57 +143,67 @@ def _echoable(path: str) -> str | None:
 
 
 class _Key(NamedTuple):
-    field: str  # of RunConfig
-    convert: Callable
+    type: type | tuple  # str, int or float; a one-element tuple, (float,), for a comma list
     default: object = None
     check: Callable = lambda value: None  # complaint about a value (a list's entry), or None
     needed_by: tuple[str, ...] | None = ()  # commands that need a value; None: all
     missing: str = "required for {command}"  # complaint when a needed value is missing
 
 
-# Each config key once, in the order canonical_text echoes them.
+# Each config key once, in the order canonical_text echoes them.  Its
+# RunConfig field is the key with "." replaced by "_".
 _KEYS = {
-    "command": _Key("command", _to_str, None, _one_of(COMMANDS), None, "required"),
-    "kappa": _Key(
-        "kappa", _to_int, None, lambda k: None if k else "must be nonzero", None, "required"
-    ),
-    "nu": _Key("nu", _to_float, None, _positive, _CHANNEL_COMMANDS, "required for this command"),
-    "gamma": _Key("gamma", _to_float, 0.5, _positive),
-    "grid.scheme": _Key("grid_scheme", _to_str, "logarithmic", _one_of(_SCHEMES)),
-    "grid.N": _Key("grid_N", _to_int, 2000, _at_least(2)),
-    "grid.r_min": _Key("grid_r_min", _to_float, 1e-4, _positive),
-    "grid.r_max": _Key("grid_r_max", _to_float, 100.0, _finite),
-    "sweep.nu_values": _Key(
-        "sweep_nu_values", _list_of(_to_float), (), _positive, ("hardy-sweep",)
-    ),
-    "sweep.grid_sizes": _Key(
-        "sweep_grid_sizes", _list_of(_to_int), (), _at_least(2), _LADDER_COMMANDS
-    ),
-    "sweep.r_mins": _Key("sweep_r_mins", _list_of(_to_float), (), _positive),
-    "bisection_tol": _Key("bisection_tol", _to_float, 1e-8, _positive),
-    "eigen_tol": _Key("eigen_tol", _to_float, 1e-8, _positive),
-    "k": _Key("k", _to_int, 2, _at_least(1)),
-    "output.path": _Key("output_path", _to_str, None, _echoable),
-    "output.format": _Key("output_format", _to_str, "csv", _one_of(_FORMATS)),
+    "command": _Key(str, None, _one_of(COMMANDS), None, "required"),
+    "kappa": _Key(int, None, lambda k: None if k else "must be nonzero", None, "required"),
+    "nu": _Key(float, None, _positive, _CHANNEL_COMMANDS, "required for this command"),
+    "gamma": _Key(float, 0.5, _positive),
+    "grid.scheme": _Key(str, "logarithmic", _one_of(_SCHEMES)),
+    "grid.N": _Key(int, 2000, _at_least(2)),
+    "grid.r_min": _Key(float, 1e-4, _positive),
+    "grid.r_max": _Key(float, 100.0, _finite),
+    "sweep.nu_values": _Key((float,), (), _positive, ("hardy-sweep",)),
+    "sweep.grid_sizes": _Key((int,), (), _at_least(2), _LADDER_COMMANDS),
+    "sweep.r_mins": _Key((float,), (), _positive),
+    "bisection_tol": _Key(float, 1e-8, _positive),
+    "eigen_tol": _Key(float, 1e-8, _positive),
+    "k": _Key(int, 2, _at_least(1)),
+    "output.path": _Key(str, None, _echoable),
+    "output.format": _Key(str, "csv", _one_of(_FORMATS)),
 }
 
 
-# The one type each converter returns.  Exact: a bool is not taken for an int,
-# nor an int or a NumPy float for a float, whose echo would not re-parse alike.
-_TYPES = {_to_str: str, _to_int: int, _to_float: float}
+def _converted(kind, key: str, value: str, line: int, col: int):
+    """value, read at line and col, as kind, a _Key type.
+
+    ParseError for a number that does not convert, ValidationError for a list with no entry.
+    """
+    if kind is str:
+        return value
+    if type(kind) is tuple:
+        toks = [t.strip() for t in value.split(",") if t.strip()]
+        if not toks:
+            raise ValidationError(key, "empty list")
+        return tuple(_converted(kind[0], key, t, line, col) for t in toks)
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "integer" if kind is int else "number"
+        raise ParseError(f"invalid {noun} for {key}: {value!r}", line, col) from None
 
 
 def _checked(key: str, value) -> None:
     """ValidationError unless value has _KEYS[key]'s type and its check passes value.
 
     A list key takes a tuple, and its type and check apply to each entry.
+    The type is exact: a bool is not taken for an int, nor an int or a
+    NumPy float for a float, whose echo would not re-parse alike.
     """
-    convert = _KEYS[key].convert
-    entry = getattr(convert, "entry", None)
-    if entry is not None and type(value) is not tuple:
-        raise ValidationError(key, f"must be a tuple, not {type(value).__name__}")
-    kind, prefix = (_TYPES[entry], "entries ") if entry else (_TYPES[convert], "")
-    for item in value if entry else (value,):
+    kind, prefix, items = _KEYS[key].type, "", (value,)
+    if type(kind) is tuple:
+        if type(value) is not tuple:
+            raise ValidationError(key, f"must be a tuple, not {type(value).__name__}")
+        (kind,), prefix, items = kind, "entries ", value
+    for item in items:
         complaint = (
             f"must be {kind.__name__}, not {type(item).__name__}"
             if type(item) is not kind
@@ -238,7 +217,7 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     """Parse flat key=value configuration text into a validated RunConfig.
 
     Lines hold one `key=value` pair each; `#` starts a comment; blank
-    lines are skipped; keys, their defaults and converters are those of
+    lines are skipped; keys, their defaults and types are those of
     _KEYS.  Raises ParseError with line/column for malformed text or a
     value that does not convert, ValidationError naming the key for an
     unknown or duplicate key or an empty list, and RunConfig's own
@@ -264,9 +243,9 @@ def parse_config(text: str, command_override: str | None = None) -> RunConfig:
     if command_override is not None:  # stands in for the text's command
         raw["command"] = (command_override, 0, 1)
 
-    values = {  # RunConfig field -> value
-        entry.field: entry.convert(key, *raw[key]) if key in raw else entry.default
-        for key, entry in _KEYS.items()
+    values = {
+        key.replace(".", "_"): (_converted(e.type, key, *raw[key]) if key in raw else e.default)
+        for key, e in _KEYS.items()
     }
     return RunConfig(**values)
 
@@ -469,15 +448,15 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
+    flags = {"output_path": args.out, "output_format": args.format}
+    flags = {field: value for field, value in flags.items() if value is not None}
     try:
         config = parse_config(text, command_override=args.command)
-        if args.out is not None:
-            config = replace(config, output_path=args.out)
+        if flags:  # one more construction checks them with the rest
+            config = replace(config, **flags)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
     return run(config)
 
 

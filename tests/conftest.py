@@ -32,7 +32,8 @@ def exact_eigenvalue(H, index: int, dps: int = 40) -> float:
     interleaved H) on any grid.  It bisects from +-1e-6 around dstebz's
     value, a bracket widened until it holds, to a relative width of 1e-20.
     """
-    w = float(blockop._sturm_selection(H.d, H.e, 2, 0.0, index, index)[0][0])
+    (d, e), scale = blockop._in_range(H)  # dstebz fails on an unscaled e_i^2 that overflows
+    w = float(blockop._sturm_selection(d, e, 2, 0.0, index, index)[0][0]) / scale
     with mpmath.workdps(dps):
         d = [mpmath.mpf(float(x)) for x in H.d]
         e2 = [mpmath.mpf(float(x)) ** 2 for x in H.e]

@@ -990,6 +990,17 @@ class TestReducedH:
         # the two scaled operators take dsyevx's scaling, the others do not
         assert scales[-2] < 1.0 < scales[-1] and set(scales[:-2]) == {1.0}
 
+    def test_window_selects_at_the_scaled_abstol(self):
+        # H's eigenvalue N+1 is about -7.6e-309; dsyevx scales H up by about
+        # 2.4e52, and the selection at 2 safmin unscaled reads -0.0 there.
+        # find_c2 clamps both to 0, so the window is compared directly
+        k = math.ldexp(1.0, -660)
+        B = assemble(k * np.array([[-2.0, -2.0], [-2.0, -1.0]]), k * np.ones((2, 2)), k * np.eye(2))
+        assert B.H_tridiagonal is None and B._H_reduced.scale > 1e52
+        c2 = dsyevx_c2(B)
+        assert c2 < 0.0
+        assert float(blockop._window(B)[0](B.N + 1, B.N + 1)[0][0]) == c2
+
     def test_one_reduction_per_dense_operator(self):
         B = random_block_operator(np.random.default_rng(11), 30, margin_target=0.7)
         C = build_channel(

@@ -162,16 +162,16 @@ def one_invalid_value(draw):
     """RunConfig's fields for a valid config with the value of one key replaced by one it refuses."""
     fields = draw(valid_fields())
     key = draw(st.sampled_from([key for key in cli._KEYS if key != "output.path"]))
-    fields[cli._KEYS[key].field] = draw(invalid_values(key, fields))
+    fields[key.replace(".", "_")] = draw(invalid_values(key, fields))
     return fields
 
 
 def unchecked_fields(text):
     """RunConfig's fields for text: _KEYS' defaults, and text's values converted, unchecked."""
-    fields = {entry.field: entry.default for entry in cli._KEYS.values()}
+    fields = {key.replace(".", "_"): entry.default for key, entry in cli._KEYS.items()}
     for line in text.splitlines():
         key, _, value = line.partition("=")
-        fields[cli._KEYS[key].field] = cli._KEYS[key].convert(key, value.strip(), 0, 0)
+        fields[key.replace(".", "_")] = cli._converted(cli._KEYS[key].type, key, value.strip(), 0, 0)
     return fields
 
 
@@ -412,7 +412,7 @@ class TestParseConfig:
         # a bool is a value of no key: not an int, a float, a str or a tuple
         cfg = parse_config(MINIMAL)
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(cfg, **{cli._KEYS[key].field: True})
+            dataclasses.replace(cfg, **{key.replace(".", "_"): True})
         assert err.value.key == key
         assert str(err.value).endswith(", not bool")
 
@@ -478,6 +478,11 @@ class TestParseConfig:
             "output.format=json\n"
         )
 
+    def test_each_field_is_its_key_with_dot_as_underscore(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            key.replace(".", "_") for key in cli._KEYS
+        ]
+
     def test_commands_tuple(self):
         assert COMMANDS == (
             "validate",
@@ -517,6 +522,26 @@ class TestRunAndMain:
         assert obj["rows"][0]["c2_numeric"] == pytest.approx(
             1.0 + math.sqrt(0.75) - 0.5, abs=0.05
         )
+
+    @pytest.mark.parametrize(
+        "flags, constructions, output",
+        [
+            ([], 1, (None, "csv")),
+            (["--out", "r.csv"], 2, ("r.csv", "csv")),
+            (["--out", "r.json", "--format", "json"], 2, ("r.json", "json")),
+        ],
+    )
+    def test_flags_join_the_config_in_one_construction(
+        self, tmp_path, monkeypatch, flags, constructions, output
+    ):
+        # RunConfig's checks run once for the parsed text and once more for all the flags
+        checks, runs = [], []
+        post_init = RunConfig.__post_init__
+        monkeypatch.setattr(RunConfig, "__post_init__", lambda self: checks.append(post_init(self)))
+        monkeypatch.setattr(cli, "run", lambda config: runs.append(config) or 0)
+        assert main(["c2", "--config", write_config(tmp_path, MINIMAL)] + flags) == 0
+        assert len(checks) == constructions
+        assert [(c.output_path, c.output_format) for c in runs] == [output]
 
     def test_csv_body_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL + SMALL_GRID)

@@ -569,6 +569,16 @@ class TestC2Consistency:
         c2n, _, _ = c2_consistency(GROUND, g)
         assert abs(c2n - exact_eigenvalue(B.H_tridiagonal, B.N + 1)) <= 0.5e-8
 
+    @pytest.mark.parametrize("N", [60, 200])
+    @pytest.mark.parametrize("r_min", [1e-154, 1e-158])
+    def test_forms_past_the_scaling_range_keep_c2_and_margin(self, N, r_min):
+        # the entries of H reach 1/r_min: unscaled, dstebz's floor on e_i^2 put
+        # c2 off by 0.099 at 1e-154, and e_i^2 overflowed (info = 4) at 1e-158
+        B = build_channel(GROUND, build_grid("logarithmic", N, r_min, 100.0))
+        assert abs(find_c2(B) - exact_eigenvalue(B.H_tridiagonal, B.N + 1)) <= 0.5e-8
+        exact = exact_eigenvalue(B._M0, 1)
+        assert abs(positivity_margin(B, 0.0) - exact) <= 1e-15 * exact
+
     @pytest.mark.parametrize("N", [200, 600])
     def test_no_dense_eigensolver_checks_a_channel(self, N, monkeypatch):
         # the certificate is two L D L^t factorizations at every N; no dense

@@ -1,5 +1,6 @@
 """The README's python examples run as written and print what the README says,
-so the documented API and the exponent table cannot drift unnoticed."""
+and its config key table states cli._KEYS, so the documented API, the
+exponent table and the keys cannot drift unnoticed."""
 
 import contextlib
 import io
@@ -8,6 +9,8 @@ import pathlib
 import re
 
 import pytest
+
+import schurdirac.cli as cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +61,20 @@ def test_exponent_table_script_prints_the_table():
         assert line[:2] == row[:2]
         # the table holds the printed 4 decimals; a last-digit flip is allowed
         assert line[2:] == pytest.approx(row[2:], abs=1.5e-4)
+
+
+def test_key_table_states_every_key_in_echo_order():
+    rows = re.findall(r"^\| `([\w.]+)` \| ([\w ]+) \| (.+?) \| .+ \|$", readme(), re.M)
+    assert [key for key, _, _ in rows] == list(cli._KEYS)
+    for key, kind, default in rows:
+        entry = cli._KEYS[key]
+        assert kind == (f"{entry.type[0].__name__} list" if type(entry.type) is tuple else entry.type.__name__)
+        literal = re.fullmatch(r"`([^`]*)`", default)
+        if entry.default not in (None, ()):
+            # the default as the config text would give it
+            assert literal and cli._converted(entry.type, key, literal[1], 0, 0) == entry.default
+        elif entry.needed_by is None:
+            assert default.startswith("required")
+        else:
+            assert literal is None
+            assert ("required by" in default) == bool(entry.needed_by)
