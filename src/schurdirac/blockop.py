@@ -26,7 +26,6 @@ view of those buffers.  Every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import base64
-import io
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -55,19 +54,14 @@ DENSE_ORACLE_CAP = 1000
 __all__ = [
     "BlockOperator",
     "StateVector",
-    "FormReport",
     "assemble",
     "apply",
     "full_matrix",
-    "schur_form_matrix",
-    "form_report",
     "positivity_margin",
     "find_c2",
     "inertia_c2_oracle",
     "embedding_delta",
     "resolvent_difference_check",
-    "matrix_to_text",
-    "matrix_from_text",
     "operator_to_text",
     "operator_from_text",
 ]
@@ -266,22 +260,6 @@ def _check_finite_form(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _extreme_eigenvalues(m, low: bool = True, high: bool = True) -> tuple[float, ...]:
-    """(lambda_min, lambda_max) of a symmetric matrix, or the one of them asked for.
-
-    m is an ndarray, a sparse matrix, or the _Tridiagonal pair that
-    _schur_form returns when B.H_tridiagonal is set.  A _Tridiagonal
-    pair takes one dstebz Sturm bisection per eigenvalue, O(n) at every
-    n; every other form takes one dense eigvalsh for both, O(n^3).
-    """
-    if isinstance(m, _Tridiagonal):
-        (d, e), scale = _in_range(m)
-        ends = (1,) * low + (d.shape[0],) * high
-        return tuple(float(_sturm_selection(d, e, 2, 0.0, i, i)[0][0]) / scale for i in ends)
-    w = np.linalg.eigvalsh(m if isinstance(m, np.ndarray) else m.toarray())
-    return (float(w[0]),) * low + (float(w[-1]),) * high
-
-
 def _rayleigh_bound(M: _Tridiagonal, x: np.ndarray) -> float:
     """An upper bound on lambda_1 of the tridiagonal M: x^t M x / x^t x, rounded up, O(n).
 
@@ -301,10 +279,12 @@ def _rayleigh_bound(M: _Tridiagonal, x: np.ndarray) -> float:
         return rho + (x.shape[0] + 8) * _ULP * mag
 
 
-def _lowest_eigenvalue(M: _Tridiagonal, x: np.ndarray | None) -> float:
-    """lambda_1 of the tridiagonal M: the least eigenvalue one dstebz finds in (-inf, hi].
+def _lowest_eigenvalue(M, x: np.ndarray | None = None) -> float:
+    """lambda_1 of a symmetric M: an ndarray, or the _Tridiagonal pair of _schur_form.
 
-    hi = _rayleigh_bound(M, x) >= lambda_1, so this skips the search of
+    An ndarray takes one dense eigvalsh, O(n^3).  A _Tridiagonal pair
+    takes one dstebz, O(n): the least eigenvalue it finds in (-inf, hi],
+    hi = _rayleigh_bound(M, x) >= lambda_1, which skips the search of
     Gershgorin's whole interval that the range-'I' call starts with.  A
     poor x only lets more eigenvalues in, each bisected to _STEBZ_ABSTOL
     as lambda_1 alone would be.  The range-'I' call is taken instead
@@ -312,6 +292,8 @@ def _lowest_eigenvalue(M: _Tridiagonal, x: np.ndarray | None) -> float:
     Sturm count at hi rounded below 1, or a hi that underflow put below
     lambda_1), so no bracket gives a wrong value.
     """
+    if isinstance(M, np.ndarray):
+        return float(np.linalg.eigvalsh(M)[0])
     M, scale = _in_range(M)
     hi = math.nan if x is None else _rayleigh_bound(M, x)
     if math.isfinite(hi):
@@ -335,8 +317,8 @@ def _rounding(N: int, norm: float) -> float:
 
 
 def _lambda_min_s(S: sp.csr_matrix | np.ndarray, diagonal: bool) -> float:
-    """lambda_min(S), S sparse or dense: the least entry of a diagonal S, else one eigvalsh."""
-    return float(np.min(S.diagonal())) if diagonal else _extreme_eigenvalues(S, high=False)[0]
+    """lambda_min(S): the least entry of a diagonal S, else one eigvalsh of the ndarray S."""
+    return float(np.min(S.diagonal())) if diagonal else _lowest_eigenvalue(S)
 
 
 def _check_finite(*named: tuple[str, np.ndarray]) -> None:
@@ -396,9 +378,6 @@ class StateVector:
     def stacked(self) -> np.ndarray:
         """The length-2N vector (u, v)."""
         return np.concatenate([self.u, self.v])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.stacked()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,9 +468,8 @@ class BlockOperator:
         Every read of M_0 on either layout takes this one value.
     _margin0
         lambda_min(M_0), one dstebz or eigvalsh of _M0: what
-        positivity_margin(B, 0.0) and form_report(B, 0.0) return, what
-        find_c2 reads where its bracket or a refusal needs it, and what
-        solve's refusal names.
+        positivity_margin(B, 0.0) returns, what find_c2 reads where its
+        bracket or a refusal needs it, and what solve's refusal names.
     _ground
         With a _layout: the read-only unit eigenvector x of
         lambda_1(M_0), by one dstein at _margin0's value, M_0 taken as
@@ -593,7 +571,7 @@ class BlockOperator:
 
     @cached_property
     def _margin0(self) -> float:
-        return _extreme_eigenvalues(self._M0, high=False)[0]
+        return _lowest_eigenvalue(self._M0)
 
     @cached_property
     def _ground(self) -> np.ndarray | None:
@@ -698,20 +676,6 @@ def _window(B: BlockOperator) -> tuple[Callable, float]:
         return w[rank] * (1.0 / scale), pairs_at
 
     return window, _h_norm(B)
-
-
-@dataclass(frozen=True)
-class FormReport:
-    """Margin report for the reduced form at one shift alpha.
-
-    form_matrix_condition is the ratio of extreme eigenvalue magnitudes
-    of M_alpha; it equals the 2-norm condition number when the matrix is
-    definite and is a lower bound otherwise.
-    """
-
-    alpha: float
-    margin: float
-    form_matrix_condition: float
 
 
 def assemble(P, T, S, c1_policy="compute") -> BlockOperator:
@@ -955,19 +919,6 @@ def _shifted_x(B: BlockOperator, alpha: float) -> np.ndarray:
     return X
 
 
-def schur_form_matrix(B: BlockOperator, alpha: float) -> sp.csr_matrix:
-    """Matrix of the reduced form: M_alpha = (P - alpha I) + T^t (S + alpha I)^{-1} T.
-
-    At alpha = 0 this is the Schur complement of -S in H.  No inverse
-    is formed: (S + alpha I)^{-1} is applied by its Cholesky factor
-    (exact division for a diagonal S, B.S_diagonal; see _schur_form).
-    The result is exactly symmetric; only this function converts
-    _schur_form's layout to CSR.
-    """
-    M = _schur_form(B, alpha)
-    return M.tocsr() if isinstance(M, _Tridiagonal) else sp.csr_matrix(M)
-
-
 def _factor(M) -> tuple[tuple | np.ndarray | None, int]:
     """(factor, 0) of a positive definite M, or (None, info) with LAPACK's pivot info > 0.
 
@@ -1026,39 +977,10 @@ def positivity_margin(B: BlockOperator, alpha: float) -> float:
     Cholesky-formed M_alpha of _schur_form.
     """
     alpha = _check_shift("alpha", alpha)
-    return _margin(B, alpha, _schur_form(B, alpha))
-
-
-def _margin(B: BlockOperator, alpha: float, M) -> float:
-    """lambda_min of M = _schur_form(B, alpha): B._margin0 at alpha = 0."""
+    M = _schur_form(B, alpha)
     if alpha == 0.0:
         return B._margin0
-    if isinstance(M, _Tridiagonal):
-        return _lowest_eigenvalue(M, B._ground)
-    return _extreme_eigenvalues(M, high=False)[0]
-
-
-def form_report(B: BlockOperator, alpha: float) -> FormReport:
-    """Margin and conditioning of the reduced form at one alpha.
-
-    The margin is positivity_margin's, bitwise: at alpha = 0
-    B._margin0, and on a tridiagonal form at alpha > 0 the one dstebz
-    on its Courant-Fischer bracket; only lambda_max is then computed
-    here, by one dstebz selection by index.  A dense form takes one
-    eigvalsh for both ends, which at alpha = 0, on a dense M_0 whose
-    margin is not yet made, also gives B._margin0.
-    """
-    M = _schur_form(B, alpha)
-    if isinstance(M, _Tridiagonal) or (alpha == 0.0 and "_margin0" in vars(B)):
-        lo, (hi,) = _margin(B, alpha, M), _extreme_eigenvalues(M, low=False)
-    else:
-        lo, hi = _extreme_eigenvalues(M)
-        if alpha == 0.0:
-            # lo is the w[0] of the eigvalsh that B._margin0 would make
-            vars(B).setdefault("_margin0", lo)
-    mags = sorted((abs(lo), abs(hi)))
-    cond = float("inf") if mags[0] == 0.0 else mags[1] / mags[0]
-    return FormReport(alpha=alpha, margin=lo, form_matrix_condition=cond)
+    return _lowest_eigenvalue(M, None if B._layout is None else B._ground)
 
 
 def find_c2(B: BlockOperator, tol: float = 1e-8) -> float:
@@ -1306,51 +1228,6 @@ def resolvent_difference_check(B: BlockOperator, alpha: float, delta: float) -> 
         )
     smin = B._s_min
     return delta <= smin * alpha / (smin + alpha)
-
-
-def matrix_to_text(A) -> str:
-    """Serialize a matrix: 'rows cols' header, then row-major decimal entries.
-
-    Entries use %.17g so float64 values round-trip exactly; the format
-    is plain ASCII and locale-independent.  Raises ValueError for a
-    zero dimension or a non-finite entry, which matrix_from_text would
-    refuse.
-    """
-    arr = np.atleast_2d(A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64))
-    if 0 in arr.shape:
-        raise ValueError(f"matrix has a zero dimension, shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has a non-finite entry")
-    out = io.StringIO()
-    out.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        out.write(" ".join(f"{x:.17g}" for x in row))
-        out.write("\n")
-    return out.getvalue()
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    """Parse matrix_to_text output.
-
-    Raises ValueError for empty text, a header that is not two integers,
-    a header the data does not match, or a non-finite entry, as
-    operator_from_text refuses them.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty text: expected a 'rows cols' header")
-    try:
-        rows, cols = (int(tok) for tok in lines[0].split())
-    except ValueError:  # a token that is not an integer, or not two tokens
-        raise ValueError(f"expected a 'rows cols' header, found {lines[0][:40]!r}") from None
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
-    arr = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
-    if arr.shape != (rows, cols):
-        raise ValueError(f"data shape {arr.shape} does not match header {(rows, cols)}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has a non-finite entry")
-    return arr
 
 
 _BLOCK_NAMES = ("P", "T", "S")

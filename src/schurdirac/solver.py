@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dnrm2
 
 from .blockop import (
@@ -39,7 +38,6 @@ from .blockop import (
     _stacked_apply,
     _window,
     apply,
-    assemble,
 )
 from .errors import (
     CheckFailed,
@@ -54,12 +52,20 @@ __all__ = [
     "SolveReport",
     "solve",
     "symmetry_identity_check",
-    "shifted_operator",
     "gap_eigenvalues",
 ]
 
 # solve warns IllConditioned above this condition estimate of M_0.
 COND_CAP = 1e12
+# A channel's gap eigenvalue within this many ulp |sigma| of sigma is not
+# above it.  Measured against a 40-digit Sturm count, dstebz's eigenvalues
+# N+1..N+4 of the interleaved H (N from 200 to 8000, r_min from 1e-4 to
+# 1e-100, nu up to NU_MAX, gamma from 0.1 to 3, both schemes) were off by
+# at most 4220 ulp of themselves, a factor 3.9 below this.  The worst lie
+# nearest 0 (4220 ulp at 0.011, nu = 1.05; 535 at 0.041, nu = 1): about
+# 1e-14 absolute.  The band, 3.6e-12 |sigma|, is below the default tol of
+# the pairs' residual check.
+_CHANNEL_BAND_ULPS = 16384.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,24 +186,6 @@ def _nonnegative_shift(sigma: float) -> float:
     return sigma
 
 
-def shifted_operator(B: BlockOperator, sigma: float) -> BlockOperator:
-    """The operator of H - sigma*I: blocks (P - sigma, T, S + sigma).
-
-    Requires sigma >= 0 so that S + sigma keeps the lower bound
-    c1 + sigma > 0; negative shifts are rejected.
-    """
-    sigma = _nonnegative_shift(sigma)
-    if sigma == 0.0:
-        return B
-    eye = sp.identity(B.N, format="csr")
-    return assemble(
-        B.P - sigma * eye,
-        B.T,
-        B.S + sigma * eye,
-        c1_policy=B.c1 + sigma,
-    )
-
-
 def gap_eigenvalues(
     B: BlockOperator,
     sigma: float,
@@ -217,7 +205,9 @@ def gap_eigenvalues(
     interleaved H when B.H_tridiagonal is set (every Dirac channel), else
     B._H_reduced, the dense H's one Householder reduction, shared with
     find_c2 (O((2N)^3) time, (2N)^2 doubles), where the pairs are
-    bitwise dsyevx's for distinct eigenvalues.
+    bitwise dsyevx's for distinct eigenvalues.  An eigenvalue within the
+    selection's accuracy of sigma is not above it: ulp ||H||_inf on the
+    dense route, a band relative to sigma on a channel (_gap_pairs).
 
     Results are deterministic, eigenvectors are signed so that their
     largest entry is positive, and each returned pair is verified to
@@ -273,15 +263,22 @@ def _gap_pairs(
 ) -> tuple[list[tuple[float, np.ndarray]], float]:
     """Eigenpairs of H selected by index: the gap policy on blockop's _window.
 
-    Returns the pairs and _window's bound on ||H||_inf.  An eigenvalue within rounding of sigma (ulp times that bound) is not
-    strictly above it, so for "above" the window moves up past it: by
-    the count it skipped, or, when the whole window lies in that band
-    (a stiff H, where it may hold nearly all of H's upper half), to
-    twice its size, so that the selections stay O(log N).
+    Returns the pairs and _window's bound on ||H||_inf.  The gate
+    allows eigenvalue N+1 rounding below sigma, ulp times that bound.
+    An eigenvalue within the band of sigma is not strictly above it:
+    the same ulp ||H||_inf on the dense route, whose values are only
+    that accurate, and _CHANNEL_BAND_ULPS ulp |sigma| on a channel, whose
+    dstebz values are relatively accurate, so that a graded channel's
+    ||H||_inf, which grows like 1/r_min, does not swallow its physical
+    states.  For "above" the window moves up past the band: by the count
+    it skipped, or, when the whole window lies in it (a stiff dense H,
+    where it may hold nearly all of H's upper half), to twice its size,
+    so that the selections stay O(log N).
     """
     N = B.N
     window, norm = _window(B)
     rounding = _ULP * norm
+    band = rounding if B.H_tridiagonal is None else _CHANNEL_BAND_ULPS * _ULP * abs(sigma)
     if which == "nearest":
         il, iu = max(1, N - k + 1), min(2 * N, N + k)
     else:
@@ -292,8 +289,8 @@ def _gap_pairs(
             # S + sigma > 0 puts N eigenvalues of H below sigma
             raise NoConvergence(
                 f"at most {N - skipped} eigenvalues lie above sigma = {sigma:.6g}, "
-                f"fewer than k = {k} ({skipped} more lie within ulp ||H||_inf = "
-                f"{rounding:.3g} of sigma, not above it)"
+                f"fewer than k = {k} ({skipped} more lie within {band:.3g} of "
+                "sigma, not above it)"
             )
         w, pairs_at = window(il, iu)
         floor = w[N + 1 - il]
@@ -305,7 +302,7 @@ def _gap_pairs(
         if which == "nearest":
             chosen = np.argsort(np.abs(w - sigma), kind="stable")[:k]
             break
-        skipped = int(np.count_nonzero(w <= sigma + rounding))
+        skipped = int(np.count_nonzero(w <= sigma + band))
         if iu - il + 1 - skipped >= k:
             chosen = np.arange(skipped, skipped + k)
             break

@@ -23,6 +23,12 @@ def random_block_operator(rng, n, margin_target=None, coupling=1.0):
     return assemble(P + shift * np.eye(n), T, S)
 
 
+def form_array(B, alpha: float) -> np.ndarray:
+    """M_alpha as blockop._schur_form forms it, on either layout, as a dense array."""
+    M = blockop._schur_form(B, alpha)
+    return M.tocsr().toarray() if isinstance(M, blockop._Tridiagonal) else np.array(M)
+
+
 def exact_eigenvalue(H, index: int, dps: int = 40) -> float:
     """Eigenvalue index (1-based) of the symmetric tridiagonal H = (d, e), exact to a float.
 

@@ -38,23 +38,19 @@ from schurdirac import (
     build_grid,
     embedding_delta,
     find_c2,
-    form_report,
     full_matrix,
     gap_eigenvalues,
     inertia_c2_oracle,
-    matrix_from_text,
-    matrix_to_text,
     operator_from_text,
     operator_to_text,
     positivity_margin,
     resolvent_difference_check,
-    schur_form_matrix,
     solve,
 )
 from schurdirac.dirac import _c2_of
 from schurdirac.errors import DeltaOutOfRange
 
-from conftest import random_block_operator, spy_on_m0, symmetrize
+from conftest import form_array, random_block_operator, spy_on_m0, symmetrize
 
 C2_SCALAR = (1.0 + math.sqrt(13.0)) / 2.0  # root of 2 - a + 1/(1+a) = 0
 
@@ -399,28 +395,28 @@ class TestApply:
 
 class TestSchurForm:
     def test_scalar_alpha_zero(self):
-        M = schur_form_matrix(scalar_operator(), 0.0)
-        assert M.toarray().item() == pytest.approx(3.0)
+        M = form_array(scalar_operator(), 0.0)
+        assert M.item() == pytest.approx(3.0)
 
     def test_scalar_alpha_one(self):
-        M = schur_form_matrix(scalar_operator(), 1.0)
-        assert M.toarray().item() == pytest.approx(1.5)
+        M = form_array(scalar_operator(), 1.0)
+        assert M.item() == pytest.approx(1.5)
 
     def test_no_coupling(self, rng):
         P = symmetrize(rng.standard_normal((5, 5)))
         B = assemble(P, np.zeros((5, 5)), np.eye(5))
-        M = schur_form_matrix(B, 0.7)
-        assert M.toarray() == pytest.approx(P - 0.7 * np.eye(5))
+        M = form_array(B, 0.7)
+        assert M == pytest.approx(P - 0.7 * np.eye(5))
 
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
-            schur_form_matrix(scalar_operator(), -0.1)
+            blockop._schur_form(scalar_operator(), -0.1)
 
     def test_form_matches_quadratic_evaluation(self, rng):
         # two independent paths: u^t M_a u vs ((S+a)^{-1}Tu, Tu) + ((P-a)u, u)
         B = random_block_operator(rng, 23)
         for alpha in (0.0, 0.3, 1.7):
-            M = schur_form_matrix(B, alpha).toarray()
+            M = form_array(B, alpha)
             for _ in range(5):
                 u = rng.standard_normal(23)
                 tu = B.T.toarray() @ u
@@ -430,14 +426,14 @@ class TestSchurForm:
                 quad = u @ (M @ u)
                 assert quad == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
-    def test_schur_form_matrix_is_csr_on_both_paths(self, rng):
+    def test_schur_form_is_exactly_symmetric_on_both_paths(self, rng):
         dense = random_block_operator(rng, 7, margin_target=1.0)
         diagonal = assemble(np.eye(7), rng.standard_normal((7, 7)), 2.0 * np.eye(7))
         for B in (dense, diagonal):
-            M = schur_form_matrix(B, 0.4)
-            assert isinstance(M, sp.csr_matrix)
-            assert (M - M.T).nnz == 0
-            assert positivity_margin(B, 0.4) == np.linalg.eigvalsh(M.toarray())[0]
+            M = blockop._schur_form(B, 0.4)
+            assert isinstance(M, np.ndarray)
+            assert np.array_equal(M, M.T)
+            assert positivity_margin(B, 0.4) == np.linalg.eigvalsh(M)[0]
 
 
 class TestMargin:
@@ -452,36 +448,6 @@ class TestMargin:
     def test_identity(self):
         B = assemble(np.eye(3), np.zeros((3, 3)), np.eye(3))
         assert positivity_margin(B, 0.0) == pytest.approx(1.0)
-
-    def test_form_report_condition(self):
-        rep = form_report(scalar_operator(), 0.0)
-        assert rep.margin == pytest.approx(3.0)
-        assert rep.form_matrix_condition == pytest.approx(1.0)
-
-    def test_form_report_at_zero_reads_the_operators_margin(self, monkeypatch):
-        grid = build_grid("logarithmic", 200, 1e-4, 100.0)
-        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
-        lam = positivity_margin(B, 0.0)
-        stebz = mock.Mock(wraps=blockop.dstebz)
-        monkeypatch.setattr(blockop, "dstebz", stebz)
-        reports = [form_report(B, 0.0) for _ in range(2)]
-        # one dstebz a call, for eigenvalue N of M_0: lambda_max
-        assert [c.args[5:7] for c in stebz.call_args_list] == [(B.N, B.N)] * 2
-        hi = blockop._extreme_eigenvalues(B._M0, low=False)[0]
-        for rep in reports:
-            assert rep.margin == lam and rep.form_matrix_condition == hi / lam
-
-    def test_form_report_at_zero_on_a_fresh_dense_m0_takes_one_eigvalsh(self, monkeypatch):
-        # lambda_min and lambda_max of a dense M_0 come from one eigvalsh,
-        # which also sets B._margin0; a later call computes lambda_max alone
-        B = random_block_operator(np.random.default_rng(6), 12, margin_target=0.4)
-        lam = positivity_margin(dataclasses.replace(B), 0.0)
-        formed, reads = spy_on_m0(monkeypatch)
-        first, second = form_report(B, 0.0), form_report(B, 0.0)
-        assert len(formed) == 1
-        assert B._margin0 == lam and positivity_margin(B, 0.0) == lam
-        assert first == second and first.margin == lam
-        assert reads == ["eigvalsh"] * 2
 
     @pytest.mark.parametrize("route", ["tridiagonal", "dense"])
     def test_lambda_min_of_m0_is_computed_once_per_operator(self, route, monkeypatch):
@@ -502,7 +468,7 @@ class TestMargin:
                 solve(B, RhsPair(np.ones(B.N), np.ones(B.N)))
         assert len(formed) == 1 and formed[0] is B._M0 is blockop._schur_form(B, 0.0)
         assert reads == [routine]
-        assert lam == blockop._extreme_eigenvalues(B._M0, high=False)[0]
+        assert lam == blockop._lowest_eigenvalue(B._M0)
 
 
 class TestFindC2:
@@ -1201,11 +1167,6 @@ class TestResolventDifference:
 
 
 class TestSerialization:
-    def test_matrix_roundtrip(self, rng):
-        a = rng.standard_normal((4, 7))
-        back = matrix_from_text(matrix_to_text(a))
-        assert np.array_equal(back, a)
-
     def test_operator_roundtrip(self, rng):
         B = random_block_operator(rng, 6)
         C = operator_from_text(operator_to_text(B))
@@ -1215,44 +1176,6 @@ class TestSerialization:
         assert np.array_equal(C.S.toarray(), B.S.toarray())
         assert np.array_equal(full_matrix(C).toarray(), full_matrix(B).toarray())
         assert C.c1 == B.c1
-
-    @pytest.mark.parametrize("text", ["", "\n  \n"])
-    def test_matrix_from_empty_text(self, text):
-        with pytest.raises(ValueError, match="empty text"):
-            matrix_from_text(text)
-
-    @pytest.mark.parametrize("header", ["2 2 3", "2", "2 x", "2.0 2"])
-    def test_matrix_from_text_names_a_bad_header(self, header):
-        with pytest.raises(ValueError, match=f"expected a 'rows cols' header, found '{header}'"):
-            matrix_from_text(f"{header}\n1 2\n3 4\n")
-
-    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
-    def test_matrix_from_text_refuses_non_finite(self, entry):
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix_from_text(f"1 2\n1 {entry}\n")
-
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-    def test_matrix_to_text_refuses_non_finite(self, entry):
-        # every matrix the writer produces must read back
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix_to_text(np.array([[1.0, entry]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix_to_text(sp.csr_matrix(np.array([[0.0, entry]])))
-
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
-    def test_matrix_to_text_refuses_a_zero_dimension(self, shape):
-        # the reader could not parse what the writer wrote for these shapes
-        with pytest.raises(ValueError, match=re.escape(f"zero dimension, shape {shape}")):
-            matrix_to_text(np.zeros(shape))
-        with pytest.raises(ValueError, match="zero dimension"):
-            matrix_to_text(sp.csr_matrix(shape))
-
-    def test_matrix_roundtrip_is_bitwise_at_the_edges(self):
-        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
-        a = np.array([[-0.0, tiny, -2.5e-310], [np.finfo(float).max, 1.0 / 3.0, 0.0]])
-        back = matrix_from_text(matrix_to_text(a))
-        assert back.tobytes() == a.tobytes()
-        assert np.signbit(back[0, 0])
 
     def test_blocks_are_read_only(self, rng):
         B = random_block_operator(rng, 5)
@@ -1565,6 +1488,30 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             operator_from_text("\n".join(lines))
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_rejects_empty_text(self, text):
+        with pytest.raises(ValueError, match="not a blockoperator version 4 serialization"):
+            operator_from_text(text)
+
+    @pytest.mark.parametrize(
+        "header", ["blockoperator 4 4", "blockoperator", "blockoperator 4.0", "BlockOperator 4"]
+    )
+    def test_rejects_a_header_other_than_version_4(self, header):
+        B = assemble([[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.0]], np.eye(2))
+        lines = operator_to_text(B).splitlines()
+        with pytest.raises(ValueError, match="not a blockoperator version 4 serialization"):
+            operator_from_text("\n".join([header] + lines[1:]))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_c1_is_refused_as_assemble_does(self, value):
+        # float() parses each of these, so the c1 line passes its reader
+        # and the refusal is assemble's
+        blocks = [sp.csr_matrix(np.eye(2)) for _ in "PTS"]
+        want = refusal(lambda: assemble(*blocks, c1_policy=float(value)))
+        lines = text_of(*blocks, 1.0).splitlines()
+        lines[2] = f"c1 {value}"
+        assert refusal(lambda: operator_from_text("\n".join(lines))) == want
+
     def test_indptr_whose_differences_wrap_is_not_monotone(self):
         # (-3*2**61) - 3*2**61 = -3*2**62 wraps to +2**62 in int64, so np.diff
         # of these words is nonnegative
@@ -1807,6 +1754,6 @@ class TestInertiaProperties:
         # d/dalpha M_alpha = -I - T^t (S + alpha)^{-2} T <= -I; the slack
         # allows 1e-9 (1 + ||M||_inf) of rounding for each of the two forms
         slack = sum(
-            1e-9 * (1.0 + float(abs(schur_form_matrix(B, x)).sum(axis=1).max())) for x in (a, a + h)
+            1e-9 * (1.0 + float(np.abs(form_array(B, x)).sum(axis=1).max())) for x in (a, a + h)
         )
         assert positivity_margin(B, a + h) <= positivity_margin(B, a) - h + slack

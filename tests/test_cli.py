@@ -616,6 +616,19 @@ class TestRunAndMain:
         # coarse grid, loose agreement only
         assert obj["rows"][0]["e1_numeric"] == pytest.approx(want1, abs=0.05)
 
+    @pytest.mark.parametrize("r_min", ["1e-4", "1e-12", "1e-16", "1e-20", "1e-60"])
+    def test_spectrum_on_fine_grids_stays_at_the_sommerfeld_levels(self, tmp_path, r_min):
+        # ||H||_inf grows like 1/r_min; a band of ulp ||H||_inf around 0
+        # held the physical states from r_min of about 1e-14 down, and the
+        # next states out were reported (e1_numeric 220.685 at 1e-16)
+        cfg = write_config(tmp_path, f"kappa=-1\nnu=0.5\nk=2\ngrid.N=2000\ngrid.r_min={r_min}\n")
+        out = str(tmp_path / "spec.json")
+        assert main(["spectrum", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        rows = json.loads(open(out).read())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert abs(row["e1_numeric"] - row["e1_analytic"]) <= 5e-3
+
     def test_kappa_minus_two_rows_start_at_its_lowest_level(self, tmp_path):
         # kappa = -2 has no n = 1 level; its rows are n = 2, 3
         grid = "grid.N=600\n"

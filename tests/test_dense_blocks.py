@@ -28,14 +28,12 @@ from schurdirac import (
     channel_spectrum,
     embedding_delta,
     find_c2,
-    form_report,
     gap_eigenvalues,
     inertia_c2_oracle,
     operator_from_text,
     operator_to_text,
     positivity_margin,
     resolvent_difference_check,
-    schur_form_matrix,
     solve,
     symmetry_identity_check,
 )
@@ -66,7 +64,7 @@ def every_reader(B):
     embedding_delta(B)
     gap_eigenvalues(B, 0.0, 2, which="above")
     for alpha in (0.0, 0.3, 1.1):
-        form_report(B, alpha)
+        positivity_margin(B, alpha)
     solve(B, RhsPair(np.ones(n), np.arange(n, dtype=float)))
     resolvent_difference_check(B, 1.0, 0.5 * B.c1 / (B.c1 + 1.0))
 
@@ -175,7 +173,7 @@ def test_the_copy_is_read_only_and_equal_to_the_blocks_after_every_reader(rng):
             bisect.reset_mock()
             every_reader(B)
             inertia_c2_oracle(B)
-            schur_form_matrix(B, 0.7)
+            positivity_margin(B, 0.7)
             w = StateVector(np.ones(B.N), np.linspace(-1.0, 1.0, B.N))
             symmetry_identity_check(B, w, w)
             for alpha in (0.0, 0.2, 2.0):

@@ -1,6 +1,7 @@
 """The README's python examples run as written and print what the README says,
-and its config key table states cli._KEYS, so the documented API, the
-exponent table and the keys cannot drift unnoticed."""
+its config key table states cli._KEYS and its public name table states
+schurdirac.__all__, so the documented API, the exponent table, the keys
+and the public names cannot drift unnoticed."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ import re
 
 import pytest
 
+import schurdirac
 import schurdirac.cli as cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -78,3 +80,11 @@ def test_key_table_states_every_key_in_echo_order():
         else:
             assert literal is None
             assert ("required by" in default) == bool(entry.needed_by)
+
+
+def test_public_name_table_states_every_name_in_all():
+    section = readme().split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.M)
+    names = [name for name, _ in rows]
+    assert len(names) == len(set(names))
+    assert set(names) == set(schurdirac.__all__) - {"__version__"}

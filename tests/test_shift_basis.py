@@ -24,14 +24,12 @@ from schurdirac import (
     assemble,
     embedding_delta,
     find_c2,
-    form_report,
     positivity_margin,
-    schur_form_matrix,
     solve,
     symmetry_identity_check,
 )
 
-from conftest import random_block_operator, symmetrize
+from conftest import form_array, random_block_operator, symmetrize
 
 ALPHAS = (0.05, 0.5, 1.5, 3.0)
 
@@ -128,7 +126,6 @@ def test_margin_at_zero_is_eigvalsh_of_the_cholesky_formed_m0(rng):
         M0 = cholesky_m0(B)
         assert np.array_equal(blockop._schur_form(B, 0.0), M0)
         assert positivity_margin(B, 0.0) == np.linalg.eigvalsh(M0)[0]
-        assert form_report(B, 0.0).margin == np.linalg.eigvalsh(M0)[0]
 
 
 def test_m0_is_one_read_only_array_per_operator(rng):
@@ -141,10 +138,10 @@ def test_m0_is_one_read_only_array_per_operator(rng):
     # the elimination keeps only M_0's factor; solve reads M_0 itself
     solve(B, RhsPair(np.ones(12), np.zeros(12)))
     assert B._M0 is M0 and isinstance(B._elimination[0], np.ndarray)
-    assert np.array_equal(schur_form_matrix(B, 0.0).toarray(), M0)
+    assert np.array_equal(form_array(B, 0.0), M0)
 
 
-def test_c2_embedding_and_form_report_take_no_eigh(rng, monkeypatch):
+def test_c2_embedding_and_margins_take_no_eigh(rng, monkeypatch):
     B = random_block_operator(rng, 15, margin_target=0.8)
     S = B.S.toarray()
     rhs = RhsPair(np.ones(15), np.zeros(15))
@@ -160,7 +157,7 @@ def test_c2_embedding_and_form_report_take_no_eigh(rng, monkeypatch):
         return dpotrf(a, **kwargs)
 
     with mock.patch.object(blockop, "dpotrf", recording):
-        form_report(B, 0.3)
+        positivity_margin(B, 0.3)
     # the form at alpha = 0.3 is one factorization of S + 0.3 I, then eigvalsh
     assert [np.array_equal(a, S + 0.3 * np.eye(15)) for a in factored] == [True]
     solve(dataclasses.replace(B), rhs)
@@ -190,8 +187,7 @@ def test_s_is_cholesky_factored_once_per_operator(rng, monkeypatch):
     positivity_margin(B, 0.0)
     find_c2(B)
     embedding_delta(B)
-    form_report(B, 0.0)
-    schur_form_matrix(B, 0.7)
+    positivity_margin(B, 0.7)
     rhs = RhsPair(np.ones(10), np.ones(10))
     solve(B, rhs)
     w = StateVector(np.ones(10), np.arange(10.0))
@@ -282,5 +278,6 @@ def test_an_overflowed_form_is_refused_without_a_warning(route, alpha):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="infs or NaNs"):
             positivity_margin(B, alpha)
+        # a refusal is not kept: a second call is refused alike
         with pytest.raises(ValueError, match="infs or NaNs"):
-            form_report(B, alpha)
+            positivity_margin(B, alpha)

@@ -19,7 +19,6 @@ from schurdirac import (
     DimensionMismatch,
     HypothesisFailed,
     IllConditioned,
-    NegativeShiftUnsupported,
     RhsPair,
     StateVector,
     ValidationError,
@@ -30,7 +29,6 @@ from schurdirac import (
     full_matrix,
     gap_eigenvalues,
     positivity_margin,
-    shifted_operator,
     solve,
     symmetry_identity_check,
 )
@@ -415,31 +413,6 @@ class TestSymmetryIdentity:
         assert diff <= 1e-10 * (1.0 + abs(lhs))
 
 
-class TestShiftedOperator:
-    def test_blocks(self):
-        B = scalar_operator()
-        C = shifted_operator(B, 0.5)
-        assert C.P.toarray().item() == pytest.approx(1.5)
-        assert C.S.toarray().item() == pytest.approx(1.5)
-        assert C.T.toarray().item() == pytest.approx(1.0)
-        assert C.c1 == pytest.approx(1.5)
-
-    def test_zero_shift_is_identity(self, rng):
-        B = random_block_operator(rng, 8)
-        assert shifted_operator(B, 0.0) is B
-
-    def test_spectrum_shifts_exactly(self, rng):
-        B = random_block_operator(rng, 20)
-        sigma = 0.75
-        w0 = np.linalg.eigvalsh(full_matrix(B).toarray())
-        w1 = np.linalg.eigvalsh(full_matrix(shifted_operator(B, sigma)).toarray())
-        assert np.allclose(w1, w0 - sigma, atol=1e-10)
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(NegativeShiftUnsupported):
-            shifted_operator(scalar_operator(), -0.1)
-
-
 class TestGapEigenvalues:
     def test_scalar_near_two(self):
         pairs = gap_eigenvalues(scalar_operator(), 2.0, 1)
@@ -466,7 +439,10 @@ class TestGapEigenvalues:
         B = random_block_operator(rng, 15, margin_target=1.2)
         tau, sigma = 0.3, 0.6
         base = gap_eigenvalues(B, sigma, 3)
-        moved = gap_eigenvalues(shifted_operator(B, tau), sigma - tau, 3)
+        # the operator of H - tau I: blocks (P - tau, T, S + tau)
+        eye = np.eye(B.N)
+        shifted = assemble(B.P - tau * eye, B.T, B.S + tau * eye, c1_policy=B.c1 + tau)
+        moved = gap_eigenvalues(shifted, sigma - tau, 3)
         for (lam0, _), (lam1, _) in zip(base, moved):
             assert lam1 == pytest.approx(lam0 - tau, abs=1e-9)
 

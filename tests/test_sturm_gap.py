@@ -26,7 +26,6 @@ from schurdirac import (
     HypothesisFailed,
     NegativeShiftUnsupported,
     NoConvergence,
-    RhsPair,
     SchurDiracError,
     assemble,
     build_channel,
@@ -35,10 +34,9 @@ from schurdirac import (
     embedding_delta,
     full_matrix,
     gap_eigenvalues,
-    solve,
 )
 
-from conftest import random_block_operator
+from conftest import exact_eigenvalue, form_array, random_block_operator
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,11 +62,17 @@ def dense_selection(w, sigma, k, which):
     return list(np.flatnonzero(w > sigma)[:k])
 
 
-def assert_matches_dense(B, sigma, k, which):
+@functools.lru_cache(maxsize=None)
+def exact_gap_floor(kappa, nu, N):
+    """Eigenvalue N+1 of the channel's H from the 40-digit Sturm count."""
+    return exact_eigenvalue(channel(kappa, nu, N).H_tridiagonal, N + 1)
+
+
+def assert_matches_dense(B, sigma, k, which, want=None):
     w, V = dense_eigh(B)
     H = full_matrix(B)
     pairs = gap_eigenvalues(B, sigma, k, which=which)
-    want = dense_selection(w, sigma, k, which)
+    want = dense_selection(w, sigma, k, which) if want is None else want
     assert len(pairs) == len(want)
     for (lam, sv), i in zip(pairs, want):
         x = sv.stacked()
@@ -95,9 +99,18 @@ class TestAgainstDense:
             "just-below": lam - 1e-8 * (1.0 + lam),
             "at": lam,
         }[shift]
+        want = None
+        if shift == "at":
+            # eigenvalue N+1 itself, from the 40-digit reference: eigh's lam
+            # differs from it by up to about 1e-13, within which "strictly
+            # above" would be ambiguous.  So the selection above sigma
+            # starts at eigenvalue N+2, and "nearest" holds N+1
+            sigma = exact_gap_floor(kappa, nu, N)
+            assert dense_eigh(B)[0][N + 1] > sigma + 1e-8
+            want = list(range(N + 1, N + 4)) if which == "above" else None
         assert not hasattr(solver, "_sparse_gap_pairs")
         with mock.patch.object(blockop, "dsytrd", side_effect=AssertionError("dense path")):
-            assert_matches_dense(B, sigma, 3, which)
+            assert_matches_dense(B, sigma, 3, which, want)
         assert "_H_reduced" not in vars(B)
 
     # no deadline: the dense eigh reference is O(n^3), so its time measures
@@ -160,20 +173,49 @@ class TestGate:
         assert [lam for lam, _ in gap_eigenvalues(B, 1.0, 2)] == [1.0, 1.0]
 
     def test_a_stiff_window_grows_geometrically(self, monkeypatch):
-        # ||H||_inf is about 2.5e20 on a uniform grid from 1e-20, so the band
-        # ulp ||H||_inf holds all but the largest eigenvalue above 0: the
-        # "above" window doubles while it lies wholly in the band, instead
-        # of growing by k a selection (150 selections and 5.6 s before)
+        # a stiff dense H: P's one entry of 1e20 makes ||H||_inf 1e20, so the
+        # band ulp ||H||_inf = 2.2e4 holds all but the largest eigenvalue
+        # above 0 (0.5, 1.5 and 297 ones).  The "above" window doubles while
+        # it lies wholly in the band, instead of growing by k a selection
         N = 300
-        grid = build_grid("uniform", N, 1e-20, 100.0)
-        B = build_channel(DiracChannelSpec(-1, 0.5, 0.5), grid)
+        P = np.eye(N)
+        P[0, 1] = P[1, 0] = 0.5  # not diagonal, so the dense route
+        P[-1, -1] = 1e20
+        B = assemble(P, np.zeros((N, N)), np.eye(N))
+        assert B.H_tridiagonal is None
         selections = mock.Mock(wraps=blockop._sturm_selection)
         monkeypatch.setattr(blockop, "_sturm_selection", selections)
-        band = r"\(299 more lie within ulp \|\|H\|\|_inf = 5\.5\de\+04 of sigma, not above it\)$"
+        band = r"\(299 more lie within 2\.2\de\+04 of sigma, not above it\)$"
         with pytest.raises(NoConvergence, match=r"^at most 1 eigenvalues lie above sigma = 0, "
                            r"fewer than k = 2 " + band):
             gap_eigenvalues(B, 0.0, 2, which="above")
         assert selections.call_count <= math.ceil(math.log2(N)) + 2
+
+
+class TestChannelBand:
+    @pytest.mark.parametrize("r_min", [1e-4, 1e-12, 1e-16, 1e-20, 1e-60, 1e-100])
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_sturm_values_lie_inside_the_band_on_any_grading(self, nu, r_min):
+        # the channel skip band, _CHANNEL_BAND_ULPS ulp |sigma|, rests on
+        # dstebz's eigenvalues N+1..N+4 being relatively accurate while
+        # ||H||_inf grows like 1/r_min (to about 1e100 here)
+        N = 200
+        B = build_channel(
+            DiracChannelSpec(-1, nu, 0.5), build_grid("logarithmic", N, r_min, 100.0)
+        )
+        exact = [exact_eigenvalue(B.H_tridiagonal, N + 1 + j) for j in range(4)]
+        band = solver._CHANNEL_BAND_ULPS * blockop._ULP
+        w = blockop._window(B)[0](N + 1, N + 4)[0]
+        for x, want in zip(w, exact):
+            assert abs(x - want) <= band * abs(want)
+        # sigma on eigenvalue N+1: it is skipped, and the next two are
+        # returned, where a band of ulp ||H||_inf would skip them all
+        # from r_min of about 1e-14 down
+        assert exact[0] > 0.0
+        pairs = gap_eigenvalues(B, exact[0], 2, which="above")
+        assert len(pairs) == 2
+        for (lam, _), want in zip(pairs, exact[1:3]):
+            assert abs(lam - want) <= band * abs(want)
 
 
 class TestOneShiftCheck:
@@ -189,14 +231,6 @@ class TestOneShiftCheck:
         for B in operators:
             with pytest.raises(NegativeShiftUnsupported):
                 gap_eigenvalues(B, -0.1, 1)
-
-    def test_dense_branch_builds_no_shifted_operator(self, rng):
-        B = random_block_operator(rng, 30, margin_target=1.0)
-        with mock.patch.object(
-            solver, "shifted_operator", side_effect=AssertionError("shifted operator")
-        ):
-            pairs = gap_eigenvalues(B, 0.4, 2)
-        assert len(pairs) == 2
 
 
 def test_channels_never_take_the_lanczos_path(monkeypatch):
@@ -344,30 +378,15 @@ def test_embedding_delta_on_a_channel_takes_the_banded_route():
         G = seen[-1]
         assert isinstance(G, blockop._Tridiagonal)
         K = B.T.toarray() / B.S.diagonal()[:, None]
-        want = blockop.schur_form_matrix(B, 0.0) - delta * (
+        want = sp.csr_matrix(form_array(B, 0.0)) - delta * (
             sp.identity(N, format="csr") + sp.csr_matrix(K.T @ K)
         )
         want = ((want + want.T) * 0.5).toarray()
         lam_want = np.linalg.eigvalsh(want)[0]
         norm = float(np.max(np.abs(want).sum(axis=1)))
-        lam = blockop._extreme_eigenvalues(G, high=False)[0]
+        lam = blockop._lowest_eigenvalue(G)
         assert abs(lam - lam_want) <= 1e-12 * (1.0 + norm)
         assert certified == positive_definite(want)
-
-
-def test_both_extremes_of_a_dense_form_come_from_one_eigvalsh(rng, monkeypatch):
-    # positive definite, and a solve on it takes no eigenvalue at all:
-    # its condition number comes from the expert driver's rcond
-    B = random_block_operator(rng, 700, margin_target=1.0)
-    form = blockop._schur_form(B, 0.0)
-    w = np.linalg.eigvalsh(form)
-    calls = mock.Mock(wraps=np.linalg.eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", calls)
-    assert blockop._extreme_eigenvalues(form) == (w[0], w[-1])
-    assert calls.call_count == 1
-    rep = solve(B, RhsPair(np.ones(700), np.zeros(700)))
-    assert calls.call_count == 1
-    assert 1.0 <= rep.schur_condition_estimate <= 1e12
 
 
 def test_margin_of_a_non_diagonal_s_above_the_cap_is_dense(rng):

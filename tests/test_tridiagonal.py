@@ -25,18 +25,15 @@ from schurdirac import (
     build_grid,
     embedding_delta,
     find_c2,
-    form_report,
     full_matrix,
     gap_eigenvalues,
     inertia_c2_oracle,
     positivity_margin,
     resolvent_difference_check,
-    schur_form_matrix,
-    shifted_operator,
     solve,
 )
 
-from conftest import exact_eigenvalue, random_block_operator
+from conftest import exact_eigenvalue, form_array, random_block_operator
 
 
 def reference_form(B, alpha):
@@ -56,13 +53,9 @@ def upper_band(M):
     return band
 
 
-def reference_extremes(M):
-    """(lambda_min, lambda_max) by scipy's banded solver, at every size."""
-    n = M.shape[0]
-    band = upper_band(M)
-    lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
-    hi = eigvals_banded(band, select="i", select_range=(n - 1, n - 1))[0]
-    return lo, hi
+def reference_lowest(M):
+    """lambda_min by scipy's banded solver, at every size."""
+    return eigvals_banded(upper_band(M), select="i", select_range=(0, 0))[0]
 
 
 def reference_bracketed(M, top):
@@ -72,16 +65,15 @@ def reference_bracketed(M, top):
 
 
 def assert_bitwise_reference(B, alpha):
-    """The form, lambda_max and, at alpha = 0, the margin are the banded solver's range-'I'
-    values bitwise; at alpha > 0 the margin is its range-'V' value on the package's bracket
-    (-inf, top] bitwise, and within 2 ulp of the range-'I' one."""
+    """The form, its range-'I' lambda_min and, at alpha = 0, the margin are the banded
+    solver's range-'I' values bitwise; at alpha > 0 the margin is its range-'V' value on
+    the package's bracket (-inf, top] bitwise, and within 2 ulp of the range-'I' one."""
     M = reference_form(B, alpha)
-    lo, hi = reference_extremes(M)
+    lo = reference_lowest(M)
     margin = positivity_margin(B, alpha)
     form = blockop._schur_form(B, alpha)
-    assert blockop._extreme_eigenvalues(form) == (lo, hi)
-    assert form_report(B, alpha).margin == margin
-    assert np.array_equal(schur_form_matrix(B, alpha).toarray(), M.toarray())
+    assert blockop._lowest_eigenvalue(form) == lo
+    assert np.array_equal(form_array(B, alpha), M.toarray())
     if alpha == 0.0:
         assert margin == lo
         return
@@ -203,13 +195,12 @@ class TestTridiagonalField:
         assert B.H_tridiagonal is None
         form = blockop._schur_form(B, 0.25)
         assert not isinstance(form, blockop._Tridiagonal)
-        dense = schur_form_matrix(B, 0.25).toarray()
+        dense = form_array(B, 0.25)
         w = np.linalg.eigvalsh(dense)
         scale = 1.0 + np.abs(dense).sum(axis=1).max()
-        lo, hi = blockop._extreme_eigenvalues(form)
+        lo = blockop._lowest_eigenvalue(form)
         assert positivity_margin(B, 0.25) == lo
         assert abs(lo - w[0]) <= 1e-9 * scale
-        assert abs(hi - w[-1]) <= 1e-9 * scale
 
     def test_channels_skip_the_sparse_detour(self):
         for name in ("_bandwidth", "_to_banded_upper", "eigvals_banded", "_goes_dense"):
@@ -224,7 +215,6 @@ class TestTridiagonalField:
                 type(B.T), "diagonal", boom
             ), mock.patch.object(type(B.S), "diagonal", boom):
                 positivity_margin(B, 0.5)
-                form_report(B, 0.5)
 
 
 class TestBitwiseReference:
@@ -321,7 +311,7 @@ class TestBracket:
             if alpha > 0.0:
                 assert positivity_margin(B, alpha) == got
         assert hi >= exact_eigenvalue(M, 1)
-        lo = blockop._extreme_eigenvalues(M, high=False)[0]
+        lo = blockop._lowest_eigenvalue(M)
         assert abs(got - lo) <= 2.0 * blockop._ULP * abs(lo)
 
     @pytest.mark.parametrize("bound", ["below", math.inf, math.nan])
@@ -331,7 +321,7 @@ class TestBracket:
         B = channel(N=300)
         alpha = 0.7
         M = blockop._schur_form(B, alpha)
-        lo = blockop._extreme_eigenvalues(M, high=False)[0]
+        lo = blockop._lowest_eigenvalue(M)
         assert B._ground is not None  # made before the spy: one range-'I' call on M_0
         top = lo - 1.0 if bound == "below" else bound
         monkeypatch.setattr(blockop, "_rayleigh_bound", lambda M, x: top)
@@ -354,7 +344,7 @@ class TestBracket:
             positivity_margin(B, 0.0)
         assert B._ground is None
         M = blockop._schur_form(B, 1.0)
-        assert positivity_margin(B, 1.0) == blockop._extreme_eigenvalues(M, high=False)[0]
+        assert positivity_margin(B, 1.0) == blockop._lowest_eigenvalue(M)
 
     def test_channel_margin_against_a_40_digit_sturm_count(self):
         # the bracket changes which interval dstebz bisects, not how far
@@ -365,7 +355,7 @@ class TestBracket:
             M = blockop._schur_form(B, alpha)
             exact = exact_eigenvalue(M, 1)
             margin = positivity_margin(B, alpha)
-            lo = blockop._extreme_eigenvalues(M, high=False)[0]
+            lo = blockop._lowest_eigenvalue(M)
             assert (margin >= 0.0) == (exact >= 0.0) == (alpha <= c2)
             assert abs(margin - exact) <= abs(lo - exact) + 2.0 * blockop._ULP * abs(exact)
 
@@ -472,7 +462,6 @@ class TestOrderOne:
         assert B.H_tridiagonal is not None
         assert positivity_margin(B, 0.0) == 3.0
         assert positivity_margin(B, 1.0) == 1.5
-        assert form_report(B, 1.0) == blockop.FormReport(1.0, 1.5, 1.0)
         c2 = (1.0 + math.sqrt(13.0)) / 2.0  # root of 2 - a + 1/(1 + a)
         assert find_c2(B, 1e-12) == pytest.approx(c2, abs=1e-12)
         rep = solve(B, RhsPair([3.0], [0.0]))
@@ -595,10 +584,6 @@ class TestOneDenseEigvalsh:
             fn()
         return spy.call_count
 
-    def test_form_report(self, rng):
-        B = random_block_operator(rng, 30)
-        assert self.count_eigvalsh(lambda: form_report(B, 0.1)) == 1
-
     def test_cold_solve(self, rng):
         # the condition number comes from the expert driver, so no solve,
         # cold or warm, takes an eigenvalue
@@ -625,10 +610,8 @@ class TestNonFiniteShift:
         assert B.S_diagonal is not dense_s
         calls = [
             ("alpha", lambda: positivity_margin(B, value)),
-            ("alpha", lambda: form_report(B, value)),
-            ("alpha", lambda: schur_form_matrix(B, value)),
+            ("alpha", lambda: blockop._schur_form(B, value)),
             ("alpha", lambda: resolvent_difference_check(B, value, 0.1)),
-            ("sigma", lambda: shifted_operator(B, value)),
             ("sigma", lambda: gap_eigenvalues(B, value, 1)),
         ]
         for key, call in calls:
